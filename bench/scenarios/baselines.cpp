@@ -65,17 +65,8 @@ CHURNSTORE_SCENARIO(baselines,
             .cell(res.availability.mean(), 3)
             .cell(res.availability.ci95_halfwidth(), 3)
             .cell(res.locate_rounds.count() ? res.locate_rounds.mean() : 0.0,
-                  1);
-        if (stack == "chord" && cell.extra("chord", "net") == "ring") {
-          // The legacy ring sim routes in its own simulator; its overlay
-          // traffic is not charged to Network metrics, so a 0 here would
-          // read as "free" next to the accounted stacks. chord=net (the
-          // default) charges every lookup/stabilize/transfer for real and
-          // reports measured bits like everyone else.
-          t.cell("n/a (overlay msgs)");
-        } else {
-          t.cell(res.bits_node_round_mean.mean(), 0);
-        }
+                  1)
+            .cell(res.bits_node_round_mean.mean(), 0);
       }
     }
   }

@@ -1,26 +1,19 @@
 // E14 — Chord on the Network layer: measured lookup hops, maintenance
 // traffic, and ring health vs churn.
 //
-// The old ChordBaseline ring simulator ESTIMATED its cost columns
-// (idealized ceil(log2 n)-hop routing, un-charged overlay messages); the
-// chord=net subsystem routes, stabilizes, and repairs through real typed
-// Messages, so every column here is measured through the normal Network
-// charge path — hop counts from the protocol's own counters, bits from the
-// golden bit-charge accounting, maxrss from getrusage. chord=ring rows can
-// be requested for comparison (chord=ring or chord=both): their lookup
-// success comes from the ring sim and the bit column is honest about being
-// unmeasured.
+// Chord routes, stabilizes, and repairs through real typed Messages, so
+// every column here is measured through the normal Network charge path —
+// hop counts from the protocol's own counters, bits from the golden
+// bit-charge accounting, maxrss from getrusage.
 //
 //   bench_driver --scenario=chord                      # n=1024,4096
 //   bench_driver --scenario=chord n=10000,100000 json=true   # BENCH_chord
-//   bench_driver --scenario=chord chord=both churn-mult=0.25
 //
-// Keys: chord (net | ring | both), chord-replication, chord-stabilize,
-// chord-replicate, items, searches.
+// Keys: chord-replication, chord-stabilize, chord-replicate, items,
+// searches.
 #include <cmath>
 #include <optional>
 
-#include "baseline/chord.h"
 #include "baseline/chord_net/chord_net.h"
 #include "obs/export.h"
 #include "scenario_common.h"
@@ -39,14 +32,14 @@ struct ChordCell {
   double mean_hops = 0.0;
   std::uint64_t max_hops = 0;
   double availability = 0.0;
-  /// Ring god views and traffic; < 0 = not measurable (ring sim).
-  double joined_fraction = -1.0;
-  double consistency = -1.0;
-  double bits_node_round = -1.0;
+  /// Ring god views and traffic.
+  double joined_fraction = 0.0;
+  double consistency = 0.0;
+  double bits_node_round = 0.0;
   double locate_rounds = 0.0;
   /// Hop-count distribution over successful lookups (protocol histogram)
   /// and lookup-latency distribution in rounds (scenario-side histogram
-  /// over located searches); < 0 = no mass / not measurable (ring sim).
+  /// over located searches); < 0 = no mass.
   double hops_p50 = -1.0;
   double hops_p95 = -1.0;
   double hops_p99 = -1.0;
@@ -56,14 +49,12 @@ struct ChordCell {
   double lat_p999 = -1.0;
 };
 
-/// One measured cell: build the chord stack (net or ring), run the
-/// store -> age -> search workload through the StorageService facade, and
-/// read the protocol's own counters for the hop/health columns.
-ChordCell run_cell(const ScenarioSpec& spec, bool ring,
-                   const std::string& obs_label) {
+/// One measured cell: build the chord stack, run the store -> age -> search
+/// workload through the StorageService facade, and read the protocol's own
+/// counters for the hop/health columns.
+ChordCell run_cell(const ScenarioSpec& spec, const std::string& obs_label) {
   ScenarioSpec cell = spec;
   cell.protocol = "chord";
-  cell.extras["chord"] = ring ? "ring" : "net";
   BuiltSystem built =
       build_stack(cell.protocol, cell.system_config(), cell.extras);
   P2PSystem& sys = *built.system;
@@ -142,31 +133,25 @@ ChordCell run_cell(const ScenarioSpec& spec, bool ring,
     out.lat_p999 = latency.quantile(0.999);
   }
 
-  if (const auto* chord = sys.find_protocol<ChordNetProtocol>()) {
-    const auto& st = chord->stats();
-    out.mean_hops = st.mean_hops();
-    out.max_hops = st.ok_hops_max;
-    out.joined_fraction = static_cast<double>(chord->joined_count()) /
-                          static_cast<double>(sys.n());
-    out.consistency = chord->ring_consistency();
-    out.bits_node_round = sys.metrics().mean_bits_per_node_round().mean();
-    if (st.ok_hops.total() > 0) {
-      out.hops_p50 = st.ok_hops.quantile(0.50);
-      out.hops_p95 = st.ok_hops.quantile(0.95);
-      out.hops_p99 = st.ok_hops.quantile(0.99);
-    }
-  } else {
-    // Ring sim: idealized routing, overlay traffic not charged.
-    out.mean_hops = std::ceil(std::log2(static_cast<double>(sys.n())));
-    out.max_hops = static_cast<std::uint64_t>(out.mean_hops);
-    out.bits_node_round = -1.0;
+  const auto& chord = *sys.find_protocol<ChordNetProtocol>();
+  const auto& st = chord.stats();
+  out.mean_hops = st.mean_hops();
+  out.max_hops = st.ok_hops_max;
+  out.joined_fraction = static_cast<double>(chord.joined_count()) /
+                        static_cast<double>(sys.n());
+  out.consistency = chord.ring_consistency();
+  out.bits_node_round = sys.metrics().mean_bits_per_node_round().mean();
+  if (st.ok_hops.total() > 0) {
+    out.hops_p50 = st.ok_hops.quantile(0.50);
+    out.hops_p95 = st.ok_hops.quantile(0.95);
+    out.hops_p99 = st.ok_hops.quantile(0.99);
   }
   return out;
 }
 
 CHURNSTORE_SCENARIO(chord,
                     "E14: message-accurate Chord — measured hops, bits, and "
-                    "ring health vs churn (chord=net|ring|both)") {
+                    "ring health vs churn") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {1024, 4096};
   if (!cli.has("trials")) base.trials = 1;
@@ -176,88 +161,62 @@ CHURNSTORE_SCENARIO(chord,
 
   banner(base, "E14 chord — message-accurate Chord DHT on the Network layer",
          "lookup success and MEASURED hop/bit cost via the normal charge "
-         "path; the ring-sim rows (chord=ring) estimate hops and cannot "
-         "measure bits");
-
-  const std::string variant = base.extra("chord", "net");
-  std::vector<bool> rings;
-  if (variant == "both") {
-    rings = {false, true};
-  } else if (variant == "ring") {
-    rings = {true};
-  } else {
-    rings = {false};
-  }
+         "path");
 
   // New observability columns are APPENDED so downstream consumers of the
   // historical BENCH_chord.json column set keep their positions.
-  Table t({"variant", "n", "churn/rd", "searches", "censored", "ok rate",
-           "avail", "mean hops", "max hops", "hops/log2 n", "joined",
-           "succ consist", "mean bits/node/rd", "locate rds", "maxrss MB",
-           "hops p50", "hops p95", "hops p99", "lat p50", "lat p95",
-           "lat p99", "lat p999"});
+  Table t({"n", "churn/rd", "searches", "censored", "ok rate", "avail",
+           "mean hops", "max hops", "hops/log2 n", "joined", "succ consist",
+           "mean bits/node/rd", "locate rds", "maxrss MB", "hops p50",
+           "hops p95", "hops p99", "lat p50", "lat p95", "lat p99",
+           "lat p999"});
   for (const std::uint32_t n : base.ns) {
     for (const double cm : {0.0, 0.25 * base.churn.multiplier,
                             0.5 * base.churn.multiplier,
                             base.churn.multiplier}) {
-      for (const bool ring : rings) {
-        const ScenarioSpec cell =
-            at_churn(base, n, cm).with_seed(mix64(base.seed + n));
-        const std::string obs_label =
-            std::string(ring ? "ring" : "net") + ".n" + std::to_string(n) +
-            ".c" +
-            std::to_string(static_cast<std::int64_t>(cell.churn.per_round(n)));
-        const ChordCell res = run_cell(cell, ring, obs_label);
-        const double log2n = std::log2(static_cast<double>(n));
-        const std::uint64_t eligible = res.searches - res.censored;
-        t.begin_row()
-            .cell(ring ? "ring" : "net")
-            .cell(static_cast<std::int64_t>(n))
-            .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
-            .cell(res.searches)
-            .cell(res.censored)
-            .cell(eligible ? static_cast<double>(res.ok) /
-                                 static_cast<double>(eligible)
-                           : 0.0,
-                  3)
-            .cell(res.availability, 3)
-            .cell(res.mean_hops, 2)
-            .cell(res.max_hops)
-            .cell(res.mean_hops / log2n, 2);
-        // The ring sim has no measurable ring state or charged traffic;
-        // printing its defaults next to measured columns would read as
-        // perfect health.
-        const auto measured = [&t](double v, int precision) {
-          if (v < 0.0) {
-            t.cell("n/a (ring sim)");
-          } else {
-            t.cell(v, precision);
-          }
-        };
-        measured(res.joined_fraction, 3);
-        measured(res.consistency, 3);
-        measured(res.bits_node_round, 0);
-        t.cell(res.locate_rounds, 1)
-            .cell(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
-                  1);
-        // Quantile columns: "n/a" when the histogram has no mass (no
-        // successful lookups) or is unmeasurable (ring sim has no real
-        // routing, so no measured hop distribution).
-        const auto quant = [&t](double v, int precision) {
-          if (v < 0.0) {
-            t.cell("n/a");
-          } else {
-            t.cell(v, precision);
-          }
-        };
-        quant(res.hops_p50, 1);
-        quant(res.hops_p95, 1);
-        quant(res.hops_p99, 1);
-        quant(res.lat_p50, 1);
-        quant(res.lat_p95, 1);
-        quant(res.lat_p99, 1);
-        quant(res.lat_p999, 1);
-      }
+      const ScenarioSpec cell =
+          at_churn(base, n, cm).with_seed(mix64(base.seed + n));
+      const std::string obs_label =
+          "net.n" + std::to_string(n) + ".c" +
+          std::to_string(static_cast<std::int64_t>(cell.churn.per_round(n)));
+      const ChordCell res = run_cell(cell, obs_label);
+      const double log2n = std::log2(static_cast<double>(n));
+      const std::uint64_t eligible = res.searches - res.censored;
+      t.begin_row()
+          .cell(static_cast<std::int64_t>(n))
+          .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
+          .cell(res.searches)
+          .cell(res.censored)
+          .cell(eligible ? static_cast<double>(res.ok) /
+                               static_cast<double>(eligible)
+                         : 0.0,
+                3)
+          .cell(res.availability, 3)
+          .cell(res.mean_hops, 2)
+          .cell(res.max_hops)
+          .cell(res.mean_hops / log2n, 2)
+          .cell(res.joined_fraction, 3)
+          .cell(res.consistency, 3)
+          .cell(res.bits_node_round, 0)
+          .cell(res.locate_rounds, 1)
+          .cell(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0),
+                1);
+      // Quantile columns: "n/a" when the histogram has no mass (no
+      // successful lookups).
+      const auto quant = [&t](double v, int precision) {
+        if (v < 0.0) {
+          t.cell("n/a");
+        } else {
+          t.cell(v, precision);
+        }
+      };
+      quant(res.hops_p50, 1);
+      quant(res.hops_p95, 1);
+      quant(res.hops_p99, 1);
+      quant(res.lat_p50, 1);
+      quant(res.lat_p95, 1);
+      quant(res.lat_p99, 1);
+      quant(res.lat_p999, 1);
     }
   }
   emit(t, base);

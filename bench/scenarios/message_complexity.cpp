@@ -7,10 +7,9 @@
 // it near-constant (the soup's Theta(log^2 n) token forwarding dominates).
 //
 // `protocol=` swaps the stack under the same measurement: protocol=chord
-// (chord=net) charges its lookup/stabilize/transfer messages through the
-// same Network path, so the DHT's maintenance cost curve is measured
-// like-for-like against the paper stack — the comparison the old ring-sim
-// Chord could only estimate.
+// charges its lookup/stabilize/transfer messages through the same Network
+// path, so the DHT's maintenance cost curve is measured like-for-like
+// against the paper stack.
 #include <cmath>
 
 #include "scenario_common.h"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark regression gate (throughput + maxrss) and speedup restitcher.
+"""Benchmark regression gate (throughput + maxrss).
 
 Gate mode (default): runs a fresh `bench_driver` scenario at the gate size
 and compares each (n, shards) row against the checked-in baseline JSON
@@ -19,15 +19,6 @@ are real:
     python3 scripts/bench_diff.py                      # soup_step, both gates
     python3 scripts/bench_diff.py --scenario capacity  # capacity bench
     python3 scripts/bench_diff.py --gate maxrss        # memory only (CI)
-
-Restitch mode: BENCH rows that were produced one process per row (the n=1M
-rows are stitched like that to keep each run inside the memory budget)
-self-baseline their `speedup` column to 1.00. `--restitch FILE` recomputes
-speedup within each n group against that group's first row (the sweep's
-baseline shard count) and rewrites the file in place, preserving the
-one-row-per-line layout:
-
-    python3 scripts/bench_diff.py --restitch BENCH_soup_step.json
 """
 
 import argparse
@@ -49,8 +40,6 @@ SCENARIOS = {
     },
 }
 
-SPEEDUP_BASIS = {"soup_step": "steps/sec", "capacity": "rounds/sec"}
-
 
 def load_rows(text: str):
     """Parse the driver's json=true output (a JSON array of row objects)."""
@@ -58,42 +47,6 @@ def load_rows(text: str):
     if not isinstance(rows, list):
         raise ValueError("expected a JSON array of benchmark rows")
     return {(int(r["n"]), int(r["shards"])): r for r in rows}
-
-
-def dump_rows(rows) -> str:
-    """One row object per line — the layout the BENCH files are kept in."""
-    lines = ",\n".join("  " + json.dumps(r) for r in rows)
-    return "[\n" + lines + "\n]\n"
-
-
-def restitch(path: Path) -> int:
-    rows = json.loads(path.read_text())
-    if not isinstance(rows, list):
-        print(f"restitch: {path} is not a JSON array", file=sys.stderr)
-        return 2
-    basis = None
-    for key in SPEEDUP_BASIS.values():
-        if rows and key in rows[0]:
-            basis = key
-            break
-    if basis is None:
-        print(f"restitch: no speedup basis column in {path}", file=sys.stderr)
-        return 2
-    group_base = {}
-    changed = 0
-    for r in rows:
-        n = int(r["n"])
-        sps = float(r[basis])
-        if n not in group_base:
-            group_base[n] = sps
-        new = round(sps / group_base[n], 2) if group_base[n] > 0 else 0.0
-        if r.get("speedup") != new:
-            r["speedup"] = new
-            changed += 1
-    path.write_text(dump_rows(rows))
-    print(f"restitch: {path.name}: speedup recomputed from {basis}, "
-          f"{changed} row(s) updated")
-    return 0
 
 
 def main() -> int:
@@ -136,17 +89,7 @@ def main() -> int:
         "stay within --threshold 0.02 of BENCH_soup_step.json, but "
         "cross-host throughput noise must not block)",
     )
-    ap.add_argument(
-        "--restitch",
-        metavar="FILE",
-        default=None,
-        help="recompute the speedup column of a stitched BENCH file in "
-        "place and exit (no benchmark run)",
-    )
     args = ap.parse_args()
-
-    if args.restitch is not None:
-        return restitch(Path(args.restitch))
 
     scen = SCENARIOS[args.scenario]
     metric = scen["metric"]

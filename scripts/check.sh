@@ -13,7 +13,9 @@
 #   scripts/check.sh --smoke    # run EVERY registered scenario once at tiny
 #                               # n (<= 2k, trials=1) so a scenario that
 #                               # crashes or rejects its own spec fails CI,
-#                               # not the next person's experiment sweep
+#                               # not the next person's experiment sweep;
+#                               # then the ledger's own smoke (its Release
+#                               # build, determinism and conservation gates)
 #   scripts/check.sh --lint     # shardcheck determinism linter over
 #                               # src/ bench/ tests/, cross-checked against
 #                               # compile_commands.json so the lint file list
@@ -68,7 +70,6 @@ if [[ "$SMOKE" == "1" ]]; then
     EXTRA=""
     case "$sc" in
       capacity)  EXTRA="shard-sweep=1,2 measure-rounds=8" ;;
-      chord)     EXTRA="chord=both" ;;
       committee) EXTRA="periods=2" ;;
       mixing)    EXTRA="probes=2000" ;;
       soup)      EXTRA="probes=4" ;;
@@ -115,8 +116,13 @@ for path in chrome:
     assert all("ph" in e for e in events), f"{path}: event without ph"
 print(f"obs smoke: {len(jsonl)} jsonl + {len(chrome)} chrome files parse")
 PYEOF
+  # Benchmark smoke: every ledger workload at tiny n, untraced and traced.
+  # It builds the engine from source into build-ledger/, so this also shows
+  # the benchmark still compiles against the engine and passes its gates.
+  echo "== smoke: ledger"
+  python3 ledger/run.py --smoke
   echo
-  echo "check.sh --smoke: every registered scenario ran at tiny n"
+  echo "check.sh --smoke: every registered scenario and ledger workload ran at tiny n"
   exit 0
 fi
 

@@ -1,7 +1,6 @@
 // Baseline: message-accurate Chord DHT on the shared Network engine.
 //
-// Unlike the ChordSim ring simulator (baseline/chord.h, kept as chord=ring),
-// every protocol action here is a typed Message charged through the normal
+// Every protocol action is a typed Message charged through the normal
 // outbox lanes, so the golden bit-charge accounting and the per-node traffic
 // columns apply to Chord exactly as they do to the paper stack:
 //

@@ -254,10 +254,6 @@ StoreSearchResult run_store_search_trial(const ScenarioSpec& spec,
       BuiltSystem built =
           build_stack(spec.protocol, spec.system_config(), spec.extras);
       auto* chord = built.system->find_protocol<ChordNetProtocol>();
-      if (chord == nullptr) {
-        throw std::invalid_argument(
-            "workload=kv with protocol=chord requires chord=net");
-      }
       built.system->set_shard_pool(shard_pool);
       ChordKvWorkloadService svc(*chord,
                                  spec.system_config().protocol.item_bits);

@@ -51,12 +51,12 @@ std::set<std::string>& extra_key_registry() {
   // shardcheck:ok(R4: Meyers registry mutated only during static init and CLI parsing, before any round runs)
   static std::set<std::string> keys = {
       // scenario knobs
-      "baseline-sps", "counters", "horizon-taus", "measure-rounds", "periods",
-      "probes", "scatter", "shard-sweep", "steps",
+      "counters", "horizon-taus", "measure-rounds", "periods", "probes",
+      "shard-sweep", "steps",
       // observability (obs/export.h)
       "obs", "obs-file", "obs-host", "trace-sample",
       // stack knobs (core/stacks.cpp builders)
-      "chord", "chord-replicate", "chord-replication", "chord-stabilize",
+      "chord-replicate", "chord-replication", "chord-stabilize",
       "flood-refresh", "probes-per-round", "replication", "replication-mult",
       "walkers",
   };

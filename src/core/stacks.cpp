@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "baseline/chord.h"
 #include "baseline/chord_net/chord_net.h"
 #include "core/scenario.h"
 #include "baseline/flooding.h"
@@ -46,31 +45,7 @@ BuiltSystem build_churnstore(const SystemConfig& config, const StackExtras&) {
 }
 
 BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
-  const std::string variant = extras_string(extras, "chord", "net");
-  BuiltSystem built;
-  if (variant == "ring") {
-    // Legacy idealized-routing ring simulator (overlay traffic NOT charged
-    // to Network metrics); kept for parity checks against chord=net.
-    ChordBaseline::Options opts;
-    opts.replication = static_cast<std::uint32_t>(
-        extras_int(extras, "chord-replication", opts.replication));
-    opts.stabilize_period = static_cast<std::uint32_t>(
-        extras_int(extras, "chord-stabilize", opts.stabilize_period));
-    opts.item_bits = config.protocol.item_bits;
-
-    auto chord = std::make_unique<ChordBaseline>(opts);
-    ChordBaseline* service = chord.get();
-    std::vector<std::unique_ptr<Protocol>> mods;
-    mods.push_back(std::move(chord));
-    built.system = std::make_unique<P2PSystem>(config, std::move(mods));
-    built.service = service;
-    return built;
-  }
-  if (variant != "net") {
-    throw std::invalid_argument("chord= accepts 'net' or 'ring', got: " +
-                                variant);
-  }
-  // Message-accurate Chord on the Network layer (default): every lookup,
+  // Message-accurate Chord on the Network layer: every lookup,
   // stabilization, and transfer is a charged Message, so hop and bit
   // columns are measured, not estimated.
   ChordNetProtocol::Options opts;
@@ -86,6 +61,7 @@ BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
   ChordNetProtocol* service = chord.get();
   std::vector<std::unique_ptr<Protocol>> mods;
   mods.push_back(std::move(chord));
+  BuiltSystem built;
   built.system = std::make_unique<P2PSystem>(config, std::move(mods));
   built.service = service;
   return built;
@@ -158,8 +134,7 @@ bool register_builtins() {
                  build_churnstore);
   register_stack("chord",
                  "structured DHT with message-accurate lookups and periodic "
-                 "stabilization on the Network layer (chord=net, default) or "
-                 "the legacy idealized ring sim (chord=ring); knobs: chord, "
+                 "stabilization on the Network layer; knobs: "
                  "chord-replication, chord-stabilize, chord-replicate",
                  build_chord);
   register_stack("flooding",

@@ -124,9 +124,8 @@ void P2PSystem::dispatch_inboxes() {
   // destination shard's lane only while every protocol it meets is
   // sharded_dispatch(). The first serial protocol PAUSES the chain — the
   // message (with its resume position) is staged on the shard's pending
-  // list — so one serial protocol (chord's ring-sim adapter) no longer
-  // forces the whole stack onto the serial path; only messages that
-  // actually reach it drain serially.
+  // list — so one serial protocol does not force the whole stack onto the
+  // serial path; only messages that actually reach it drain serially.
   const std::uint32_t count = net_->shards().count();
   if (dispatch_pending_.size() != count) dispatch_pending_.resize(count);
 

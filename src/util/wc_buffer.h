@@ -15,8 +15,8 @@
 // Full-line writes optionally use non-temporal stores (CHURNSTORE_NT_STORES,
 // on by default via CMake): the bucket tails are not re-read until a later
 // phase, so bypassing the cache skips the RFO read entirely. The fallback is
-// plain memcpy (which the compiler lowers to ordinary vector moves). After
-// an NT epilogue the caller's flush_all() issues one sfence; the engine's
+// plain memcpy (which the compiler lowers to ordinary vector moves).
+// flush_all() ends with one sfence (a no-op in the fallback); the engine's
 // pool barrier would also order the stores, but the fence makes the handoff
 // self-contained.
 //
@@ -49,11 +49,6 @@
 
 namespace churnstore {
 
-/// One full cache line, plain stores (lowered to vector moves).
-inline void wc_copy_line(std::byte* dst, const std::byte* line) noexcept {
-  std::memcpy(dst, line, 64);
-}
-
 /// One full cache line, non-temporal when the toggle + SSE2 are available
 /// (dst must be 16-byte aligned — the WC alignment contract gives 64).
 inline void wc_stream_line(std::byte* dst, const std::byte* line) noexcept {
@@ -80,14 +75,12 @@ inline void wc_stream_fence() noexcept {
 /// Write-combining front end for a contiguous array of SoA buckets with the
 /// engine's token record shape: (u64 src, u32 dst, u16 meta). Hard-coding
 /// the shape keeps push() at three masked stores — the hot loop runs this
-/// tens of millions of times per round. kNonTemporal selects streaming
-/// full-line flushes; use `false` for buckets that are re-read immediately
-/// (two-level runs) and `true` for buckets read a phase later (final
-/// handoff buckets).
+/// tens of millions of times per round. Full-line flushes stream
+/// (wc_stream_line): the buckets are read a phase later.
 ///
 /// Not thread-safe: one WcScatter per shard, touched only by that shard's
 /// task — the same contract as the buckets it fronts.
-template <class Bucket, bool kNonTemporal = false>
+template <class Bucket>
 class WcScatter {
  public:
   /// Line quanta per column: 8 x u64 / 16 x u32 / 32 x u16 fill 64 bytes.
@@ -156,21 +149,13 @@ class WcScatter {
       bk.wc_commit(n);
       counts_[b] = 0;
     }
-    if constexpr (kNonTemporal) wc_stream_fence();
+    wc_stream_fence();
   }
 
  private:
   struct Slot {
     alignas(64) std::byte line[3][64];
   };
-
-  static void store_line(std::byte* dst, const std::byte* line) noexcept {
-    if constexpr (kNonTemporal) {
-      wc_stream_line(dst, line);
-    } else {
-      wc_copy_line(dst, line);
-    }
-  }
 
   /// Write the just-completed col-0 line (and col-1/col-2 lines when their
   /// larger quanta also completed) to the bucket tails. n is a multiple of 8.
@@ -180,18 +165,18 @@ class WcScatter {
     assert((reinterpret_cast<std::uintptr_t>(bk.src()) & 63) == 0 &&
            "WC bucket block must be 64-byte aligned");
     Slot& sl = slots_[b];
-    store_line(reinterpret_cast<std::byte*>(bk.src()) +
-                   std::size_t{n - kLine0} * 8,
-               sl.line[0]);
+    wc_stream_line(reinterpret_cast<std::byte*>(bk.src()) +
+                       std::size_t{n - kLine0} * 8,
+                   sl.line[0]);
     if ((n & (kLine1 - 1)) == 0) {
-      store_line(reinterpret_cast<std::byte*>(bk.dst()) +
-                     std::size_t{n - kLine1} * 4,
-                 sl.line[1]);
+      wc_stream_line(reinterpret_cast<std::byte*>(bk.dst()) +
+                         std::size_t{n - kLine1} * 4,
+                     sl.line[1]);
     }
     if ((n & (kLine2 - 1)) == 0) {
-      store_line(reinterpret_cast<std::byte*>(bk.meta()) +
-                     std::size_t{n - kLine2} * 2,
-                 sl.line[2]);
+      wc_stream_line(reinterpret_cast<std::byte*>(bk.meta()) +
+                         std::size_t{n - kLine2} * 2,
+                     sl.line[2]);
     }
   }
 

@@ -1,6 +1,6 @@
 // Message-accurate Chord on the Network layer (baseline/chord_net):
 // ring invariants under churn, verified end-to-end fetches, shard-count
-// invariance, and chord=ring vs chord=net parity at zero churn.
+// invariance, and a zero-churn lookup run through the scenario trial.
 #include "baseline/chord_net/chord_net.h"
 
 #include <gtest/gtest.h>
@@ -173,7 +173,7 @@ TEST(ChordNet, RingRepairsAndServesLookupsAfterChurnRounds) {
       << "lookup success collapsed at mild churn";
 }
 
-/// Everything observable from a chord=net run: Network metrics, protocol
+/// Everything observable from a chord run: Network metrics, protocol
 /// counters, per-search outcomes, per-item god views. Bit-equality across
 /// shard counts is the ShardContext contract.
 struct ChordRun {
@@ -278,7 +278,7 @@ TEST(ChordNetSharded, SInOneThreeSixteenIsBitIdentical) {
 }
 
 TEST(BitChargeConservation, ChordNetMessageTotalsMatchGolden) {
-  // Golden totals for the chord=net message types (lookups with dead-hop
+  // Golden totals for the chord message types (lookups with dead-hop
   // tails, stabilize replies carrying successor lists, notifies, fetch and
   // transfer payload blobs, store acks) on exactly the run_chord_net
   // config: size_bits() must stay storage-independent for the new wire
@@ -289,21 +289,16 @@ TEST(BitChargeConservation, ChordNetMessageTotalsMatchGolden) {
   EXPECT_EQ(run.dropped, 3826u);
 }
 
-TEST(ChordNetParity, RingAndNetLookupSuccessAgreeAtZeroChurn) {
-  // chord=ring (idealized routing) and chord=net (every hop a message) must
-  // agree on WHAT succeeds at zero churn — both resolve every lookup — even
-  // though only chord=net pays measured bits for it.
-  for (const char* variant : {"ring", "net"}) {
-    ScenarioSpec spec = ScenarioSpec::from_cli(
-        Cli({"protocol=chord", "n=128", "trials=1", "items=2", "searches=6",
-             "batches=1", "age-taus=1", "churn-mult=0"}));
-    spec.extras["chord"] = variant;
-    const StoreSearchResult res = run_store_search_trial(spec);
-    EXPECT_GT(res.searches, 0u) << variant;
-    EXPECT_DOUBLE_EQ(res.locate_rate(), 1.0)
-        << "chord=" << variant << " failed lookups at zero churn";
-    EXPECT_DOUBLE_EQ(res.availability.mean(), 1.0) << variant;
-  }
+TEST(ChordNetStack, StoreSearchTrialResolvesEveryLookupAtZeroChurn) {
+  // Through the generic store -> age -> search trial, every lookup routes
+  // hop by hop as charged messages and every one resolves at zero churn.
+  const ScenarioSpec spec = ScenarioSpec::from_cli(
+      Cli({"protocol=chord", "n=128", "trials=1", "items=2", "searches=6",
+           "batches=1", "age-taus=1", "churn-mult=0"}));
+  const StoreSearchResult res = run_store_search_trial(spec);
+  EXPECT_GT(res.searches, 0u);
+  EXPECT_DOUBLE_EQ(res.locate_rate(), 1.0) << "failed lookups at zero churn";
+  EXPECT_DOUBLE_EQ(res.availability.mean(), 1.0);
 }
 
 TEST(ChordNetKvWorkload, VerifiedFetchesThroughRunnerAndShardInvariant) {
@@ -334,16 +329,9 @@ TEST(ChordNetKvWorkload, VerifiedFetchesThroughRunnerAndShardInvariant) {
                    b.bits_node_round_mean.mean());
 }
 
-TEST(ChordNetStack, BuildStackSelectsVariants) {
-  const SystemConfig cfg = chord_config(64, 0, 3);
-  BuiltSystem net = build_stack("chord", cfg, {});
-  EXPECT_NE(net.system->find_protocol<ChordNetProtocol>(), nullptr)
-      << "chord=net must be the default";
-  BuiltSystem ring = build_stack("chord", cfg, {{"chord", "ring"}});
-  EXPECT_EQ(ring.system->find_protocol<ChordNetProtocol>(), nullptr);
-  EXPECT_NE(ring.system->find_protocol("chord"), nullptr);
-  EXPECT_THROW((void)build_stack("chord", cfg, {{"chord", "bogus"}}),
-               std::invalid_argument);
+TEST(ChordNetStack, BuildStackBuildsChordNetProtocol) {
+  BuiltSystem built = build_stack("chord", chord_config(64, 0, 3), {});
+  EXPECT_NE(built.system->find_protocol<ChordNetProtocol>(), nullptr);
 }
 
 }  // namespace

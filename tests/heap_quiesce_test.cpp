@@ -73,7 +73,9 @@ TEST_P(HeapQuiesceSoup, SteadyStateSoupRoundsAreHeapQuiet) {
 INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceSoup,
                          ::testing::Values(1u, 16u),
                          [](const auto& pinfo) {
-                           return "S" + std::to_string(pinfo.param);
+                           std::string name = "S";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(HeapQuiesceTracing, InstalledAndSampledTracingStaysHeapQuiet) {

@@ -138,11 +138,10 @@ struct SoupRun {
   ProbeLog probes;
 };
 
-SoupRun run_soup(std::uint32_t n, std::uint32_t shards, ThreadPool* pool,
-                 const WalkConfig& walk = WalkConfig{}) {
+SoupRun run_soup(std::uint32_t n, std::uint32_t shards, ThreadPool* pool) {
   Network net(soup_config(n, shards));
   net.set_worker_pool(pool);
-  TokenSoup soup(net, walk);
+  TokenSoup soup(net, WalkConfig{});
   SoupRun run;
   soup.set_probe_hook([&run](std::uint64_t tag, Vertex dst, Round r) {
     run.probes.emplace_back(tag, dst, r);
@@ -222,69 +221,54 @@ TEST(SampleCohorts, BuffersAreBitIdenticalForSInOneThreeSixteen) {
   expect_identical(s1, s16);
 }
 
-TEST(ShardedWcScatter, EveryScatterModeIsBitIdenticalAcrossShardCounts) {
-  // The scatter strategy (direct pushes, single-level WC staging, two-level
-  // run demux) is a pure execution detail: every mode, at every shard
-  // count, serial or pooled, must reproduce the direct serial run bit for
-  // bit — samples, probe hook order, metrics, everything observable.
+TEST(ShardedWcScatter, DenseSoupTakesWcPathBitIdenticallyAcrossShardCounts) {
+  // At the default density test-sized soups have at most 4 destination
+  // pages, so the forward loop pushes straight to the bucket tails. A dense
+  // soup (rate_mult=10 at n=1024 -> 69 walks x 17 steps per vertex, 8
+  // pages) puts every handoff through the WC table instead. The goldens
+  // were recorded with direct pushes forced, so they pin WC staging as
+  // pure plumbing; every shard count must reproduce them bit for bit.
   ThreadPool pool(4);
-  WalkConfig direct;
-  direct.scatter = ScatterMode::kDirect;
-  WalkConfig single;
-  single.scatter = ScatterMode::kWcSingle;
-  WalkConfig two;
-  two.scatter = ScatterMode::kWcTwoLevel;
-  const SoupRun ref = run_soup(192, 1, nullptr, direct);
-  ASSERT_GT(ref.completed, 0u);
-  ASSERT_FALSE(ref.probes.empty());
-  expect_identical(ref, run_soup(192, 1, nullptr, single));
-  expect_identical(ref, run_soup(192, 1, nullptr, two));
-  expect_identical(ref, run_soup(192, 3, &pool, two));
-  expect_identical(ref, run_soup(192, 16, &pool, two));
-}
-
-TEST(ShardedWcScatter, DenseSoupExercisesRunDemuxAndChunkingBitIdentically) {
-  // At test sizes the default density collapses two-level to one page and
-  // one chunk. A dense soup (rate_mult=5 at n=1024 -> 8 destination pages,
-  // per-shard emission volume above the chunk window) makes the run demux
-  // and the chunked source loop real: S=1 runs two chunks per round, S=3
-  // runs different chunk boundaries per shard — and chunk boundaries must
-  // be invisible, because within a (src shard, page) bucket tokens are
-  // appended in ascending source-vertex order no matter where chunks cut.
-  ThreadPool pool(3);
-  WalkConfig dense_direct;
-  dense_direct.rate_mult = 5.0;
-  dense_direct.scatter = ScatterMode::kDirect;
-  WalkConfig dense_two = dense_direct;
-  dense_two.scatter = ScatterMode::kWcTwoLevel;
   const std::uint32_t n = 1024;
-  auto run = [&](std::uint32_t shards, ThreadPool* p, const WalkConfig& w) {
+  WalkConfig dense;
+  dense.rate_mult = 10.0;
+  for (const std::uint32_t shards : {1u, 3u, 16u}) {
     Network net(soup_config(n, shards));
-    net.set_worker_pool(p);
-    TokenSoup soup(net, w);
-    SoupRun out;
+    net.set_worker_pool(&pool);
+    TokenSoup soup(net, dense);
+    ASSERT_GT(soup.pages(), 4u) << "dense soup must take the WC path";
+    std::uint64_t probes = 0;
     const std::uint32_t rounds = soup.tau() + 4;
     for (std::uint32_t i = 0; i < rounds; ++i) {
       net.begin_round();
       if (i == 1) {
-        for (Vertex v = 0; v < n; v += 31) soup.inject_probe(v, v, 5);
+        for (Vertex v = 0; v < n; v += 31, ++probes) {
+          soup.inject_probe(v, v, 5);
+        }
       }
       soup.step();
       net.deliver();
     }
-    for (Vertex v = 0; v < n; ++v) out.samples.push_back(soup.samples(v));
-    out.tokens_alive = soup.tokens_alive();
-    out.completed = net.metrics().tokens_completed();
-    out.lost = net.metrics().tokens_lost();
-    out.queued = net.metrics().tokens_queued();
-    out.spawned = net.metrics().tokens_spawned();
-    out.max_bits = net.metrics().max_bits_per_node_round();
-    return out;
-  };
-  const SoupRun ref = run(1, nullptr, dense_direct);
-  ASSERT_GT(ref.completed, 0u);
-  expect_identical(ref, run(1, nullptr, dense_two));
-  expect_identical(ref, run(3, &pool, dense_two));
+    // Order-sensitive fold over every vertex's retained samples.
+    std::uint64_t fold = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      for (Round r = 0; r <= net.round(); ++r) {
+        for (const PeerId src : soup.samples(v).at(r)) {
+          fold = mix64(fold ^ src) + (std::uint64_t{v} << 32) +
+                 static_cast<std::uint64_t>(r);
+        }
+      }
+    }
+    const auto& m = net.metrics();
+    EXPECT_EQ(m.tokens_spawned(), 1625088u) << "S=" << shards;
+    EXPECT_EQ(m.tokens_completed(), 176374u) << "S=" << shards;
+    EXPECT_EQ(m.tokens_lost(), 721421u) << "S=" << shards;
+    EXPECT_EQ(soup.tokens_alive(), 727327u) << "S=" << shards;
+    EXPECT_EQ(m.tokens_spawned() + probes,
+              m.tokens_completed() + m.tokens_lost() + soup.tokens_alive())
+        << "S=" << shards;
+    EXPECT_EQ(fold, 0x5e5bc2a27eb4bbebull) << "S=" << shards;
+  }
 }
 
 TEST(ShardedOutbox, LanesMergeInCanonicalOrderAndChargeSenders) {
@@ -562,7 +546,7 @@ MixedRun run_mixed_chord_stack(std::uint32_t n, std::uint32_t shards,
 }
 
 TEST(MixedDispatchStack, ChordNetPlusChurnstoreRunsFullyShardedAndInvariant) {
-  // chord=net is a fully sharded protocol (round AND dispatch), so the old
+  // chord is a fully sharded protocol (round AND dispatch), so the old
   // serial carve-out is gone: in a mixed stack only the serial tap's probes
   // drain serially, while churnstore AND chord handlers run on shard lanes.
   // Everything — metrics, tap count/ORDER, chord lookup counters — must be
@@ -617,7 +601,7 @@ void expect_identical_results(const StoreSearchResult& a,
 }
 
 TEST(ShardedBaselines, EveryStackIsShardCountInvariantThroughTheRunner) {
-  // flooding / k-walker / sqrt-replication / chord=net all run their round
+  // flooding / k-walker / sqrt-replication / chord all run their round
   // work and message handlers on the shard lanes. All must be S-invariant
   // end to end through the nested Runner.
   for (const char* protocol :
@@ -678,7 +662,7 @@ TEST(KvWorkload, RejectsBaselineStacks) {
   EXPECT_THROW((void)run_store_search_trial(spec), std::invalid_argument);
 }
 
-/// Run a traced mixed stack (paper protocols + chord=net) and return the
+/// Run a traced mixed stack (paper protocols + chord) and return the
 /// raw bytes of every TraceEvent the collector drained, in drain order.
 std::vector<std::uint8_t> traced_run_bytes(std::uint32_t shards,
                                            ThreadPool* pool) {

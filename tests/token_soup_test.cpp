@@ -87,36 +87,6 @@ TEST(TokenSoup, ConservationUnderChurnForEveryShardCount) {
   }
 }
 
-TEST(TokenSoup, ConservationUnderChurnWithForcedTwoLevelScatter) {
-  // Same balance as above, but with the scatter forced onto the two-level
-  // WC path (at this size auto would pick direct, so the run demux, chunk
-  // loop, and WC epilogue flushes would otherwise never see churn + probe
-  // traffic). Token accounting must not care how handoffs were staged.
-  WalkConfig wc;
-  wc.scatter = ScatterMode::kWcTwoLevel;
-  for (const std::uint32_t shards : {1u, 3u, 16u}) {
-    SimConfig c = net_config(192, /*churn_abs=*/6);
-    c.shards = shards;
-    Network net(c);
-    TokenSoup soup(net, wc);
-    std::uint64_t injected = 0;
-    for (std::uint32_t i = 0; i < 50; ++i) {
-      net.begin_round();
-      if (i % 7 == 3) {
-        soup.inject_probe(i % 192, /*tag=*/i, /*steps=*/5 + i % 9);
-        ++injected;
-      }
-      soup.step();
-      net.deliver();
-    }
-    const auto& m = net.metrics();
-    EXPECT_GT(m.tokens_lost(), 0u) << "shards=" << shards;
-    EXPECT_EQ(m.tokens_spawned() + injected,
-              m.tokens_completed() + m.tokens_lost() + soup.tokens_alive())
-        << "shards=" << shards;
-  }
-}
-
 TEST(TokenSoup, ProbesCompleteInExactlyTStepsWithoutCapPressure) {
   Network net(net_config(64));
   TokenSoup soup(net, WalkConfig{});

@@ -2,10 +2,9 @@
 //
 // The contract under test is byte-identity: per-bucket element order with
 // WC buffering (full-line spills, partial-line epilogue, mid-stream
-// growth, and the two-level run/demux composition) must equal direct
-// push_back order over adversarial synthetic streams. This is what lets
-// TokenSoup swap scatter strategies without moving a single golden
-// baseline.
+// growth) must equal direct push_back order over adversarial synthetic
+// streams. This is what lets TokenSoup pick direct pushes or WC staging by
+// page count without moving a single golden baseline.
 #include "util/wc_buffer.h"
 
 #include <gtest/gtest.h>
@@ -147,13 +146,12 @@ void expect_buckets_identical(const std::vector<TestBucket>& got,
   }
 }
 
-template <bool kNonTemporal>
-void run_single_level_identity(std::uint32_t buckets, std::uint32_t count,
-                               std::uint64_t salt) {
+void run_identity(std::uint32_t buckets, std::uint32_t count,
+                  std::uint64_t salt) {
   const std::vector<Record> stream = adversarial_stream(buckets, count, salt);
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, kNonTemporal> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   for (const Record& r : stream) {
     direct[r.bucket].push_back(r.src, r.dst, r.meta);
@@ -165,15 +163,7 @@ void run_single_level_identity(std::uint32_t buckets, std::uint32_t count,
 
 TEST(WcScatter, ByteIdenticalToDirectPushesOverAdversarialStreams) {
   for (std::uint64_t salt = 1; salt <= 8; ++salt) {
-    run_single_level_identity<false>(/*buckets=*/37, /*count=*/20000, salt);
-  }
-}
-
-TEST(WcScatter, NonTemporalFlushesAreByteIdenticalToo) {
-  // With CHURNSTORE_NT_STORES off this collapses to the memcpy path —
-  // still a valid identity check, just redundant with the test above.
-  for (std::uint64_t salt = 1; salt <= 8; ++salt) {
-    run_single_level_identity<true>(/*buckets=*/37, /*count=*/20000, salt);
+    run_identity(/*buckets=*/37, /*count=*/20000, salt);
   }
 }
 
@@ -186,7 +176,7 @@ TEST(WcScatter, PartialLinesAndEpilogueFlushEveryResidue) {
   const std::uint32_t buckets = std::size(counts);
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   std::uint64_t v = 0;
   for (std::uint32_t b = 0; b < buckets; ++b) {
@@ -214,7 +204,7 @@ TEST(WcScatter, ReusableAcrossPhasesAfterClear) {
   const std::uint32_t buckets = 5;
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   for (int phase = 0; phase < 3; ++phase) {
     for (auto& b : direct) b.clear();
@@ -230,70 +220,12 @@ TEST(WcScatter, ReusableAcrossPhasesAfterClear) {
   }
 }
 
-TEST(WcScatter, TwoLevelRunDemuxPreservesFinalBucketOrder) {
-  // The TokenSoup composition: emissions go into a few coarse WC runs
-  // (final bucket index >> run_shift), each chunk's runs are flushed and
-  // demuxed in run-scan order into the final WC table, and the final
-  // table flushes once at the end. Per-final-bucket order must equal
-  // direct pushes — including across chunk boundaries.
-  const std::uint32_t finals = 48;
-  const std::uint32_t run_shift = 3;  // 6 runs of 8 final buckets
-  const std::uint32_t runs_n = ((finals - 1) >> run_shift) + 1;
-  std::vector<TestBucket> direct(finals);
-  std::vector<TestBucket> final_wc(finals);
-  std::vector<TestBucket> runs(runs_n);
-  WcScatter<TestBucket, false> rwc;
-  WcScatter<TestBucket, true> fwc;
-  rwc.attach(runs.data(), runs_n);
-  fwc.attach(final_wc.data(), finals);
-
-  const auto stream = adversarial_stream(finals, 50000, /*salt=*/77);
-  const std::size_t chunk = 1237;  // deliberately not line- or run-aligned
-  for (std::size_t c0 = 0; c0 < stream.size(); c0 += chunk) {
-    const std::size_t c1 = std::min(stream.size(), c0 + chunk);
-    for (std::size_t i = c0; i < c1; ++i) {
-      const Record& r = stream[i];
-      direct[r.bucket].push_back(r.src, r.dst, r.meta);
-      // Pass A: the run index rides the record; dst carries the final
-      // bucket in the low bits here (the engine derives it from the
-      // destination vertex instead).
-      rwc.push(r.bucket >> run_shift, r.src, r.dst, r.meta);
-    }
-    rwc.flush_all();
-    // Pass B: demux each run in scan order. The final bucket index must
-    // be recomputed exactly as pass A computed the run index, so recover
-    // it from the record stream position — the engine recomputes it from
-    // the dst vertex. Here we replay the slice to keep the harness honest
-    // about order only coming from the run scan.
-    std::vector<std::size_t> cursor(runs_n, 0);
-    for (std::size_t i = c0; i < c1; ++i) {
-      const std::uint32_t run = stream[i].bucket >> run_shift;
-      ++cursor[run];
-    }
-    for (std::uint32_t r = 0; r < runs_n; ++r) {
-      const TestBucket& run = runs[r];
-      ASSERT_EQ(run.size(), cursor[r]) << "run " << r;
-      // Rebuild final indices for this run's records in stream order.
-      std::size_t k = 0;
-      for (std::size_t i = c0; i < c1; ++i) {
-        if (stream[i].bucket >> run_shift != r) continue;
-        EXPECT_EQ(run.src()[k], stream[i].src);
-        fwc.push(stream[i].bucket, run.src()[k], run.dst()[k], run.meta()[k]);
-        ++k;
-      }
-    }
-    for (auto& b : runs) b.clear();
-  }
-  fwc.flush_all();
-  expect_buckets_identical(final_wc, direct);
-}
-
 TEST(WcScatter, GrowthUnderStagingKeepsCommittedLines) {
   // Force many mid-stream growths of a single hot bucket: committed lines
   // written past size_ must survive wc_reserve's reallocation.
   TestBucket direct;
   std::vector<TestBucket> wc(1);
-  WcScatter<TestBucket, false> scatter;
+  WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), 1);
   for (std::uint64_t v = 0; v < 5000; ++v) {
     direct.push_back(v, static_cast<std::uint32_t>(v ^ 0xabcd),
