@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   // the driver steps it every round along with everything else.
   auto mods = P2PSystem::paper_protocols(config);
   mods.push_back(std::make_unique<SizeEstimator>(/*k=*/32));
-  P2PSystem sys = P2PSystem::with_protocols(config, std::move(mods));
+  P2PSystem sys(config, std::move(mods));
   KvStore kv(sys);
   SizeEstimator& estimator = *sys.find_protocol<SizeEstimator>();
 

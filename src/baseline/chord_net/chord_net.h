@@ -20,12 +20,12 @@
 //     bytes (kChordFetch/kChordFetchReply) and are hash-verified end to
 //     end, and ranges hand over on predecessor changes.
 //
-// Sharded execution: sharded_round()/sharded_dispatch() both true. Round
-// work (joins, stabilize ticks, replica pushes, lookup retries) runs per
-// vertex in ascending order inside each shard; message handlers mutate only
-// the destination vertex's state; global counters are staged per shard and
-// summed in the merge hooks — so results are bit-identical for every
-// shards= value, serial or pooled (tests/chord_net_test.cpp).
+// Sharded execution: round work (joins, stabilize ticks, replica pushes,
+// lookup retries) runs per vertex in ascending order inside each shard;
+// message handlers mutate only the destination vertex's state; global
+// counters are staged per shard and summed in the merge hooks — so results
+// are bit-identical for every shards= value, serial or pooled
+// (tests/chord_net_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -103,10 +103,8 @@ class ChordNetProtocol final : public Protocol, public StorageService {
     return "chord-net";
   }
   void on_attach(Network& net) override;
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_dispatch_merge() override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;

@@ -8,11 +8,6 @@ namespace churnstore {
 
 FloodingStore::FloodingStore(Options options) : options_(options) {}
 
-FloodingStore::FloodingStore(Network& net_ref, Options options)
-    : FloodingStore(options) {
-  on_attach(net_ref);
-}
-
 void FloodingStore::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   held_.assign(net().n(), {});

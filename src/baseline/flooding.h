@@ -32,8 +32,6 @@ class FloodingStore final : public Protocol, public StorageService {
   };
 
   explicit FloodingStore(Options options);
-  /// Construct and attach in one step (standalone tests/benches).
-  FloodingStore(Network& net, Options options);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "flooding";
@@ -43,10 +41,8 @@ class FloodingStore final : public Protocol, public StorageService {
   /// serial prologue; the flood frontier is partitioned per shard (entries
   /// staged to the shard owning the forwarding vertex) and each shard
   /// forwards its own vertices' items through ctx.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 

@@ -8,11 +8,6 @@ namespace churnstore {
 KWalkerSearch::KWalkerSearch(TokenSoup& soup, Options options)
     : soup_(soup), options_(options) {}
 
-KWalkerSearch::KWalkerSearch(Network& net_ref, TokenSoup& soup, Options options)
-    : KWalkerSearch(soup, options) {
-  on_attach(net_ref);
-}
-
 void KWalkerSearch::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   stream_salt_ = net().protocol_rng().fork(0x6b77616cULL).next();

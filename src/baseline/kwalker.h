@@ -34,8 +34,6 @@ class KWalkerSearch final : public Protocol, public StorageService {
   };
 
   KWalkerSearch(TokenSoup& soup, Options options);
-  /// Construct and attach in one step (standalone tests/benches).
-  KWalkerSearch(Network& net, TokenSoup& soup, Options options);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "k-walker";
@@ -46,13 +44,9 @@ class KWalkerSearch final : public Protocol, public StorageService {
   /// every walker draws from its own per-(round, index) stream, processing
   /// charges stage through ctx, and hits/survivors merge in canonical
   /// walker-index order. Walkers at churned vertices die (on_churn).
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override {
-    return true;  // no on_message at all
-  }
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
   /// Place replicas from the creator's walk samples; 0 while buffer cold.

@@ -13,12 +13,6 @@ namespace {
 SqrtReplication::SqrtReplication(TokenSoup& soup, Options options)
     : soup_(soup), options_(options) {}
 
-SqrtReplication::SqrtReplication(Network& net_ref, TokenSoup& soup,
-                                 Options options)
-    : SqrtReplication(soup, options) {
-  on_attach(net_ref);
-}
-
 void SqrtReplication::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   held_.assign(net().n(), {});

@@ -33,8 +33,6 @@ class SqrtReplication final : public Protocol, public StorageService {
   };
 
   SqrtReplication(TokenSoup& soup, Options options);
-  /// Construct and attach in one step (standalone tests/benches).
-  SqrtReplication(Network& net, TokenSoup& soup, Options options);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "sqrt-replication";
@@ -44,10 +42,8 @@ class SqrtReplication final : public Protocol, public StorageService {
   /// (censoring, deadlines, compaction) and stages one probe job per live
   /// search; the sharded phase sends each job's probes from the initiator
   /// vertex's own shard through ctx.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 

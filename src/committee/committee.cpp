@@ -34,12 +34,6 @@ CommitteeManager::CommitteeManager(TokenSoup& soup,
                                    const ProtocolConfig& config)
     : soup_(soup), config_(config), erasure_(config.ida_surplus) {}
 
-CommitteeManager::CommitteeManager(Network& net_ref, TokenSoup& soup,
-                                   const ProtocolConfig& config)
-    : CommitteeManager(soup, config) {
-  on_attach(net_ref);
-}
-
 void CommitteeManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   const std::uint32_t n = net().n();

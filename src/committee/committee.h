@@ -93,9 +93,6 @@ struct LandmarkRebuildRequest {
 class CommitteeManager final : public Protocol {
  public:
   CommitteeManager(TokenSoup& soup, const ProtocolConfig& config);
-  /// Construct and attach in one step (standalone tests/benches). The soup
-  /// must already be attached to `net`.
-  CommitteeManager(Network& net, TokenSoup& soup, const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "committee";
@@ -105,12 +102,10 @@ class CommitteeManager final : public Protocol {
   /// vertices (per-(round, vertex) RNG streams, sends through ctx); registry
   /// updates, landmark-rebuild events, and committee counters are staged per
   /// shard and applied at the merge in canonical order.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
   /// Message handlers only touch the receiving vertex's maps (plus the
-  /// per-shard active flags), so dispatch may run sharded.
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
+  /// per-shard active flags).
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 

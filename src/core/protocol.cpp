@@ -10,4 +10,14 @@ void Protocol::on_attach(Network& net) {
   });
 }
 
+void Protocol::step() {
+  on_round_begin();
+  net().run_sharded([this](std::uint32_t s) {
+    ShardContext ctx(net(), s);
+    on_round_begin(s, ctx);
+  });
+  on_round_merge();
+  net().flush_shard_lanes();
+}
+
 }  // namespace churnstore

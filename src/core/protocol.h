@@ -7,19 +7,16 @@
 // paper's synchronous round structure, sharded end to end:
 //
 //   net.begin_round()                  adversary fixes churn + G^r
-//   for p in protocols (registration order):
+//   for p in protocols (registration order): p.step()
 //     p.on_round_begin()                      serial prologue
-//     if p.sharded_round():
-//       run_sharded(s -> p.on_round_begin(s, ctx))   per-shard round work
-//       p.on_round_merge()                    serial staging merge
-//       net.flush_shard_lanes()               canonical send/charge merge
+//     run_sharded(s -> p.on_round_begin(s, ctx))     per-shard round work
+//     p.on_round_merge()                      serial staging merge
+//     net.flush_shard_lanes()                 canonical send/charge merge
 //   net.deliver()                      messages sent this round arrive
-//   for each vertex v, message m:      first protocol whose on_message
-//     for p in protocols: ...          returns true consumes m — sharded by
-//                                      destination vertex when every
-//                                      protocol is sharded_dispatch()
+//   run_sharded by destination shard:  for each vertex v, message m, the
+//     for p in protocols: ...          first protocol whose on_message
+//                                      returns true consumes m
 //   for p: p.on_dispatch_merge()       serial staging merge after dispatch
-//   for p in protocols: p.on_round_end()     end-of-round bookkeeping
 //
 // The ShardContext contract (what a sharded hook body may do). The
 // mechanically checkable clauses are enforced by the in-repo linter,
@@ -131,15 +128,14 @@ class Protocol {
   virtual void on_attach(Network& net);
 
   /// --- round hooks --------------------------------------------------------
-  /// True when this protocol implements the sharded round hook below; the
-  /// driver then fans on_round_begin(shard, ctx) out over the shard plan
-  /// after the serial prologue. False (the default) is the serial fallback:
-  /// all round work happens in on_round_begin().
-  [[nodiscard]] virtual bool sharded_round() const noexcept { return false; }
+  /// One round of this protocol's work: on_round_begin(), then
+  /// on_round_begin(shard, ctx) over the shard plan, then on_round_merge(),
+  /// then a lane flush. P2PSystem::run_round calls this after churn/edge
+  /// dynamics fixed G^r; standalone tests and benches call it directly
+  /// between Network::begin_round() and Network::deliver().
+  void step();
 
-  /// Serial prologue (sharded protocols) or the whole per-round protocol
-  /// work (serial fallback), after churn/edge dynamics fixed G^r and before
-  /// message delivery. Called in registration order.
+  /// Serial prologue, in registration order, before the sharded round work.
   virtual void on_round_begin() {}
 
   /// Per-shard round work (see the ShardContext contract above). Runs once
@@ -155,32 +151,14 @@ class Protocol {
   virtual void on_round_merge() {}
 
   /// --- message dispatch ---------------------------------------------------
-  /// True when on_message only touches state owned by the receiving vertex
-  /// (plus per-shard staging) and sends through ctx — i.e. the driver may
-  /// dispatch this protocol's inbound messages concurrently by destination
-  /// shard. A false gates only THIS protocol: a message whose consume chain
-  /// reaches it is staged and resumed serially (in canonical shard/vertex/
-  /// inbox order) after the sharded pass; earlier sharded protocols in the
-  /// chain still run on the shard lanes. Register serial protocols AFTER
-  /// the sharded ones — a sharded handler resumed behind a serial one runs
-  /// (correctly, but) serially, and its per-shard staging then merges
-  /// behind the sharded pass's.
-  [[nodiscard]] virtual bool sharded_dispatch() const noexcept { return false; }
-
   /// Offered every message delivered to vertex `v` this round; return true
-  /// to consume it (stops the chain). ctx is bound to v's shard; handlers
-  /// must send replies through it. The default forwards to the legacy
-  /// serial overload so unported protocols keep working (serially).
+  /// to consume it (stops the chain). Dispatch runs concurrently by
+  /// destination shard: touch only state owned by `v` plus per-shard
+  /// staging, and send replies through ctx, which is bound to v's shard.
   virtual bool on_message(Vertex v, const Message& m, ShardContext& ctx) {
-    (void)ctx;
-    return on_message(v, m);
-  }
-
-  /// Legacy serial handler; only called through the default 3-arg
-  /// on_message above. Ported protocols override the 3-arg form directly.
-  virtual bool on_message(Vertex v, const Message& m) {
     (void)v;
     (void)m;
+    (void)ctx;
     return false;
   }
 
@@ -195,9 +173,6 @@ class Protocol {
     (void)old_peer;
     (void)new_peer;
   }
-
-  /// After delivery and message dispatch; measurement/bookkeeping.
-  virtual void on_round_end() {}
 
   [[nodiscard]] bool attached() const noexcept { return net_ != nullptr; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <set>
 #include <ostream>
 #include <sstream>
@@ -70,6 +71,30 @@ bool is_known_key(const std::string& key) {
   return extra_key_registry().count(key) > 0;
 }
 
+/// A count the spec stores unsigned. The cast would wrap a negative value
+/// (or truncate an oversized one) to a huge count, so an out-of-range value
+/// is rejected with an error naming the key.
+template <typename T>
+T non_negative(const std::string& key, std::int64_t value) {
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max()) {
+    std::string msg = "spec key '";
+    msg += key;
+    msg += "' must be in [0, ";
+    msg += std::to_string(std::numeric_limits<T>::max());
+    msg += "], got ";
+    msg += std::to_string(value);
+    throw std::invalid_argument(msg);
+  }
+  return static_cast<T>(value);
+}
+
+template <typename T>
+T get_count(const Cli& cli, const std::string& key, T fallback) {
+  return non_negative<T>(
+      key, cli.get_int(key, static_cast<std::int64_t>(fallback)));
+}
+
 }  // namespace
 
 void ScenarioSpec::accept_extra_key(const std::string& key) {
@@ -132,13 +157,13 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
 
   spec.ns.clear();
   for (const std::int64_t n : cli.get_int_list("n", {1024})) {
-    spec.ns.push_back(static_cast<std::uint32_t>(n));
+    spec.ns.push_back(non_negative<std::uint32_t>("n", n));
   }
   if (spec.ns.empty()) spec.ns = {1024};
-  spec.degree = static_cast<std::uint32_t>(cli.get_int("degree", spec.degree));
+  spec.degree = get_count(cli, "degree", spec.degree);
   spec.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(spec.seed)));
-  spec.trials = static_cast<std::uint32_t>(cli.get_int("trials", spec.trials));
+  spec.trials = get_count(cli, "trials", spec.trials);
 
   // Churn defaults follow default_system_config: the paper-form formula at a
   // survivable multiplier (see core/experiment.cpp for the rationale).
@@ -149,8 +174,7 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.churn.adaptive_pad_uniform =
       cli.get_bool("adaptive-pad", spec.churn.adaptive_pad_uniform);
   spec.edge_dynamics = edge_dynamics_from_name(cli.get("edge", "rewire"));
-  spec.rewire_swaps =
-      static_cast<std::uint32_t>(cli.get_int("rewire-swaps", spec.rewire_swaps));
+  spec.rewire_swaps = get_count(cli, "rewire-swaps", spec.rewire_swaps);
 
   spec.walk.rate_mult = cli.get_double("walk-rate", spec.walk.rate_mult);
   spec.walk.t_mult = cli.get_double("walk-t", spec.walk.t_mult);
@@ -160,10 +184,9 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   ProtocolConfig& pc = spec.protocol_config;
   pc.h = cli.get_double("h", pc.h);
   pc.invite_oversample = cli.get_double("oversample", pc.invite_oversample);
-  pc.leader_redundancy = static_cast<std::uint32_t>(
-      cli.get_int("leader-redundancy", pc.leader_redundancy));
-  pc.tree_fanout =
-      static_cast<std::uint32_t>(cli.get_int("fanout", pc.tree_fanout));
+  pc.leader_redundancy =
+      get_count(cli, "leader-redundancy", pc.leader_redundancy);
+  pc.tree_fanout = get_count(cli, "fanout", pc.tree_fanout);
   pc.delta = cli.get_double("delta", pc.delta);
   pc.landmark_ttl_taus =
       cli.get_double("landmark-ttl-taus", pc.landmark_ttl_taus);
@@ -172,25 +195,20 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   pc.refresh_taus = cli.get_double("refresh-taus", pc.refresh_taus);
   pc.search_timeout_taus =
       cli.get_double("timeout-taus", pc.search_timeout_taus);
-  pc.inquiry_cap =
-      static_cast<std::uint32_t>(cli.get_int("inquiry-cap", pc.inquiry_cap));
-  pc.item_bits = static_cast<std::uint64_t>(
-      cli.get_int("item-bits", static_cast<std::int64_t>(pc.item_bits)));
+  pc.inquiry_cap = get_count(cli, "inquiry-cap", pc.inquiry_cap);
+  pc.item_bits = get_count(cli, "item-bits", pc.item_bits);
   pc.use_erasure_coding = cli.get_bool("erasure", pc.use_erasure_coding);
-  pc.ida_surplus =
-      static_cast<std::uint32_t>(cli.get_int("ida-surplus", pc.ida_surplus));
+  pc.ida_surplus = get_count(cli, "ida-surplus", pc.ida_surplus);
 
-  spec.workload.items =
-      static_cast<std::uint32_t>(cli.get_int("items", spec.workload.items));
-  spec.workload.searchers_per_batch = static_cast<std::uint32_t>(
-      cli.get_int("searches", spec.workload.searchers_per_batch));
-  spec.workload.batches =
-      static_cast<std::uint32_t>(cli.get_int("batches", spec.workload.batches));
+  spec.workload.items = get_count(cli, "items", spec.workload.items);
+  spec.workload.searchers_per_batch =
+      get_count(cli, "searches", spec.workload.searchers_per_batch);
+  spec.workload.batches = get_count(cli, "batches", spec.workload.batches);
   spec.workload.age_taus = cli.get_double("age-taus", spec.workload.age_taus);
 
-  spec.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
+  spec.threads = get_count<std::size_t>(cli, "threads", 0);
   spec.parallel = cli.get_bool("parallel", spec.parallel);
-  spec.shards = static_cast<std::uint32_t>(cli.get_int("shards", spec.shards));
+  spec.shards = get_count(cli, "shards", spec.shards);
   spec.csv = cli.get_bool("csv", spec.csv);
   spec.json = cli.get_bool("json", spec.json);
 

@@ -92,15 +92,6 @@ void SizeEstimator::on_round_merge() {
   for (Vertex v = 0; v < net().n(); ++v) net().charge_processing(v, bits);
 }
 
-void SizeEstimator::step() {
-  on_round_begin();
-  net().run_sharded([this](std::uint32_t s) {
-    ShardContext ctx(net(), s);
-    on_round_begin(s, ctx);
-  });
-  on_round_merge();
-}
-
 double SizeEstimator::estimate(Vertex v) const {
   const std::vector<double>& field = epochs_completed_ > 0 ? last_ : mins_;
   const double* row = field.data() + static_cast<std::size_t>(v) * k_;

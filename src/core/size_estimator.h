@@ -33,22 +33,17 @@ class SizeEstimator final : public Protocol {
     return "size-estimator";
   }
   void on_attach(Network& net) override;
-  /// Sharded round: the neighbor min-gather is embarrassingly parallel over
-  /// destination vertices (each shard writes only its own scratch rows,
-  /// reading the previous round's field). Epoch restarts stay serial in the
-  /// prologue; the field swap and traffic charges land in the merge.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
+  /// One round of neighbor min-exchange (driven by Protocol::step(); call
+  /// step() between begin_round() and deliver() when standalone). Traffic
+  /// is charged to the metrics (k * 64 bits per edge). The neighbor
+  /// min-gather is embarrassingly parallel over destination vertices (each
+  /// shard writes only its own scratch rows, reading the previous round's
+  /// field). Epoch restarts stay serial in the prologue; the field swap and
+  /// traffic charges land in the merge.
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override {
-    return true;  // no on_message at all
-  }
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
-
-  /// One round of neighbor min-exchange. Call between begin_round() and
-  /// deliver(); traffic is charged to the metrics (k * 64 bits per edge).
-  void step();
 
   /// Current estimate at vertex v: (k-1) / sum of its minima.
   [[nodiscard]] double estimate(Vertex v) const;

@@ -70,16 +70,7 @@ void P2PSystem::run_round() {
   lap(&RoundPhaseTimers::churn_secs);
   for (std::size_t pi = 0; pi < protocols_.size(); ++pi) {
     const auto& p = protocols_[pi];
-    p->on_round_begin();  // serial prologue (or whole round work)
-    if (p->sharded_round()) {
-      Protocol* raw = p.get();
-      net_->run_sharded([this, raw](std::uint32_t s) {
-        ShardContext ctx(*net_, s);
-        raw->on_round_begin(s, ctx);
-      });
-      raw->on_round_merge();
-      net_->flush_shard_lanes();
-    }
+    p->step();
     if (timed) {
       // Same clock reads feed the phase bucket and the per-protocol
       // breakdown the chrome-trace exporter renders.
@@ -96,7 +87,6 @@ void P2PSystem::run_round() {
   lap(&RoundPhaseTimers::deliver_secs);
   dispatch_inboxes();   // receivers process them
   lap(&RoundPhaseTimers::dispatch_secs);
-  for (const auto& p : protocols_) p->on_round_end();
 
   const HeapSentinel::Totals d = heap_probe.delta();
   ++heap_stats_.rounds;
@@ -119,67 +109,19 @@ void P2PSystem::run_rounds(std::uint32_t k) {
 }
 
 void P2PSystem::dispatch_inboxes() {
-  // Per-protocol capability gating: the consume chain for each message
-  // walks the protocols in registration order, but the chain runs on the
-  // destination shard's lane only while every protocol it meets is
-  // sharded_dispatch(). The first serial protocol PAUSES the chain — the
-  // message (with its resume position) is staged on the shard's pending
-  // list — so one serial protocol does not force the whole stack onto the
-  // serial path; only messages that actually reach it drain serially.
-  const std::uint32_t count = net_->shards().count();
-  if (dispatch_pending_.size() != count) dispatch_pending_.resize(count);
-
-  // Snapshot each protocol's (constant) dispatch capability once: the
-  // inner loop below runs per (message, protocol) on the hottest path, and
-  // concurrent shard tasks read this array only.
-  std::vector<std::uint8_t> shard_safe(protocols_.size());
-  for (std::size_t pi = 0; pi < protocols_.size(); ++pi) {
-    shard_safe[pi] = protocols_[pi]->sharded_dispatch() ? 1 : 0;
-  }
-
-  auto dispatch_shard = [this, &shard_safe](std::uint32_t s) {
+  // Each message's consume chain walks the protocols in registration order
+  // on its destination shard's lane; replies stage through ctx.
+  net_->run_sharded([this](std::uint32_t s) {
     ShardContext ctx(*net_, s);
     const ShardPlan& plan = net_->shards();
-    auto& pending = dispatch_pending_[s];
     for (Vertex v = plan.begin(s); v < plan.end(s); ++v) {
-      const auto& box = net_->inbox(v);
-      for (std::uint32_t i = 0; i < box.size(); ++i) {
-        for (std::uint32_t pi = 0; pi < protocols_.size(); ++pi) {
-          if (!shard_safe[pi]) {
-            pending.push_back(PendingDispatch{v, i, pi});
-            break;
-          }
-          if (protocols_[pi]->on_message(v, box[i], ctx)) break;
+      for (const Message& m : net_->inbox(v)) {
+        for (const auto& p : protocols_) {
+          if (p->on_message(v, m, ctx)) break;
         }
       }
     }
-  };
-  net_->run_sharded(dispatch_shard);
-
-  bool any_pending = false;
-  for (const auto& pending : dispatch_pending_) {
-    any_pending = any_pending || !pending.empty();
-  }
-
-  if (any_pending) {
-    // Flush the sharded pass's replies BEFORE the serial continuation so
-    // the outbox reads [sharded replies, canonical][serial replies,
-    // canonical] for every shard count; interleaving the two streams per
-    // lane would be an S-dependent order. Then resume each paused chain in
-    // canonical (ascending shard, ascending vertex, inbox) order from the
-    // serial protocol that paused it.
-    net_->flush_shard_lanes();
-    for (std::uint32_t s = 0; s < count; ++s) {
-      ShardContext ctx(*net_, s);
-      for (const PendingDispatch& pd : dispatch_pending_[s]) {
-        const Message& m = net_->inbox(pd.vertex)[pd.msg];
-        for (std::uint32_t pi = pd.protocol; pi < protocols_.size(); ++pi) {
-          if (protocols_[pi]->on_message(pd.vertex, m, ctx)) break;
-        }
-      }
-      dispatch_pending_[s].clear();
-    }
-  }
+  });
   for (const auto& p : protocols_) p->on_dispatch_merge();
   // Flush the reply lanes NOW so next round's first protocol phase never
   // shares a lane with this round's replies (sharing would interleave the

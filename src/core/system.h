@@ -3,9 +3,9 @@
 // P2PSystem owns a dynamic Network and an ordered list of Protocol modules
 // and drives the paper's synchronous round structure over them. The default
 // constructor wires the paper's stack (soup, committees, landmarks, store,
-// search); with_protocols() builds a system around ANY protocol list, which
-// is how the baselines (flooding, sqrt-replication, k-walker, Chord) run on
-// the same driver:
+// search); the two-argument constructor builds a system around ANY protocol
+// list, which is how the baselines (flooding, sqrt-replication, k-walker,
+// Chord) run on the same driver:
 //
 //   P2PSystem sys({.sim = {.n = 1024, .seed = 7}});
 //   sys.run_rounds(sys.warmup_rounds());              // fill sample buffers
@@ -18,7 +18,7 @@
 //   // Custom stack: only the walk soup plus a baseline.
 //   std::vector<std::unique_ptr<Protocol>> mods;
 //   mods.push_back(std::make_unique<TokenSoup>(cfg.walk));
-//   auto sys2 = P2PSystem::with_protocols(cfg, std::move(mods));
+//   P2PSystem sys2(cfg, std::move(mods));
 #pragma once
 
 #include <algorithm>
@@ -95,12 +95,6 @@ class P2PSystem {
   /// TokenSoup::tau) must come after that sibling.
   P2PSystem(const SystemConfig& config,
             std::vector<std::unique_ptr<Protocol>> protocols);
-
-  [[nodiscard]] static P2PSystem with_protocols(
-      const SystemConfig& config,
-      std::vector<std::unique_ptr<Protocol>> protocols) {
-    return P2PSystem(config, std::move(protocols));
-  }
 
   /// The paper stack as a protocol list (soup, committees, landmarks,
   /// store, search) for callers that want to extend it before building.
@@ -225,15 +219,6 @@ class P2PSystem {
  private:
   void dispatch_inboxes();
 
-  /// A message whose consume chain reached a serial-dispatch protocol
-  /// during the sharded pass: resume serially at `protocol`, in canonical
-  /// (shard, vertex, inbox) order.
-  struct PendingDispatch {
-    Vertex vertex;
-    std::uint32_t msg;       ///< index into inbox(vertex)
-    std::uint32_t protocol;  ///< chain resume position
-  };
-
   template <typename P>
   static P* checked(P* p) noexcept {
     assert(p != nullptr && "module absent from this protocol stack");
@@ -248,8 +233,6 @@ class P2PSystem {
   std::vector<double> protocol_secs_;
   RoundHeapStats heap_stats_;
   RoundObserver* observer_ = nullptr;
-  /// Per-shard lists of paused dispatch chains (reused across rounds).
-  std::vector<std::vector<PendingDispatch>> dispatch_pending_;
 
   // Cached paper-stack modules (null when absent from a custom stack).
   TokenSoup* soup_ = nullptr;

@@ -15,13 +15,6 @@ LandmarkManager::LandmarkManager(TokenSoup& soup, CommitteeManager& committees,
                                  const ProtocolConfig& config)
     : soup_(soup), committees_(committees), config_(config) {}
 
-LandmarkManager::LandmarkManager(Network& net_ref, TokenSoup& soup,
-                                 CommitteeManager& committees,
-                                 const ProtocolConfig& config)
-    : LandmarkManager(soup, committees, config) {
-  on_attach(net_ref);
-}
-
 void LandmarkManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   depth_ = landmark_tree_depth(net().n(), net().config().churn.k,

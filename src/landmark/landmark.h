@@ -37,10 +37,6 @@ class LandmarkManager final : public Protocol {
  public:
   LandmarkManager(TokenSoup& soup, CommitteeManager& committees,
                   const ProtocolConfig& config);
-  /// Construct and attach in one step (standalone tests/benches). The soup
-  /// and committee manager must already be attached to `net`.
-  LandmarkManager(Network& net, TokenSoup& soup, CommitteeManager& committees,
-                  const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "landmark";
@@ -51,12 +47,10 @@ class LandmarkManager final : public Protocol {
   /// Sharded round: each shard grows its own vertices' pending tree levels
   /// (per-shard grow queues, sends through ctx) and sweeps its slice of
   /// expired landmark state; the kid -> vertices index sweeps at the merge.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
   /// Routes kLandmarkGrow; touches only the receiving vertex's state plus
   /// per-shard staging (grow queue, index additions, counters).
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_dispatch_merge() override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;

@@ -26,14 +26,6 @@ SearchManager::SearchManager(TokenSoup& soup, CommitteeManager& committees,
       store_(store),
       config_(config) {}
 
-SearchManager::SearchManager(Network& net_ref, TokenSoup& soup,
-                             CommitteeManager& committees,
-                             LandmarkManager& landmarks, StoreManager& store,
-                             const ProtocolConfig& config)
-    : SearchManager(soup, committees, landmarks, store, config) {
-  on_attach(net_ref);
-}
-
 void SearchManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   timeout_ = std::max<std::uint32_t>(

@@ -54,11 +54,6 @@ class SearchManager final : public Protocol {
   SearchManager(TokenSoup& soup, CommitteeManager& committees,
                 LandmarkManager& landmarks, StoreManager& store,
                 const ProtocolConfig& config);
-  /// Construct and attach in one step (standalone tests/benches). The
-  /// siblings must already be attached to `net`.
-  SearchManager(Network& net, TokenSoup& soup, CommitteeManager& committees,
-                LandmarkManager& landmarks, StoreManager& store,
-                const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "search";
@@ -74,14 +69,12 @@ class SearchManager final : public Protocol {
   /// Sharded phase: the heavy part — every search landmark contacts the
   /// sources of the walks it received last round (Algorithm 4 step 2),
   /// fanned out over the landmark vertices' shards.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
 
   /// Routes kInquiry / kInquiryHit / kReport / kFetch*; true if consumed.
   /// Handlers touch the receiving vertex's state and the per-search status
   /// record (owned by the initiator's vertex), and reply through ctx.
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 

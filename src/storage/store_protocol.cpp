@@ -9,13 +9,6 @@ StoreManager::StoreManager(CommitteeManager& committees,
                            const ProtocolConfig& config)
     : committees_(committees), landmarks_(landmarks), config_(config) {}
 
-StoreManager::StoreManager(Network& net_ref, CommitteeManager& committees,
-                           LandmarkManager& landmarks,
-                           const ProtocolConfig& config)
-    : StoreManager(committees, landmarks, config) {
-  on_attach(net_ref);
-}
-
 bool StoreManager::store(Vertex creator, ItemId item,
                          std::vector<std::uint8_t> payload) {
   ItemRecord rec;

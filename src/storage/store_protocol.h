@@ -24,17 +24,10 @@ class StoreManager final : public Protocol {
  public:
   StoreManager(CommitteeManager& committees, LandmarkManager& landmarks,
                const ProtocolConfig& config);
-  /// Construct and attach in one step (standalone tests/benches).
-  StoreManager(Network& net, CommitteeManager& committees,
-               LandmarkManager& landmarks, const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "store";
   }
-  /// No message handlers and no per-round work: trivially shard-safe, so a
-  /// store module never forces the stack's dispatch onto the serial path.
-  [[nodiscard]] bool sharded_dispatch() const noexcept override { return true; }
-
   /// Issue a store of `payload` under id `item` from the peer at `creator`.
   /// Returns false if the creator lacks walk samples (retry next round).
   bool store(Vertex creator, ItemId item, std::vector<std::uint8_t> payload);

@@ -479,13 +479,4 @@ void TokenSoup::on_round_merge() {
   net().metrics().count_tokens_queued(queued);
 }
 
-void TokenSoup::step() {
-  on_round_begin();
-  net().run_sharded([this](std::uint32_t s) {
-    ShardContext ctx(net(), s);
-    on_round_begin(s, ctx);
-  });
-  on_round_merge();
-}
-
 }  // namespace churnstore

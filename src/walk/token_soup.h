@@ -43,21 +43,10 @@ class TokenSoup final : public Protocol {
   }
   void on_attach(Network& net) override;
 
-  /// Sharded round hooks: the driver runs the serial prologue, fans the
-  /// spawn/forward phase out per shard, then merges. Standalone benches
-  /// call step(), which drives the same three stages inline.
-  [[nodiscard]] bool sharded_round() const noexcept override { return true; }
-  void on_round_begin() override;
-  void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
-  void on_round_merge() override;
-  [[nodiscard]] bool sharded_dispatch() const noexcept override {
-    return true;  // no on_message at all
-  }
-  void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
-
-  /// Advance one round: spawn new walks, move tokens, deliver completions.
-  /// Call once per round after Network::begin_round() (the driver does this
-  /// through the round hooks).
+  /// One round (driven by Protocol::step()): spawn new walks, move tokens,
+  /// deliver completions. The serial prologue keys the round's RNG streams,
+  /// the sharded phase spawns and forwards each shard's tokens, and the
+  /// merge settles handoffs and sample arrivals.
   ///
   /// Sharded execution: the vertex range is partitioned by the Network's
   /// ShardPlan and each shard moves its own vertices' tokens concurrently,
@@ -68,7 +57,10 @@ class TokenSoup final : public Protocol {
   /// ThreadPool. Probe hooks fire after the merge, in ascending source-
   /// vertex order. Token queues and handoff buckets live in the per-shard
   /// arenas (util/arena.h), so the steady state performs no heap calls.
-  void step();
+  void on_round_begin() override;
+  void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
+  void on_round_merge() override;
+  void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
   /// Turn automatic per-round spawning on/off (benches that only study
   /// probes disable the soup to isolate the measurement).

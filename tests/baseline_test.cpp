@@ -1,6 +1,6 @@
 // The network baselines (flooding, sqrt-replication, k-walker) run as
 // Protocol modules on the shared P2PSystem driver: no hand-rolled round
-// loops, just with_protocols + run_round.
+// loops, just the protocol-list constructor + run_round.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,7 +34,7 @@ P2PSystem flooding_system(const SystemConfig& cfg,
   *flood_out = flood.get();
   std::vector<std::unique_ptr<Protocol>> mods;
   mods.push_back(std::move(flood));
-  return P2PSystem::with_protocols(cfg, std::move(mods));
+  return P2PSystem(cfg, std::move(mods));
 }
 
 /// Stack: soup + one soup-fed baseline.
@@ -48,7 +48,7 @@ P2PSystem soup_system(const SystemConfig& cfg, Options options,
   std::vector<std::unique_ptr<Protocol>> mods;
   mods.push_back(std::move(soup));
   mods.push_back(std::move(proto));
-  return P2PSystem::with_protocols(cfg, std::move(mods));
+  return P2PSystem(cfg, std::move(mods));
 }
 
 TEST(Flooding, FullCoverageInLogRounds) {

@@ -1,16 +1,20 @@
 // The heap-quiet steady state, proven end to end: after warm-up, the
 // soup_step kernel (begin_round / TokenSoup::step / deliver — exactly the
 // loop the M2 bench times) performs ZERO global-heap allocations per
-// round, at S=1 and S=16 alike. This is the runtime cross-check of
-// shardcheck R6/R7: the linter says hot regions *lexically* cannot
-// allocate, the HeapQuiesceScope says the executed rounds *actually*
-// didn't. The full paper stack is measured honestly too — its committee /
-// landmark / search control planes allocate by design (every such site
-// carries a reasoned R6 suppression), so the full-stack test records the
-// traffic instead of asserting silence.
+// round, at S=1 and S=16 alike, and so does P2PSystem::run_round driving
+// the same soup (the driver's step / deliver / dispatch plumbing adds
+// nothing). This is the runtime cross-check of shardcheck R6/R7: the linter
+// says hot regions *lexically* cannot allocate, the HeapQuiesceScope says
+// the executed rounds *actually* didn't. The full paper stack is measured
+// honestly too — its committee / landmark / search control planes allocate
+// by design (every such site carries a reasoned R6 suppression), so the
+// full-stack test records the traffic instead of asserting silence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/system.h"
 #include "net/network.h"
@@ -27,6 +31,7 @@ using churnstore::HeapQuiesceScope;
 using churnstore::HeapSentinel;
 using churnstore::Network;
 using churnstore::P2PSystem;
+using churnstore::Protocol;
 using churnstore::SystemConfig;
 using churnstore::ThreadPool;
 using churnstore::TokenSoup;
@@ -37,6 +42,13 @@ void run_soup_rounds(Network& net, TokenSoup& soup, std::uint32_t rounds) {
     soup.step();
     net.deliver();
   }
+}
+
+std::string shard_count_name(
+    const ::testing::TestParamInfo<std::uint32_t>& pinfo) {
+  std::string name = "S";
+  name += std::to_string(pinfo.param);
+  return name;
 }
 
 class HeapQuiesceSoup : public ::testing::TestWithParam<std::uint32_t> {};
@@ -72,11 +84,45 @@ TEST_P(HeapQuiesceSoup, SteadyStateSoupRoundsAreHeapQuiet) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceSoup,
                          ::testing::Values(1u, 16u),
-                         [](const auto& pinfo) {
-                           std::string name = "S";
-                           name += std::to_string(pinfo.param);
-                           return name;
-                         });
+                         shard_count_name);
+
+class HeapQuiesceDriver : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(HeapQuiesceDriver, SteadyStateDriverRoundsAreHeapQuiet) {
+  // The soup kernel above, driven through P2PSystem::run_round instead of
+  // by hand: the driver's per-round plumbing (protocol steps, delivery,
+  // sharded dispatch) must add no global-heap traffic of its own.
+  if (!HeapQuiesceScope::supported()) {
+    GTEST_SKIP() << "sentinel unavailable: heap_stats() would read zero";
+  }
+  const std::uint32_t shards = GetParam();
+  SystemConfig cfg;
+  cfg.sim.n = 1024;
+  cfg.sim.seed = 7;
+  cfg.sim.shards = shards;
+
+  ThreadPool pool(0);
+  std::vector<std::unique_ptr<Protocol>> mods;
+  mods.push_back(std::make_unique<TokenSoup>(cfg.walk));
+  P2PSystem sys(cfg, std::move(mods));
+  if (shards != 1) sys.set_shard_pool(&pool);
+
+  sys.run_rounds(2 * sys.tau() + 8);
+  ASSERT_GT(sys.soup().tokens_alive(), 0u);
+
+  sys.reset_heap_stats();
+  constexpr std::uint32_t kRounds = 32;
+  sys.run_rounds(kRounds);
+  const churnstore::RoundHeapStats& hs = sys.heap_stats();
+  EXPECT_EQ(hs.rounds, kRounds);
+  EXPECT_EQ(hs.allocs, 0u)
+      << "steady-state driver rounds allocated: " << hs.allocs << " allocs / "
+      << hs.bytes << " bytes over " << kRounds << " rounds at S=" << shards;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceDriver,
+                         ::testing::Values(1u, 16u),
+                         shard_count_name);
 
 TEST(HeapQuiesceTracing, InstalledAndSampledTracingStaysHeapQuiet) {
   // The PR-9 heap-quiet contract with the tracer in the loop: a bound

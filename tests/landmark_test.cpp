@@ -102,7 +102,7 @@ TEST(Landmark, ChurnClearsVertexState) {
     EXPECT_EQ(sys.landmarks().state_at(v, 1), nullptr);
   }
   // Complete the round manually to keep the system consistent.
-  for (const auto& p : sys.protocols()) p->on_round_begin();
+  for (const auto& p : sys.protocols()) p->step();
   sys.network().deliver();
 }
 

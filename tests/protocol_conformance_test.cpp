@@ -116,7 +116,7 @@ TEST(Protocol, BaseAttachSubscribesChurn) {
   Recorder* rec = recorder.get();
   std::vector<std::unique_ptr<Protocol>> mods;
   mods.push_back(std::move(recorder));
-  P2PSystem sys = P2PSystem::with_protocols(cfg, std::move(mods));
+  P2PSystem sys(cfg, std::move(mods));
   EXPECT_TRUE(rec->attached());
   sys.run_rounds(2);
   EXPECT_EQ(rec->churns, 6);
@@ -129,7 +129,7 @@ TEST(Protocol, MessageDispatchStopsAtConsumer) {
     [[nodiscard]] std::string_view name() const noexcept override {
       return "sink";
     }
-    bool on_message(Vertex, const Message&) override {
+    bool on_message(Vertex, const Message&, ShardContext&) override {
       ++seen;
       return consume_;
     }
@@ -165,7 +165,7 @@ TEST(Protocol, MessageDispatchStopsAtConsumer) {
   mods.push_back(std::move(injector));
   mods.push_back(std::move(first));
   mods.push_back(std::move(second));
-  P2PSystem sys = P2PSystem::with_protocols(cfg, std::move(mods));
+  P2PSystem sys(cfg, std::move(mods));
   sys.run_rounds(3);
   EXPECT_EQ(first_p->seen, 3);
   EXPECT_EQ(second_p->seen, 0) << "consumed messages must not propagate";

@@ -72,6 +72,30 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
       Cli({"walkers=8", "chord-stabilize=4", "shard-sweep=1,4"})));
 }
 
+TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {
+  // The unsigned cast would wrap these: items=-1 would run 4,294,967,295
+  // stores, trials=-1 would die in a bare std::bad_alloc.
+  for (const char* token :
+       {"n=-5", "trials=-1", "items=-1", "shards=-1", "items=4294967296"}) {
+    const std::string kv = token;
+    const std::string key = kv.substr(0, kv.find('='));
+    try {
+      (void)ScenarioSpec::from_cli(Cli({kv}));
+      FAIL() << kv << " must not parse";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+    }
+  }
+  // Signed keys keep their meaning: seed=-1 is a seed, churn-absolute=-1
+  // selects the churn formula.
+  ScenarioSpec spec;
+  ASSERT_NO_THROW(spec = ScenarioSpec::from_cli(
+                      Cli({"seed=-1", "churn-absolute=-1"})));
+  EXPECT_EQ(spec.seed, static_cast<std::uint64_t>(-1));
+  EXPECT_EQ(spec.churn.absolute, -1);
+}
+
 TEST(ScenarioSpec, AcceptExtraKeyRegistersNewKnobs) {
   EXPECT_THROW((void)ScenarioSpec::from_cli(Cli({"my-plugin-knob=1"})),
                std::invalid_argument);

@@ -149,7 +149,6 @@ struct Q {
 TEST(ShardcheckR3, DirectSendAndChargeInShardedDispatchFire) {
   const auto ds = check_source("src/s.cpp", R"fix(
 struct S {
-  bool sharded_dispatch() const override { return true; }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) {
     net().send(v, m);
     ctx.send(v, m);
@@ -160,24 +159,8 @@ struct S {
 };
 )fix");
   EXPECT_EQ(count_rule(ds, "R3"), 2) << join(ds);
-  EXPECT_TRUE(has_rule_at(ds, "R3", 5)) << join(ds);
-  EXPECT_TRUE(has_rule_at(ds, "R3", 7)) << join(ds);
-}
-
-TEST(ShardcheckR3, SerialDispatchClassIsClean) {
-  // sharded_dispatch() returns false: on_message runs serially and may use
-  // the network and metrics directly.
-  const auto ds = check_source("src/s.cpp", R"fix(
-struct T {
-  bool sharded_dispatch() const override { return false; }
-  bool on_message(Vertex v, const Message& m, ShardContext& ctx) {
-    net().send(v, m);
-    charge_bits(10);
-    return true;
-  }
-};
-)fix");
-  EXPECT_EQ(count_rule(ds, "R3"), 0) << join(ds);
+  EXPECT_TRUE(has_rule_at(ds, "R3", 4)) << join(ds);
+  EXPECT_TRUE(has_rule_at(ds, "R3", 6)) << join(ds);
 }
 
 // --- R4: ambient time/randomness and mutable statics (src/ only) ------------

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/chord_net/chord_net.h"
@@ -438,16 +439,20 @@ TEST(ShardedFullStack, ErasureCodedStoreIsShardCountInvariant) {
   expect_identical(s1, s16);
 }
 
-/// Serial-dispatch protocol for the mixed-stack case: consumes kProbe
-/// messages (nothing in the paper stack sends or handles them) and records
-/// their arrival order. sharded_dispatch() stays at the serial default, so
-/// its messages PAUSE at its chain position and drain in canonical order
-/// after the sharded pass — while committee/landmark/store/search ahead of
-/// it keep dispatching on their shard lanes.
-class SerialProbeTap final : public Protocol {
+/// Probe protocol for the mixed-stack case: consumes kProbe messages
+/// (nothing in the paper stack sends or handles them) and records their
+/// arrival order. Its handler runs on the shard lanes behind committee/
+/// landmark/store/search/chord and stages each raw arrival per shard;
+/// on_dispatch_merge folds them in ascending shard order, so the count and
+/// the order hash are independent of the shard count.
+class ProbeTap final : public Protocol {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "serial-tap";
+    return "probe-tap";
+  }
+  void on_attach(Network& net) override {
+    Protocol::on_attach(net);
+    arrivals_.resize(net.shards().count());
   }
   void on_round_begin() override {
     for (Vertex v = 0; v < net().n(); v += 37) {
@@ -459,12 +464,20 @@ class SerialProbeTap final : public Protocol {
       net().send(v, std::move(m));
     }
   }
-  bool on_message(Vertex v, const Message& m) override {
+  bool on_message(Vertex v, const Message& m, ShardContext& ctx) override {
     if (m.type != MsgType::kProbe) return false;
-    ++seen_;
-    order_hash_ = mix64(order_hash_ ^ (static_cast<std::uint64_t>(v) << 20) ^
-                        m.words[0]);
+    arrivals_[ctx.shard()].emplace_back(v, m.words[0]);
     return true;
+  }
+  void on_dispatch_merge() override {
+    for (auto& shard : arrivals_) {
+      for (const auto& [v, word] : shard) {
+        ++seen_;
+        order_hash_ =
+            mix64(order_hash_ ^ (static_cast<std::uint64_t>(v) << 20) ^ word);
+      }
+      shard.clear();
+    }
   }
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
   [[nodiscard]] std::uint64_t order_hash() const noexcept {
@@ -472,6 +485,8 @@ class SerialProbeTap final : public Protocol {
   }
 
  private:
+  /// Per-shard (vertex, probe word) arrivals of the current dispatch.
+  std::vector<std::vector<std::pair<Vertex, std::uint64_t>>> arrivals_;
   std::uint64_t seen_ = 0;
   std::uint64_t order_hash_ = 0;
 };
@@ -499,8 +514,8 @@ MixedRun run_mixed_chord_stack(std::uint32_t n, std::uint32_t shards,
   auto chord = std::make_unique<ChordNetProtocol>();
   ChordNetProtocol* chord_raw = chord.get();
   mods.push_back(std::move(chord));
-  auto tap = std::make_unique<SerialProbeTap>();
-  SerialProbeTap* tap_raw = tap.get();
+  auto tap = std::make_unique<ProbeTap>();
+  ProbeTap* tap_raw = tap.get();
   mods.push_back(std::move(tap));
   P2PSystem sys(cfg, std::move(mods));
   sys.set_shard_pool(pool);
@@ -516,7 +531,7 @@ MixedRun run_mixed_chord_stack(std::uint32_t n, std::uint32_t shards,
     }
   }
   // Chord traffic rides the same rounds: puts + gets through the DHT while
-  // the paper stack stores and the serial tap probes.
+  // the paper stack stores and the tap probes.
   std::vector<std::uint64_t> chord_sids;
   for (std::uint32_t i = 0; i < 2; ++i) {
     const ItemId item = mix64(4000 + i) | 1;
@@ -546,14 +561,13 @@ MixedRun run_mixed_chord_stack(std::uint32_t n, std::uint32_t shards,
 }
 
 TEST(MixedDispatchStack, ChordNetPlusChurnstoreRunsFullyShardedAndInvariant) {
-  // chord is a fully sharded protocol (round AND dispatch), so the old
-  // serial carve-out is gone: in a mixed stack only the serial tap's probes
-  // drain serially, while churnstore AND chord handlers run on shard lanes.
-  // Everything — metrics, tap count/ORDER, chord lookup counters — must be
-  // bit-identical for S in {1, 3, 16}, serial or pooled.
+  // Every protocol in the mixed stack — churnstore, chord and the probe
+  // tap — runs its handlers on the shard lanes. Everything — metrics, tap
+  // count/ORDER, chord lookup counters — must be bit-identical for S in
+  // {1, 3, 16}, serial or pooled.
   ThreadPool pool(4);
   const MixedRun s1 = run_mixed_chord_stack(194, 1, nullptr);
-  ASSERT_GT(s1.tap_seen, 0u) << "serial tap never saw its probes";
+  ASSERT_GT(s1.tap_seen, 0u) << "probe tap never saw its probes";
   ASSERT_GT(s1.stack.committees_formed, 0u);
   ASSERT_GT(s1.chord_hops, 0u) << "no chord routing traffic; mixed case weak";
   ASSERT_GT(s1.stack.total_messages, s1.tap_seen)
@@ -563,7 +577,7 @@ TEST(MixedDispatchStack, ChordNetPlusChurnstoreRunsFullyShardedAndInvariant) {
   for (const MixedRun* other : {&s3, &s16}) {
     EXPECT_EQ(s1.tap_seen, other->tap_seen);
     EXPECT_EQ(s1.tap_order, other->tap_order)
-        << "serial continuation ran in a shard-count-dependent order";
+        << "probe arrivals merged in a shard-count-dependent order";
     EXPECT_EQ(s1.chord_ok, other->chord_ok);
     EXPECT_EQ(s1.chord_hops, other->chord_hops);
     EXPECT_EQ(s1.chord_joins, other->chord_joins);

@@ -91,15 +91,6 @@ class ScopeTracker {
     }
   }
 
-  /// Innermost enclosing class/struct name, or empty when at namespace /
-  /// function scope only.
-  [[nodiscard]] std::string_view innermost_class() const noexcept {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (it->is_class) return it->name;
-    }
-    return {};
-  }
-
   /// True when the current token sits DIRECTLY inside a class/struct body
   /// (member-declaration scope), not nested in a member function body or
   /// an initializer brace.
@@ -405,28 +396,6 @@ void collect_symbols(const LexOutput& lx, Symbols& sym) {
         continue;
       }
     }
-
-    // Classes whose sharded_dispatch() override returns true: their 3-arg
-    // on_message runs concurrently by destination shard.
-    if (t.text == "sharded_dispatch" && i + 1 < ts.size() &&
-        is(ts[i + 1], "(")) {
-      const std::size_t close = match_forward(ts, i + 1);
-      bool returns_true = false;
-      for (std::size_t k = close; k + 1 < ts.size() && k < close + 12; ++k) {
-        if (is_ident(ts[k], "return") && is_ident(ts[k + 1], "true")) {
-          returns_true = true;
-          break;
-        }
-        if (is(ts[k], "}") || is(ts[k], ";")) break;
-      }
-      if (!returns_true) continue;
-      if (i >= 2 && is(ts[i - 1], "::") && ts[i - 2].kind == Tok::Ident) {
-        sym.sharded_dispatch_classes.insert(std::string(ts[i - 2].text));
-      } else if (!scopes.innermost_class().empty()) {
-        sym.sharded_dispatch_classes.insert(
-            std::string(scopes.innermost_class()));
-      }
-    }
   }
 }
 
@@ -596,13 +565,10 @@ constexpr std::array<std::string_view, 12> kNotAFunctionName = {
 /// Recognize function definitions and classify sharded-hook / merge /
 /// hot-path regions. Walks the whole token stream once.
 [[nodiscard]] std::vector<Region> find_regions(const LexOutput& lx,
-                                               const Symbols& sym,
                                                Directives& dirs) {
   const Tokens& ts = lx.tokens;
   std::vector<Region> regions;
-  ScopeTracker scopes;
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    scopes.observe(ts, i);
     const Token& t = ts[i];
     if (t.kind != Tok::Ident || i + 1 >= ts.size() || !is(ts[i + 1], "(")) {
       continue;
@@ -640,18 +606,10 @@ constexpr std::array<std::string_view, 12> kNotAFunctionName = {
     for (std::size_t p = i + 2; p < close; ++p) {
       if (is_ident(ts[p], "ShardContext")) has_shard_ctx = true;
     }
-    std::string_view cls;
-    if (i >= 2 && is(ts[i - 1], "::") && ts[i - 2].kind == Tok::Ident) {
-      cls = ts[i - 2].text;
-    } else {
-      cls = scopes.innermost_class();
-    }
 
     Region r;
-    if (t.text == "on_round_begin" && has_shard_ctx) {
-      r.sharded = true;
-    } else if (t.text == "on_message" && has_shard_ctx && !cls.empty() &&
-               sym.sharded_dispatch_classes.count(std::string(cls)) > 0) {
+    if ((t.text == "on_round_begin" || t.text == "on_message") &&
+        has_shard_ctx) {
       r.sharded = true;
     } else if (t.text == "on_round_merge" || t.text == "on_dispatch_merge") {
       r.merge = true;
@@ -1176,7 +1134,7 @@ std::vector<Diagnostic> analyze(const std::string& path, const LexOutput& lx,
                                 const Options& options) {
   const std::vector<int> code_lines = token_lines(lx);
   Directives dirs = parse_directives(path, lx, code_lines);
-  std::vector<Region> regions = find_regions(lx, sym, dirs);
+  std::vector<Region> regions = find_regions(lx, dirs);
 
   Analysis a(path, lx, sym);
   for (const Region& r : regions) a.check_region(r);

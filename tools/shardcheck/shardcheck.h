@@ -41,12 +41,13 @@
 //       regressions.
 //
 // "Sharded hook" means: on_round_begin(shard, ctx); on_message(v, m, ctx)
-// of a class whose sharded_dispatch() returns true; and any function marked
-// with a `// shardcheck:sharded-hook(reason)` annotation on the line above
-// its definition (helpers reachable only from sharded hooks). Merge bodies
-// are on_round_merge() / on_dispatch_merge(). A "hot region" for R6 is any
-// sharded hook plus any `// shardcheck:hot-path(reason)`-annotated
-// function (serial code on the per-round path, e.g. merge helpers).
+// (every protocol's handlers run sharded by destination vertex); and any
+// function marked with a `// shardcheck:sharded-hook(reason)` annotation on
+// the line above its definition (helpers reachable only from sharded
+// hooks). Merge bodies are on_round_merge() / on_dispatch_merge(). A "hot
+// region" for R6 is any sharded hook plus any
+// `// shardcheck:hot-path(reason)`-annotated function (serial code on the
+// per-round path, e.g. merge helpers).
 //
 // Suppression: `// shardcheck:ok(Rn: reason)` — the reason is mandatory.
 // A trailing comment suppresses its own line; a comment alone on a line
@@ -99,9 +100,6 @@ struct Symbols {
   /// Names declared as contiguous containers of raw pointers
   /// (std::sort over them is R5).
   std::set<std::string, std::less<>> pointer_containers;
-  /// Classes whose sharded_dispatch() override returns true (their 3-arg
-  /// on_message is a sharded hook).
-  std::set<std::string, std::less<>> sharded_dispatch_classes;
   /// std container members (any class) declared WITHOUT ArenaAllocator and
   /// WITHOUT an arena-backed annotation — growth calls on these inside hot
   /// regions are R6. Declared in headers, grown in .cpp hook bodies, hence
