@@ -9,7 +9,7 @@
 #   scripts/check.sh --asan     # ASan+UBSan build of the same suite
 #                               # (build-asan/, leak/lifetime checks on the
 #                               # arena-backed containers: SmallVec spill,
-#                               # sample cohorts, token queues, lanes)
+#                               # sample-store slots, token queues, lanes)
 #   scripts/check.sh --smoke    # run EVERY registered scenario once at tiny
 #                               # n (<= 2k, trials=1) so a scenario that
 #                               # crashes or rejects its own spec fails CI,
@@ -54,7 +54,7 @@ if command -v ninja >/dev/null 2>&1; then
   GENERATOR_ARGS+=(-G Ninja)
 fi
 
-SANITIZED_FILTER='Sharded*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleBuffer*:SampleCohorts*:ShardedArrivals*:SmallVec*:Message*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
+SANITIZED_FILTER='Sharded*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
 
 if [[ "$SMOKE" == "1" ]]; then
   # Scenario smoke: every registered scenario once, tiny spec (n <= 2k,
@@ -150,7 +150,7 @@ fi
 
 if [[ "$ASAN" == "1" ]]; then
   # ASan+UBSan build: every arena-backed container (SmallVec message
-  # words/blobs, sample cohort blocks, token queues, outbox lanes) is
+  # words/blobs, sample-store slot arrays, token queues, outbox lanes) is
   # exercised by the sharded suite; leaks (blocks that never return to
   # their arena) and lifetime/UB bugs fail the run.
   BUILD_DIR="${BUILD_DIR:-build-asan}"

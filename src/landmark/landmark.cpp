@@ -1,6 +1,7 @@
 #include "landmark/landmark.h"
 
 #include <algorithm>
+#include <span>
 
 namespace churnstore {
 
@@ -57,7 +58,7 @@ void LandmarkManager::grow_children(Vertex v, LandmarkState& st,
                                     ShardContext* ctx) {
   const PeerId self = net().peer_at(v);
   const auto children = soup_.samples(v).recent_distinct(
-      config_.tree_fanout, {self});
+      config_.tree_fanout, std::span(&self, 1));
   for (const PeerId child : children) {
     Message msg;
     msg.src = self;
@@ -102,17 +103,19 @@ void LandmarkManager::start_tree(Vertex v, std::uint64_t kid, ItemId item,
 }
 
 void LandmarkManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
-  // Grow one tree level: every vertex with pending depth recruits children.
-  // The queue was staged by this shard's own dispatch task last round, in
-  // ascending vertex order.
+  // Grow one tree level: every (vertex, kid) entry recruited last round
+  // with depth to spare recruits its children. The jobs were staged by
+  // this shard's own dispatch task, in canonical message order.
   ShardStage& stage = stage_[shard];
   // shardcheck:ok(R6: level-grow queue swap-out: O(recruiting vertices per rebuild wave), landmark control plane outside the soup heap-quiet invariant)
-  std::vector<Vertex> queue;
-  queue.swap(stage.grow_queue);
-  for (const Vertex v : queue) {
-    // shardcheck:ok(R2: per-vertex map whose insertion history is fixed by the canonical dispatch order, so bucket order is the same for every shard count; pinned by the ShardedFullStack S-invariance tests)
-    for (auto& [kid, st] : state_[v]) {
-      if (st.pending_depth > 0) grow_children(v, st, &ctx);
+  std::vector<GrowJob> jobs;
+  jobs.swap(stage.grow_jobs);
+  for (const GrowJob& job : jobs) {
+    // An entry re-recruited by a later wave in the same round was staged
+    // twice; the first job grows it and the second finds nothing pending.
+    const auto it = state_[job.v].find(job.kid);
+    if (it != state_[job.v].end() && it->second.pending_depth > 0) {
+      grow_children(job.v, it->second, &ctx);
     }
   }
 
@@ -176,9 +179,10 @@ bool LandmarkManager::on_message(Vertex v, const Message& m,
   st.expiry = net().round() + ttl_;
   st.pending_depth = depth > 1 ? depth - 1 : 0;
   const bool was_absent = (it == st_map.end());
+  const bool grows = st.pending_depth > 0;
   st_map[kid] = std::move(st);
-  // shardcheck:ok(R6: staged growth queue: O(recruiting vertices per rebuild wave))
-  if (st_map[kid].pending_depth > 0) stage.grow_queue.push_back(v);
+  // shardcheck:ok(R6: staged growth jobs: O(recruited landmarks per rebuild wave))
+  if (grows) stage.grow_jobs.push_back(GrowJob{v, kid});
   // shardcheck:ok(R6: staged index update: O(new landmarks per rebuild wave))
   if (was_absent) stage.index_add.emplace_back(kid, v);
   ++stage.created;

@@ -104,9 +104,14 @@ class LandmarkManager final : public Protocol {
   /// Global map: only mutated from serial context (merge hooks).
   // shardcheck:cold-state(mutated only from the serial merge that applies staged index_add entries)
   std::unordered_map<std::uint64_t, std::vector<Vertex>> index_;
+  /// One landmark entry to grow next round: (vertex, committee kid).
+  struct GrowJob {
+    Vertex v;
+    std::uint64_t kid;
+  };
   /// Per-shard staging, applied in ascending shard order at the merges.
   struct ShardStage {
-    std::vector<Vertex> grow_queue;  ///< vertices with pending growth
+    std::vector<GrowJob> grow_jobs;  ///< entries with pending growth
     std::vector<std::pair<std::uint64_t, Vertex>> index_add;
     std::uint64_t created = 0;
     std::uint64_t collisions = 0;

@@ -1,249 +1,151 @@
 #include "walk/sampler.h"
 
-#include <cstring>
+#include <algorithm>
+#include <cassert>
 #include <new>
-#include <unordered_set>
 
 namespace churnstore {
 
-namespace {
-/// Group block size when the cohort was not announced (serial add() path,
-/// unit tests): grows by doubling, so the constant only matters for tiny
-/// buffers.
-constexpr std::uint32_t kUnannouncedCap = 4;
-constexpr std::uint32_t kInitialDirectoryCap = 4;
-}  // namespace
+VertexSamples::VertexSamples(const SampleStore& store, Vertex v, Round lo,
+                             Round hi) noexcept
+    : store_(&store),
+      v_(v),
+      shard_(store.plan_.shard_of(v)),
+      first_(store.plan_.begin(shard_)),
+      lo_(lo),
+      hi_(hi) {}
 
-void SampleBuffer::set_arena(Arena* arena) noexcept {
-  // Rebinding with live blocks would return them to the wrong allocator.
-  assert(gcount_ == 0 && groups_ == nullptr &&
-         "set_arena on a non-empty buffer");
-  arena_ = arena;
+SampleView VertexSamples::at(Round r) const noexcept {
+  if (r < lo_ || r > hi_ || r < 0) return SampleView{};
+  const SampleStore& s = *store_;
+  const std::size_t slot = s.slot_of(r);
+  if (s.slot_round_[slot] != r) return SampleView{};  // a round never filed
+  const std::uint32_t* ends = s.ends_.data() + slot * s.plan_.n();
+  const std::uint32_t begin = v_ == first_ ? 0 : ends[v_ - 1];
+  const PeerId* data = s.blocks_[slot * s.plan_.count() + shard_].data;
+  return SampleView{data + begin, ends[v_] - begin};
 }
 
-void* SampleBuffer::alloc(std::size_t bytes) const {
-  return arena_ != nullptr ? arena_->allocate(bytes) : ::operator new(bytes);
-}
-
-void SampleBuffer::dealloc(void* p, std::size_t bytes) const noexcept {
-  if (p == nullptr) return;
-  if (arena_ != nullptr) {
-    arena_->deallocate(p, bytes);
-  } else {
-    ::operator delete(p);
-  }
-}
-
-void SampleBuffer::push_group(Round r, std::uint32_t cap) {
-  if (ghead_ + gcount_ == gcap_) {
-    if (ghead_ > 0) {
-      // Head space from pruned rounds: compact instead of growing. The
-      // steady state (one new round in, one pruned out) stabilizes at a
-      // directory of window-many slots, memmoved once per round.
-      std::memmove(groups_, groups_ + ghead_, gcount_ * sizeof(Group));
-      ghead_ = 0;
-    } else {
-      const std::uint32_t new_cap =
-          gcap_ == 0 ? kInitialDirectoryCap : 2 * gcap_;
-      auto* nd = static_cast<Group*>(alloc(new_cap * sizeof(Group)));
-      if (gcount_ != 0) {
-        std::memcpy(nd, groups_ + ghead_, gcount_ * sizeof(Group));
-      }
-      dealloc(groups_, gcap_ * sizeof(Group));
-      groups_ = nd;
-      ghead_ = 0;
-      gcap_ = new_cap;
-    }
-  }
-  Group& g = groups_[ghead_ + gcount_];
-  g.round = r;
-  g.cap = cap > 0 ? cap : 1;
-  g.size = 0;
-  g.sources = static_cast<PeerId*>(alloc(g.cap * sizeof(PeerId)));
-  ++gcount_;
-}
-
-void SampleBuffer::reserve_rounds(std::uint32_t rounds) {
-  if (rounds <= gcap_) return;
-  auto* nd = static_cast<Group*>(alloc(rounds * sizeof(Group)));
-  if (gcount_ != 0) {
-    std::memcpy(nd, groups_ + ghead_, gcount_ * sizeof(Group));
-  }
-  dealloc(groups_, gcap_ * sizeof(Group));
-  groups_ = nd;
-  ghead_ = 0;
-  gcap_ = rounds;
-}
-
-void SampleBuffer::grow_group(Group& g) {
-  const std::uint32_t new_cap = 2 * g.cap;
-  auto* nd = static_cast<PeerId*>(alloc(new_cap * sizeof(PeerId)));
-  std::memcpy(nd, g.sources, g.size * sizeof(PeerId));
-  dealloc(g.sources, g.cap * sizeof(PeerId));
-  g.sources = nd;
-  g.cap = new_cap;
-}
-
-void SampleBuffer::add(Round r, PeerId source) {
-  Group* back = gcount_ != 0 ? &groups_[ghead_ + gcount_ - 1] : nullptr;
-  if (back == nullptr || back->round != r) {
-    // First sample of a new cohort: everything announced for this round
-    // shares this one block.
-    const std::uint32_t cap = pending_ > 0 ? pending_ : kUnannouncedCap;
-    pending_ = 0;
-    push_group(r, cap);
-    back = &groups_[ghead_ + gcount_ - 1];
-  }
-  if (back->size == back->cap) grow_group(*back);
-  back->sources[back->size++] = source;
-}
-
-void SampleBuffer::prune(Round keep_from) {
-  while (gcount_ != 0 && groups_[ghead_].round < keep_from) {
-    Group& g = groups_[ghead_];
-    dealloc(g.sources, g.cap * sizeof(PeerId));
-    ++ghead_;
-    --gcount_;
-  }
-  if (gcount_ == 0) ghead_ = 0;
-}
-
-void SampleBuffer::clear() noexcept {
-  for (std::uint32_t i = 0; i < gcount_; ++i) {
-    Group& g = groups_[ghead_ + i];
-    dealloc(g.sources, g.cap * sizeof(PeerId));
-  }
-  gcount_ = 0;
-  ghead_ = 0;
-  pending_ = 0;
-}
-
-void SampleBuffer::destroy() noexcept {
-  clear();
-  dealloc(groups_, gcap_ * sizeof(Group));
-  groups_ = nullptr;
-  gcap_ = 0;
-}
-
-void SampleBuffer::copy_from(const SampleBuffer& o) {
-  // Heap-backed copy: snapshots must outlive the source's Network/arenas.
-  arena_ = nullptr;
-  groups_ = nullptr;
-  ghead_ = gcount_ = gcap_ = 0;
-  pending_ = 0;
-  for (std::uint32_t i = 0; i < o.gcount_; ++i) {
-    const Group& g = o.groups()[i];
-    push_group(g.round, g.size != 0 ? g.size : 1);
-    Group& mine = groups_[ghead_ + gcount_ - 1];
-    std::memcpy(mine.sources, g.sources, g.size * sizeof(PeerId));
-    mine.size = g.size;
-  }
-}
-
-void SampleBuffer::steal(SampleBuffer& o) noexcept {
-  groups_ = o.groups_;
-  ghead_ = o.ghead_;
-  gcount_ = o.gcount_;
-  gcap_ = o.gcap_;
-  pending_ = o.pending_;
-  arena_ = o.arena_;
-  o.groups_ = nullptr;
-  o.ghead_ = o.gcount_ = o.gcap_ = 0;
-  o.pending_ = 0;
-}
-
-SampleView SampleBuffer::at(Round r) const noexcept {
-  // Groups are few (one per retained round); linear scan from the back is
-  // cheap and the common query is the most recent round.
-  for (std::uint32_t i = gcount_; i-- > 0;) {
-    const Group& g = groups()[i];
-    if (g.round == r) return SampleView{g.sources, g.size};
-    if (g.round < r) break;
-  }
-  return SampleView{};
-}
-
-std::vector<PeerId> SampleBuffer::recent_distinct(
-    std::size_t k, const std::vector<PeerId>& exclude) const {
+std::vector<PeerId> VertexSamples::recent_distinct(
+    std::size_t k, std::span<const PeerId> exclude) const {
   std::vector<PeerId> out;
-  std::unordered_set<PeerId> seen(exclude.begin(), exclude.end());
-  for (std::uint32_t i = gcount_; i-- > 0;) {
-    const Group& g = groups()[i];
-    for (std::uint32_t j = 0; j < g.size; ++j) {
-      const PeerId s = g.sources[j];
-      if (!seen.insert(s).second) continue;
-      out.push_back(s);
+  for (Round r = hi_; r >= lo_; --r) {
+    for (const PeerId p : at(r)) {
+      if (std::find(out.begin(), out.end(), p) != out.end() ||
+          std::find(exclude.begin(), exclude.end(), p) != exclude.end()) {
+        continue;
+      }
+      out.push_back(p);
       if (k != 0 && out.size() >= k) return out;
     }
   }
   return out;
 }
 
-std::size_t SampleBuffer::total() const noexcept {
+std::size_t VertexSamples::total() const noexcept {
   std::size_t acc = 0;
-  for (std::uint32_t i = 0; i < gcount_; ++i) acc += groups()[i].size;
+  for (Round r = hi_; r >= lo_; --r) acc += at(r).size();
   return acc;
 }
 
-bool SampleBuffer::equals(const SampleBuffer& o) const noexcept {
-  if (gcount_ != o.gcount_) return false;
-  for (std::uint32_t i = 0; i < gcount_; ++i) {
-    const Group& a = groups()[i];
-    const Group& b = o.groups()[i];
-    if (a.round != b.round || a.size != b.size) return false;
-    if (std::memcmp(a.sources, b.sources, a.size * sizeof(PeerId)) != 0) {
-      return false;
+void SampleStore::attach(const ShardPlan& plan, std::uint32_t page_shift,
+                         Round window, std::uint32_t per_vertex) {
+  release();
+  plan_ = plan;
+  page_shift_ = page_shift;
+  pages_ = plan.n() > 0 ? ((plan.n() - 1) >> page_shift) + 1 : 1;
+  window_ = window;
+  // window + 1 retained rounds, and one retired slot that the next round
+  // overwrites.
+  slots_ = static_cast<std::uint32_t>(window) + 2;
+  last_ = -1;
+  slot_round_.assign(slots_, -1);
+  ends_.assign(static_cast<std::size_t>(slots_) * plan.n(), 0);
+  blocks_.assign(static_cast<std::size_t>(slots_) * plan.count(), Block{});
+  // Steady state files about per_vertex arrivals per vertex per round, a
+  // near-binomial count per shard: an eighth of slack is several standard
+  // deviations even for a tiny shard, so the arrays never regrow once the
+  // soup has warmed up.
+  for (std::uint32_t slot = 0; slot < slots_; ++slot) {
+    for (std::uint32_t s = 0; s < plan.count(); ++s) {
+      const std::uint64_t expected =
+          std::uint64_t{per_vertex} * (plan.end(s) - plan.begin(s));
+      reserve(blocks_[static_cast<std::size_t>(slot) * plan.count() + s],
+              static_cast<std::uint32_t>(expected + expected / 8 + 64));
     }
   }
-  return true;
+  staged_.resize(static_cast<std::size_t>(plan.count()) * pages_);
+  for (auto& b : staged_) b.clear();
 }
 
-void ShardedArrivals::reset(std::uint32_t src_shards,
-                            std::uint32_t dst_buckets) {
-  src_shards_ = src_shards;
-  dst_buckets_ = dst_buckets;
-  buckets_.resize(static_cast<std::size_t>(src_shards) * dst_buckets);
-  for (auto& b : buckets_) b.clear();
+void SampleStore::reserve(Block& b, std::uint32_t cap) {
+  if (cap <= b.cap) return;
+  ::operator delete(b.data);
+  b.data = static_cast<PeerId*>(
+      ::operator new(std::size_t{cap} * sizeof(PeerId)));
+  b.cap = cap;
 }
 
-void ShardedArrivals::stage(std::uint32_t src_shard, std::uint32_t dst_bucket,
-                            Vertex dst, PeerId source) {
-  buckets_[static_cast<std::size_t>(src_shard) * dst_buckets_ + dst_bucket]
-      .push_back(Arrival{dst, source});
-}
-
-void ShardedArrivals::apply_to(std::uint32_t first_bucket,
-                               std::uint32_t last_bucket, Vertex vbegin,
-                               Vertex vend, Round r,
-                               std::vector<SampleBuffer>& buffers) const {
-  // Bucket by bucket so the scatter stays inside one destination window;
-  // within a bucket, pass 1 announces cohort sizes so pass 2 lands every
-  // (round, vertex) cohort in a single exact-size block of the
-  // destination shard's arena.
-  for (std::uint32_t b = first_bucket; b <= last_bucket; ++b) {
-    for (std::uint32_t src = 0; src < src_shards_; ++src) {
-      const auto& bucket =
-          buckets_[static_cast<std::size_t>(src) * dst_buckets_ + b];
-      for (const Arrival& a : bucket) {
-        if (a.dst < vbegin || a.dst >= vend) continue;
-        buffers[a.dst].announce(1);
-      }
-    }
-    for (std::uint32_t src = 0; src < src_shards_; ++src) {
-      const auto& bucket =
-          buckets_[static_cast<std::size_t>(src) * dst_buckets_ + b];
-      for (const Arrival& a : bucket) {
-        if (a.dst < vbegin || a.dst >= vend) continue;
-        buffers[a.dst].add(r, a.source);
-      }
-    }
+void SampleStore::release() noexcept {
+  for (Block& b : blocks_) {
+    ::operator delete(b.data);
+    b = Block{};
   }
 }
 
-std::size_t ShardedArrivals::staged_total() const noexcept {
-  std::size_t acc = 0;
-  for (const auto& b : buckets_) acc += b.size();
-  return acc;
+void SampleStore::begin_round() noexcept {
+  for (auto& b : staged_) b.clear();
+}
+
+void SampleStore::file(std::uint32_t dst, Round r) {
+  const Vertex vbegin = plan_.begin(dst);
+  const Vertex vend = plan_.end(dst);
+  if (vbegin == vend) return;
+  const std::uint32_t span = vend - vbegin;
+  const std::uint32_t shards = plan_.count();
+  const std::uint32_t p0 = vbegin >> page_shift_;
+  const std::uint32_t p1 = (vend - 1) >> page_shift_;
+  const std::size_t slot = slot_of(r);
+  // ends[v] counts v's arrivals, then holds v's start offset (exclusive
+  // prefix sum), then serves as v's write cursor, which leaves it at v's
+  // end offset. Page by page, so every touch stays in the page's window.
+  std::uint32_t* ends = ends_.data() + slot * plan_.n();
+  std::fill(ends + vbegin, ends + vend, 0u);
+  for (std::uint32_t p = p0; p <= p1; ++p) {
+    for (std::uint32_t src = 0; src < shards; ++src) {
+      for (const Arrival& a :
+           staged_[static_cast<std::size_t>(src) * pages_ + p]) {
+        if (a.dst - vbegin < span) ++ends[a.dst];
+      }
+    }
+  }
+  std::uint32_t total = 0;
+  for (Vertex v = vbegin; v < vend; ++v) {
+    const std::uint32_t c = ends[v];
+    ends[v] = total;
+    total += c;
+  }
+  Block& block = blocks_[slot * shards + dst];
+  if (total > block.cap) reserve(block, total + total / 8);
+  PeerId* out = block.data;
+  for (std::uint32_t p = p0; p <= p1; ++p) {
+    for (std::uint32_t src = 0; src < shards; ++src) {
+      for (const Arrival& a :
+           staged_[static_cast<std::size_t>(src) * pages_ + p]) {
+        if (a.dst - vbegin < span) out[ends[a.dst]++] = a.source;
+      }
+    }
+  }
+}
+
+void SampleStore::end_round(Round r) noexcept {
+  assert(r >= 0 && r > last_ && "rounds are filed in increasing order");
+  slot_round_[slot_of(r)] = r;
+  last_ = r;
+}
+
+VertexSamples SampleStore::samples(Vertex v, Round born) const noexcept {
+  return VertexSamples(*this, v, std::max(born, last_ - window_), last_);
 }
 
 }  // namespace churnstore

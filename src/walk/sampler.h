@@ -1,87 +1,50 @@
-// Per-node buffer of random-walk samples.
+// The soup's walk samples: one flat store for every vertex.
 //
 // When a walk completes its T steps at a node, the node records the walk's
 // source id: by the Soup Theorem these sources are near-uniform samples of
 // the network, and every protocol building block (committee creation,
 // leader re-formation, landmark child selection, search inquiries) draws
-// from this buffer. Samples are grouped by arrival round because Algorithm 1
+// from them. Samples are grouped by arrival round because Algorithm 1
 // counts and consumes "the random walks received in round r" specifically.
 //
-// Representation: cohort groups on the per-shard arena. The n=1M profile
-// showed the former deque<Group{vector<PeerId>}> costing ~2 GB in pure
-// container overhead (512-byte deque chunks, one malloc per round-group).
-// Now every (round, vertex) cohort — all tokens that completed in the same
-// round at the same vertex — shares ONE arena block sized exactly to the
-// cohort (ShardedArrivals announces the count before filling), and the
-// group directory itself is a single compacting arena array. A buffer is
-// bound to the arena of the shard owning its vertex (set_arena), so the
-// engine's growth (dst-shard task), pruning (dst-shard task) and churn
-// clears (serial context) all follow the arena ownership discipline.
-// Unbound buffers (unit tests, copies) use the global heap.
+// Representation: a ring of window + 2 round slots. A slot holds one
+// round's samples for every vertex: per-vertex uint32 end offsets, and per
+// destination shard one flat PeerId array, in vertex order. Filing a round
+// is a counting sort of the staged arrivals (count, prefix-sum, scatter),
+// so a round costs no per-vertex allocation, no directory entry and no
+// free. The arrays are sized at attach from the walk rate, so steady-state
+// rounds stay off the heap. Retention is a bounds check (keep_from <= r <=
+// last filed round), and a churned vertex's earlier samples are hidden by
+// its birth round instead of being cleared.
+//
+// The arrays come from the global heap, not the shard arenas. Churn kills
+// walks on the way (a third of them in the n=4096 ledger stacks), so part
+// of an array sized from the walk rate is never written; the heap commits
+// only the pages a round writes, while the arenas' huge-page slabs would
+// make the whole capacity resident.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "net/types.h"
-#include "util/arena.h"
 #include "util/sharding.h"
 
 namespace churnstore {
 
-/// Non-owning view of one round-cohort's source list.
+/// Non-owning view of one round's sources at one vertex.
 using SampleView = std::span<const PeerId>;
 
-class SampleBuffer {
+class SampleStore;
+
+/// By-value view of one vertex's visible samples: the rounds [lo, hi] that
+/// are both retained and not older than the vertex's current peer. Valid
+/// until the store files another round.
+class VertexSamples {
  public:
-  SampleBuffer() noexcept = default;
-  ~SampleBuffer() { destroy(); }
-
-  /// Deep copies are heap-backed (arena unbound): tests snapshot buffers
-  /// past the owning Network's lifetime.
-  SampleBuffer(const SampleBuffer& o) { copy_from(o); }
-  SampleBuffer& operator=(const SampleBuffer& o) {
-    if (this != &o) {
-      destroy();
-      copy_from(o);
-    }
-    return *this;
-  }
-  SampleBuffer(SampleBuffer&& o) noexcept { steal(o); }
-  SampleBuffer& operator=(SampleBuffer&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      steal(o);
-    }
-    return *this;
-  }
-
-  /// Bind the arena all groups allocate from (the owning shard's arena).
-  /// Only valid while the buffer is empty.
-  void set_arena(Arena* arena) noexcept;
-
-  /// Pre-announce `k` samples of the NEXT cohort: the first add() of a new
-  /// round-group sizes its block to everything announced, so a cohort costs
-  /// exactly one allocation (ShardedArrivals counts, then fills).
-  void announce(std::uint32_t k) noexcept { pending_ += k; }
-
-  /// Pre-size the group directory for a retention window of `rounds`
-  /// groups in one exact allocation. Without it, every buffer grows its
-  /// directory through the same doubling chain during warm-up — in
-  /// lockstep across n vertices — stranding each abandoned size class in
-  /// the freelists.
-  void reserve_rounds(std::uint32_t rounds);
-
-  void add(Round r, PeerId source);
-
-  /// Drop groups with round < keep_from.
-  void prune(Round keep_from);
-
-  void clear() noexcept;
-
-  /// Sources of walks that completed exactly in round r (empty if none).
+  /// Sources of walks that completed exactly in round r (empty if none, or
+  /// if r is outside the visible rounds), in canonical source order.
   [[nodiscard]] SampleView at(Round r) const noexcept;
 
   [[nodiscard]] std::size_t count_at(Round r) const noexcept {
@@ -89,104 +52,101 @@ class SampleBuffer {
   }
 
   /// Up to `k` distinct most-recent sources (newest rounds first), skipping
-  /// ids in `exclude`. Pass k = 0 for "all distinct".
+  /// ids in `exclude`. Pass k = 0 for "all distinct". Dedupes by a linear
+  /// scan of the output and the exclusions: k is a tree fanout or a
+  /// committee size, so no per-call hash set.
   [[nodiscard]] std::vector<PeerId> recent_distinct(
-      std::size_t k, const std::vector<PeerId>& exclude = {}) const;
+      std::size_t k, std::span<const PeerId> exclude = {}) const;
 
   [[nodiscard]] std::size_t total() const noexcept;
-  [[nodiscard]] bool empty() const noexcept { return gcount_ == 0; }
-
-  /// Exact equality, including per-group insertion order — the determinism
-  /// tests compare whole buffers across shard counts with this.
-  [[nodiscard]] friend bool operator==(const SampleBuffer& a,
-                                       const SampleBuffer& b) noexcept {
-    return a.equals(b);
-  }
+  [[nodiscard]] bool empty() const noexcept { return total() == 0; }
 
  private:
-  /// One arrival-round cohort: every source shares the single `sources`
-  /// block (exact-size when announced, doubling otherwise).
-  struct Group {
-    Round round;
-    PeerId* sources;
-    std::uint32_t size;
-    std::uint32_t cap;
-  };
+  friend class SampleStore;
+  VertexSamples(const SampleStore& store, Vertex v, Round lo,
+                Round hi) noexcept;
 
-  [[nodiscard]] Group* groups() noexcept { return groups_ + ghead_; }
-  [[nodiscard]] const Group* groups() const noexcept { return groups_ + ghead_; }
-
-  [[nodiscard]] void* alloc(std::size_t bytes) const;
-  void dealloc(void* p, std::size_t bytes) const noexcept;
-
-  void push_group(Round r, std::uint32_t cap);
-  void grow_group(Group& g);
-  void destroy() noexcept;
-  void copy_from(const SampleBuffer& o);
-  void steal(SampleBuffer& o) noexcept;
-  [[nodiscard]] bool equals(const SampleBuffer& o) const noexcept;
-
-  Group* groups_ = nullptr;  ///< directory block: [ghead_, ghead_+gcount_)
-  std::uint32_t ghead_ = 0;
-  std::uint32_t gcount_ = 0;
-  std::uint32_t gcap_ = 0;
-  std::uint32_t pending_ = 0;  ///< announced size of the next cohort
-  Arena* arena_ = nullptr;
+  const SampleStore* store_;
+  Vertex v_;
+  std::uint32_t shard_;
+  Vertex first_;  ///< first vertex of v's shard (its array starts there)
+  Round lo_;
+  Round hi_;
 };
 
-/// Per-shard staging of walk completions for the sharded round engine.
-//
-// Shard tasks may not touch a destination vertex's SampleBuffer directly
-// (the destination usually lives in another shard), so each SOURCE shard
-// stages its completions here, bucketed by a caller-defined DESTINATION
-// partition. After the barrier, each destination shard applies the
-// buckets addressed to it in ascending (bucket, source-shard) order.
-// Because shards are contiguous and scanned in ascending vertex order,
-// that merge equals the ascending global source-vertex order per
-// destination vertex — the buffers end up bit-identical for every shard
-// count AND for every destination-bucket granularity.
-//
-// The destination partition is usually finer than a shard: TokenSoup
-// buckets by destination PAGE (a power-of-two vertex range whose queues
-// and sample state fit in L2), so the apply scatter — the header, the
-// group directory, and the cohort block of random vertices — stays
-// inside a cache-resident window instead of paying DRAM latency per
-// completion across the whole shard span.
-class ShardedArrivals {
+class SampleStore {
  public:
-  /// Size (or resize) the src_shards x dst_buckets grid and clear every
-  /// bucket. Buckets keep their capacity across rounds.
-  void reset(std::uint32_t src_shards, std::uint32_t dst_buckets);
+  SampleStore() = default;
+  ~SampleStore() { release(); }
+  SampleStore(const SampleStore&) = delete;
+  SampleStore& operator=(const SampleStore&) = delete;
+
+  /// Size the ring for `window` rounds of retention past the newest filed
+  /// round, with arrivals staged per (source shard, destination page of
+  /// 2^page_shift vertices). Each slot's array for a shard is sized for
+  /// `per_vertex` arrivals per vertex per round, plus slack. Serial context.
+  void attach(const ShardPlan& plan, std::uint32_t page_shift, Round window,
+              std::uint32_t per_vertex);
+
+  /// Empty the staging buckets (serial, before the round's stage() calls).
+  void begin_round() noexcept;
 
   /// Stage a completion observed by `src_shard`: the walk from `source`
-  /// finished at vertex `dst`, which maps to `dst_bucket` under the
-  /// caller's partition. Only `src_shard`'s task may call this.
-  void stage(std::uint32_t src_shard, std::uint32_t dst_bucket, Vertex dst,
-             PeerId source);
+  /// finished at vertex `dst`. Only `src_shard`'s task may call this.
+  void stage(std::uint32_t src_shard, Vertex dst, PeerId source) {
+    staged_[static_cast<std::size_t>(src_shard) * pages_ +
+            (dst >> page_shift_)]
+        .push_back(Arrival{dst, source});
+  }
 
-  /// Apply buckets [first_bucket, last_bucket] into `buffers` (indexed by
-  /// vertex) as round-`r` samples, in canonical source order, skipping
-  /// arrivals outside [vbegin, vend) — a bucket that straddles a shard
-  /// boundary is applied by BOTH neighboring shards, each filing only its
-  /// own vertices (concurrent reads are safe). Each bucket runs two
-  /// passes — announce per-vertex cohort sizes, then fill — so every
-  /// cohort lands in one exact-size arena block and the scatter stays in
-  /// the bucket's window. Only the owning dst task may pass a vertex
-  /// range it owns.
-  void apply_to(std::uint32_t first_bucket, std::uint32_t last_bucket,
-                Vertex vbegin, Vertex vend, Round r,
-                std::vector<SampleBuffer>& buffers) const;
+  /// File the staged arrivals addressed to `dst_shard`'s vertices as round
+  /// r, into the ring slot that held round r - slots(). Counting sort over
+  /// the shard's pages in canonical (page, source shard, staging) order,
+  /// so every vertex's sources come out in ascending global source order
+  /// for every shard count. A page straddling a shard boundary is read by
+  /// both neighbouring shards, each filing only its own vertices. Only the
+  /// dst shard's task may call this; the slot stays unpublished until
+  /// end_round(r).
+  void file(std::uint32_t dst_shard, Round r);
 
-  [[nodiscard]] std::size_t staged_total() const noexcept;
+  /// Publish round r (serial, after every shard's file()): it becomes the
+  /// newest visible round and r - window the oldest.
+  void end_round(Round r) noexcept;
+
+  /// Visible samples of vertex v, whose current peer joined in round `born`.
+  [[nodiscard]] VertexSamples samples(Vertex v, Round born) const noexcept;
+
+  [[nodiscard]] std::uint32_t slots() const noexcept { return slots_; }
 
  private:
+  friend class VertexSamples;
+
   struct Arrival {
     Vertex dst;
     PeerId source;
   };
-  std::uint32_t src_shards_ = 0;
-  std::uint32_t dst_buckets_ = 0;
-  std::vector<std::vector<Arrival>> buckets_;  ///< [src * dst_buckets_ + b]
+  /// One (slot, shard) array of sources, in vertex order.
+  struct Block {
+    PeerId* data = nullptr;
+    std::uint32_t cap = 0;
+  };
+
+  [[nodiscard]] std::size_t slot_of(Round r) const noexcept {
+    return static_cast<std::size_t>(r % slots_);
+  }
+  static void reserve(Block& b, std::uint32_t cap);
+  void release() noexcept;
+
+  ShardPlan plan_;
+  std::uint32_t page_shift_ = 0;
+  std::uint32_t pages_ = 1;
+  std::uint32_t slots_ = 0;
+  Round window_ = 0;
+  Round last_ = -1;  ///< newest published round, -1 before the first
+  std::vector<Round> slot_round_;   ///< round each slot holds, -1 if none
+  std::vector<std::uint32_t> ends_;  ///< [slot * n + v]: v's end offset
+  std::vector<Block> blocks_;        ///< [slot * shards + s]
+  std::vector<std::vector<Arrival>> staged_;  ///< [src * pages_ + page]
 };
 
 }  // namespace churnstore

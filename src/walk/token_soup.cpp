@@ -105,7 +105,6 @@ void TokenSoup::on_attach(Network& net_ref) {
   length_ = churnstore::walk_length(n, config_);
   cap_ = churnstore::forward_cap(n, config_);
   tau_ = churnstore::tau_rounds(n, config_);
-  window_ = static_cast<Round>(config_.window_mult * tau_) + 2;
   assert(length_ <= kMaxSteps && "walk length must fit the packed meta");
   const ShardPlan& plan = net().shards();
   const std::uint32_t shards = plan.count();
@@ -122,17 +121,6 @@ void TokenSoup::on_attach(Network& net_ref) {
     Arena* a = &net().shard_arena(plan.shard_of(v));
     cur_.emplace_back(a);
     cur_.back().reserve(static_cast<std::size_t>(walks_) * length_);
-  }
-  // Sample buffers allocate their cohort groups from the arena of the
-  // shard owning their vertex: growth happens on the destination shard's
-  // task (ShardedArrivals::apply_to), pruning in the same task's merge
-  // slice, churn clears in serial context — always the arena's owner.
-  samples_.assign(n, SampleBuffer{});
-  for (Vertex v = 0; v < n; ++v) {
-    samples_[v].set_arena(&net().shard_arena(plan.shard_of(v)));
-    // Retention holds window_+1 round-groups, +1 for the round that lands
-    // before the next prune.
-    samples_[v].reserve_rounds(static_cast<std::uint32_t>(window_) + 2);
   }
   // Destination pages: the merge refill is a data-dependent scatter into
   // the token queues, and at n=1M those queues span hundreds of MB — a
@@ -152,6 +140,10 @@ void TokenSoup::on_attach(Network& net_ref) {
     ++page_shift_;
   }
   pages_ = n > 0 ? ((n - 1) >> page_shift_) + 1 : 1;
+  // Sample arrivals stage per (src shard, dst page) like the handoffs, and
+  // each dst shard's merge task files its own vertices' slot arrays.
+  const Round window = static_cast<Round>(config_.window_mult * tau_) + 2;
+  samples_.attach(plan, page_shift_, window, walks_);
   // Pre-size each (src, page) bucket to its share of the steady in-flight
   // population (walks * length per vertex, near-uniform walk targets).
   // Growth past the reserve still works, it just reallocates once; the
@@ -195,12 +187,11 @@ void TokenSoup::on_attach(Network& net_ref) {
 }
 
 void TokenSoup::on_churn(Vertex v, PeerId, PeerId) {
-  // The peer at v is gone: its queued tokens and its learned samples die
-  // with it (the fresh peer starts with empty state).
+  // The peer at v is gone: its queued tokens die with it. Its samples need
+  // no clearing: samples(v) hides every round before the new peer's birth.
   net().metrics().count_tokens_lost(cur_[v].size());
   alive_[net().shards().shard_of(v)] -= cur_[v].size();
   cur_[v].clear();
-  samples_[v].clear();
 }
 
 void TokenSoup::inject_probe(Vertex v, std::uint64_t tag, std::uint32_t steps) {
@@ -220,7 +211,7 @@ void TokenSoup::on_round_begin() {
   // round, vertex) — a pure function of the seed, so the walk trajectories
   // are independent of shard count and of which thread runs which shard.
   round_key_ = mix64(stream_salt_ ^ static_cast<std::uint64_t>(net().round()));
-  arrivals_.reset(net().shards().count(), pages_);
+  samples_.begin_round();
 }
 
 // Phase 1 (parallel over source shards): spawn this round's fresh walks
@@ -305,7 +296,7 @@ void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
   const Vertex v1 = plan.end(s);
   const std::uint32_t page_shift = page_shift_;
   const auto emit_done = [&](std::uint64_t src, Vertex u) {
-    arrivals_.stage(s, u >> page_shift, u, src);
+    samples_.stage(s, u, src);
   };
   if (wc_scatter_) {
     auto& wc = wc_[s];
@@ -335,8 +326,8 @@ void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
 // stream the shard-keyed merge produced, bit-identical for every shard
 // count, serial or parallel. The handoffs refill cur_ in place: phase 1
 // cleared every queue, and a queue's vertex belongs to exactly this
-// destination shard, so single-buffering is race-free. Retire samples
-// that have aged out of the retention window while we own the shard.
+// destination shard, so single-buffering is race-free. The shard's sample
+// arrivals are then filed into this round's ring slot in the same order.
 //
 // Cache blocking: one page's queues fit in L2 by construction
 // (page_shift_), so the data-dependent scatter never leaves a ~1.5 MB
@@ -345,7 +336,7 @@ void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
 // reads of the bucket are safe, and the serial epilogue does the
 // clearing.
 // shardcheck:sharded-hook(phase-2 refill; runs on the dst shard's task inside on_round_merge's run_sharded)
-void TokenSoup::merge_shard(std::uint32_t dst, Round r, Round keep_from) {
+void TokenSoup::merge_shard(std::uint32_t dst, Round r) {
   const ShardPlan& plan = net().shards();
   const std::uint32_t shards = plan.count();
   const Vertex vbegin = plan.begin(dst);
@@ -435,20 +426,16 @@ void TokenSoup::merge_shard(std::uint32_t dst, Round r, Round keep_from) {
   // whole live population: settle the alive counter here instead of ever
   // scanning queues (tokens_alive() just sums these).
   alive_[dst] = alive;
-  arrivals_.apply_to(p0, p1, vbegin, vend, r, samples_);
-  for (Vertex v = vbegin; v < vend; ++v) {
-    samples_[v].prune(keep_from);
-  }
+  samples_.file(dst, r);
 }
 
 void TokenSoup::on_round_merge() {
   const Round r = net().round();
   const Vertex n = net().n();
   const std::uint32_t shards = net().shards().count();
-  const Round keep_from = r - window_;
   merge_round_ = r;
-  merge_keep_from_ = keep_from;
   net().run_sharded(merge_task_);
+  samples_.end_round(r);
 
   // Serial epilogue. Buckets are cleared here, not in merge_shard: a page
   // that straddles a shard boundary is read by both neighboring shards'

@@ -4,12 +4,14 @@
 // paper's alpha log n walks) and forwards up to forward_cap tokens per round
 // (the paper's 2h log n cap); excess tokens queue at the node. A token moves
 // to a uniformly random current neighbor each round; after T steps it is
-// delivered to the node it landed on, which records the token's source id in
-// its SampleBuffer. Tokens sitting at a churned-out node are destroyed —
-// exactly the loss/bias mechanism the Soup Theorem bounds.
+// delivered to the node it landed on, which records the token's source id as
+// one of its samples (walk/sampler.h: one SampleStore holds every vertex's
+// samples in a ring of round slots). Tokens sitting at a churned-out node
+// are destroyed — exactly the loss/bias mechanism the Soup Theorem bounds —
+// and its samples become invisible, since they predate the new peer.
 //
 // Besides the steady-state soup, the class supports tagged probe walks whose
-// completions are reported through a hook instead of sample buffers; the
+// completions are reported through a hook instead of the sample store; the
 // Soup-Theorem and mixing benches (E1-E3) use probes to measure the
 // source->destination distribution directly.
 //
@@ -66,8 +68,11 @@ class TokenSoup final : public Protocol {
   /// probes disable the soup to isolate the measurement).
   void set_spawning(bool on) noexcept { spawning_ = on; }
 
-  [[nodiscard]] const SampleBuffer& samples(Vertex v) const noexcept {
-    return samples_[v];
+  /// The walk samples vertex v holds now: the retained rounds, minus those
+  /// before its current peer joined. A by-value view, valid until the next
+  /// round's merge.
+  [[nodiscard]] VertexSamples samples(Vertex v) const noexcept {
+    return samples_.samples(v, net().birth_round(v));
   }
 
   /// --- probe interface ---------------------------------------------------
@@ -207,7 +212,6 @@ class TokenSoup final : public Protocol {
   std::uint32_t length_ = 0;
   std::uint32_t cap_ = 0;
   std::uint32_t tau_ = 0;
-  Round window_ = 0;
   bool spawning_ = true;
 
   /// Single-buffered: phase 1 drains and clears each vertex's queue (its
@@ -216,8 +220,10 @@ class TokenSoup final : public Protocol {
   /// so no second queue array is needed. At n=1M that halves queue memory.
   // shardcheck:arena-backed(outer vector sized once at attach/churn in serial context; TokenQueue elements draw from their vertex's shard arena)
   std::vector<TokenQueue> cur_;
-  // shardcheck:arena-backed(outer vector sized once at attach in serial context; SampleBuffer cohort groups draw from the owning shard's arena)
-  std::vector<SampleBuffer> samples_;
+  /// Walk completions: staged per (source shard, destination page) in
+  /// phase 1, filed into this round's ring slot by each destination
+  /// shard's merge task.
+  SampleStore samples_;
   ProbeHook probe_hook_;
 
   /// --- per-round sharded staging (reused across rounds) -------------------
@@ -295,19 +301,17 @@ class TokenSoup final : public Protocol {
   };
 
   /// Phase-2 refill of one destination shard's queues from the staged
-  /// handoff buckets (hook-only helper, runs on the dst shard's task).
-  void merge_shard(std::uint32_t dst, Round r, Round keep_from);
+  /// handoff buckets, then filing of its sample arrivals (hook-only
+  /// helper, runs on the dst shard's task).
+  void merge_shard(std::uint32_t dst, Round r);
 
   /// Sharded merge task, built once: a fresh capturing lambda every round
   /// would re-wrap into std::function at the run_sharded call and heap-spill
   /// its closure (>16 bytes), breaking the heap-quiet steady state. The
-  /// round parameters travel through the two members below instead.
+  /// round travels through the member below instead.
   Round merge_round_ = 0;
-  Round merge_keep_from_ = 0;
   std::function<void(std::uint32_t)> merge_task_ =
-      [this](std::uint32_t dst) {
-        merge_shard(dst, merge_round_, merge_keep_from_);
-      };
+      [this](std::uint32_t dst) { merge_shard(dst, merge_round_); };
 
   /// [src_shard * pages_ + dst_page]; each bucket allocates from its
   /// SOURCE shard's arena (the source task does all the growing).
@@ -327,7 +331,6 @@ class TokenSoup final : public Protocol {
   std::vector<HandoffBucket> moves_;
   std::uint32_t page_shift_ = 0;  ///< log2 of the dst-page vertex span
   std::uint32_t pages_ = 1;       ///< total dst pages covering [0, n)
-  ShardedArrivals arrivals_;
   /// Per source shard; each inner vector draws from its shard's arena
   /// (grown on that shard's task, cleared/read in the serial epilogue).
   std::vector<std::vector<ProbeDone, ArenaAllocator<ProbeDone>>> probes_;

@@ -2,197 +2,274 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "net/network.h"
+#include "walk/token_soup.h"
+
 namespace churnstore {
 namespace {
 
-TEST(SampleBuffer, GroupsByRound) {
-  SampleBuffer buf;
-  buf.add(1, 100);
-  buf.add(1, 101);
-  buf.add(3, 102);
-  EXPECT_EQ(buf.count_at(1), 2u);
-  EXPECT_EQ(buf.count_at(2), 0u);
-  EXPECT_EQ(buf.count_at(3), 1u);
-  EXPECT_EQ(buf.total(), 3u);
-  EXPECT_EQ(buf.at(1)[0], 100u);
-  EXPECT_EQ(buf.at(3)[0], 102u);
-}
+using Sources = std::vector<PeerId>;
 
-TEST(SampleBuffer, PruneDropsOldGroups) {
-  SampleBuffer buf;
-  for (Round r = 1; r <= 10; ++r) buf.add(r, static_cast<PeerId>(r));
-  buf.prune(6);
-  EXPECT_EQ(buf.count_at(5), 0u);
-  EXPECT_EQ(buf.count_at(6), 1u);
-  EXPECT_EQ(buf.total(), 5u);
-}
+Sources sources(SampleView view) { return Sources(view.begin(), view.end()); }
 
-TEST(SampleBuffer, RecentDistinctNewestFirst) {
-  SampleBuffer buf;
-  buf.add(1, 10);
-  buf.add(2, 20);
-  buf.add(3, 30);
-  const auto got = buf.recent_distinct(2);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 30u);
-  EXPECT_EQ(got[1], 20u);
-}
+/// A store over n vertices in `shards` shards, one page per
+/// 2^page_shift vertices.
+struct Store {
+  ShardPlan plan;
+  SampleStore store;
 
-TEST(SampleBuffer, RecentDistinctDeduplicates) {
-  SampleBuffer buf;
-  buf.add(1, 7);
-  buf.add(2, 7);
-  buf.add(2, 8);
-  buf.add(3, 7);
-  const auto got = buf.recent_distinct(0);  // 0 = all
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 7u);
-  EXPECT_EQ(got[1], 8u);
-}
-
-TEST(SampleBuffer, RecentDistinctHonorsExclusions) {
-  SampleBuffer buf;
-  buf.add(1, 1);
-  buf.add(1, 2);
-  buf.add(1, 3);
-  const auto got = buf.recent_distinct(0, {2});
-  ASSERT_EQ(got.size(), 2u);
-  for (const auto p : got) EXPECT_NE(p, 2u);
-}
-
-TEST(SampleBuffer, ClearEmpties) {
-  SampleBuffer buf;
-  buf.add(1, 1);
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.total(), 0u);
-  EXPECT_TRUE(buf.recent_distinct(5).empty());
-}
-
-TEST(SampleBuffer, AnnouncedCohortEqualsUnannouncedAdds) {
-  // The engine pre-announces cohort sizes (one exact-size block per round);
-  // the serial add() path grows by doubling. Same observable buffer.
-  SampleBuffer announced;
-  announced.announce(5);
-  for (PeerId p = 10; p < 15; ++p) announced.add(7, p);
-  announced.announce(2);
-  for (PeerId p = 20; p < 22; ++p) announced.add(8, p);
-
-  SampleBuffer plain;
-  for (PeerId p = 10; p < 15; ++p) plain.add(7, p);
-  for (PeerId p = 20; p < 22; ++p) plain.add(8, p);
-
-  EXPECT_TRUE(announced == plain);
-  EXPECT_EQ(announced.count_at(7), 5u);
-  EXPECT_EQ(announced.at(8)[1], 21u);
-}
-
-TEST(SampleBuffer, ArenaBoundBufferReturnsBlocksOnPruneAndClear) {
-  Arena arena;
-  {
-    SampleBuffer buf;
-    buf.set_arena(&arena);
-    for (Round r = 1; r <= 8; ++r) {
-      buf.announce(3);
-      for (PeerId p = 0; p < 3; ++p) buf.add(r, 100 * r + p);
-    }
-    EXPECT_GT(arena.bytes_in_use(), 0u);
-    buf.prune(5);
-    EXPECT_EQ(buf.total(), 4 * 3u);
-    buf.clear();
-    EXPECT_TRUE(buf.empty());
-    // Only the group directory block may remain live after clear().
+  Store(std::uint32_t n, std::uint32_t shards, std::uint32_t page_shift,
+        Round window, std::uint32_t per_vertex = 2)
+      : plan(n, shards) {
+    store.attach(plan, page_shift, window, per_vertex);
   }
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  EXPECT_GT(arena.reused_blocks() + arena.fresh_blocks(), 0u);
-}
 
-TEST(SampleBuffer, CopiesAreHeapBackedDeepAndEqual) {
-  Arena arena;
-  SampleBuffer buf;
-  buf.set_arena(&arena);
-  for (Round r = 1; r <= 4; ++r) {
-    for (PeerId p = 0; p < 4; ++p) buf.add(r, 10 * r + p);
+  /// Files everything staged since the last round as round r, shard by
+  /// shard, the way TokenSoup's merge does.
+  void file(Round r) {
+    for (std::uint32_t s = 0; s < plan.count(); ++s) store.file(s, r);
+    store.end_round(r);
+    store.begin_round();
   }
-  const SampleBuffer copy(buf);  // deep, heap-backed: outlives the arena
-  EXPECT_TRUE(copy == buf);
-  buf.clear();
-  EXPECT_FALSE(copy == buf);
-  EXPECT_EQ(copy.count_at(3), 4u);
-  EXPECT_EQ(copy.at(2)[1], 21u);
-}
 
-TEST(SampleBuffer, EqualityIsOrderSensitive) {
-  SampleBuffer a, b;
-  a.add(1, 5);
-  a.add(1, 6);
-  b.add(1, 6);
-  b.add(1, 5);
-  EXPECT_FALSE(a == b) << "per-group insertion order must be compared";
-}
-
-TEST(SampleBuffer, LongRunningWindowSteadyState) {
-  // Rolling window: one round in, one pruned out, hundreds of times — the
-  // compacting directory must keep every query exact throughout.
-  SampleBuffer buf;
-  const Round window = 16;
-  for (Round r = 1; r <= 500; ++r) {
-    buf.announce(2);
-    buf.add(r, static_cast<PeerId>(2 * r));
-    buf.add(r, static_cast<PeerId>(2 * r + 1));
-    buf.prune(r - window + 1);
+  [[nodiscard]] VertexSamples at(Vertex v, Round born = 0) const {
+    return store.samples(v, born);
   }
-  EXPECT_EQ(buf.total(), static_cast<std::size_t>(2 * window));
-  EXPECT_EQ(buf.count_at(500), 2u);
-  EXPECT_EQ(buf.count_at(500 - window), 0u);
-  EXPECT_EQ(buf.at(490)[0], 980u);
+};
+
+TEST(SampleStore, GroupsByRound) {
+  Store s(4, 1, 16, /*window=*/8);
+  s.store.stage(0, 2, 100);
+  s.store.stage(0, 2, 101);
+  s.file(1);
+  s.file(2);  // no arrivals
+  s.store.stage(0, 2, 102);
+  s.file(3);
+  const VertexSamples got = s.at(2);
+  EXPECT_EQ(got.count_at(1), 2u);
+  EXPECT_EQ(got.count_at(2), 0u);
+  EXPECT_EQ(got.count_at(3), 1u);
+  EXPECT_EQ(got.count_at(4), 0u) << "rounds past the newest are empty";
+  EXPECT_EQ(got.total(), 3u);
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(sources(got.at(1)), (Sources{100, 101}));
+  EXPECT_EQ(sources(got.at(3)), (Sources{102}));
+  EXPECT_TRUE(s.at(1).empty()) << "a vertex with no arrivals";
+  EXPECT_TRUE(s.at(3).empty());
 }
 
 TEST(ShardedArrivalsCohorts, ApplyMergesInCanonicalSourceOrder) {
-  ShardedArrivals arr;
-  arr.reset(/*src_shards=*/3, /*dst_buckets=*/1);
-  std::vector<SampleBuffer> buffers(4);
-  // Same destination vertex fed from three source shards; canonical order
-  // is ascending source shard, staging order within a shard.
-  arr.stage(2, 0, /*dst=*/1, /*source=*/300);
-  arr.stage(0, 0, 1, 100);
-  arr.stage(0, 0, 1, 101);
-  arr.stage(1, 0, 1, 200);
-  EXPECT_EQ(arr.staged_total(), 4u);
-  arr.apply_to(0, 0, /*vbegin=*/0, /*vend=*/4, /*r=*/9, buffers);
-  ASSERT_EQ(buffers[1].count_at(9), 4u);
-  const SampleView got = buffers[1].at(9);
-  EXPECT_EQ(got[0], 100u);
-  EXPECT_EQ(got[1], 101u);
-  EXPECT_EQ(got[2], 200u);
-  EXPECT_EQ(got[3], 300u);
+  // Same destination vertex fed from three source shards; filing merges
+  // them into one cohort in canonical order: ascending source shard,
+  // staging order within a shard.
+  Store s(6, 3, 16, /*window=*/4);
+  s.store.stage(2, /*dst=*/1, /*source=*/300);
+  s.store.stage(0, 1, 100);
+  s.store.stage(0, 1, 101);
+  s.store.stage(1, 1, 200);
+  s.store.stage(1, 4, 201);
+  s.file(9);
+  EXPECT_EQ(sources(s.at(1).at(9)), (Sources{100, 101, 200, 300}));
+  EXPECT_EQ(sources(s.at(4).at(9)), (Sources{201}));
+  s.file(10);
+  EXPECT_TRUE(s.at(1).at(10).empty()) << "begin_round empties the staging";
+  EXPECT_EQ(s.at(1).total(), 4u);
 }
 
 TEST(ShardedArrivalsCohorts, StraddleBucketAppliedByBothSidesFilesOnce) {
-  // A destination bucket that straddles a shard boundary is applied by
-  // both neighboring dst tasks; the [vbegin, vend) filter must give each
-  // vertex to exactly one of them, preserving canonical order.
-  ShardedArrivals arr;
-  arr.reset(/*src_shards=*/2, /*dst_buckets=*/2);
-  std::vector<SampleBuffer> buffers(8);
-  // Bucket 0 covers vertices [0,4), bucket 1 covers [4,8); the shard
-  // split is at vertex 2, mid-bucket-0.
-  arr.stage(1, 0, /*dst=*/1, /*source=*/500);
-  arr.stage(0, 0, 1, 400);
-  arr.stage(0, 0, 3, 401);
-  arr.stage(1, 1, 5, 501);
-  EXPECT_EQ(arr.staged_total(), 4u);
-  // Left shard owns [0,2): sees bucket 0 only, files vertex 1 only.
-  arr.apply_to(0, 0, /*vbegin=*/0, /*vend=*/2, /*r=*/3, buffers);
-  // Right shard owns [2,8): sees buckets 0 and 1, skips vertex 1.
-  arr.apply_to(0, 1, /*vbegin=*/2, /*vend=*/8, /*r=*/3, buffers);
-  ASSERT_EQ(buffers[1].count_at(3), 2u);
-  EXPECT_EQ(buffers[1].at(3)[0], 400u);
-  EXPECT_EQ(buffers[1].at(3)[1], 500u);
-  ASSERT_EQ(buffers[3].count_at(3), 1u);
-  EXPECT_EQ(buffers[3].at(3)[0], 401u);
-  ASSERT_EQ(buffers[5].count_at(3), 1u);
-  EXPECT_EQ(buffers[5].at(3)[0], 501u);
+  // n = 8 in 3 shards ([0,3), [3,6), [6,8)) with 4-vertex pages (the
+  // staging buckets): page 0 straddles shards 0 and 1, page 1 straddles
+  // shards 1 and 2. Both sides of a straddle read the page; each must file
+  // only its own vertices, so every arrival lands exactly once and in
+  // canonical order.
+  Store s(8, 3, /*page_shift=*/2, /*window=*/4);
+  s.store.stage(1, /*dst=*/1, /*source=*/500);
+  s.store.stage(0, 1, 400);
+  s.store.stage(0, 3, 401);
+  s.store.stage(2, 5, 501);
+  s.store.stage(1, 6, 600);
+  s.store.stage(0, 2, 402);
+  s.store.stage(2, 2, 502);
+  const std::size_t staged = 7;
+  s.file(3);
+  EXPECT_EQ(sources(s.at(1).at(3)), (Sources{400, 500}));
+  EXPECT_EQ(sources(s.at(2).at(3)), (Sources{402, 502}));
+  EXPECT_EQ(sources(s.at(3).at(3)), (Sources{401}));
+  EXPECT_EQ(sources(s.at(5).at(3)), (Sources{501}));
+  EXPECT_EQ(sources(s.at(6).at(3)), (Sources{600}));
+  std::size_t filed = 0;
+  for (Vertex v = 0; v < 8; ++v) filed += s.at(v).total();
+  EXPECT_EQ(filed, staged);
+}
+
+TEST(SampleStore, RetentionKeepsKeepFromAndHidesTheRetiredSlot) {
+  // window = 4: after round r the visible rounds are [r - 4, r], and the
+  // ring has 6 slots, so round r - 5 is retired but still sits in its slot
+  // until round r + 1 overwrites it. It must read empty all the same.
+  Store s(2, 1, 16, /*window=*/4);
+  ASSERT_EQ(s.store.slots(), 6u);
+  for (Round r = 1; r <= 10; ++r) {
+    s.store.stage(0, 0, static_cast<PeerId>(10 * r));
+    s.file(r);
+  }
+  const VertexSamples at10 = s.at(0);
+  EXPECT_EQ(sources(at10.at(6)), (Sources{60})) << "keep_from is kept";
+  EXPECT_TRUE(at10.at(5).empty()) << "retired, not yet overwritten";
+  EXPECT_TRUE(at10.at(4).empty()) << "overwritten by round 10";
+  EXPECT_EQ(at10.total(), 5u);
+  s.store.stage(0, 0, 110);
+  s.file(11);
+  const VertexSamples at11 = s.at(0);
+  EXPECT_TRUE(at11.at(6).empty());
+  EXPECT_EQ(sources(at11.at(7)), (Sources{70}));
+  EXPECT_EQ(sources(at11.at(11)), (Sources{110}));
+  EXPECT_EQ(at11.total(), 5u);
+}
+
+TEST(SampleStore, UnfiledRoundReadsEmpty) {
+  // A round the soup did not step leaves its slot holding an older round;
+  // the slot's round tag keeps that stale data out.
+  Store s(2, 1, 16, /*window=*/2);  // 4 slots
+  for (Round r = 1; r <= 4; ++r) {
+    s.store.stage(0, 0, static_cast<PeerId>(r));
+    s.file(r);
+  }
+  s.store.stage(0, 0, 6);
+  s.file(6);  // round 5 skipped: its slot still holds round 1
+  const VertexSamples got = s.at(0);
+  EXPECT_TRUE(got.at(5).empty());
+  EXPECT_EQ(sources(got.at(4)), (Sources{4}));
+  EXPECT_EQ(sources(got.at(6)), (Sources{6}));
+  EXPECT_EQ(got.total(), 2u);
+}
+
+TEST(SampleStore, BirthRoundHidesEarlierRounds) {
+  Store s(2, 1, 16, /*window=*/8);
+  for (Round r = 1; r <= 5; ++r) {
+    s.store.stage(0, 0, static_cast<PeerId>(r));
+    s.file(r);
+  }
+  const VertexSamples born4 = s.at(0, /*born=*/4);
+  EXPECT_TRUE(born4.at(3).empty());
+  EXPECT_EQ(born4.count_at(4), 1u);
+  EXPECT_EQ(born4.total(), 2u);
+  EXPECT_EQ(born4.recent_distinct(0), (Sources{5, 4}));
+  EXPECT_TRUE(s.at(0, /*born=*/6).empty()) << "joined after the newest round";
+  EXPECT_EQ(s.at(0, /*born=*/0).total(), 5u);
+}
+
+TEST(SampleStore, ChurnedVertexSeesOnlyItsBirthRoundOnward) {
+  // Through the soup: right after begin_round churns a vertex, every round
+  // before its birth is invisible; the arrivals the soup files in the churn
+  // round itself are the new peer's first samples.
+  SimConfig cfg;
+  cfg.n = 64;
+  cfg.degree = 8;
+  cfg.seed = 5;
+  cfg.churn.kind = AdversaryKind::kUniform;
+  cfg.churn.absolute = 8;
+  cfg.shards = 4;
+  Network net(cfg);
+  TokenSoup soup(net, WalkConfig{});
+  for (std::uint32_t i = 0; i < soup.tau(); ++i) {
+    net.begin_round();
+    soup.step();
+    net.deliver();
+  }
+  const std::vector<Vertex> churned = net.begin_round();
+  ASSERT_FALSE(churned.empty());
+  const Round born = net.round();
+  for (const Vertex v : churned) {
+    EXPECT_EQ(net.birth_round(v), born);
+    EXPECT_TRUE(soup.samples(v).empty()) << "vertex " << v;
+    EXPECT_TRUE(soup.samples(v).recent_distinct(0).empty());
+  }
+  soup.step();
+  std::size_t fresh = 0;
+  for (const Vertex v : churned) {
+    const VertexSamples got = soup.samples(v);
+    EXPECT_EQ(got.total(), got.count_at(born)) << "vertex " << v;
+    EXPECT_TRUE(got.at(born - 1).empty());
+    fresh += got.count_at(born);
+  }
+  EXPECT_GT(fresh, 0u) << "the churn round's arrivals are kept";
+  net.deliver();
+}
+
+TEST(SampleStore, RecentDistinctNewestFirst) {
+  Store s(1, 1, 16, /*window=*/8);
+  for (Round r = 1; r <= 3; ++r) {
+    s.store.stage(0, 0, static_cast<PeerId>(10 * r));
+    s.file(r);
+  }
+  EXPECT_EQ(s.at(0).recent_distinct(2), (Sources{30, 20}));
+  EXPECT_EQ(s.at(0).recent_distinct(0), (Sources{30, 20, 10}));
+}
+
+TEST(SampleStore, RecentDistinctDeduplicates) {
+  // Newest round first, each round in its filed (canonical) order.
+  Store s(1, 1, 16, /*window=*/8);
+  for (const PeerId p : {10, 7}) s.store.stage(0, 0, p);
+  s.file(1);
+  for (const PeerId p : {20, 7, 8, 20}) s.store.stage(0, 0, p);
+  s.file(2);
+  for (const PeerId p : {30, 7}) s.store.stage(0, 0, p);
+  s.file(3);
+  EXPECT_EQ(s.at(0).recent_distinct(0), (Sources{30, 7, 20, 8, 10}));
+  EXPECT_EQ(s.at(0).recent_distinct(4), (Sources{30, 7, 20, 8}));
+}
+
+TEST(SampleStore, RecentDistinctHonorsExclusions) {
+  Store s(1, 1, 16, /*window=*/8);
+  for (const PeerId p : {1, 2, 3, 2}) s.store.stage(0, 0, p);
+  s.file(1);
+  for (const PeerId p : {4, 1}) s.store.stage(0, 0, p);
+  s.file(2);
+  const Sources exclude{2, 4};
+  EXPECT_EQ(s.at(0).recent_distinct(0, exclude), (Sources{1, 3}));
+  const PeerId self = 1;
+  EXPECT_EQ(s.at(0).recent_distinct(2, std::span(&self, 1)),
+            (Sources{4, 2}));
+  EXPECT_TRUE(s.at(0).recent_distinct(0, Sources{1, 2, 3, 4}).empty());
+}
+
+TEST(SampleStore, RingWrapsAround500Rounds) {
+  // Rolling window over many laps of the ring: every query stays exact.
+  const Round window = 16;
+  Store s(3, 2, 16, window);
+  for (Round r = 1; r <= 500; ++r) {
+    s.store.stage(1, 0, static_cast<PeerId>(2 * r));
+    s.store.stage(0, 0, static_cast<PeerId>(2 * r + 1));
+    s.store.stage(0, 2, static_cast<PeerId>(r));
+    s.file(r);
+    const std::size_t kept = static_cast<std::size_t>(std::min(r, window + 1));
+    ASSERT_EQ(s.at(0).total(), 2 * kept) << "round " << r;
+    ASSERT_EQ(s.at(2).total(), kept) << "round " << r;
+  }
+  EXPECT_EQ(s.at(0).count_at(500), 2u);
+  EXPECT_EQ(s.at(0).count_at(500 - window), 2u);
+  EXPECT_EQ(s.at(0).count_at(500 - window - 1), 0u);
+  EXPECT_EQ(sources(s.at(0).at(490)), (Sources{981, 980}));
+  EXPECT_EQ(sources(s.at(2).at(490)), (Sources{490}));
+  EXPECT_TRUE(s.at(1).empty());
+}
+
+TEST(SampleStore, OverfullRoundRegrowsItsSlot) {
+  // The attach-time sizing is a steady-state estimate, not a limit: a round
+  // that overflows it regrows that slot's array and files exactly.
+  Store s(4, 2, 16, /*window=*/4, /*per_vertex=*/1);
+  Sources want;
+  for (PeerId p = 0; p < 500; ++p) {
+    s.store.stage(p % 2, 3, 1000 + p);
+  }
+  for (PeerId p = 0; p < 500; p += 2) want.push_back(1000 + p);
+  for (PeerId p = 1; p < 500; p += 2) want.push_back(1000 + p);
+  s.store.stage(0, 2, 7);
+  s.file(1);
+  EXPECT_EQ(sources(s.at(3).at(1)), want);
+  EXPECT_EQ(sources(s.at(2).at(1)), (Sources{7}));
 }
 
 }  // namespace

@@ -128,11 +128,15 @@ SimConfig soup_config(std::uint32_t n, std::uint32_t shards) {
 
 using ProbeLog = std::vector<std::tuple<std::uint64_t, Vertex, Round>>;
 
+/// One vertex's visible samples as (round, source), oldest round first and
+/// each round in filed order.
+using SampleLog = std::vector<std::pair<Round, PeerId>>;
+
 /// Runs the soup for 3 tau rounds under churn (plus a few probes) and
-/// captures everything observable: per-vertex sample buffers (exact order),
-/// live token count, metric counters, probe completions in hook order.
+/// captures everything observable: per-vertex samples (exact order), live
+/// token count, metric counters, probe completions in hook order.
 struct SoupRun {
-  std::vector<SampleBuffer> samples;
+  std::vector<SampleLog> samples;
   std::size_t tokens_alive = 0;
   std::uint64_t completed = 0, lost = 0, queued = 0, spawned = 0;
   RunningStat max_bits;
@@ -156,7 +160,13 @@ SoupRun run_soup(std::uint32_t n, std::uint32_t shards, ThreadPool* pool) {
     soup.step();
     net.deliver();
   }
-  for (Vertex v = 0; v < n; ++v) run.samples.push_back(soup.samples(v));
+  for (Vertex v = 0; v < n; ++v) {
+    SampleLog& log = run.samples.emplace_back();
+    const VertexSamples got = soup.samples(v);
+    for (Round r = 0; r <= net.round(); ++r) {
+      for (const PeerId src : got.at(r)) log.emplace_back(r, src);
+    }
+  }
   run.tokens_alive = soup.tokens_alive();
   run.completed = net.metrics().tokens_completed();
   run.lost = net.metrics().tokens_lost();
@@ -177,8 +187,7 @@ void expect_identical(const SoupRun& a, const SoupRun& b) {
   EXPECT_EQ(a.probes, b.probes) << "probe hooks fired in a different order";
   ASSERT_EQ(a.samples.size(), b.samples.size());
   for (std::size_t v = 0; v < a.samples.size(); ++v) {
-    EXPECT_TRUE(a.samples[v] == b.samples[v])
-        << "sample buffer diverged at vertex " << v;
+    EXPECT_EQ(a.samples[v], b.samples[v]) << "samples diverged at vertex " << v;
   }
 }
 
@@ -209,10 +218,11 @@ TEST(ShardedSoup, UnevenShardCountIsBitIdentical) {
 }
 
 TEST(SampleCohorts, BuffersAreBitIdenticalForSInOneThreeSixteen) {
-  // The cohort representation (shared exact-size arena blocks per
-  // (round, vertex) cohort) must be invisible: whole-buffer equality —
-  // group rounds, sizes, AND per-group insertion order — across S in
-  // {1, 3, 16}, serial and pooled.
+  // Each shard files its own vertices' cohorts (one round's arrivals at
+  // one vertex) into its own slot array, so the split must be invisible:
+  // every vertex's (round, source) list — rounds, sizes, AND the order
+  // within each round — is equal across S in {1, 3, 16}, serial and
+  // pooled.
   ThreadPool pool(4);
   const SoupRun s1 = run_soup(192, 1, nullptr);
   const SoupRun s3 = run_soup(192, 3, &pool);
