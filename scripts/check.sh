@@ -54,7 +54,7 @@ if command -v ninja >/dev/null 2>&1; then
   GENERATOR_ARGS+=(-G Ninja)
 fi
 
-SANITIZED_FILTER='Sharded*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
+SANITIZED_FILTER='Sharded*:LandmarkTable*:Landmark.*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
 
 if [[ "$SMOKE" == "1" ]]; then
   # Scenario smoke: every registered scenario once, tiny spec (n <= 2k,

@@ -23,8 +23,16 @@ void LandmarkManager::on_attach(Network& net_ref) {
   ttl_ = std::max<std::uint32_t>(
       4, static_cast<std::uint32_t>(config_.landmark_ttl_taus *
                                     committees_.tau()));
-  state_.assign(net().n(), {});
-  stage_.assign(net().shards().count(), {});
+  // A wave's lists are stored from its start round until its deepest level
+  // (created up to depth_ rounds later) expires ttl_ rounds after that.
+  const std::uint32_t shards = net().shards().count();
+  tables_ = std::vector<LandmarkTable>(shards);
+  stage_.clear();
+  stage_.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    tables_[s].attach(net().shard_arena(s), ttl_ + depth_ + 1);
+    stage_.emplace_back(&net().shard_arena(s));
+  }
   net().events().subscribe<LandmarkRebuildRequest>(
       [this](LandmarkRebuildRequest& req) {
         start_tree(req.vertex, req.kid, req.item, req.purpose,
@@ -32,25 +40,37 @@ void LandmarkManager::on_attach(Network& net_ref) {
       });
 }
 
-void LandmarkManager::on_churn(Vertex v, PeerId, PeerId) { state_[v].clear(); }
+LandmarkTable::Entry* LandmarkManager::held(Vertex v,
+                                            std::uint64_t kid) const {
+  return tables_[net().shards().shard_of(v)].find(v, kid);
+}
+
+bool LandmarkManager::current(const LandmarkTable::Entry& e, Vertex v) const {
+  return e.st.expiry - static_cast<Round>(ttl_) >= net().birth_round(v);
+}
+
+LandmarkTable::Entry* LandmarkManager::keep_listed(Vertex v, std::uint64_t kid,
+                                                   Round now) {
+  LandmarkTable::Entry* e = held(v, kid);
+  if (e == nullptr) return nullptr;
+  if (current(*e, v) && e->st.expiry >= now) return e;
+  e->indexed = false;
+  return nullptr;
+}
 
 const LandmarkState* LandmarkManager::state_at(Vertex v,
                                                std::uint64_t kid) const {
-  const auto it = state_[v].find(kid);
-  if (it == state_[v].end()) return nullptr;
-  if (it->second.expiry < net().round()) return nullptr;
-  return &it->second;
+  const LandmarkTable::Entry* e = held(v, kid);
+  return e != nullptr && current(*e, v) && e->st.expiry >= net().round()
+             ? &e->st
+             : nullptr;
 }
 
 std::size_t LandmarkManager::live_count(std::uint64_t kid) const {
   const auto it = index_.find(kid);
   if (it == index_.end()) return 0;
-  const Round now = net().round();
   std::size_t alive = 0;
-  for (const Vertex v : it->second) {
-    const auto sit = state_[v].find(kid);
-    if (sit != state_[v].end() && sit->second.expiry >= now) ++alive;
-  }
+  for (const Vertex v : it->second) alive += state_at(v, kid) != nullptr;
   return alive;
 }
 
@@ -106,32 +126,24 @@ void LandmarkManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   // Grow one tree level: every (vertex, kid) entry recruited last round
   // with depth to spare recruits its children. The jobs were staged by
   // this shard's own dispatch task, in canonical message order.
+  // Growing only sends, so the staged jobs are drained in place and the
+  // vector keeps its capacity for the next dispatch.
   ShardStage& stage = stage_[shard];
-  // shardcheck:ok(R6: level-grow queue swap-out: O(recruiting vertices per rebuild wave), landmark control plane outside the soup heap-quiet invariant)
-  std::vector<GrowJob> jobs;
-  jobs.swap(stage.grow_jobs);
-  for (const GrowJob& job : jobs) {
+  for (const GrowJob& job : stage.grow_jobs) {
     // An entry re-recruited by a later wave in the same round was staged
     // twice; the first job grows it and the second finds nothing pending.
-    const auto it = state_[job.v].find(job.kid);
-    if (it != state_[job.v].end() && it->second.pending_depth > 0) {
-      grow_children(job.v, it->second, &ctx);
+    LandmarkTable::Entry* e = held(job.v, job.kid);
+    if (e != nullptr && current(*e, job.v) && e->st.pending_depth > 0) {
+      grow_children(job.v, e->st, &ctx);
     }
   }
+  stage.grow_jobs.clear();
 
   // Periodic garbage collection of expired landmark state ("discards any
   // information about I" after the TTL, per Algorithm 2 step 4); this
-  // shard's vertex slice only — the global index sweeps at the merge.
+  // shard's table only — the global index sweeps at the merge.
   const Round now = net().round();
-  if (now % ttl_ == 0) {
-    for (Vertex v = ctx.begin(); v < ctx.end(); ++v) {
-      auto& st_map = state_[v];
-      // shardcheck:ok(R2: TTL sweep — each element is erased or kept independently, so visit order cannot change the result)
-      for (auto it = st_map.begin(); it != st_map.end();) {
-        it = (it->second.expiry < now) ? st_map.erase(it) : std::next(it);
-      }
-    }
-  }
+  if (now % ttl_ == 0) tables_[shard].sweep(now);
 }
 
 void LandmarkManager::on_round_merge() {
@@ -142,7 +154,7 @@ void LandmarkManager::on_round_merge() {
     auto& verts = it->second;
     std::size_t write = 0;
     for (const Vertex v : verts) {
-      if (state_[v].count(it->first)) verts[write++] = v;
+      if (keep_listed(v, it->first, now) != nullptr) verts[write++] = v;
     }
     verts.resize(write);
     it = verts.empty() ? index_.erase(it) : std::next(it);
@@ -153,38 +165,38 @@ bool LandmarkManager::on_message(Vertex v, const Message& m,
                                  ShardContext& ctx) {
   if (m.type != MsgType::kLandmarkGrow) return false;
   ShardStage& stage = stage_[ctx.shard()];
+  LandmarkTable& table = tables_[ctx.shard()];
   const std::uint64_t kid = m.words[0];
   const std::uint64_t wave = m.words[5];
-  auto& st_map = state_[v];
-  const auto it = st_map.find(kid);
-  if (it != st_map.end() && it->second.wave == wave &&
-      it->second.expiry >= net().round()) {
+  const Round now = net().round();
+  LandmarkTable::Entry* e = table.find(v, kid);
+  const bool present = e != nullptr && current(*e, v);
+  if (present && e->st.wave == wave && e->st.expiry >= now) {
     // Already recruited into this wave's tree ("unused" check of the paper,
     // resolved at the child): the branch dies here.
     ++stage.collisions;
     return true;
   }
-  LandmarkState st;
-  st.kid = kid;
+  // An entry of an earlier wave (even expired, until swept) or of an
+  // earlier peer is overwritten in place; the latter counts as absent.
+  if (e == nullptr) e = &table.add(v, kid);
+  LandmarkState& st = e->st;
   st.item = m.words[1];
   st.purpose = static_cast<Purpose>(m.words[2]);
   st.search_root = m.words[3];
   const auto depth = static_cast<std::uint32_t>(m.words[4]);
   st.wave = wave;
-  const std::uint64_t count = m.words[6];
-  // shardcheck:ok(R6: committee list decode from a landmark-grow message: O(committee size) per rebuild event)
-  st.committee.assign(
-      m.words.begin() + kCommitteeAt,
-      m.words.begin() + kCommitteeAt + static_cast<std::ptrdiff_t>(count));
-  st.expiry = net().round() + ttl_;
+  st.expiry = now + ttl_;
   st.pending_depth = depth > 1 ? depth - 1 : 0;
-  const bool was_absent = (it == st_map.end());
-  const bool grows = st.pending_depth > 0;
-  st_map[kid] = std::move(st);
-  // shardcheck:ok(R6: staged growth jobs: O(recruited landmarks per rebuild wave))
-  if (grows) stage.grow_jobs.push_back(GrowJob{v, kid});
-  // shardcheck:ok(R6: staged index update: O(new landmarks per rebuild wave))
-  if (was_absent) stage.index_add.emplace_back(kid, v);
+  const std::span<const PeerId> members(m.words.data() + kCommitteeAt,
+                                        m.words[6]);
+  st.committee = table.intern(kid, wave, members, now, st.expiry);
+  if (st.pending_depth > 0) stage.grow_jobs.push_back(GrowJob{v, kid});
+  // A vertex whose earlier peer's entry is still listed is not listed twice.
+  if (!present && !e->indexed) {
+    e->indexed = true;
+    stage.index_add.emplace_back(kid, v);
+  }
   ++stage.created;
   return true;
 }

@@ -1,6 +1,7 @@
 #include "storage/search_protocol.h"
 
 #include <algorithm>
+#include <span>
 
 namespace churnstore {
 
@@ -86,21 +87,21 @@ void SearchManager::finish(std::uint64_t sid) {
 
 void SearchManager::reply_if_holder(Vertex v, ItemId item, std::uint64_t sid,
                                     PeerId to, ShardContext& ctx) {
-  const std::vector<PeerId>* holders = nullptr;
+  std::span<const PeerId> holders;
   if (const Membership* mem = committees_.membership_at(v, item);
       mem && mem->purpose == Purpose::kStorage) {
-    holders = &mem->members;
+    holders = mem->members;
   } else if (const LandmarkState* lm = landmarks_.state_at(v, item);
              lm && lm->purpose == Purpose::kStorage) {
-    holders = &lm->committee;
+    holders = lm->committee;
   }
-  if (!holders || holders->empty()) return;
+  if (holders.empty()) return;
   Message msg;
   msg.src = net().peer_at(v);
   msg.dst = to;
   msg.type = MsgType::kInquiryHit;
-  msg.words = {item, sid, holders->size()};
-  msg.words.insert(msg.words.end(), holders->begin(), holders->end());
+  msg.words = {item, sid, holders.size()};
+  msg.words.insert(msg.words.end(), holders.begin(), holders.end());
   ctx.send(v, std::move(msg));
 }
 
