@@ -48,7 +48,7 @@ CHURNSTORE_SCENARIO(capacity,
   ThreadPool pool(base.threads);
   // Per-phase columns isolate where a round goes: soup = TokenSoup's token
   // moves, handlers = every other protocol's (sharded) round hooks,
-  // delivery = outbox flush + inbox fill + message dispatch. Each prints as
+  // delivery = lane flush + inbox filing + message dispatch. Each prints as
   // rounds/sec of that phase alone, so the handler-sharding win is
   // measurable separately from the soup's.
   Table t({"n", "shards", "churn/rd", "rounds/sec", "speedup", "soup r/s",

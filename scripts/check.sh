@@ -54,7 +54,7 @@ if command -v ninja >/dev/null 2>&1; then
   GENERATOR_ARGS+=(-G Ninja)
 fi
 
-SANITIZED_FILTER='Sharded*:LandmarkTable*:Landmark.*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
+SANITIZED_FILTER='Sharded*:LandmarkTable*:Landmark.*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:MessagePipe.*:Network.*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
 
 if [[ "$SMOKE" == "1" ]]; then
   # Scenario smoke: every registered scenario once, tiny spec (n <= 2k,
@@ -150,9 +150,11 @@ fi
 
 if [[ "$ASAN" == "1" ]]; then
   # ASan+UBSan build: every arena-backed container (SmallVec message
-  # words/blobs, sample-store slot arrays, token queues, outbox lanes) is
-  # exercised by the sharded suite; leaks (blocks that never return to
-  # their arena) and lifetime/UB bugs fail the run.
+  # words/blobs, sample-store slot arrays, token queues, send lanes and the
+  # held lanes inboxes point into) is exercised by the sharded, Network and
+  # MessagePipe suites; leaks (blocks that never return to their arena),
+  # inbox pointers that outlive their held lane, and other lifetime/UB bugs
+  # fail the run.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON -DCHURNSTORE_ASAN=ON
@@ -168,7 +170,8 @@ fi
 if [[ "$TSAN" == "1" ]]; then
   # TSan build: only the concurrency-sensitive tests are worth the ~10x
   # slowdown — the sharded engine suite drives every protocol's round path
-  # and the message dispatch across a real ThreadPool.
+  # and the message dispatch across a real ThreadPool, including the
+  # send-time sender charges that shard tasks write to their own vertices.
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON -DCHURNSTORE_TSAN=ON

@@ -95,8 +95,9 @@ class ShardContext {
 
   [[nodiscard]] Network& net() const noexcept { return net_; }
 
-  /// Queue a message from the peer at `from` (staged on this shard's lane;
-  /// charged and merged canonically at the next lane flush).
+  /// Queue a message from the peer at `from`, which must be a vertex of
+  /// this shard (Network::send_sharded throws otherwise). It is charged to
+  /// `from` now and merged canonically at the next lane flush.
   void send(Vertex from, Message&& m) {
     net_.send_sharded(shard_, from, std::move(m));
   }

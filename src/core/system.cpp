@@ -123,11 +123,12 @@ void P2PSystem::dispatch_inboxes() {
     }
   });
   for (const auto& p : protocols_) p->on_dispatch_merge();
-  // Flush the reply lanes NOW so next round's first protocol phase never
-  // shares a lane with this round's replies (sharing would interleave the
-  // two streams per shard, an S-dependent order). The charges land after
-  // end_round, i.e. on the next round — exactly where the serial engine
-  // charged dispatch-time sends.
+  // Each inbox is a view into the send lanes the messages were built in;
+  // the replies go into the lanes deliver() emptied. Flush them NOW so next
+  // round's first protocol phase appends behind them rather than joining
+  // their run (one run per lane per flush keeps the order S-independent).
+  // Replies are charged after deliver()'s end_round, i.e. to the next
+  // round — exactly where the serial engine charged dispatch-time sends.
   net_->flush_shard_lanes();
 }
 

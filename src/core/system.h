@@ -53,7 +53,7 @@ struct RoundPhaseTimers {
   double churn_secs = 0;     ///< begin_round: adversary churn + edges
   double soup_secs = 0;      ///< TokenSoup round work (sharded token moves)
   double handler_secs = 0;   ///< every other protocol's round hooks
-  double deliver_secs = 0;   ///< outbox flush + inbox fill
+  double deliver_secs = 0;   ///< lane flush + inbox filing
   double dispatch_secs = 0;  ///< on_message dispatch over all inboxes
 
   void reset() noexcept { *this = RoundPhaseTimers{.enabled = enabled}; }

@@ -9,10 +9,13 @@
 //
 // Queueing: serial protocol code queues through Network::send; shard tasks
 // of the sharded round engine queue through Network::send_sharded (one
-// lock-free lane per shard). Network::deliver merges the lanes behind the
-// serial outbox in ascending shard order, which keeps delivery order — and
-// therefore every downstream protocol decision — independent of the shard
-// count (see util/sharding.h for why contiguous shards make that hold).
+// lock-free lane per shard). A message is never copied after that: it stays
+// in its lane until the round after it is dispatched, and the outbox order
+// is a list of runs over the lanes — serial sends where they are made, each
+// lane flush's shard lanes in ascending shard order. That keeps delivery
+// order — and therefore every downstream protocol decision — independent of
+// the shard count (see util/sharding.h for why contiguous shards make that
+// hold, and net/network.h for the pipe).
 #pragma once
 
 #include <cstdint>

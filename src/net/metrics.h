@@ -41,6 +41,7 @@ class Metrics {
   }
   void add_total_bits(std::uint64_t bits) noexcept { total_bits_ += bits; }
   void count_message() noexcept { ++total_messages_; }
+  void count_messages(std::uint64_t k) noexcept { total_messages_ += k; }
   void count_dropped() noexcept { ++dropped_messages_; }
   void count_tokens_lost(std::uint64_t k) noexcept { tokens_lost_ += k; }
   void count_tokens_completed(std::uint64_t k) noexcept { tokens_completed_ += k; }

@@ -1,5 +1,8 @@
 #include "net/network.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "graph/regular_generator.h"
@@ -34,15 +37,18 @@ Network::Network(const SimConfig& config)
       shards_(config.n, config.shards != 0
                             ? config.shards
                             : std::max(1u, std::thread::hardware_concurrency())),
-      inbox_(config.n),
+      inbox_ends_(config.n, 0),
       metrics_(config.n, shards_.count()) {
   arenas_.reserve(shards_.count());
-  shard_lanes_.reserve(shards_.count());
-  deliver_buckets_.resize(shards_.count());
+  out_lanes_.reserve(shards_.count() + 1);
+  inboxes_.reserve(shards_.count());
   for (std::uint32_t s = 0; s < shards_.count(); ++s) {
     arenas_.push_back(std::make_unique<Arena>());
-    shard_lanes_.emplace_back(arenas_.back().get());
+    out_lanes_.emplace_back(arenas_.back().get(), shards_.begin(s),
+                            shards_.end(s));
+    inboxes_.emplace_back(arenas_.back().get());
   }
+  out_lanes_.emplace_back(nullptr, 0, 0);  // the serial lane
   vertex_of_.init(config.n);
   for (Vertex v = 0; v < config_.n; ++v) {
     peer_at_[v] = next_peer_++;
@@ -111,9 +117,15 @@ const std::vector<Vertex>& Network::begin_round() {
       break;
   }
 
-  // (3) Fresh inboxes for the new round.
-  for (auto& box : inbox_) box.clear();
+  // (3) Release the last delivery: its messages die here, in serial context,
+  // so their spilled words/blobs return to the arenas they came from.
+  release_delivered();
   return last_churned_;
+}
+
+void Network::release_delivered() {
+  for (OutLane& lane : out_lanes_) lane.held.clear();
+  for (InboxShard& box : inboxes_) box.filed.clear();
 }
 
 void Network::send(Vertex from, const Message& m) { send(from, Message(m)); }
@@ -121,12 +133,25 @@ void Network::send(Vertex from, const Message& m) { send(from, Message(m)); }
 void Network::send(Vertex from, Message&& m) {
   metrics_.charge_bits(from, m.size_bits());
   metrics_.count_message();
-  outbox_.push_back(std::move(m));
+  const auto serial = static_cast<std::uint32_t>(out_lanes_.size() - 1);
+  MessageLane& msgs = out_lanes_[serial].msgs;
+  if (runs_.empty() || runs_.back().lane != serial) {
+    const auto at = static_cast<std::uint32_t>(msgs.size());
+    runs_.push_back(Run{serial, at, at});
+  }
+  msgs.push_back(std::move(m));
+  ++runs_.back().end;
 }
 
 void Network::send_sharded(std::uint32_t shard, Vertex from, Message&& m) {
-  OutLane& lane = shard_lanes_[shard];
-  lane.froms.push_back(from);
+  OutLane& lane = out_lanes_[shard];
+  if (from < lane.lo || from >= lane.hi) {
+    throw std::logic_error("send_sharded: vertex " + std::to_string(from) +
+                           " is not in shard " + std::to_string(shard));
+  }
+  const std::uint64_t bits = m.size_bits();
+  metrics_.charge_bits_local(from, bits, shard);
+  lane.bits += bits;
   lane.msgs.push_back(std::move(m));
 }
 
@@ -147,18 +172,21 @@ void Network::run_sharded(const std::function<void(std::uint32_t)>& fn) {
       count, [&task](std::size_t s) { task(static_cast<std::uint32_t>(s)); });
 }
 
+// shardcheck:hot-path(runs every protocol phase; runs_ grows to a steady per-round count)
 void Network::flush_shard_lanes() {
   // Ascending shard order + ascending vertex iteration inside each shard
   // task = merged stream in ascending global sender order, independent of
   // the shard count (see send_sharded).
-  for (OutLane& lane : shard_lanes_) {
-    for (std::size_t i = 0; i < lane.msgs.size(); ++i) {
-      metrics_.charge_bits(lane.froms[i], lane.msgs[i].size_bits());
-      metrics_.count_message();
-      outbox_.push_back(std::move(lane.msgs[i]));
+  for (std::uint32_t s = 0; s < shards_.count(); ++s) {
+    OutLane& lane = out_lanes_[s];
+    const auto end = static_cast<std::uint32_t>(lane.msgs.size());
+    if (end != lane.flushed) {
+      runs_.push_back(Run{s, lane.flushed, end});
+      metrics_.count_messages(end - lane.flushed);
+      metrics_.add_total_bits(lane.bits);
+      lane.flushed = end;
+      lane.bits = 0;
     }
-    lane.msgs.clear();
-    lane.froms.clear();
     for (const auto& [v, bits] : lane.charges) metrics_.charge_bits(v, bits);
     lane.charges.clear();
   }
@@ -168,36 +196,63 @@ void Network::flush_shard_lanes() {
   if (trace_ != nullptr) trace_->flush_lanes();
 }
 
+// shardcheck:hot-path(every round; the filing buffers keep their peak capacity)
 void Network::deliver() {
   flush_shard_lanes();
+  release_delivered();  // a second deliver() in one round replaces the first
 
-  // Serial pass: resolve destinations, count drops, account the global bit
-  // total, and bucket surviving messages by destination shard.
-  for (auto& bucket : deliver_buckets_) bucket.clear();
-  for (std::size_t i = 0; i < outbox_.size(); ++i) {
-    const std::optional<Vertex> v = find_vertex(outbox_[i].dst);
-    if (!v) {
-      metrics_.count_dropped();
-      continue;
+  // Serial pass: resolve destinations in outbox order, count drops, account
+  // the global bit total, and file surviving messages by destination shard.
+  for (const Run& run : runs_) {
+    const MessageLane& msgs = out_lanes_[run.lane].msgs;
+    for (std::uint32_t i = run.first; i < run.end; ++i) {
+      const Message& m = msgs[i];
+      const std::optional<Vertex> v = find_vertex(m.dst);
+      if (!v) {
+        metrics_.count_dropped();
+        continue;
+      }
+      metrics_.add_total_bits(m.size_bits());
+      inboxes_[shards_.shard_of(*v)].filed.emplace_back(&m, *v);
     }
-    metrics_.add_total_bits(outbox_[i].size_bits());
-    deliver_buckets_[shards_.shard_of(*v)].emplace_back(
-        static_cast<std::uint32_t>(i), *v);
+  }
+  runs_.clear();
+  // Hand the delivered buffers to dispatch: a swap moves no element, so the
+  // filed pointers stay valid; the emptied buffers take the replies.
+  for (OutLane& lane : out_lanes_) {
+    lane.msgs.swap(lane.held);
+    lane.flushed = 0;
   }
 
-  // Sharded pass: each destination shard files its own messages, scanning
-  // its bucket in staging (= outbox = sender) order, so every per-vertex
-  // inbox sequence equals the serial one. Receiving also costs processing;
-  // charge the receiver symmetrically so the per-node bound covers both
-  // directions.
-  run_sharded([this](std::uint32_t s) {
-    for (const auto& [i, v] : deliver_buckets_[s]) {
-      Message& m = outbox_[i];
-      metrics_.charge_bits_local(v, m.size_bits(), s);
-      inbox_[v].push_back(std::move(m));
-    }
-  });
-  outbox_.clear();
+  std::uint32_t filed = 0;
+  for (InboxShard& box : inboxes_) {
+    box.base = filed;
+    filed += static_cast<std::uint32_t>(box.filed.size());
+  }
+  if (filed != 0) {
+    if (inbox_ptrs_.size() < filed) inbox_ptrs_.resize(filed);
+    // Sharded pass: each destination shard counting-sorts its bucket (in
+    // outbox order) into its slice of inbox_ptrs_, so every inbox keeps the
+    // outbox order. Receiving also costs processing; charge the receiver
+    // symmetrically so the per-node bound covers both directions.
+    run_sharded([this](std::uint32_t s) {
+      const InboxShard& box = inboxes_[s];
+      if (box.filed.empty()) return;
+      std::uint32_t* ends = inbox_ends_.data();
+      std::fill(ends + shards_.begin(s), ends + shards_.end(s), 0u);
+      for (const auto& [m, v] : box.filed) ++ends[v];
+      std::uint32_t at = box.base;
+      for (Vertex v = shards_.begin(s); v < shards_.end(s); ++v) {
+        const std::uint32_t count = ends[v];
+        ends[v] = at;
+        at += count;
+      }
+      for (const auto& [m, v] : box.filed) {
+        inbox_ptrs_[ends[v]++] = m;
+        metrics_.charge_bits_local(v, m->size_bits(), s);
+      }
+    });
+  }
   metrics_.end_round();
 }
 

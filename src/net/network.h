@@ -16,6 +16,20 @@
 //   3. deliver(): messages sent this round reach live targets by the end of
 //      the round; messages to churned-out peers vanish.
 //
+// The message pipe. A message is built once and never copied on its way to
+// the receiver: it stays in the lane it was sent on (one per shard, plus
+// one serial lane) until the round after it is dispatched. The canonical
+// outbox order is a list of (lane, first, end) runs — a serial send opens
+// or extends a serial run, each lane flush appends one run per non-empty
+// shard lane in ascending shard order. deliver() walks the runs once,
+// buckets (message pointer, vertex) by destination shard, and each
+// destination shard counting-sorts its bucket into a flat pointer array
+// with per-vertex end offsets, so every inbox is a slice of pointers in
+// outbox order. The delivered lane buffers are then swapped into per-lane
+// "held" buffers (no element moves, so the pointers stay valid), dispatch
+// reads them in place while its replies fill the emptied lanes, and the
+// next begin_round() destroys them.
+//
 // Cross-module coupling goes through the typed EventBus (events()):
 //   PeerChurned        — published for every replaced vertex slot.
 //   AdaptiveTargetQuery — published by the kAdaptive adversary before each
@@ -23,7 +37,9 @@
 //                         victims; see AdversaryKind::kAdaptive.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -67,6 +83,58 @@ struct AdaptiveTargetQuery {
   std::vector<Vertex> victims;
 };
 
+/// Read-only view of the messages delivered to one vertex, in outbox order.
+/// Valid until the next Network::begin_round() or Network::deliver().
+class InboxView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Message;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Message*;
+    using reference = const Message&;
+
+    iterator() = default;
+    explicit iterator(const Message* const* at) noexcept : at_(at) {}
+    reference operator*() const noexcept { return **at_; }
+    pointer operator->() const noexcept { return *at_; }
+    iterator& operator++() noexcept {
+      ++at_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator prev = *this;
+      ++at_;
+      return prev;
+    }
+    friend bool operator==(iterator a, iterator b) noexcept {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    const Message* const* at_ = nullptr;
+  };
+
+  InboxView() = default;
+  InboxView(const Message* const* first, const Message* const* last) noexcept
+      : first_(first), last_(last) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(last_ - first_);
+  }
+  [[nodiscard]] bool empty() const noexcept { return first_ == last_; }
+  [[nodiscard]] const Message& operator[](std::size_t i) const noexcept {
+    return *first_[i];
+  }
+  [[nodiscard]] iterator begin() const noexcept { return iterator(first_); }
+  [[nodiscard]] iterator end() const noexcept { return iterator(last_); }
+
+ private:
+  const Message* const* first_ = nullptr;
+  const Message* const* last_ = nullptr;
+};
+
 class Network {
  public:
   explicit Network(const SimConfig& config);
@@ -88,7 +156,8 @@ class Network {
 
   /// --- round driver -----------------------------------------------------
   /// Advances to the next round: adversary churn + edge dynamics. Returns
-  /// the churned vertex set (fresh peers already installed).
+  /// the churned vertex set (fresh peers already installed). Destroys the
+  /// messages the last deliver() handed out, so every inbox reads empty.
   const std::vector<Vertex>& begin_round();
 
   /// Queue a direct message from the peer at vertex `from` (charged to it).
@@ -97,36 +166,48 @@ class Network {
   void send(Vertex from, Message&& m);
 
   /// Queue a message from shard task `shard` (one lane per shard, so
-  /// concurrent shards never contend). Charging is deferred to deliver(),
-  /// where lanes merge behind the serial outbox in ascending shard order.
+  /// concurrent shards never contend). The sender is charged now, on the
+  /// shard's own counters; the message count and the global bit total are
+  /// settled when the lane flushes, which also places the lane's new
+  /// messages behind the serial ones in ascending shard order.
   /// Deterministic-merge contract: a shard task that iterates its contiguous
   /// vertex range in ascending order makes the merged stream equal to the
   /// ascending global vertex order — independent of shard count.
+  /// Throws std::logic_error (and queues nothing) when `from` is not a
+  /// vertex of `shard`: charging it from this task would race.
   void send_sharded(std::uint32_t shard, Vertex from, Message&& m);
 
-  /// Charge processing bits to `v` from shard task `shard`. Deferred like
-  /// send_sharded (the per-vertex counters are not safe to touch for
-  /// vertices outside the calling shard); settled at the next lane flush.
+  /// Charge processing bits to `v` from shard task `shard`. Deferred (the
+  /// per-vertex counters are not safe to touch for vertices outside the
+  /// calling shard); settled at the next lane flush.
   void charge_sharded(std::uint32_t shard, Vertex v, std::uint64_t bits) {
-    shard_lanes_[shard].charges.emplace_back(v, bits);
+    out_lanes_[shard].charges.emplace_back(v, bits);
   }
 
-  /// Merge the shard lanes behind the serial outbox in ascending shard
-  /// order and settle their deferred charges. The round driver calls this
-  /// after EACH protocol's sharded phase: flushing per phase keeps the
-  /// global outbox ordered [protocol A in vertex order, protocol B in
-  /// vertex order, ...] for every shard count — lanes never interleave two
-  /// protocols' sends. deliver() flushes once more for stragglers.
+  /// Append each shard lane's new messages to the outbox order as one run,
+  /// in ascending shard order, and settle the lanes' deferred charges. The
+  /// round driver calls this after EACH protocol's sharded phase: flushing
+  /// per phase keeps the outbox ordered [protocol A in vertex order,
+  /// protocol B in vertex order, ...] for every shard count — lanes never
+  /// interleave two protocols' sends. deliver() flushes once more for
+  /// stragglers.
   void flush_shard_lanes();
 
-  /// Deliver all queued messages into per-vertex inboxes; drops messages
-  /// whose destination peer is gone. Inbox fill runs sharded by destination
-  /// (per-vertex order is the outbox order either way). Ends per-round
-  /// metric accounting.
+  /// Deliver all queued messages; drops messages whose destination peer is
+  /// gone. Inbox filing runs sharded by destination (per-vertex order is
+  /// the outbox order either way). Ends per-round metric accounting.
   void deliver();
 
-  [[nodiscard]] const std::vector<Message>& inbox(Vertex v) const noexcept {
-    return inbox_[v];
+  /// The messages the last deliver() filed for `v`, in outbox order. Valid
+  /// until the next begin_round() or deliver(); empty before the first
+  /// deliver().
+  [[nodiscard]] InboxView inbox(Vertex v) const noexcept {
+    const std::uint32_t s = shards_.shard_of(v);
+    const InboxShard& box = inboxes_[s];
+    if (box.filed.empty()) return {};
+    const std::uint32_t first = v == shards_.begin(s) ? box.base
+                                                       : inbox_ends_[v - 1];
+    return {inbox_ptrs_.data() + first, inbox_ptrs_.data() + inbox_ends_[v]};
   }
 
   /// Charge non-message processing work (e.g. token forwarding) to a node.
@@ -193,6 +274,8 @@ class Network {
 
  private:
   void churn_vertex(Vertex v);
+  /// Destroy the held messages and empty every inbox (serial context).
+  void release_delivered();
 
   SimConfig config_;
   Rng topology_rng_;   ///< adversary-side: graph generation + rewiring
@@ -222,27 +305,60 @@ class Network {
   /// the containers are destroyed first (they return blocks to the arenas).
   std::vector<std::unique_ptr<Arena>> arenas_;
 
-  std::vector<Message> outbox_;
-  /// One lane per shard for send_sharded / charge_sharded; sender vertices
-  /// ride along so the deferred metrics charge lands on the right node at
-  /// flush time. The lane vectors themselves are arena-backed: they churn
-  /// every round and the shard's own task does all the growing.
+  using MessageLane = std::vector<Message, ArenaAllocator<Message>>;
+  /// One send lane: shard lanes draw from their shard's arena, the serial
+  /// lane (the last one) from the global heap. `msgs` holds what was sent
+  /// since the last deliver(); `held` holds what that deliver() filed, read
+  /// in place by dispatch until begin_round() destroys it. deliver() swaps
+  /// the two buffers, which moves no element.
   struct OutLane {
-    std::vector<Message, ArenaAllocator<Message>> msgs;
-    std::vector<Vertex, ArenaAllocator<Vertex>> froms;
+    MessageLane msgs;
+    MessageLane held;
     std::vector<std::pair<Vertex, std::uint64_t>,
                 ArenaAllocator<std::pair<Vertex, std::uint64_t>>>
         charges;
+    std::uint64_t bits = 0;     ///< size_bits() sum of msgs[flushed, end)
+    std::uint32_t flushed = 0;  ///< msgs[0, flushed) already sit in runs_
+    Vertex lo = 0;              ///< the shard's vertex range, [lo, hi): the
+    Vertex hi = 0;              ///< send_sharded check (empty for serial)
 
-    explicit OutLane(Arena* a) : msgs(ArenaAllocator<Message>(a)),
-                                 froms(ArenaAllocator<Vertex>(a)),
-                                 charges(ArenaAllocator<std::pair<Vertex, std::uint64_t>>(a)) {}
+    OutLane(Arena* a, Vertex begin, Vertex end)
+        : msgs(ArenaAllocator<Message>(a)),
+          held(ArenaAllocator<Message>(a)),
+          charges(ArenaAllocator<std::pair<Vertex, std::uint64_t>>(a)),
+          lo(begin),
+          hi(end) {}
   };
-  std::vector<OutLane> shard_lanes_;
-  std::vector<std::vector<Message>> inbox_;
-  /// Destination-shard buckets of (outbox index, dest vertex), reused
-  /// across rounds.
-  std::vector<std::vector<std::pair<std::uint32_t, Vertex>>> deliver_buckets_;
+  /// A stretch msgs[first, end) of lane `lane`, in canonical outbox order.
+  struct Run {
+    std::uint32_t lane = 0;
+    std::uint32_t first = 0;
+    std::uint32_t end = 0;
+  };
+  /// Per destination shard: the delivered (message, vertex) pairs in outbox
+  /// order, and where the shard's slice of inbox_ptrs_ starts.
+  struct InboxShard {
+    std::vector<std::pair<const Message*, Vertex>,
+                ArenaAllocator<std::pair<const Message*, Vertex>>>
+        filed;
+    std::uint32_t base = 0;  ///< first slot in inbox_ptrs_
+
+    explicit InboxShard(Arena* a)
+        : filed(ArenaAllocator<std::pair<const Message*, Vertex>>(a)) {}
+  };
+
+  /// shards_.count() shard lanes, then the serial lane.
+  std::vector<OutLane> out_lanes_;
+  /// Canonical outbox order since the last deliver(); cleared in place.
+  // shardcheck:arena-backed(at most one run per lane per flush plus one per serial burst; capacity steadies within the first rounds)
+  std::vector<Run> runs_;
+  std::vector<InboxShard> inboxes_;
+  /// Delivered messages grouped by vertex: destination shard s owns slots
+  /// [base, base + filed.size()); vertex v's inbox ends at inbox_ends_[v]
+  /// and starts where v - 1's ends (at base for the shard's first vertex).
+  // shardcheck:arena-backed(grows only to the peak delivered count of a round, never shrinks)
+  std::vector<const Message*> inbox_ptrs_;
+  std::vector<std::uint32_t> inbox_ends_;
   Metrics metrics_;
   std::uint64_t churn_events_ = 0;
 

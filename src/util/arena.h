@@ -1,7 +1,7 @@
 // Per-shard slab allocator with size-class freelists.
 //
 // The sharded round engine allocates the same transient buffers every round
-// — token queues, staged handoff buckets, outbox-lane vectors — and at
+// — token queues, staged handoff buckets, message send lanes — and at
 // n >= 100k the general-purpose allocator becomes a measurable cost (and a
 // fragmentation source: ~50M live tokens at n=100k, ~150M at n=1M). An
 // Arena carves fixed slabs into power-of-two blocks and recycles freed

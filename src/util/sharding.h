@@ -1,6 +1,6 @@
 // Deterministic partition of vertex slots into contiguous shards.
 //
-// The sharded round engine (TokenSoup::step, Network's sharded outboxes)
+// The sharded round engine (TokenSoup::step, Network's send lanes)
 // splits the vertex range [0, n) into `count` contiguous ranges and runs
 // each range as one task. Contiguity is load-bearing for determinism:
 // every shard scans its range in ascending vertex order, and every merge

@@ -14,8 +14,9 @@
 // there on growth/destruction. Growth and destruction must therefore happen
 // either on the task that owns that arena or in serial context between
 // phases. The round engine satisfies this naturally: messages are built and
-// grown on one shard task, MOVED across stages (moves never touch the
-// arena), and destroyed serially when inboxes/outboxes are cleared.
+// grown on one shard task, stay in that shard's send lane while they are
+// delivered and dispatched, and are destroyed serially when
+// Network::begin_round releases the held lanes.
 //
 // Only trivially copyable element types are supported: growth is memcpy,
 // destruction frees the block without element teardown, and moved-from

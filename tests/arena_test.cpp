@@ -1,5 +1,5 @@
 // util/arena.h — the per-shard slab allocator behind the sharded round
-// engine's token queues, handoff buckets, and outbox lanes.
+// engine's token queues, handoff buckets, and message send lanes.
 #include "util/arena.h"
 
 #include <gtest/gtest.h>

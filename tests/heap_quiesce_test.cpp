@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +123,78 @@ TEST_P(HeapQuiesceDriver, SteadyStateDriverRoundsAreHeapQuiet) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceDriver,
                          ::testing::Values(1u, 16u),
+                         shard_count_name);
+
+class HeapQuiesceHotspot : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(HeapQuiesceHotspot, MovingHotspotsAreHeapQuiet) {
+  // Every vertex sends two messages a round from its shard task, all to one
+  // hotspot vertex that moves every round. Once every lane and every
+  // destination shard has carried that volume, a new hotspot costs no
+  // allocation: the pipe files messages into shared per-shard buffers, so
+  // no per-vertex buffer has to grow to the hotspot's size.
+  if (!HeapQuiesceScope::supported()) {
+    GTEST_SKIP() << "sentinel unavailable: quiet() would be vacuous";
+  }
+  using churnstore::Message;
+  using churnstore::MsgType;
+  using churnstore::Vertex;
+  const std::uint32_t shards = GetParam();
+  constexpr std::uint32_t kN = 256;
+  SystemConfig cfg;
+  cfg.sim.n = kN;
+  cfg.sim.seed = 7;
+  cfg.sim.shards = shards;
+  cfg.sim.churn.kind = churnstore::AdversaryKind::kNone;
+  ThreadPool pool(0);
+  Network net(cfg.sim);
+  if (shards != 1) net.set_worker_pool(&pool);
+
+  Vertex hotspot = 0;
+  // Built once: constructing a std::function per round could allocate.
+  const std::function<void(std::uint32_t)> send_all = [&](std::uint32_t s) {
+    for (Vertex v = net.shards().begin(s); v < net.shards().end(s); ++v) {
+      for (std::uint64_t k = 0; k < 2; ++k) {
+        Message m;
+        m.src = net.peer_at(v);
+        m.dst = net.peer_at(hotspot);
+        m.type = MsgType::kProbe;
+        m.words = {v, k};
+        net.send_sharded(s, v, std::move(m));
+      }
+    }
+  };
+  std::uint64_t filed = 0;
+  const auto round_to = [&](Vertex to) {
+    hotspot = to;
+    net.begin_round();
+    net.run_sharded(send_all);
+    net.deliver();
+    filed += net.inbox(to).size();
+  };
+
+  // Warm-up: a hotspot in every destination shard, twice over, so both of
+  // each lane's buffers and every shard's filing bucket reach the volume.
+  for (std::uint32_t pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t s = 0; s < net.shards().count(); ++s) {
+      round_to(net.shards().begin(s));
+    }
+  }
+
+  constexpr std::uint32_t kRounds = 64;
+  filed = 0;
+  const HeapQuiesceScope probe;
+  for (std::uint32_t r = 0; r < kRounds; ++r) round_to((r * 61 + 5) % kN);
+  const auto d = probe.delta();
+  EXPECT_TRUE(probe.quiet())
+      << "moving hotspots allocated: " << d.allocs << " allocs / " << d.bytes
+      << " bytes over " << kRounds << " rounds at S=" << shards;
+  EXPECT_EQ(filed, std::uint64_t{kRounds} * 2 * kN)
+      << "every message must reach its hotspot";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceHotspot,
+                         ::testing::Values(1u, 4u),
                          shard_count_name);
 
 TEST(HeapQuiesceTracing, InstalledAndSampledTracingStaysHeapQuiet) {
