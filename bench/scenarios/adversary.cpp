@@ -7,8 +7,8 @@
 // lifetime-targeted (oldest/youngest-first) — and shows the guarantees are
 // strategy-independent (random placement makes all oblivious choices look
 // alike). Panel 2 flips the one switch the model forbids: an ADAPTIVE
-// adversary that subscribes to the AdaptiveTargetQuery event and churns
-// exactly the current committee members.
+// adversary whose targeter (Network::set_adaptive_targeter) churns exactly
+// the current committee members.
 #include "scenario_common.h"
 
 namespace churnstore {

@@ -40,10 +40,8 @@ CHURNSTORE_SCENARIO(capacity,
          "rounds/sec for one big run vs shard count; the workload outcome "
          "is bit-identical per n (sharding is an execution detail)");
 
-  std::vector<std::uint32_t> sweep;
-  for (const std::int64_t s : cli.get_int_list("shard-sweep", {1, 4, 16})) {
-    sweep.push_back(static_cast<std::uint32_t>(s));
-  }
+  const std::vector<std::uint32_t> sweep =
+      cli_count_list(cli, "shard-sweep", {1, 4, 16});
 
   ThreadPool pool(base.threads);
   // Per-phase columns isolate where a round goes: soup = TokenSoup's token
@@ -91,8 +89,8 @@ CHURNSTORE_SCENARIO(capacity,
       }
 
       // Timed section: full-stack rounds with searches in flight.
-      const auto measure = static_cast<std::uint32_t>(
-          cli.get_int("measure-rounds", 2 * sys.tau()));
+      const std::uint32_t measure =
+          cli_count(cli, "measure-rounds", 2 * sys.tau());
       sys.enable_phase_timing(true);
       sys.reset_phase_timers();
       const auto t0 = std::chrono::steady_clock::now();

@@ -30,8 +30,7 @@ CHURNSTORE_SCENARIO(committee, "E4: committee maintenance (Theorem 2)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {512};
   if (!cli.has("trials")) base.trials = 3;
-  const auto horizon_periods =
-      static_cast<std::uint32_t>(cli.get_int("periods", 24));
+  const std::uint32_t horizon_periods = cli_count(cli, "periods", 24);
 
   banner(base, "E4 committee — committee maintenance (Theorem 2)",
          "committee survival over many refresh periods vs churn; size stays "

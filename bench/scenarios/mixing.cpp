@@ -60,8 +60,7 @@ CHURNSTORE_SCENARIO(mixing, "E2: dynamic mixing time per edge mode (Lemma 1)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {1024};
   if (!cli.has("trials")) base.trials = 1;
-  const auto probes =
-      static_cast<std::uint32_t>(cli.get_int("probes", 40000));
+  const std::uint32_t probes = cli_count(cli, "probes", 40000);
 
   banner(base, "E2 mixing — dynamic mixing time (Lemma 1)",
          "single-source destination TVD vs walk length, per edge-dynamics "

@@ -83,7 +83,7 @@ CHURNSTORE_SCENARIO(soup, "E1: Soup Theorem probe uniformity (Theorem 1)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {256, 512, 1024};
   if (!cli.has("trials")) base.trials = 3;
-  const auto probes = static_cast<std::uint32_t>(cli.get_int("probes", 24));
+  const std::uint32_t probes = cli_count(cli, "probes", 24);
 
   banner(base, "E1 soup — Soup Theorem (Theorem 1)",
          "walks from a large Core land near-uniformly despite churn: "

@@ -34,8 +34,7 @@ CHURNSTORE_SCENARIO(soup_step,
                     "BENCH_soup_step.json baseline)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {4096, 16384};
-  const auto steps =
-      static_cast<std::uint32_t>(cli.get_int("steps", 128));
+  const std::uint32_t steps = cli_count(cli, "steps", 128);
   const bool want_counters = cli.get_bool("counters", false);
   // Big-n memory guard: the steady state holds ~ n * walks * length tokens
   // (x2 transiently during the handoff merge) plus the sample-buffer
@@ -73,10 +72,8 @@ CHURNSTORE_SCENARIO(soup_step,
         base.walk.rate_mult, base.walk.t_mult, base.walk.window_mult);
   }
 
-  std::vector<std::uint32_t> sweep;
-  for (const std::int64_t s : cli.get_int_list("shard-sweep", {1, 4, 16})) {
-    sweep.push_back(static_cast<std::uint32_t>(s));
-  }
+  const std::vector<std::uint32_t> sweep =
+      cli_count_list(cli, "shard-sweep", {1, 4, 16});
 
   ThreadPool pool(base.threads);
   std::vector<std::string> cols = {"n",       "shards",      "threads",

@@ -28,7 +28,7 @@ struct SurvivalRow {
 CHURNSTORE_SCENARIO(survival, "E3: walk survival under churn (Lemma 2)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {256, 512, 1024, 2048};
-  const auto probes = static_cast<std::uint32_t>(cli.get_int("probes", 24));
+  const std::uint32_t probes = cli_count(cli, "probes", 24);
 
   banner(base, "E3 survival — walk survival (Lemma 2)",
          "fraction of walks surviving to the mixing time vs churn; |S| = "

@@ -14,8 +14,10 @@
 #                               # n (<= 2k, trials=1) so a scenario that
 #                               # crashes or rejects its own spec fails CI,
 #                               # not the next person's experiment sweep;
-#                               # then the ledger's own smoke (its Release
-#                               # build, determinism and conservation gates)
+#                               # then every example at n=256 (a nonzero
+#                               # exit fails); then the ledger's own smoke
+#                               # (its Release build, determinism and
+#                               # conservation gates)
 #   scripts/check.sh --lint     # shardcheck determinism linter over
 #                               # src/ bench/ tests/, cross-checked against
 #                               # compile_commands.json so the lint file list
@@ -66,7 +68,11 @@ if [[ "$SMOKE" == "1" ]]; then
   BUILD_DIR="${BUILD_DIR:-build}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON
-  cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_driver
+  EXAMPLES=()
+  for src in examples/*.cpp; do
+    EXAMPLES+=("example_$(basename "$src" .cpp)")
+  done
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_driver "${EXAMPLES[@]}"
   DRIVER="$BUILD_DIR/bench_driver"
   TINY="n=256 trials=1 items=1 searches=3 batches=1 age-taus=0.5"
   SCENARIOS="$("$DRIVER" --list | awk '/^  /{print $1}')"
@@ -121,13 +127,20 @@ for path in chrome:
     assert all("ph" in e for e in events), f"{path}: event without ph"
 print(f"obs smoke: {len(jsonl)} jsonl + {len(chrome)} chrome files parse")
 PYEOF
+  # Example smoke: every program under examples/ end to end at n=256; a
+  # nonzero exit fails. kv_service is the one program that stacks a
+  # churn-hook user (SizeEstimator) on the paper stack.
+  for ex in "${EXAMPLES[@]}"; do
+    echo "== smoke: $ex n=256"
+    "$BUILD_DIR/$ex" n=256 >/dev/null
+  done
   # Benchmark smoke: every ledger workload at tiny n, untraced and traced.
   # It builds the engine from source into build-ledger/, so this also shows
   # the benchmark still compiles against the engine and passes its gates.
   echo "== smoke: ledger"
   python3 ledger/run.py --smoke
   echo
-  echo "check.sh --smoke: every registered scenario and ledger workload ran at tiny n"
+  echo "check.sh --smoke: every registered scenario, example and ledger workload ran at tiny n"
   exit 0
 fi
 

@@ -55,7 +55,7 @@ void CommitteeManager::on_churn(Vertex v, PeerId, PeerId) {
 }
 
 void CommitteeManager::expose_to_adaptive_adversary() {
-  net().events().subscribe<AdaptiveTargetQuery>([this](AdaptiveTargetQuery& q) {
+  net().set_adaptive_targeter([this](AdaptiveTargetQuery& q) {
     for (const Vertex v : occupied_vertices(q.quota)) q.victims.push_back(v);
   });
 }
@@ -436,12 +436,12 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
       // First landmark wave right after creation (members install at the end
       // of epoch_base + 1, so their first active round is t == 2), then one
       // wave per rebuild period aligned after each handover window. The
-      // event channel is shared, so the request is staged (with a copy of
-      // the membership fields) and published at the merge.
+      // landmark layer is shared across shards, so the rebuild is staged
+      // (with a copy of the membership fields) and handed over at the merge.
       const std::int64_t t = now - m.epoch_base;
       if (t == 2 || (t >= 6 && (t - 6) % rebuild == 0)) {
-        // shardcheck:ok(R6: staged landmark rebuild request: O(committees per rebuild wave))
-        stage.rebuilds.push_back(ShardStage::Rebuild{
+        // shardcheck:ok(R6: staged landmark rebuild: O(committees per rebuild wave))
+        stage.rebuilds.push_back(LandmarkRebuild{
             v, kid, m.item, m.purpose, m.search_root, m.members});
       }
       if (t >= static_cast<std::int64_t>(period_)) {
@@ -485,11 +485,8 @@ void CommitteeManager::on_round_merge() {
       ++inf.generations;
     }
     stage.confirms.clear();
-    for (const ShardStage::Rebuild& r : stage.rebuilds) {
-      LandmarkRebuildRequest req{r.vertex,      r.kid,  r.item,
-                                 r.purpose,     r.search_root,
-                                 &r.members};
-      net().events().publish(req);
+    if (on_landmark_rebuild_) {
+      for (const LandmarkRebuild& r : stage.rebuilds) on_landmark_rebuild_(r);
     }
     stage.rebuilds.clear();
     net().metrics().count_committee_formed(stage.formed);

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -72,22 +73,17 @@ struct Membership {
   std::vector<PeerId> accepted;
 };
 
-/// Published (via Network::events()) for every confirmed member that should
-/// (re)build its landmark tree this round (creation and every rebuild
-/// period). LandmarkManager subscribes; the committee layer does not know
-/// the landmark layer exists. Carries the membership fields by value/pointer
-/// into committee staging (not a Membership*): requests are staged per shard
-/// during the sharded round phase and published at the merge, after the
-/// phase may already have erased the membership they came from. `members`
-/// points into that staging and is valid ONLY for the duration of the
-/// synchronous publish — subscribers must copy, never retain the pointer.
-struct LandmarkRebuildRequest {
+/// One landmark tree (re)build a confirmed member owes this round: at
+/// creation and every rebuild period. The round phase stages it per shard
+/// with a copy of the membership fields (the phase may already have erased
+/// the membership), and the merge hands it to the landmark-rebuild hook.
+struct LandmarkRebuild {
   Vertex vertex = 0;
   std::uint64_t kid = 0;
   ItemId item = 0;
   Purpose purpose = Purpose::kStorage;
   PeerId search_root = kNoPeer;
-  const std::vector<PeerId>* members = nullptr;
+  std::vector<PeerId> members;
 };
 
 class CommitteeManager final : public Protocol {
@@ -100,8 +96,8 @@ class CommitteeManager final : public Protocol {
   void on_attach(Network& net) override;
   /// Sharded round: every shard runs the refresh-cycle phases for its own
   /// vertices (per-(round, vertex) RNG streams, sends through ctx); registry
-  /// updates, landmark-rebuild events, and committee counters are staged per
-  /// shard and applied at the merge in canonical order.
+  /// updates, landmark rebuilds, and committee counters are staged per shard
+  /// and applied at the merge in canonical order.
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
   /// Message handlers only touch the receiving vertex's maps (plus the
@@ -119,20 +115,26 @@ class CommitteeManager final : public Protocol {
 
   /// --- lookup -----------------------------------------------------------
   [[nodiscard]] const Membership* membership_at(Vertex v, std::uint64_t kid) const;
-  [[nodiscard]] std::size_t memberships_at(Vertex v) const {
-    return state_[v].size();
-  }
 
   /// Vertices currently holding at least one membership (up to `max`).
   /// Used by the *adaptive* adversary demonstration — a capability the
   /// paper's oblivious model explicitly denies the adversary.
   [[nodiscard]] std::vector<Vertex> occupied_vertices(std::uint32_t max) const;
 
-  /// Subscribe this manager's occupied vertices to the kAdaptive
-  /// adversary's AdaptiveTargetQuery channel. Deliberately violates the
-  /// paper's oblivious model (see AdversaryKind::kAdaptive); call at most
-  /// once, after attach.
+  /// Install this manager's occupied vertices as the kAdaptive adversary's
+  /// targeter (Network::set_adaptive_targeter). Deliberately violates the
+  /// paper's oblivious model (see AdversaryKind::kAdaptive); call after
+  /// attach.
   void expose_to_adaptive_adversary();
+
+  /// Install the hook the merge calls once per staged LandmarkRebuild, in
+  /// ascending shard order and staging order within a shard.
+  /// LandmarkManager::on_attach installs its start_tree; with no hook the
+  /// rebuilds are dropped.
+  void set_landmark_rebuild_hook(
+      std::function<void(const LandmarkRebuild&)> hook) {
+    on_landmark_rebuild_ = std::move(hook);
+  }
 
   /// --- god-view instrumentation (measurement only, never fed back) -----
   struct Info {
@@ -168,24 +170,16 @@ class CommitteeManager final : public Protocol {
   };
 
   /// Per-shard staging for cross-shard state the round phase may not touch
-  /// directly: the god-view registry, the landmark-rebuild event channel,
-  /// and the global committee counters. Applied in on_round_merge, scanning
-  /// shards in ascending order.
+  /// directly: the god-view registry, the landmark-rebuild hook, and the
+  /// global committee counters. Applied in on_round_merge, scanning shards
+  /// in ascending order.
   struct ShardStage {
     struct Confirm {
       std::uint64_t kid;
       std::vector<PeerId> members;
     };
-    struct Rebuild {
-      Vertex vertex;
-      std::uint64_t kid;
-      ItemId item;
-      Purpose purpose;
-      PeerId search_root;
-      std::vector<PeerId> members;
-    };
     std::vector<Confirm> confirms;
-    std::vector<Rebuild> rebuilds;
+    std::vector<LandmarkRebuild> rebuilds;
     std::uint64_t formed = 0;
     std::uint64_t lost = 0;
   };
@@ -212,6 +206,7 @@ class CommitteeManager final : public Protocol {
   TokenSoup& soup_;
   ProtocolConfig config_;
   ErasurePolicy erasure_;
+  std::function<void(const LandmarkRebuild&)> on_landmark_rebuild_;
   std::uint64_t stream_salt_ = 0;
   std::uint32_t tau_ = 0;
   std::uint32_t period_ = 0;

@@ -5,8 +5,8 @@ namespace churnstore {
 void Protocol::on_attach(Network& net) {
   assert(net_ == nullptr && "protocol attached twice");
   net_ = &net;
-  net.events().subscribe<PeerChurned>([this](PeerChurned& ev) {
-    on_churn(ev.vertex, ev.old_peer, ev.new_peer);
+  net.add_churn_hook([this](Vertex v, PeerId old_peer, PeerId new_peer) {
+    on_churn(v, old_peer, new_peer);
   });
 }
 

@@ -67,7 +67,8 @@
 //
 // Attachment: on_attach(net) is called exactly once, before the first
 // round, in registration order. The base implementation records the network
-// and subscribes on_churn to the PeerChurned event channel; overrides call
+// and registers on_churn as a churn hook (Network::add_churn_hook), so the
+// protocols hear of each replaced peer in registration order; overrides call
 // Protocol::on_attach(net) first, then size per-vertex state and derive
 // constants from net.config(). A protocol that depends on a sibling (e.g.
 // CommitteeManager reads TokenSoup's tau) must be registered after it.
@@ -124,8 +125,8 @@ class Protocol {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Join a network: subscribe to events, size per-vertex state, derive
-  /// constants. Overrides must call Protocol::on_attach(net) first.
+  /// Join a network: register the churn hook, size per-vertex state,
+  /// derive constants. Overrides must call Protocol::on_attach(net) first.
   virtual void on_attach(Network& net);
 
   /// --- round hooks --------------------------------------------------------
@@ -168,7 +169,8 @@ class Protocol {
   virtual void on_dispatch_merge() {}
 
   /// The peer occupying `v` was replaced by a fresh one; drop the lost
-  /// peer's state. Dispatched through the PeerChurned event channel.
+  /// peer's state. Network::begin_round calls it through the churn hook
+  /// that on_attach registered.
   virtual void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) {
     (void)v;
     (void)old_peer;

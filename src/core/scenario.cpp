@@ -155,10 +155,7 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.protocol = cli.get("protocol", spec.protocol);
   spec.workload_kind = cli.get("workload", spec.workload_kind);
 
-  spec.ns.clear();
-  for (const std::int64_t n : cli.get_int_list("n", {1024})) {
-    spec.ns.push_back(non_negative<std::uint32_t>("n", n));
-  }
+  spec.ns = cli_count_list(cli, "n", {1024});
   if (spec.ns.empty()) spec.ns = {1024};
   spec.degree = get_count(cli, "degree", spec.degree);
   spec.seed = static_cast<std::uint64_t>(
@@ -325,6 +322,26 @@ double extras_double(const std::map<std::string, std::string>& extras,
                      const std::string& key, double fallback) {
   const auto it = extras.find(key);
   return it == extras.end() ? fallback : std::stod(it->second);
+}
+
+std::uint32_t cli_count(const Cli& cli, const std::string& key,
+                        std::uint32_t fallback) {
+  return get_count(cli, key, fallback);
+}
+
+std::vector<std::uint32_t> cli_count_list(
+    const Cli& cli, const std::string& key,
+    const std::vector<std::int64_t>& fallback) {
+  std::vector<std::uint32_t> out;
+  for (const std::int64_t v : cli.get_int_list(key, fallback)) {
+    out.push_back(non_negative<std::uint32_t>(key, v));
+  }
+  return out;
+}
+
+std::uint32_t extras_count(const std::map<std::string, std::string>& extras,
+                           const std::string& key, std::uint32_t fallback) {
+  return non_negative<std::uint32_t>(key, extras_int(extras, key, fallback));
 }
 
 std::string ScenarioSpec::extra(const std::string& key,

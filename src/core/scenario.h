@@ -127,6 +127,21 @@ struct ScenarioSpec {
     const std::map<std::string, std::string>& extras, const std::string& key,
     double fallback);
 
+/// Count readers: the value of `key` (or `fallback` when it is absent) as
+/// an unsigned count. A negative or oversized value throws
+/// std::invalid_argument naming the key, where a cast would wrap -1 to
+/// 4294967295. from_cli, the stack builders and the scenarios read every
+/// count through these.
+[[nodiscard]] std::uint32_t cli_count(const Cli& cli, const std::string& key,
+                                      std::uint32_t fallback);
+/// A comma-separated list of counts, e.g. shard-sweep=1,4,16.
+[[nodiscard]] std::vector<std::uint32_t> cli_count_list(
+    const Cli& cli, const std::string& key,
+    const std::vector<std::int64_t>& fallback);
+[[nodiscard]] std::uint32_t extras_count(
+    const std::map<std::string, std::string>& extras, const std::string& key,
+    std::uint32_t fallback);
+
 /// Enum <-> name mappings used by the spec (and anywhere else a config
 /// field meets a command line).
 [[nodiscard]] std::string_view to_name(AdversaryKind kind) noexcept;

@@ -1,5 +1,7 @@
 #include "core/stacks.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "baseline/chord_net/chord_net.h"
@@ -25,17 +27,6 @@ WorkloadOutcome ChurnstoreService::search_outcome(std::uint64_t sid) const {
 
 namespace {
 
-struct StackEntry {
-  std::string summary;
-  StackBuilder builder;
-};
-
-std::map<std::string, StackEntry>& registry() {
-  // shardcheck:ok(R4: Meyers registry of stack builders — populated by static initializers, read-only once trials start)
-  static std::map<std::string, StackEntry> stacks;
-  return stacks;
-}
-
 BuiltSystem build_churnstore(const SystemConfig& config, const StackExtras&) {
   BuiltSystem built;
   built.system = std::make_unique<P2PSystem>(config);
@@ -49,12 +40,11 @@ BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
   // stabilization, and transfer is a charged Message, so hop and bit
   // columns are measured, not estimated.
   ChordNetProtocol::Options opts;
-  opts.successors = static_cast<std::uint32_t>(
-      extras_int(extras, "chord-replication", opts.successors));
-  opts.stabilize_period = static_cast<std::uint32_t>(
-      extras_int(extras, "chord-stabilize", opts.stabilize_period));
-  opts.replicate_period = static_cast<std::uint32_t>(
-      extras_int(extras, "chord-replicate", opts.replicate_period));
+  opts.successors = extras_count(extras, "chord-replication", opts.successors);
+  opts.stabilize_period =
+      extras_count(extras, "chord-stabilize", opts.stabilize_period);
+  opts.replicate_period =
+      extras_count(extras, "chord-replicate", opts.replicate_period);
   opts.item_bits = config.protocol.item_bits;
 
   auto chord = std::make_unique<ChordNetProtocol>(opts);
@@ -70,8 +60,7 @@ BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
 BuiltSystem build_flooding(const SystemConfig& config,
                            const StackExtras& extras) {
   FloodingStore::Options opts;
-  opts.refresh_period = static_cast<std::uint32_t>(
-      extras_int(extras, "flood-refresh", 8));
+  opts.refresh_period = extras_count(extras, "flood-refresh", 8);
   opts.item_bits = config.protocol.item_bits;
 
   auto flood = std::make_unique<FloodingStore>(opts);
@@ -88,10 +77,8 @@ BuiltSystem build_flooding(const SystemConfig& config,
 BuiltSystem build_kwalker(const SystemConfig& config,
                           const StackExtras& extras) {
   KWalkerSearch::Options opts;
-  opts.walkers =
-      static_cast<std::uint32_t>(extras_int(extras, "walkers", 16));
-  opts.replication = static_cast<std::uint32_t>(
-      extras_int(extras, "replication", opts.replication));
+  opts.walkers = extras_count(extras, "walkers", 16);
+  opts.replication = extras_count(extras, "replication", opts.replication);
   opts.item_bits = config.protocol.item_bits;
 
   auto soup = std::make_unique<TokenSoup>(config.walk);
@@ -111,8 +98,8 @@ BuiltSystem build_sqrt(const SystemConfig& config, const StackExtras& extras) {
   SqrtReplication::Options opts;
   opts.replication_mult =
       extras_double(extras, "replication-mult", opts.replication_mult);
-  opts.probes_per_round = static_cast<std::uint32_t>(
-      extras_int(extras, "probes-per-round", opts.probes_per_round));
+  opts.probes_per_round =
+      extras_count(extras, "probes-per-round", opts.probes_per_round);
   opts.item_bits = config.protocol.item_bits;
 
   auto soup = std::make_unique<TokenSoup>(config.walk);
@@ -128,55 +115,50 @@ BuiltSystem build_sqrt(const SystemConfig& config, const StackExtras& extras) {
   return built;
 }
 
-bool register_builtins() {
-  register_stack("churnstore",
-                 "paper stack: soup + committees + landmarks + store/search",
-                 build_churnstore);
-  register_stack("chord",
-                 "structured DHT with message-accurate lookups and periodic "
-                 "stabilization on the Network layer; knobs: "
-                 "chord-replication, chord-stabilize, chord-replicate",
-                 build_chord);
-  register_stack("flooding",
-                 "flood every node, retrieve locally; knob: flood-refresh",
-                 build_flooding);
-  register_stack("k-walker",
-                 "unmaintained replicas + k walker agents; knobs: walkers, "
-                 "replication",
-                 build_kwalker);
-  register_stack("sqrt-replication",
-                 "birthday-paradox placement, probe own samples; knobs: "
-                 "replication-mult, probes-per-round",
-                 build_sqrt);
-  return true;
-}
+struct StackDef {
+  std::string_view name;
+  std::string_view summary;
+  BuiltSystem (*build)(const SystemConfig&, const StackExtras&);
+};
 
-const bool builtins_registered = register_builtins();
+/// Every stack, sorted by name (the catalog order).
+constexpr StackDef kStacks[] = {
+    {"chord",
+     "structured DHT with message-accurate lookups and periodic "
+     "stabilization on the Network layer; knobs: "
+     "chord-replication, chord-stabilize, chord-replicate",
+     build_chord},
+    {"churnstore", "paper stack: soup + committees + landmarks + store/search",
+     build_churnstore},
+    {"flooding", "flood every node, retrieve locally; knob: flood-refresh",
+     build_flooding},
+    {"k-walker",
+     "unmaintained replicas + k walker agents; knobs: walkers, replication",
+     build_kwalker},
+    {"sqrt-replication",
+     "birthday-paradox placement, probe own samples; knobs: "
+     "replication-mult, probes-per-round",
+     build_sqrt},
+};
+static_assert(std::is_sorted(std::begin(kStacks), std::end(kStacks),
+                             [](const StackDef& a, const StackDef& b) {
+                               return a.name < b.name;
+                             }));
 
 }  // namespace
 
-bool register_stack(const std::string& name, const std::string& summary,
-                    StackBuilder builder) {
-  return registry()
-      .emplace(name, StackEntry{summary, std::move(builder)})
-      .second;
-}
-
 BuiltSystem build_stack(std::string_view name, const SystemConfig& config,
                         const StackExtras& extras) {
-  (void)builtins_registered;
-  const auto it = registry().find(std::string(name));
-  if (it == registry().end()) {
-    throw std::invalid_argument("unknown protocol stack: " +
-                                std::string(name));
+  for (const StackDef& def : kStacks) {
+    if (def.name == name) return def.build(config, extras);
   }
-  return it->second.builder(config, extras);
+  throw std::invalid_argument("unknown protocol stack: " + std::string(name));
 }
 
 std::vector<std::pair<std::string, std::string>> stack_catalog() {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& [name, entry] : registry()) {
-    out.emplace_back(name, entry.summary);
+  for (const StackDef& def : kStacks) {
+    out.emplace_back(def.name, def.summary);
   }
   return out;
 }

@@ -1,13 +1,12 @@
-// Named protocol stacks: one registry mapping a ScenarioSpec's `protocol`
+// Named protocol stacks: one table mapping a ScenarioSpec's `protocol`
 // field to a built P2PSystem plus the StorageService facade that drives it.
 //
-// Built-ins: "churnstore" (the paper's full stack), "chord", "flooding",
-// "k-walker", "sqrt-replication". New stacks register with register_stack()
-// — after that they are reachable from every scenario via
+// The stacks: "churnstore" (the paper's full stack), "chord", "flooding",
+// "k-walker", "sqrt-replication". A new stack is one more row in the table
+// in stacks.cpp; it is then reachable from every scenario via
 // `protocol=<name>` with no other code changes.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,19 +29,14 @@ struct BuiltSystem {
 /// Stack-specific knobs come from the spec's `extras` key=value map (e.g.
 /// chord-stabilize=8, flood-refresh=8, walkers=16, replication-mult=1.0).
 using StackExtras = std::map<std::string, std::string>;
-using StackBuilder =
-    std::function<BuiltSystem(const SystemConfig&, const StackExtras&)>;
 
-/// Registers a stack; returns false (and keeps the old one) on name clash.
-bool register_stack(const std::string& name, const std::string& summary,
-                    StackBuilder builder);
-
-/// Builds the named stack; throws std::invalid_argument for unknown names.
+/// Builds the named stack; throws std::invalid_argument for unknown names
+/// and for a negative or oversized count knob.
 [[nodiscard]] BuiltSystem build_stack(std::string_view name,
                                       const SystemConfig& config,
                                       const StackExtras& extras = {});
 
-/// (name, summary) for every registered stack, sorted by name.
+/// (name, summary) for every stack, sorted by name.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> stack_catalog();
 
 /// StorageService over the paper stack (wraps Store/Search managers).

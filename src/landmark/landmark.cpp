@@ -33,11 +33,8 @@ void LandmarkManager::on_attach(Network& net_ref) {
     tables_[s].attach(net().shard_arena(s), ttl_ + depth_ + 1);
     stage_.emplace_back(&net().shard_arena(s));
   }
-  net().events().subscribe<LandmarkRebuildRequest>(
-      [this](LandmarkRebuildRequest& req) {
-        start_tree(req.vertex, req.kid, req.item, req.purpose,
-                   req.search_root, *req.members);
-      });
+  committees_.set_landmark_rebuild_hook(
+      [this](const LandmarkRebuild& r) { start_tree(r); });
 }
 
 LandmarkTable::Entry* LandmarkManager::held(Vertex v,
@@ -102,24 +99,18 @@ void LandmarkManager::grow_children(Vertex v, LandmarkState& st,
   st.pending_depth = 0;
 }
 
-void LandmarkManager::start_tree(Vertex v, const Membership& m) {
-  start_tree(v, m.kid, m.item, m.purpose, m.search_root, m.members);
-}
-
-void LandmarkManager::start_tree(Vertex v, std::uint64_t kid, ItemId item,
-                                 Purpose purpose, PeerId search_root,
-                                 const std::vector<PeerId>& members) {
+void LandmarkManager::start_tree(const LandmarkRebuild& r) {
   // The member acts as the tree root: it is not itself a landmark (it is
   // better — it holds the item), it just recruits the first level.
   LandmarkState root;
-  root.kid = kid;
-  root.item = item;
-  root.purpose = purpose;
-  root.search_root = search_root;
-  root.committee = members;
+  root.kid = r.kid;
+  root.item = r.item;
+  root.purpose = r.purpose;
+  root.search_root = r.search_root;
+  root.committee = r.members;
   root.wave = static_cast<std::uint64_t>(net().round());
   root.pending_depth = depth_;
-  grow_children(v, root, nullptr);
+  grow_children(r.vertex, root, nullptr);
 }
 
 void LandmarkManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {

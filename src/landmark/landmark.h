@@ -47,8 +47,7 @@ class LandmarkManager final : public Protocol {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "landmark";
   }
-  /// Subscribes to LandmarkRebuildRequest: committee members trigger tree
-  /// (re)builds through the event bus, not a direct dependency.
+  /// Installs start_tree as the committee's landmark-rebuild hook.
   void on_attach(Network& net) override;
   /// Sharded round: each shard grows its own vertices' pending tree levels
   /// (per-shard grow queues, sends through ctx) and sweeps its table's
@@ -60,11 +59,9 @@ class LandmarkManager final : public Protocol {
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_dispatch_merge() override;
 
-  /// Start a new tree rooted at committee member `v` (also reachable by
-  /// publishing LandmarkRebuildRequest). Serial context only.
-  void start_tree(Vertex v, const Membership& m);
-  void start_tree(Vertex v, std::uint64_t kid, ItemId item, Purpose purpose,
-                  PeerId search_root, const std::vector<PeerId>& members);
+  /// Start a new tree rooted at committee member `r.vertex`. Serial
+  /// context only (the committee's merge calls it).
+  void start_tree(const LandmarkRebuild& r);
 
   /// Landmark state at vertex v for committee kid (nullptr if none,
   /// expired, or created for an earlier peer of v). The pointer stays valid

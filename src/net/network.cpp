@@ -68,8 +68,7 @@ void Network::churn_vertex(Vertex v) {
   vertex_of_.insert(fresh, v);
   birth_[v] = round_;
   ++churn_events_;
-  PeerChurned ev{v, old_peer, fresh};
-  events_.publish(ev);
+  for (const auto& hook : churn_hooks_) hook(v, old_peer, fresh);
 }
 
 const std::vector<Vertex>& Network::begin_round() {
@@ -78,13 +77,13 @@ const std::vector<Vertex>& Network::begin_round() {
   // (1) Adversarial churn: replace up to C peers.
   const std::uint32_t c = config_.churn.per_round(config_.n);
   if (config_.churn.kind == AdversaryKind::kAdaptive) {
-    // Non-oblivious: ask subscribers for protocol-state-informed victims
+    // Non-oblivious: ask the targeter for protocol-state-informed victims
     // first, pad the quota with uniform picks.
     last_churned_.clear();
     if (churn_taken_.size() != config_.n) churn_taken_.assign(config_.n, 0);
     AdaptiveTargetQuery query;
     query.quota = c;
-    events_.publish(query);
+    if (adaptive_targeter_) adaptive_targeter_(query);
     for (const Vertex v : query.victims) {
       if (last_churned_.size() >= c) break;
       if (v < config_.n && !churn_taken_[v]) {

@@ -2,11 +2,12 @@
 //
 // Vertex-slot model: the topology is a d-regular expander on n vertex
 // slots; each slot is occupied by one peer. Churn replaces the peer at a
-// slot with a fresh peer (all protocol state at the slot is lost via the
-// PeerChurned event); edge dynamics rewire the graph. This realizes the
-// paper's model exactly: |V^r| = n at all times, up to C vertices replaced
-// per round, every G^r a d-regular non-bipartite expander, and the
-// adversary's choices independent of protocol randomness.
+// slot with a fresh peer (every churn hook hears of it, and each protocol
+// drops the lost peer's state); edge dynamics rewire the graph. This
+// realizes the paper's model exactly: |V^r| = n at all times, up to C
+// vertices replaced per round, every G^r a d-regular non-bipartite
+// expander, and the adversary's choices independent of protocol
+// randomness.
 //
 // Round structure (paper section 2.1):
 //   1. begin_round(): adversary applies churn + edge changes; G^r is fixed;
@@ -30,11 +31,12 @@
 // reads them in place while its replies fill the emptied lanes, and the
 // next begin_round() destroys them.
 //
-// Cross-module coupling goes through the typed EventBus (events()):
-//   PeerChurned        — published for every replaced vertex slot.
-//   AdaptiveTargetQuery — published by the kAdaptive adversary before each
-//                         round to let a (non-oblivious) subscriber choose
-//                         victims; see AdversaryKind::kAdaptive.
+// Two hooks couple the network to the layers above it:
+//   add_churn_hook        — called for every replaced vertex slot
+//                           (Protocol::on_attach registers on_churn here);
+//   set_adaptive_targeter — asked by the kAdaptive adversary before each
+//                           round to choose victims; see
+//                           AdversaryKind::kAdaptive.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,6 @@
 #include "net/adversary.h"
 #include "net/config.h"
 #include "net/peer_index.h"
-#include "net/event_bus.h"
 #include "net/message.h"
 #include "net/metrics.h"
 #include "obs/trace.h"
@@ -64,20 +65,12 @@ namespace churnstore {
 
 class ThreadPool;
 
-/// Published (via Network::events()) when the peer occupying `vertex` is
-/// replaced by a fresh one; all protocol state at the slot must be dropped.
-struct PeerChurned {
-  Vertex vertex = 0;
-  PeerId old_peer = kNoPeer;
-  PeerId new_peer = kNoPeer;
-};
-
-/// Published by the kAdaptive adversary at the start of each round.
-/// Subscribers append up to `quota` protocol-chosen victims; any remaining
-/// quota is filled uniformly when the ChurnSpec says to pad. Subscribing
-/// makes the adversary NON-oblivious — the capability exists to demonstrate
-/// why the paper's obliviousness assumption is necessary (bench adversary
-/// scenario).
+/// The kAdaptive adversary's question to the adaptive targeter at the start
+/// of each round. The targeter appends up to `quota` protocol-chosen
+/// victims; any remaining quota is filled uniformly when the ChurnSpec says
+/// to pad. Installing a targeter makes the adversary NON-oblivious — the
+/// capability exists to demonstrate why the paper's obliviousness
+/// assumption is necessary (bench adversary scenario).
 struct AdaptiveTargetQuery {
   std::uint32_t quota = 0;
   std::vector<Vertex> victims;
@@ -236,9 +229,20 @@ class Network {
     if (trace_ != nullptr) trace_->record(ev);
   }
 
-  /// --- events -------------------------------------------------------------
-  [[nodiscard]] EventBus& events() noexcept { return events_; }
-  [[nodiscard]] const EventBus& events() const noexcept { return events_; }
+  /// --- coupling hooks -----------------------------------------------------
+  /// Call `hook` for every vertex slot whose peer is replaced, once the
+  /// fresh peer is installed. Hooks run in registration order, all of them
+  /// for one vertex before the next vertex is churned.
+  void add_churn_hook(
+      std::function<void(Vertex, PeerId old_peer, PeerId new_peer)> hook) {
+    churn_hooks_.push_back(std::move(hook));
+  }
+  /// Install (or clear, with an empty function) the kAdaptive adversary's
+  /// targeter. With none, no victim is chosen from protocol state.
+  void set_adaptive_targeter(
+      std::function<void(AdaptiveTargetQuery&)> targeter) {
+    adaptive_targeter_ = std::move(targeter);
+  }
 
   [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
@@ -298,7 +302,8 @@ class Network {
   std::vector<Vertex> last_churned_;
   // shardcheck:cold-state(adaptive-churn dedup bitmap sized on first adaptive round, cleared in place after)
   std::vector<std::uint8_t> churn_taken_;
-  EventBus events_;
+  std::vector<std::function<void(Vertex, PeerId, PeerId)>> churn_hooks_;
+  std::function<void(AdaptiveTargetQuery&)> adaptive_targeter_;
 
   ShardPlan shards_;
   /// One arena per shard. Declared before every arena-backed container so

@@ -1,9 +1,9 @@
 #include "obs/registry.h"
 
 #include <string>
+#include <utility>
 
 #include "core/system.h"
-#include "obs/trace.h"
 #include "util/heap_sentinel.h"
 
 namespace churnstore {
@@ -16,37 +16,15 @@ void MetricsRegistry::add_gated(std::string name, Read read, Ok ok) {
   entries_.push_back(Entry{std::move(name), std::move(read), std::move(ok)});
 }
 
-void MetricsRegistry::add_histogram(std::string name, const Histogram* hist) {
-  histograms_.emplace_back(std::move(name), hist);
-}
-
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
-  out.reserve(entries_.size() + 5 * histograms_.size());
+  out.reserve(entries_.size());
   for (const Entry& e : entries_) {
     Sample s;
     s.name = e.name;
     s.ok = !e.ok || e.ok();
     s.value = s.ok ? e.read() : 0.0;
     out.push_back(std::move(s));
-  }
-  for (const auto& [name, hist] : histograms_) {
-    const bool has_mass = hist->total() > 0;
-    const auto q = [&](const char* suffix, double quant) {
-      Sample s;
-      s.name = name + suffix;
-      s.ok = has_mass;
-      s.value = has_mass ? hist->quantile(quant) : 0.0;
-      out.push_back(std::move(s));
-    };
-    q(".p50", 0.50);
-    q(".p95", 0.95);
-    q(".p99", 0.99);
-    q(".p999", 0.999);
-    Sample c;
-    c.name = name + ".count";
-    c.value = static_cast<double>(hist->total());
-    out.push_back(std::move(c));
   }
   return out;
 }
@@ -104,26 +82,6 @@ void register_standard_metrics(MetricsRegistry& reg, P2PSystem& sys) {
   heap("heap.allocs", &RoundHeapStats::allocs);
   heap("heap.frees", &RoundHeapStats::frees);
   heap("heap.bytes", &RoundHeapStats::bytes);
-}
-
-void register_trace_metrics(MetricsRegistry& reg, const TraceCollector& tc) {
-  for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-    const auto cls = static_cast<RequestClass>(c);
-    const std::string base = std::string("trace.") + request_class_name(cls);
-    reg.add(base + ".begun",
-            [&tc, cls] { return static_cast<double>(tc.spans_begun(cls)); });
-    reg.add(base + ".ok",
-            [&tc, cls] { return static_cast<double>(tc.spans_ok(cls)); });
-    reg.add(base + ".failed",
-            [&tc, cls] { return static_cast<double>(tc.spans_failed(cls)); });
-    reg.add(base + ".censored", [&tc, cls] {
-      return static_cast<double>(tc.spans_censored(cls));
-    });
-    reg.add_histogram(base + ".latency_rounds", &tc.latency(cls));
-    reg.add_histogram(base + ".hops", &tc.hops(cls));
-  }
-  reg.add("trace.events",
-          [&tc] { return static_cast<double>(tc.events_recorded()); });
 }
 
 }  // namespace churnstore

@@ -1,6 +1,6 @@
-// Unified metrics registry: one named counter/gauge/histogram surface over
-// the repo's scattered instruments — Metrics counters, P2PSystem phase
-// timers, heap-sentinel round stats, perf-counter readings — so exporters
+// Unified metrics registry: one named counter/gauge surface over the repo's
+// scattered instruments — Metrics counters, P2PSystem phase timers,
+// heap-sentinel round stats, perf-counter readings — so exporters
 // (obs/export.h) snapshot everything through one API instead of growing a
 // bespoke column per instrument.
 //
@@ -16,15 +16,11 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "stats/histogram.h"
 
 namespace churnstore {
 
 class P2PSystem;
-class TraceCollector;
 
 class MetricsRegistry {
  public:
@@ -37,10 +33,6 @@ class MetricsRegistry {
   void add(std::string name, Read read);
   /// Register a scalar whose validity is gated (perf counters, heap stats).
   void add_gated(std::string name, Read read, Ok ok);
-  /// Register a borrowed histogram; snapshots expand to
-  /// name.p50/.p95/.p99/.p999/.count. The histogram must outlive the
-  /// registry.
-  void add_histogram(std::string name, const Histogram* hist);
 
   struct Sample {
     std::string name;
@@ -58,7 +50,6 @@ class MetricsRegistry {
     Ok ok;  ///< null = always ok
   };
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, const Histogram*>> histograms_;
 };
 
 /// Adopt the standard instruments of a P2PSystem run: Metrics counters,
@@ -66,9 +57,5 @@ class MetricsRegistry {
 /// round stats (gated on HeapSentinel::available). Borrow-only: `sys` must
 /// outlive the registry.
 void register_standard_metrics(MetricsRegistry& reg, P2PSystem& sys);
-
-/// Adopt a trace collector's per-class latency/hop histograms and span
-/// counters.
-void register_trace_metrics(MetricsRegistry& reg, const TraceCollector& tc);
 
 }  // namespace churnstore

@@ -63,7 +63,7 @@ TEST(AdaptiveAdversary, TargeterReceivesQuotaAndDistinctVictims) {
   cfg.churn.absolute = 5;
   Network net(cfg);
   std::uint32_t asked = 0;
-  net.events().subscribe<AdaptiveTargetQuery>([&](AdaptiveTargetQuery& q) {
+  net.set_adaptive_targeter([&](AdaptiveTargetQuery& q) {
     asked = q.quota;
     q.victims = {1, 1, 2};  // duplicate must be deduped
   });

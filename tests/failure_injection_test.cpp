@@ -18,17 +18,16 @@ SystemConfig make_config(std::uint32_t n, std::uint64_t seed = 71) {
 }
 
 /// Churns exactly the given vertices (bypassing the adversary) by
-/// subscribing to the adaptive adversary's target query with an absolute
+/// installing itself as the adaptive adversary's targeter with an absolute
 /// budget.
 class TargetedChurn {
  public:
   explicit TargetedChurn(P2PSystem& sys) : sys_(sys) {
-    sys_.network().events().subscribe<AdaptiveTargetQuery>(
-        [this](AdaptiveTargetQuery& q) {
-          for (const Vertex v : std::exchange(next_, {})) {
-            q.victims.push_back(v);
-          }
-        });
+    sys_.network().set_adaptive_targeter([this](AdaptiveTargetQuery& q) {
+      for (const Vertex v : std::exchange(next_, {})) {
+        q.victims.push_back(v);
+      }
+    });
   }
   /// Queue victims for the next round.
   void kill_next_round(std::vector<Vertex> victims) {
@@ -152,7 +151,7 @@ TEST(FailureInjection, LeaderLossDuringHandoverIsAbsorbed) {
     const Round invite_round = base + cycle * static_cast<Round>(period) + 2;
     while (sys.round() + 1 < invite_round) sys.run_round();
     auto members = member_vertices(sys, 1);
-    members.resize(std::min<std::size_t>(members.size(), 2));
+    if (members.size() > 2) members.resize(2);
     churn.kill_next_round(members);
     sys.run_round();
   }

@@ -130,15 +130,23 @@ TEST(Network, BlobCountsTowardSize) {
 
 TEST(Network, ChurnEventsFire) {
   Network net(basic_config(16, 3));
-  int fired = 0;
-  net.events().subscribe<PeerChurned>([&](PeerChurned& ev) {
-    ++fired;
-    EXPECT_NE(ev.old_peer, ev.new_peer);
-    EXPECT_EQ(net.peer_at(ev.vertex), ev.new_peer);
-  });
-  net.begin_round();
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(net.events().subscriber_count<PeerChurned>(), 1u);
+  // (hook, vertex) per call: every hook hears of one vertex, in
+  // registration order, before the next vertex is churned.
+  std::vector<std::pair<int, Vertex>> calls;
+  for (const int hook : {1, 2}) {
+    net.add_churn_hook([&, hook](Vertex v, PeerId old_peer, PeerId new_peer) {
+      calls.emplace_back(hook, v);
+      EXPECT_NE(old_peer, new_peer);
+      EXPECT_EQ(net.peer_at(v), new_peer);
+    });
+  }
+  const std::vector<Vertex> churned = net.begin_round();
+  ASSERT_EQ(churned.size(), 3u);
+  ASSERT_EQ(calls.size(), 6u);
+  for (std::size_t i = 0; i < churned.size(); ++i) {
+    EXPECT_EQ(calls[2 * i], std::make_pair(1, churned[i]));
+    EXPECT_EQ(calls[2 * i + 1], std::make_pair(2, churned[i]));
+  }
 }
 
 TEST(Network, GraphStaysRegularUnderRewire) {

@@ -96,6 +96,23 @@ TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {
   EXPECT_EQ(spec.churn.absolute, -1);
 }
 
+TEST(ScenarioSpec, CountReadersRejectNegativeScenarioKeys) {
+  // Scenario keys are read through these readers: steps=-1 would
+  // otherwise run soup_step for 4,294,967,295 rounds.
+  try {
+    (void)cli_count(Cli({"steps=-1"}), "steps", 128);
+    FAIL() << "steps=-1 must not parse";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'steps'"), std::string::npos);
+  }
+  EXPECT_THROW((void)cli_count_list(Cli({"shard-sweep=1,-4"}), "shard-sweep",
+                                    {1}),
+               std::invalid_argument);
+  EXPECT_EQ(cli_count(Cli({"steps=8"}), "steps", 128), 8u);
+  EXPECT_EQ(cli_count_list(Cli({}), "shard-sweep", {1, 4}),
+            (std::vector<std::uint32_t>{1, 4}));
+}
+
 TEST(ScenarioSpec, AcceptExtraKeyRegistersNewKnobs) {
   EXPECT_THROW((void)ScenarioSpec::from_cli(Cli({"my-plugin-knob=1"})),
                std::invalid_argument);
@@ -182,6 +199,26 @@ TEST(Stacks, CatalogContainsBuiltins) {
   EXPECT_TRUE(has("sqrt-replication"));
   EXPECT_THROW((void)build_stack("no-such-stack", SystemConfig{}),
                std::invalid_argument);
+}
+
+TEST(Stacks, NegativeCountKnobsErrorOutNamingTheKey) {
+  // A cast would wrap these: walkers=-1 asks k-walker for 4,294,967,295
+  // walkers on the first search, chord-stabilize=-1 silently switches
+  // stabilization off.
+  SystemConfig cfg;
+  cfg.sim.n = 64;
+  for (const auto& [stack, key] :
+       {std::pair<std::string, std::string>{"k-walker", "walkers"},
+        {"chord", "chord-stabilize"}}) {
+    try {
+      (void)build_stack(stack, cfg, {{key, "-1"}});
+      FAIL() << stack << " " << key << "=-1 must not build";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

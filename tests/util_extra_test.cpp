@@ -6,7 +6,6 @@
 #include "graph/properties.h"
 #include "graph/regular_generator.h"
 #include "storage/item.h"
-#include "util/logging.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -66,16 +65,6 @@ TEST(ThreadPool, ParallelForIndicesAreDistinct) {
   std::vector<std::atomic<int>> hits(32);
   pool.parallel_for(32, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Logging, LevelGating) {
-  const LogLevel before = Logger::level();
-  Logger::set_level(LogLevel::kError);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kDebug));
-  EXPECT_TRUE(Logger::enabled(LogLevel::kError));
-  Logger::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Logger::enabled(LogLevel::kError));
-  Logger::set_level(before);
 }
 
 TEST(Item, ContentHashDiscriminates) {
