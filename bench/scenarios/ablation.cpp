@@ -18,20 +18,21 @@ struct AblationResult {
   double bits = 0.0;
 };
 
-AblationResult run(Runner& runner, SystemConfig cfg,
-                   const StoreSearchOptions& workload, std::uint32_t trials,
-                   std::uint64_t seed) {
+/// `trials` trials of `cell` (seeded from cell.seed): each measures the
+/// item's persistence over 10 taus and runs the store -> search workload.
+AblationResult run(Runner& runner, const ScenarioSpec& cell) {
   struct Row {
     double persist = 0.0, locate = 0.0, bits = 0.0;
   };
-  const auto rows = runner.map_trials<Row>(
-      trials, [&cfg, &workload, seed](std::uint32_t trial) {
-        SystemConfig trial_cfg = cfg;
-        trial_cfg.sim.seed = Runner::trial_seed(seed, trial);
+  const auto rows =
+      runner.map_trials<Row>(cell.trials, [&cell](std::uint32_t trial) {
+        const ScenarioSpec trial_spec =
+            cell.with_seed(Runner::trial_seed(cell.seed, trial));
         Row row;
-        const auto trace = run_availability_trial(trial_cfg, 10.0);
+        const auto trace =
+            run_availability_trial(trial_spec.system_config(), 10.0);
         row.persist = trace.recoverable_fraction();
-        const auto res = run_store_search_trial(trial_cfg, workload);
+        const auto res = run_store_search_trial(trial_spec);
         row.locate = res.locate_rate();
         row.bits = res.bits_node_round_mean.mean();
         return row;
@@ -49,11 +50,14 @@ CHURNSTORE_SCENARIO(ablation,
                     "E13: sweep each protocol constant around the paper's "
                     "choice") {
   ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
+  // Every knob is a paper-stack constant: the cells store and search on
+  // that stack, at the first n.
+  base.protocol = "churnstore";
+  base.workload_kind = "store-search";
+  base.ns = {cli.has("n") ? base.n() : 512};
   if (!cli.has("items")) base.workload.items = 1;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 8;
   if (!cli.has("batches")) base.workload.batches = 1;
-  const std::uint32_t n = base.n();
 
   banner(base, "E13 ablation — design-choice sweeps",
          "persistence / search success / cost as each protocol constant "
@@ -62,47 +66,45 @@ CHURNSTORE_SCENARIO(ablation,
   Runner runner(base);
   Table t({"knob", "value", "recoverable", "locate rate",
            "mean bits/node/rd"});
-  const SystemConfig base_cfg = base.with_n(n).system_config();
-
   for (const double v : {0.5, 1.0, 2.0}) {
-    SystemConfig cfg = base_cfg;
-    cfg.protocol.refresh_taus = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 1);
+    ScenarioSpec cell = base.with_seed(base.seed + 1);
+    cell.protocol_config.refresh_taus = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("refresh period (taus)").cell(v, 1).cell(r.persist, 3)
         .cell(r.locate, 3).cell(r.bits, 0);
   }
   for (const double v : {1.0, 2.0, 3.0, 4.0}) {
-    SystemConfig cfg = base_cfg;
-    cfg.protocol.invite_oversample = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 2);
+    ScenarioSpec cell = base.with_seed(base.seed + 2);
+    cell.protocol_config.invite_oversample = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("invite oversample").cell(v, 1).cell(r.persist, 3)
         .cell(r.locate, 3).cell(r.bits, 0);
   }
   for (const std::uint32_t v : {2u, 3u, 4u}) {
-    SystemConfig cfg = base_cfg;
-    cfg.protocol.tree_fanout = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 3);
+    ScenarioSpec cell = base.with_seed(base.seed + 3);
+    cell.protocol_config.tree_fanout = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("tree fanout").cell(static_cast<std::int64_t>(v))
         .cell(r.persist, 3).cell(r.locate, 3).cell(r.bits, 0);
   }
   for (const double v : {1.0, 2.0, 3.0}) {
-    SystemConfig cfg = base_cfg;
-    cfg.protocol.landmark_ttl_taus = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 4);
+    ScenarioSpec cell = base.with_seed(base.seed + 4);
+    cell.protocol_config.landmark_ttl_taus = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("landmark TTL (taus)").cell(v, 1).cell(r.persist, 3)
         .cell(r.locate, 3).cell(r.bits, 0);
   }
   for (const double v : {2.0, 2.5, 3.0}) {
-    SystemConfig cfg = base_cfg;
-    cfg.walk.t_mult = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 5);
+    ScenarioSpec cell = base.with_seed(base.seed + 5);
+    cell.walk.t_mult = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("walk length (x ln n)").cell(v, 1).cell(r.persist, 3)
         .cell(r.locate, 3).cell(r.bits, 0);
   }
   for (const double v : {1.0, 1.5, 2.5}) {
-    SystemConfig cfg = base_cfg;
-    cfg.walk.rate_mult = v;
-    const auto r = run(runner, cfg, base.workload, base.trials, base.seed + 6);
+    ScenarioSpec cell = base.with_seed(base.seed + 6);
+    cell.walk.rate_mult = v;
+    const auto r = run(runner, cell);
     t.begin_row().cell("walk rate (x ln n)").cell(v, 1).cell(r.persist, 3)
         .cell(r.locate, 3).cell(r.bits, 0);
   }

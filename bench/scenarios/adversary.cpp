@@ -27,6 +27,9 @@ CHURNSTORE_SCENARIO(adversary,
                     "E12: oblivious strategy ablation + the adaptive "
                     "model-violation demo") {
   ScenarioSpec base = spec;
+  // Every panel stores and searches on the paper stack.
+  base.protocol = "churnstore";
+  base.workload_kind = "store-search";
   if (!cli.has("n")) base.ns = {512};
   if (!cli.has("items")) base.workload.items = 2;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 8;
@@ -50,14 +53,14 @@ CHURNSTORE_SCENARIO(adversary,
         cell.churn.kind = kind;
         const auto rows = runner.map_trials<StrategyRow>(
             base.trials, [&cell, n](std::uint32_t trial) {
-              SystemConfig cfg = cell.system_config();
-              cfg.sim.seed = Runner::trial_seed(cell.seed + n, trial);
+              const ScenarioSpec trial_spec =
+                  cell.with_seed(Runner::trial_seed(cell.seed + n, trial));
               StrategyRow row;
-              const auto trace = run_availability_trial(cfg, 8.0);
+              const auto trace =
+                  run_availability_trial(trial_spec.system_config(), 8.0);
               row.recoverable = trace.recoverable_fraction();
               row.available = trace.availability_fraction();
-              const auto res =
-                  run_store_search_trial(cfg, cell.workload);
+              const auto res = run_store_search_trial(trial_spec);
               row.locate = res.locate_rate();
               row.fetch = res.fetch_rate();
               return row;

@@ -3,10 +3,10 @@
 # + full test suite. CI and pre-merge checks run exactly this.
 #
 #   scripts/check.sh            # build into ./build and run ctest
-#   scripts/check.sh --tsan     # ThreadSanitizer build of the sharded
-#                               # engine tests (build-tsan/, race checks on
-#                               # the concurrent round path)
-#   scripts/check.sh --asan     # ASan+UBSan build of the same suite
+#   scripts/check.sh --tsan     # ThreadSanitizer build of the whole test
+#                               # suite (build-tsan/, race checks on the
+#                               # concurrent round path)
+#   scripts/check.sh --asan     # ASan+UBSan build of the whole test suite
 #                               # (build-asan/, leak/lifetime checks on the
 #                               # arena-backed containers: SmallVec spill,
 #                               # sample-store slots, token queues, lanes)
@@ -55,8 +55,6 @@ GENERATOR_ARGS=()
 if command -v ninja >/dev/null 2>&1; then
   GENERATOR_ARGS+=(-G Ninja)
 fi
-
-SANITIZED_FILTER='Sharded*:LandmarkTable*:Landmark.*:WcScatter*:PerfCounters*:ThreadPool*:Arena*:ShardPlan*:SampleStore*:SampleCohorts*:SmallVec*:Message*:MessagePipe.*:Network.*:Mixed*:BitCharge*:ChordNet*:HeapSentinel*:HeapQuiesce*:*/HeapQuiesce*'
 
 if [[ "$SMOKE" == "1" ]]; then
   # Scenario smoke: every registered scenario once, tiny spec (n <= 2k,
@@ -162,37 +160,36 @@ if [[ "$LINT" == "1" ]]; then
 fi
 
 if [[ "$ASAN" == "1" ]]; then
-  # ASan+UBSan build: every arena-backed container (SmallVec message
-  # words/blobs, sample-store slot arrays, token queues, send lanes and the
-  # held lanes inboxes point into) is exercised by the sharded, Network and
-  # MessagePipe suites; leaks (blocks that never return to their arena),
-  # inbox pointers that outlive their held lane, and other lifetime/UB bugs
-  # fail the run.
+  # ASan+UBSan build of the whole suite: every arena-backed container
+  # (SmallVec message words/blobs, sample-store slot arrays, token queues,
+  # send lanes and the held lanes inboxes point into) is exercised; leaks
+  # (blocks that never return to their arena), inbox pointers that outlive
+  # their held lane, and other lifetime/UB bugs fail the run.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON -DCHURNSTORE_ASAN=ON
   cmake --build "$BUILD_DIR" -j "$JOBS" --target churnstore_tests
   ASAN_OPTIONS="detect_leaks=1:halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "$BUILD_DIR"/churnstore_tests --gtest_filter="$SANITIZED_FILTER"
+    "$BUILD_DIR"/churnstore_tests
   echo
   echo "check.sh --asan: arena-backed containers leak/UB-free"
   exit 0
 fi
 
 if [[ "$TSAN" == "1" ]]; then
-  # TSan build: only the concurrency-sensitive tests are worth the ~10x
-  # slowdown — the sharded engine suite drives every protocol's round path
-  # and the message dispatch across a real ThreadPool, including the
-  # send-time sender charges that shard tasks write to their own vertices.
+  # TSan build of the whole suite (~10x slowdown): the sharded engine
+  # tests drive every protocol's round path and the message dispatch
+  # across a real ThreadPool, including the send-time sender charges that
+  # shard tasks write to their own vertices.
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON -DCHURNSTORE_TSAN=ON
   cmake --build "$BUILD_DIR" -j "$JOBS" --target churnstore_tests
   TSAN_OPTIONS="halt_on_error=1" \
-    "$BUILD_DIR"/churnstore_tests --gtest_filter="$SANITIZED_FILTER"
+    "$BUILD_DIR"/churnstore_tests
   echo
-  echo "check.sh --tsan: sharded engine race-free"
+  echo "check.sh --tsan: whole suite race-free"
   exit 0
 fi
 

@@ -751,22 +751,8 @@ bool ChordNetProtocol::advance_fetch(Vertex v, Lookup& lk, Round now,
       if (it != keys_[v].end() &&
           verify_payload(lk.key, it->second.bytes.data(),
                          it->second.bytes.size())) {
-        const auto rit = records_.find(lk.sid);
-        if (rit != records_.end() && !rit->second.out.done) {
-          rit->second.out.done = rit->second.out.located =
-              rit->second.out.fetched = true;
-          rit->second.out.located_round = rit->second.out.fetched_round = now;
-          rit->second.value = it->second.bytes;
-        }
-        ++st.searches_ok;
-        st.ok_hops_sum += lk.hops;
-        st.ok_hops_max = std::max<std::uint64_t>(st.ok_hops_max, lk.hops);
-        st.ok_hops.add(static_cast<double>(lk.hops));
-        if (lk.trace != 0) {
-          ctx.trace(make_trace_event(lk.trace, now, v, now - lk.started,
-                                     lk.hops, RequestClass::kChordSearch,
-                                     TraceEv::kEndOk));
-        }
+        finish_search_success(v, lk, now, it->second.bytes.data(),
+                              it->second.bytes.size(), ctx, st);
         return true;
       }
       ++lk.fetch_idx;
@@ -789,6 +775,31 @@ bool ChordNetProtocol::advance_fetch(Vertex v, Lookup& lk, Round now,
   }
   finish_search_failure(v, lk, now, ctx, st);
   return true;
+}
+
+// shardcheck:sharded-hook(called from both sharded lanes: round begin and dispatch)
+void ChordNetProtocol::finish_search_success(Vertex v, const Lookup& lk,
+                                             Round now,
+                                             const std::uint8_t* data,
+                                             std::size_t len,
+                                             ShardContext& ctx,
+                                             LookupStats& st) {
+  const auto it = records_.find(lk.sid);
+  if (it != records_.end() && !it->second.out.done) {
+    WorkloadOutcome& out = it->second.out;
+    out.done = out.located = out.fetched = true;
+    out.located_round = out.fetched_round = now;
+    // shardcheck:ok(R6: retrieved payload copied once per completed search, O(item bytes))
+    it->second.value.assign(data, data + len);
+  }
+  ++st.searches_ok;
+  st.ok_hops_sum += lk.hops;
+  st.ok_hops_max = std::max<std::uint64_t>(st.ok_hops_max, lk.hops);
+  st.ok_hops.add(static_cast<double>(lk.hops));
+  if (lk.trace != 0) {
+    ctx.trace(make_trace_event(lk.trace, now, v, now - lk.started, lk.hops,
+                               RequestClass::kChordSearch, TraceEv::kEndOk));
+  }
 }
 
 // shardcheck:sharded-hook(called from both sharded lanes: round begin and dispatch)
@@ -1093,25 +1104,8 @@ bool ChordNetProtocol::on_message(Vertex v, const Message& m,
                                           m.blob.size());
         bool finished;
         if (found) {
-          const auto rit = records_.find(lk.sid);
-          if (rit != records_.end() && !rit->second.out.done) {
-            rit->second.out.done = rit->second.out.located =
-                rit->second.out.fetched = true;
-            rit->second.out.located_round = rit->second.out.fetched_round =
-                now;
-            // shardcheck:ok(R6: retrieved payload copied once per completed search, O(item bytes))
-            rit->second.value.assign(m.blob.data(),
-                                     m.blob.data() + m.blob.size());
-          }
-          ++st.searches_ok;
-          st.ok_hops_sum += lk.hops;
-          st.ok_hops_max = std::max<std::uint64_t>(st.ok_hops_max, lk.hops);
-          st.ok_hops.add(static_cast<double>(lk.hops));
-          if (lk.trace != 0) {
-            ctx.trace(make_trace_event(lk.trace, now, v, now - lk.started,
-                                       lk.hops, RequestClass::kChordSearch,
-                                       TraceEv::kEndOk));
-          }
+          finish_search_success(v, lk, now, m.blob.data(), m.blob.size(),
+                                ctx, st);
           finished = true;
         } else {
           // Holder answered but had no (valid) copy: try the next candidate.

@@ -143,12 +143,8 @@ class ChordNetProtocol final : public Protocol, public StorageService {
   /// (over the ring of joined vertices). 1.0 on a converged ring.
   [[nodiscard]] double ring_consistency() const;
   [[nodiscard]] std::size_t joined_count() const;
-  [[nodiscard]] ChordId node_id(Vertex v) const { return nodes_[v].id; }
   [[nodiscard]] bool is_joined(Vertex v) const { return nodes_[v].joined; }
   [[nodiscard]] std::vector<PeerId> successor_list(Vertex v) const;
-  [[nodiscard]] bool holds(Vertex v, ItemId item) const {
-    return keys_[v].count(item) > 0;
-  }
 
  private:
   struct Entry {
@@ -235,6 +231,11 @@ class ChordNetProtocol final : public Protocol, public StorageService {
                            Round now, ShardContext& ctx, LookupStats& st);
   bool advance_fetch(Vertex v, Lookup& lk, Round now, ShardContext& ctx,
                      LookupStats& st);
+  /// A verified fetch of `len` bytes ends the search: the record, the hop
+  /// stats and the trace's end event.
+  void finish_search_success(Vertex v, const Lookup& lk, Round now,
+                             const std::uint8_t* data, std::size_t len,
+                             ShardContext& ctx, LookupStats& st);
   void finish_search_failure(Vertex v, const Lookup& lk, Round now,
                              ShardContext& ctx, LookupStats& st);
   [[nodiscard]] bool verify_payload(ItemId item,

@@ -20,21 +20,6 @@ void FloodingStore::on_churn(Vertex v, PeerId, PeerId) {
   forwarded_[v].clear();
 }
 
-void FloodingStore::store(Vertex creator, ItemId item) {
-  held_[creator].insert(item);
-  frontiers_[net().shards().shard_of(creator)].emplace_back(creator, item);
-}
-
-bool FloodingStore::has_item(Vertex v, ItemId item) const {
-  return held_[v].count(item) > 0;
-}
-
-double FloodingStore::coverage(ItemId item) const {
-  std::uint64_t acc = 0;
-  for (const auto& s : held_) acc += s.count(item);
-  return static_cast<double>(acc) / static_cast<double>(held_.size());
-}
-
 std::size_t FloodingStore::copies_alive(ItemId item) const {
   std::size_t acc = 0;
   for (const auto& s : held_) acc += s.count(item);
@@ -42,7 +27,8 @@ std::size_t FloodingStore::copies_alive(ItemId item) const {
 }
 
 bool FloodingStore::try_store(Vertex creator, ItemId item) {
-  store(creator, item);
+  held_[creator].insert(item);
+  frontiers_[net().shards().shard_of(creator)].emplace_back(creator, item);
   return true;
 }
 
@@ -96,8 +82,8 @@ void FloodingStore::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   std::vector<std::pair<Vertex, ItemId>> frontier;
   frontier.swap(frontiers_[shard]);
   // Canonical order: ascending vertex (stable per vertex). Dispatch stages
-  // entries in ascending order already, but store()/refresh injections may
-  // not be; sorting makes the merged flood stream identical for every
+  // entries in ascending order already, but try_store()/refresh injections
+  // may not be; sorting makes the merged flood stream identical for every
   // shard count.
   std::stable_sort(frontier.begin(), frontier.end(),
                    [](const auto& a, const auto& b) {

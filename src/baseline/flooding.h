@@ -46,20 +46,15 @@ class FloodingStore final : public Protocol, public StorageService {
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
-  /// Inject the item at `creator`; it floods from there.
-  void store(Vertex creator, ItemId item);
-
-  [[nodiscard]] bool has_item(Vertex v, ItemId item) const;
-  /// Fraction of nodes currently holding the item.
-  [[nodiscard]] double coverage(ItemId item) const;
-
   /// --- StorageService -----------------------------------------------------
+  /// Injects the item at `creator`; it floods from there. Always ready.
   bool try_store(Vertex creator, ItemId item) override;
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
       std::uint64_t sid) const override;
   [[nodiscard]] std::uint32_t search_timeout() const override { return 2; }
+  /// Nodes currently holding the item.
   [[nodiscard]] std::size_t copies_alive(ItemId item) const override;
 
  private:
@@ -80,7 +75,7 @@ class FloodingStore final : public Protocol, public StorageService {
   // shardcheck:arena-backed(per-shard flood frontier grows with newly received items each round, by design)
   std::vector<std::vector<std::pair<Vertex, ItemId>>> frontiers_;
   std::uint64_t next_sid_ = 1;
-  // shardcheck:cold-state(grown only from the serial lookup() API path)
+  // shardcheck:cold-state(grown only from the serial begin_search() path)
   std::vector<PendingLookup> pending_lookups_;
   // shardcheck:cold-state(outcome registry mutated only from serial lookup bookkeeping)
   std::unordered_map<std::uint64_t, WorkloadOutcome> outcomes_;

@@ -13,8 +13,7 @@ void KWalkerSearch::on_attach(Network& net_ref) {
   stream_salt_ = net().protocol_rng().fork(0x6b77616cULL).next();
   held_.assign(net().n(), {});
   stage_.assign(net().shards().count(), {});
-  default_ttl_ =
-      options_.default_ttl != 0 ? options_.default_ttl : 4 * soup_.tau();
+  ttl_ = 4 * soup_.tau();
 }
 
 void KWalkerSearch::on_churn(Vertex v, PeerId, PeerId) {
@@ -23,19 +22,19 @@ void KWalkerSearch::on_churn(Vertex v, PeerId, PeerId) {
   for (auto& w : walkers_) {
     if (w.at == v && w.ttl > 0) {
       w.ttl = 0;
-      ++outcomes_[w.sid].walkers_lost;
+      ++walkers_lost_;
     }
   }
 }
 
-std::size_t KWalkerSearch::store(Vertex creator, ItemId item) {
+bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
   const auto want =
       options_.replication != 0
           ? options_.replication
           : static_cast<std::uint32_t>(
                 std::ceil(std::sqrt(static_cast<double>(net().n()))));
   const auto targets = soup_.samples(creator).recent_distinct(want);
-  if (targets.size() < std::max<std::size_t>(1, want / 2)) return 0;
+  if (targets.size() < std::max<std::size_t>(1, want / 2)) return false;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {
     Message msg;
@@ -49,20 +48,18 @@ std::size_t KWalkerSearch::store(Vertex creator, ItemId item) {
     if (const auto tv = net().find_vertex(t)) held_[*tv].insert(item);
   }
   placed_[item] = targets;
-  return targets.size();
+  return true;
 }
 
-std::uint64_t KWalkerSearch::search(Vertex initiator, ItemId item,
-                                    std::uint32_t ttl) {
+std::uint64_t KWalkerSearch::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x6b77ULL) | 1;
-  outcomes_[sid] = SearchOutcome{};
-  start_round_[sid] = net().round();
+  outcomes_[sid] = WorkloadOutcome{};
   for (std::uint32_t i = 0; i < options_.walkers; ++i) {
-    walkers_.push_back(Walker{sid, item, initiator, ttl});
+    walkers_.push_back(Walker{sid, item, initiator, ttl_});
   }
   if (TraceCollector* tc = net().trace_collector();
       tc != nullptr && tc->sampled(sid)) {
-    traced_.push_back(TracedProbe{sid, initiator});
+    traced_.push_back(TracedProbe{sid, initiator, net().round()});
     tc->record(make_trace_event(sid, net().round(), initiator, 0,
                                 options_.walkers, RequestClass::kWalkerProbe,
                                 TraceEv::kBegin));
@@ -70,12 +67,12 @@ std::uint64_t KWalkerSearch::search(Vertex initiator, ItemId item,
   return sid;
 }
 
-KWalkerSearch::SearchOutcome KWalkerSearch::outcome(std::uint64_t sid) const {
+WorkloadOutcome KWalkerSearch::search_outcome(std::uint64_t sid) const {
   const auto it = outcomes_.find(sid);
-  return it == outcomes_.end() ? SearchOutcome{} : it->second;
+  return it == outcomes_.end() ? WorkloadOutcome{} : it->second;
 }
 
-std::size_t KWalkerSearch::holders_alive(ItemId item) const {
+std::size_t KWalkerSearch::copies_alive(ItemId item) const {
   const auto it = placed_.find(item);
   if (it == placed_.end()) return 0;
   std::size_t alive = 0;
@@ -84,27 +81,6 @@ std::size_t KWalkerSearch::holders_alive(ItemId item) const {
     if (v && held_[*v].count(item)) ++alive;
   }
   return alive;
-}
-
-bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
-  return store(creator, item) > 0;
-}
-
-std::uint64_t KWalkerSearch::begin_search(Vertex initiator, ItemId item) {
-  return search(initiator, item, default_ttl_);
-}
-
-WorkloadOutcome KWalkerSearch::search_outcome(std::uint64_t sid) const {
-  const SearchOutcome native = outcome(sid);
-  WorkloadOutcome out;
-  out.done = native.done;
-  out.located = out.fetched = native.success;
-  if (native.success) {
-    const auto it = start_round_.find(sid);
-    const Round start = it == start_round_.end() ? 0 : it->second;
-    out.located_round = out.fetched_round = start + native.rounds_taken;
-  }
-  return out;
 }
 
 void KWalkerSearch::on_round_begin() {
@@ -150,11 +126,10 @@ void KWalkerSearch::on_round_merge() {
   walkers_.clear();
   for (ShardStage& stage : stage_) {
     for (const std::uint64_t sid : stage.hit_sids) {
-      SearchOutcome& out = outcomes_[sid];
+      WorkloadOutcome& out = outcomes_[sid];
       if (!out.done) {
-        out.done = true;
-        out.success = true;
-        out.rounds_taken = now - start_round_[sid];
+        out.done = out.located = out.fetched = true;
+        out.located_round = out.fetched_round = now;
       }
     }
     stage.hit_sids.clear();
@@ -173,7 +148,7 @@ void KWalkerSearch::on_round_merge() {
       const auto out_it = outcomes_.find(tp.sid);
       if (out_it != outcomes_.end() && out_it->second.done) {
         net().trace_serial(make_trace_event(
-            tp.sid, now, tp.initiator, out_it->second.rounds_taken,
+            tp.sid, now, tp.initiator, out_it->second.located_round - tp.start,
             options_.walkers, RequestClass::kWalkerProbe, TraceEv::kEndOk));
         continue;
       }
@@ -186,7 +161,7 @@ void KWalkerSearch::on_round_merge() {
       }
       if (!alive) {
         net().trace_serial(make_trace_event(
-            tp.sid, now, tp.initiator, now - start_round_[tp.sid],
+            tp.sid, now, tp.initiator, now - tp.start,
             options_.walkers, RequestClass::kWalkerProbe, TraceEv::kEndFail));
         continue;
       }

@@ -29,8 +29,6 @@ class KWalkerSearch final : public Protocol, public StorageService {
     std::uint32_t walkers = 16;       ///< k
     std::uint32_t replication = 0;    ///< holders; 0 = sqrt(n)
     std::uint64_t item_bits = 1024;
-    /// Default walker TTL for StorageService searches (0 = 4 * tau).
-    std::uint32_t default_ttl = 0;
   };
 
   KWalkerSearch(TokenSoup& soup, Options options);
@@ -49,32 +47,23 @@ class KWalkerSearch final : public Protocol, public StorageService {
   void on_round_merge() override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
-  /// Place replicas from the creator's walk samples; 0 while buffer cold.
-  std::size_t store(Vertex creator, ItemId item);
-
-  std::uint64_t search(Vertex initiator, ItemId item, std::uint32_t ttl);
-
-  struct SearchOutcome {
-    bool done = false;
-    bool success = false;
-    Round rounds_taken = -1;
-    std::uint32_t walkers_lost = 0;
-  };
-  [[nodiscard]] SearchOutcome outcome(std::uint64_t sid) const;
-
-  [[nodiscard]] std::size_t holders_alive(ItemId item) const;
-
   /// --- StorageService -----------------------------------------------------
+  /// Places replicas from the creator's walk samples; false while its
+  /// buffer is cold.
   bool try_store(Vertex creator, ItemId item) override;
+  /// Launches k walkers with a TTL of 4 tau.
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
       std::uint64_t sid) const override;
   [[nodiscard]] std::uint32_t search_timeout() const override {
-    return default_ttl_ + 2;
+    return ttl_ + 2;
   }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return holders_alive(item);
+  [[nodiscard]] std::size_t copies_alive(ItemId item) const override;
+
+  /// Walkers killed with their churned carriers so far (god view).
+  [[nodiscard]] std::uint64_t walkers_lost() const noexcept {
+    return walkers_lost_;
   }
 
  private:
@@ -88,8 +77,9 @@ class KWalkerSearch final : public Protocol, public StorageService {
   TokenSoup& soup_;
   Options options_;
   std::uint64_t stream_salt_ = 0;
-  std::uint32_t default_ttl_ = 0;
+  std::uint32_t ttl_ = 0;
   std::uint64_t next_sid_ = 1;
+  std::uint64_t walkers_lost_ = 0;
   // shardcheck:arena-backed(per-vertex replica sets grow on placement messages; baseline control plane, no heap-quiet claim)
   std::vector<std::unordered_set<ItemId>> held_;
   // shardcheck:cold-state(god-view placement map mutated only from the serial store path)
@@ -97,17 +87,16 @@ class KWalkerSearch final : public Protocol, public StorageService {
   // shardcheck:cold-state(walker population rebuilt in the serial merge from staged survivors)
   std::vector<Walker> walkers_;
   // shardcheck:cold-state(outcome registry mutated in serial search/merge context)
-  std::unordered_map<std::uint64_t, SearchOutcome> outcomes_;
-  // shardcheck:cold-state(mutated only from the serial search() API path)
-  std::unordered_map<std::uint64_t, Round> start_round_;
+  std::unordered_map<std::uint64_t, WorkloadOutcome> outcomes_;
   /// Sampled probes awaiting an end event (obs/trace.h). Resolved in the
   /// serial merge: success when the outcome flips done, failure when no
   /// walker of the sid survives. Usually empty (only sampled probes).
   struct TracedProbe {
     std::uint64_t sid;
     Vertex initiator;
+    Round start;
   };
-  // shardcheck:cold-state(mutated only in serial search()/merge context)
+  // shardcheck:cold-state(mutated only in serial begin_search()/merge context)
   std::vector<TracedProbe> traced_;
   /// Walker-index partition for the current round (set in the prologue).
   ShardPlan walker_plan_;

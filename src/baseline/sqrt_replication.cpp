@@ -16,40 +16,17 @@ SqrtReplication::SqrtReplication(TokenSoup& soup, Options options)
 void SqrtReplication::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   held_.assign(net().n(), {});
-  default_timeout_ = options_.default_timeout != 0 ? options_.default_timeout
-                                                   : 4 * soup_.tau();
+  timeout_ = 4 * soup_.tau();
 }
 
 void SqrtReplication::on_churn(Vertex v, PeerId, PeerId) { held_[v].clear(); }
 
 bool SqrtReplication::try_store(Vertex creator, ItemId item) {
-  return store(creator, item) > 0;
-}
-
-std::uint64_t SqrtReplication::begin_search(Vertex initiator, ItemId item) {
-  return search(initiator, item, default_timeout_);
-}
-
-WorkloadOutcome SqrtReplication::search_outcome(std::uint64_t sid) const {
-  const SearchOutcome native = outcome(sid);
-  WorkloadOutcome out;
-  out.done = native.done;
-  out.censored = native.censored;
-  out.located = out.fetched = native.success;
-  if (native.success) {
-    const auto it = start_round_.find(sid);
-    const Round start = it == start_round_.end() ? 0 : it->second;
-    out.located_round = out.fetched_round = start + native.rounds_taken;
-  }
-  return out;
-}
-
-std::size_t SqrtReplication::store(Vertex creator, ItemId item) {
   const double n = static_cast<double>(net().n());
   const auto want = static_cast<std::size_t>(
       std::ceil(options_.replication_mult * std::sqrt(n * std::log(n))));
   const auto targets = soup_.samples(creator).recent_distinct(want);
-  if (targets.size() < want / 2 || targets.empty()) return 0;
+  if (targets.size() < want / 2 || targets.empty()) return false;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {
     Message msg;
@@ -61,27 +38,23 @@ std::size_t SqrtReplication::store(Vertex creator, ItemId item) {
     net().send(creator, std::move(msg));
   }
   placed_[item] = targets;
-  return targets.size();
+  return true;
 }
 
-std::uint64_t SqrtReplication::search(Vertex initiator, ItemId item,
-                                      std::uint32_t timeout) {
+std::uint64_t SqrtReplication::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x73717274ULL) | 1;
   active_.push_back(ActiveSearch{sid, item, net().peer_at(initiator),
-                                 net().round(),
-                                 net().round() + static_cast<Round>(timeout)});
-  outcomes_[sid] = SearchOutcome{};
-  start_round_[sid] = net().round();
+                                 net().round() + static_cast<Round>(timeout_)});
+  outcomes_[sid] = WorkloadOutcome{};
   return sid;
 }
 
-SqrtReplication::SearchOutcome SqrtReplication::outcome(
-    std::uint64_t sid) const {
+WorkloadOutcome SqrtReplication::search_outcome(std::uint64_t sid) const {
   const auto it = outcomes_.find(sid);
-  return it == outcomes_.end() ? SearchOutcome{} : it->second;
+  return it == outcomes_.end() ? WorkloadOutcome{} : it->second;
 }
 
-std::size_t SqrtReplication::holders_alive(ItemId item) const {
+std::size_t SqrtReplication::copies_alive(ItemId item) const {
   const auto it = placed_.find(item);
   if (it == placed_.end()) return 0;
   std::size_t alive = 0;
@@ -98,7 +71,7 @@ void SqrtReplication::on_round_begin() {
   std::size_t write = 0;
   for (std::size_t read = 0; read < active_.size(); ++read) {
     ActiveSearch& s = active_[read];
-    SearchOutcome& out = outcomes_[s.sid];
+    WorkloadOutcome& out = outcomes_[s.sid];
     if (out.done) continue;
     const auto iv_slot = net().find_vertex(s.initiator);
     if (!iv_slot) {
@@ -172,13 +145,10 @@ bool SqrtReplication::on_message(Vertex v, const Message& m,
       // the outcome record is exclusively this shard's to mutate.
       const auto it = outcomes_.find(m.words[1]);
       if (it == outcomes_.end()) return true;
-      SearchOutcome& out = it->second;
+      WorkloadOutcome& out = it->second;
       if (!out.done) {
-        out.done = true;
-        out.success = true;
-        const auto sit = start_round_.find(m.words[1]);
-        out.rounds_taken =
-            net().round() - (sit == start_round_.end() ? 0 : sit->second);
+        out.done = out.located = out.fetched = true;
+        out.located_round = out.fetched_round = net().round();
       }
       return true;
     }

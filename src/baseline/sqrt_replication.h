@@ -28,8 +28,6 @@ class SqrtReplication final : public Protocol, public StorageService {
     double replication_mult = 1.0;  ///< copies = mult * sqrt(n * ln n)
     std::uint64_t item_bits = 1024;
     std::uint32_t probes_per_round = 0;  ///< 0 = all fresh samples
-    /// Default deadline for StorageService searches (0 = 4 * tau).
-    std::uint32_t default_timeout = 0;
   };
 
   SqrtReplication(TokenSoup& soup, Options options);
@@ -47,49 +45,32 @@ class SqrtReplication final : public Protocol, public StorageService {
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
-  /// Place replicas from the creator's samples. Returns the number placed
-  /// (0 while the creator's buffer is cold: retry next round).
-  std::size_t store(Vertex creator, ItemId item);
-
-  /// Begin a search; returns a search id.
-  std::uint64_t search(Vertex initiator, ItemId item, std::uint32_t timeout);
-
-  struct SearchOutcome {
-    bool done = false;
-    bool success = false;
-    Round rounds_taken = -1;
-    bool censored = false;  ///< initiator churned out
-  };
-  [[nodiscard]] SearchOutcome outcome(std::uint64_t sid) const;
-
-  /// Live holders of the item (god view, for the decay measurement).
-  [[nodiscard]] std::size_t holders_alive(ItemId item) const;
-
   /// --- StorageService -----------------------------------------------------
+  /// Places replicas from the creator's samples; false while its buffer is
+  /// cold (retry next round).
   bool try_store(Vertex creator, ItemId item) override;
+  /// Begins a search with a deadline of 4 tau.
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
       std::uint64_t sid) const override;
   [[nodiscard]] std::uint32_t search_timeout() const override {
-    return default_timeout_ + 2;
+    return timeout_ + 2;
   }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return holders_alive(item);
-  }
+  /// Live holders of the item (god view, for the decay measurement).
+  [[nodiscard]] std::size_t copies_alive(ItemId item) const override;
 
  private:
   struct ActiveSearch {
     std::uint64_t sid;
     ItemId item;
     PeerId initiator;
-    Round start;
     Round deadline;
   };
 
   TokenSoup& soup_;
   Options options_;
-  std::uint32_t default_timeout_ = 0;
+  std::uint32_t timeout_ = 0;
   std::uint64_t next_sid_ = 1;
   // shardcheck:arena-backed(per-vertex replica sets grow on placement messages; baseline control plane, no heap-quiet claim)
   std::vector<std::unordered_set<ItemId>> held_;
@@ -98,9 +79,7 @@ class SqrtReplication final : public Protocol, public StorageService {
   // shardcheck:cold-state(active-search list maintained in serial prologue/epilogue context)
   std::vector<ActiveSearch> active_;
   // shardcheck:cold-state(outcome registry mutated in serial search/merge context)
-  std::unordered_map<std::uint64_t, SearchOutcome> outcomes_;
-  // shardcheck:cold-state(mutated only from the serial search() API path)
-  std::unordered_map<std::uint64_t, Round> start_round_;
+  std::unordered_map<std::uint64_t, WorkloadOutcome> outcomes_;
   /// Probe jobs for this round, staged by the prologue; read-only in the
   /// sharded phase (each shard sends the jobs owned by its vertices).
   struct ProbeJob {

@@ -28,6 +28,30 @@ Round decode_expire(std::uint64_t w) {
   return w == 0 ? -1 : static_cast<Round>(w - 1);
 }
 
+/// The membership a creation kCommitteeInvite or a kCommitteeConfirm
+/// carries (same word layout, see above).
+// shardcheck:sharded-hook(called from on_message's invite and confirm handlers)
+Membership decode_membership(const Message& m) {
+  Membership mem;
+  mem.kid = m.words[0];
+  mem.purpose = static_cast<Purpose>(m.words[1]);
+  mem.item = m.words[2];
+  mem.search_root = m.words[3];
+  mem.epoch_base = static_cast<Round>(m.words[5]);
+  mem.expire = decode_expire(m.words[6]);
+  mem.piece_index = static_cast<std::uint32_t>(m.words[8]);
+  mem.ida_k = static_cast<std::uint32_t>(m.words[9]);
+  mem.original_size = m.words[10];
+  const std::uint64_t count = m.words[11];
+  // shardcheck:ok(R6: membership decode from an invite/confirm message: O(committee size) per event)
+  mem.members.assign(
+      m.words.begin() + kMembersAt,
+      m.words.begin() + kMembersAt + static_cast<std::ptrdiff_t>(count));
+  // shardcheck:ok(R6: payload decode from an invite/confirm message: O(item bytes) per event)
+  mem.payload.assign(m.blob.begin(), m.blob.end());
+  return mem;
+}
+
 }  // namespace
 
 CommitteeManager::CommitteeManager(TokenSoup& soup,
@@ -503,24 +527,7 @@ bool CommitteeManager::on_message(Vertex v, const Message& m,
       const std::uint64_t kid = m.words[0];
       const auto flags = m.words[7];
       if (flags & kFlagCreation) {
-        Membership mem;
-        mem.kid = kid;
-        mem.purpose = static_cast<Purpose>(m.words[1]);
-        mem.item = m.words[2];
-        mem.search_root = m.words[3];
-        mem.epoch_base = static_cast<Round>(m.words[5]);
-        mem.expire = decode_expire(m.words[6]);
-        mem.piece_index = static_cast<std::uint32_t>(m.words[8]);
-        mem.ida_k = static_cast<std::uint32_t>(m.words[9]);
-        mem.original_size = m.words[10];
-        const std::uint64_t count = m.words[11];
-        // shardcheck:ok(R6: membership decode from a handover message: O(committee size) per event)
-        mem.members.assign(m.words.begin() + kMembersAt,
-                           m.words.begin() + kMembersAt +
-                               static_cast<std::ptrdiff_t>(count));
-        // shardcheck:ok(R6: payload decode from a handover message: O(item bytes) per event)
-        mem.payload.assign(m.blob.begin(), m.blob.end());
-        state_[v][kid] = std::move(mem);
+        state_[v][kid] = decode_membership(m);
         mark_active(v);
       } else {
         auto& pj = pending_[v][kid];
@@ -584,24 +591,7 @@ bool CommitteeManager::on_message(Vertex v, const Message& m,
     }
     case MsgType::kCommitteeConfirm: {
       const std::uint64_t kid = m.words[0];
-      Membership mem;
-      mem.kid = kid;
-      mem.purpose = static_cast<Purpose>(m.words[1]);
-      mem.item = m.words[2];
-      mem.search_root = m.words[3];
-      mem.epoch_base = static_cast<Round>(m.words[5]);
-      mem.expire = decode_expire(m.words[6]);
-      mem.piece_index = static_cast<std::uint32_t>(m.words[8]);
-      mem.ida_k = static_cast<std::uint32_t>(m.words[9]);
-      mem.original_size = m.words[10];
-      const std::uint64_t count = m.words[11];
-      // shardcheck:ok(R6: membership decode from a confirm message: O(committee size) per event)
-      mem.members.assign(
-          m.words.begin() + kMembersAt,
-          m.words.begin() + kMembersAt + static_cast<std::ptrdiff_t>(count));
-      // shardcheck:ok(R6: payload decode from a confirm message: O(item bytes) per event)
-      mem.payload.assign(m.blob.begin(), m.blob.end());
-      state_[v][kid] = std::move(mem);
+      state_[v][kid] = decode_membership(m);
       pending_[v].erase(kid);
       mark_active(v);
       return true;

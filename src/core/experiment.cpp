@@ -4,11 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "baseline/chord_net/chord_net.h"
 #include "core/kv_store.h"
-#include "core/runner.h"
 #include "core/stacks.h"
 #include "storage/item.h"
 #include "util/rng.h"
@@ -60,9 +58,6 @@ SystemConfig default_system_config(std::uint32_t n, std::uint64_t seed) {
   return c;
 }
 
-namespace {
-
-/// The canonical store -> age -> search workload over ANY protocol stack.
 StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
                                      const StoreSearchOptions& options,
                                      std::uint64_t seed) {
@@ -145,6 +140,8 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
   return res;
 }
 
+namespace {
+
 /// StorageService adapter over the KvStore facade (workload=kv): the
 /// generic workload's item ids become string keys with real payload bytes,
 /// so the ONE store -> age -> search driver above also exercises the kv
@@ -160,22 +157,17 @@ class KvWorkloadService final : public StorageService {
   }
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override {
-    const std::uint64_t handle = kv_.get(initiator, key_for(item));
-    start_round_[handle] = sys_.round();
-    return handle;
+    return kv_.get(initiator, key_for(item));
   }
   [[nodiscard]] WorkloadOutcome search_outcome(
       std::uint64_t sid) const override {
+    // A kv get handle is the search id; read its status directly.
     WorkloadOutcome out;
-    const auto res = kv_.result(sid);
-    if (!res) return out;
-    out.done = res->complete;
-    out.located = out.fetched = res->found;
-    if (res->found) {
-      const auto it = start_round_.find(sid);
-      const Round start = it == start_round_.end() ? 0 : it->second;
-      out.located_round = out.fetched_round = start + res->rounds_taken;
-    }
+    const SearchStatus* st = sys_.search_status(sid);
+    if (!st) return out;
+    out.done = st->finished;
+    out.located = out.fetched = st->fetch_ok;
+    if (st->fetch_ok) out.located_round = out.fetched_round = st->fetched;
     return out;
   }
   [[nodiscard]] std::uint32_t search_timeout() const override {
@@ -198,7 +190,6 @@ class KvWorkloadService final : public StorageService {
 
   P2PSystem& sys_;
   KvStore kv_;
-  std::unordered_map<std::uint64_t, Round> start_round_;
 };
 
 /// workload=kv over the Chord stack: string keys hash to item ids, puts
@@ -277,39 +268,6 @@ StoreSearchResult run_store_search_trial(const ScenarioSpec& spec,
   built.system->set_shard_pool(shard_pool);
   return drive_store_search(*built.system, *built.service, spec.workload,
                             spec.seed);
-}
-
-StoreSearchResult run_store_search_trial(const SystemConfig& config,
-                                         const StoreSearchOptions& options,
-                                         ThreadPool* shard_pool) {
-  P2PSystem sys(config);
-  sys.set_shard_pool(shard_pool);
-  ChurnstoreService svc(sys);
-  return drive_store_search(sys, svc, options, config.sim.seed);
-}
-
-StoreSearchResult run_store_search_trials(SystemConfig config,
-                                          const StoreSearchOptions& options,
-                                          std::uint32_t trials) {
-  Runner runner;
-  const std::uint64_t base_seed = config.sim.seed;
-  const auto results = runner.map_trials<StoreSearchResult>(
-      trials, [&config, &options, base_seed](std::uint32_t t) {
-        SystemConfig trial_config = config;
-        trial_config.sim.seed = Runner::trial_seed(base_seed, t);
-        return run_store_search_trial(trial_config, options);
-      });
-  StoreSearchResult total;
-  bool first = true;
-  for (const StoreSearchResult& r : results) {
-    if (first) {
-      total = r;
-      first = false;
-    } else {
-      total.merge(r);
-    }
-  }
-  return total;
 }
 
 double AvailabilityTrace::availability_fraction() const {

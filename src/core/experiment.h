@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "core/service.h"
 #include "core/system.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
@@ -48,24 +49,24 @@ struct StoreSearchResult {
   [[nodiscard]] double fetch_rate() const;
 };
 
+/// The one store -> age -> search loop, over any stack's StorageService:
+/// warm up, store `options.items` items from random creators (advancing a
+/// round while the service is not ready), age a fixed 2 tau plus
+/// `options.age_taus` taus, then run `options.batches` batches of
+/// concurrent searches, each judged after search_timeout() + 4 rounds. A
+/// searcher that churns out before locating is censored. The workload's
+/// draws (creators, items, initiators) come from `seed`.
+[[nodiscard]] StoreSearchResult drive_store_search(
+    P2PSystem& sys, StorageService& svc, const StoreSearchOptions& options,
+    std::uint64_t seed);
+
 /// One workload trial of the spec's protocol stack (spec.seed): the
 /// canonical store-then-search trial, or the KvStore workload when
 /// spec.workload_kind == "kv". `shard_pool` (borrowed, may be null) is lent
 /// to the trial system's sharded round engine (sim.shards from the spec).
+/// Multi-trial runs go through Runner::store_search.
 [[nodiscard]] StoreSearchResult run_store_search_trial(
     const ScenarioSpec& spec, ThreadPool* shard_pool = nullptr);
-
-/// Churnstore-stack trial from a raw SystemConfig (test/bench convenience).
-[[nodiscard]] StoreSearchResult run_store_search_trial(
-    const SystemConfig& config, const StoreSearchOptions& options,
-    ThreadPool* shard_pool = nullptr);
-
-/// Runs `trials` independently seeded trials (Runner::trial_seed) on the
-/// ThreadPool and merges the results in trial order; deterministic in
-/// (config, options, trials) regardless of thread count.
-[[nodiscard]] StoreSearchResult run_store_search_trials(
-    SystemConfig config, const StoreSearchOptions& options,
-    std::uint32_t trials);
 
 /// Availability-over-time workload (experiment E6/E10): store one item and
 /// record copies/landmarks/availability every `sample_every` rounds for

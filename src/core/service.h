@@ -2,9 +2,11 @@
 //
 // Every storage scheme in the repository — the paper's committee protocol
 // and all four baselines — exposes the same minimal workload surface:
-// try to store an item, begin a search, poll the outcome. The generic
-// store-then-search trial (core/experiment.h) and the Runner drive ANY
-// stack through this interface, so swapping the paper protocol for Chord or
+// try to store an item, begin a search, poll the outcome. Apart from
+// chord's byte-carrying put/get (workload=kv), the baselines have no other
+// request API. The one store-then-search driver
+// (drive_store_search, core/experiment.h) and the Runner drive ANY stack
+// through this interface, so swapping the paper protocol for Chord or
 // sqrt-replication is a ScenarioSpec field, not a new main().
 //
 // Semantics:

@@ -261,7 +261,6 @@ class Network {
   /// Borrowed, not owned; without a pool run_sharded degrades to serial with
   /// bit-identical results.
   void set_worker_pool(ThreadPool* pool) noexcept { worker_pool_ = pool; }
-  [[nodiscard]] ThreadPool* worker_pool() const noexcept { return worker_pool_; }
 
   /// Run fn(shard) for every shard of the plan — on the worker pool (caller
   /// helping, so nesting inside a pool task cannot deadlock) when one is

@@ -33,7 +33,6 @@ class StoreManager final : public Protocol {
   bool store(Vertex creator, ItemId item, std::vector<std::uint8_t> payload);
 
   [[nodiscard]] const ItemRecord* record(ItemId item) const;
-  [[nodiscard]] std::size_t item_count() const noexcept { return records_.size(); }
 
   /// --- god-view measurements (experiments E6/E10) ------------------------
   /// Members of the item's current committee generation still alive.

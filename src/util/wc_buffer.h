@@ -97,7 +97,6 @@ class WcScatter {
     counts_.assign(count, 0u);
   }
 
-  [[nodiscard]] std::uint32_t bucket_count() const noexcept { return count_; }
   /// Staged-but-unflushed elements of bucket b (testing / introspection).
   [[nodiscard]] std::uint32_t pending(std::uint32_t b) const noexcept {
     return counts_[b];

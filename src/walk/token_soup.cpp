@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <new>
 
 #include "util/prefetch.h"
 
@@ -24,21 +23,12 @@ constexpr std::uint64_t kTokenBits = 64 + 16;
 constexpr std::uint32_t kDirectMaxPages = 4;
 }  // namespace
 
-// The heap fallback matches the arena's line alignment so the WC contract
-// (64-byte-aligned bucket blocks) holds for arena-less standalone uses too.
 std::byte* TokenSoup::alloc_block(Arena* a, std::size_t bytes) {
-  if (a != nullptr) return static_cast<std::byte*>(a->allocate(bytes));
-  return static_cast<std::byte*>(
-      ::operator new(bytes, std::align_val_t{Arena::kLineAlign}));
+  return static_cast<std::byte*>(a->allocate(bytes));
 }
 
 void TokenSoup::free_block(Arena* a, std::byte* p, std::size_t bytes) noexcept {
-  if (p == nullptr) return;
-  if (a != nullptr) {
-    a->deallocate(p, bytes);
-  } else {
-    ::operator delete(p, std::align_val_t{Arena::kLineAlign});
-  }
+  if (p != nullptr) a->deallocate(p, bytes);
 }
 
 // Growth for the single-block SoA containers: capacity is whatever the

@@ -196,8 +196,8 @@ class TokenSoup final : public Protocol {
     Arena* arena_ = nullptr;
   };
 
-  /// Single-block alloc/free helpers shared by the SoA containers (null
-  /// arena falls through to the global heap so standalone uses still work).
+  /// Single-block alloc/free helpers shared by the SoA containers; every
+  /// queue and bucket gets its shard's arena at attach.
   static std::byte* alloc_block(Arena* a, std::size_t bytes);
   static void free_block(Arena* a, std::byte* p, std::size_t bytes) noexcept;
 

@@ -54,30 +54,29 @@ P2PSystem soup_system(const SystemConfig& cfg, Options options,
 TEST(Flooding, FullCoverageInLogRounds) {
   FloodingStore* flood = nullptr;
   P2PSystem sys = flooding_system(net_config(256, 0), {}, &flood);
-  flood->store(0, 42);
+  ASSERT_TRUE(flood->try_store(0, 42));
   sys.run_rounds(16);
-  EXPECT_DOUBLE_EQ(flood->coverage(42), 1.0);
-  EXPECT_TRUE(flood->has_item(200, 42));
+  EXPECT_EQ(flood->copies_alive(42), 256u);
 }
 
 TEST(Flooding, CoverageDecaysUnderChurnWithoutRefresh) {
   FloodingStore* flood = nullptr;
   P2PSystem sys = flooding_system(net_config(256, 16),
                                   {.refresh_period = 0}, &flood);
-  flood->store(0, 42);
+  ASSERT_TRUE(flood->try_store(0, 42));
   sys.run_rounds(12);
-  const double full = flood->coverage(42);
+  const std::size_t full = flood->copies_alive(42);
   sys.run_rounds(60);
-  EXPECT_LT(flood->coverage(42), full);
+  EXPECT_LT(flood->copies_alive(42), full);
 }
 
 TEST(Flooding, RefreshRestoresCoverage) {
   FloodingStore* flood = nullptr;
   P2PSystem sys = flooding_system(net_config(256, 8),
                                   {.refresh_period = 8}, &flood);
-  flood->store(0, 42);
+  ASSERT_TRUE(flood->try_store(0, 42));
   sys.run_rounds(80);
-  EXPECT_GT(flood->coverage(42), 0.85);
+  EXPECT_GT(static_cast<double>(flood->copies_alive(42)) / 256.0, 0.85);
   // The price: enormous per-node traffic.
   EXPECT_GT(sys.metrics().max_bits_per_node_round().mean(), 8 * 1024.0);
 }
@@ -102,20 +101,20 @@ TEST(SqrtReplication, StoreAndFindWithoutChurn) {
       net_config(256, 0), SqrtReplication::Options{}, &soup, &repl);
   // Warm the soup so the creator has samples.
   sys.run_rounds(2 * soup->tau());
-  const std::size_t placed = repl->store(0, 42);
-  EXPECT_GT(placed, 16u);  // ~ sqrt(256 * ln 256) ~ 38
+  ASSERT_TRUE(repl->try_store(0, 42));
   sys.run_round();  // replicas delivered
-  EXPECT_GT(repl->holders_alive(42), placed / 2);
+  EXPECT_GT(repl->copies_alive(42), 16u);  // ~ sqrt(256 * ln 256) ~ 38
 
-  const auto sid = repl->search(100, 42, /*timeout=*/3 * soup->tau());
-  for (std::uint32_t r = 0; r < 3 * soup->tau(); ++r) {
+  const auto sid = repl->begin_search(100, 42);
+  const Round start = sys.round();
+  for (std::uint32_t r = 0; r < repl->search_timeout(); ++r) {
     sys.run_round();
-    if (repl->outcome(sid).done) break;
+    if (repl->search_outcome(sid).done) break;
   }
-  const auto out = repl->outcome(sid);
+  const WorkloadOutcome out = repl->search_outcome(sid);
   EXPECT_TRUE(out.done);
-  EXPECT_TRUE(out.success);
-  EXPECT_GE(out.rounds_taken, 0);
+  EXPECT_TRUE(out.located);
+  EXPECT_GE(out.located_round, start);
 }
 
 TEST(SqrtReplication, HoldersDecayUnderChurn) {
@@ -124,17 +123,18 @@ TEST(SqrtReplication, HoldersDecayUnderChurn) {
   P2PSystem sys = soup_system<SqrtReplication>(
       net_config(256, 12), SqrtReplication::Options{}, &soup, &repl);
   sys.run_rounds(2 * soup->tau());
-  std::size_t placed = 0;
-  for (int attempt = 0; attempt < 10 && placed == 0; ++attempt) {
-    placed = repl->store(0, 42);
-    if (placed == 0) sys.run_round();
+  bool stored = false;
+  for (int attempt = 0; attempt < 10 && !stored; ++attempt) {
+    stored = repl->try_store(0, 42);
+    if (!stored) sys.run_round();
   }
-  ASSERT_GT(placed, 0u);
+  ASSERT_TRUE(stored);
   sys.run_round();
-  const std::size_t initial = repl->holders_alive(42);
+  const std::size_t initial = repl->copies_alive(42);
+  ASSERT_GT(initial, 0u);
   sys.run_rounds(4 * soup->tau());
   // No maintenance: the holder set must strictly decay under churn.
-  EXPECT_LT(repl->holders_alive(42), initial);
+  EXPECT_LT(repl->copies_alive(42), initial);
 }
 
 TEST(KWalker, FindsItemWithoutChurn) {
@@ -143,13 +143,13 @@ TEST(KWalker, FindsItemWithoutChurn) {
   P2PSystem sys = soup_system<KWalkerSearch>(
       net_config(256, 0), KWalkerSearch::Options{.walkers = 32}, &soup, &kw);
   sys.run_rounds(2 * soup->tau());
-  ASSERT_GT(kw->store(0, 42), 0u);
-  const auto sid = kw->search(128, 42, /*ttl=*/8 * soup->tau());
-  for (std::uint32_t r = 0; r < 8 * soup->tau(); ++r) {
+  ASSERT_TRUE(kw->try_store(0, 42));
+  const auto sid = kw->begin_search(128, 42);
+  for (std::uint32_t r = 0; r < kw->search_timeout(); ++r) {
     sys.run_round();
-    if (kw->outcome(sid).done) break;
+    if (kw->search_outcome(sid).done) break;
   }
-  EXPECT_TRUE(kw->outcome(sid).success);
+  EXPECT_TRUE(kw->search_outcome(sid).located);
 }
 
 TEST(KWalker, WalkersDieWithChurnedCarriers) {
@@ -159,11 +159,10 @@ TEST(KWalker, WalkersDieWithChurnedCarriers) {
       net_config(128, 16), KWalkerSearch::Options{.walkers = 64}, &soup, &kw);
   sys.run_rounds(2 * soup->tau());
   // Search for an item that does not exist so walkers run out their TTL.
-  const auto sid = kw->search(0, 0xDEAD, /*ttl=*/64);
-  sys.run_rounds(64);
-  const auto out = kw->outcome(sid);
-  EXPECT_FALSE(out.success);
-  EXPECT_GT(out.walkers_lost, 0u) << "heavy churn must kill some walkers";
+  const auto sid = kw->begin_search(0, 0xDEAD);
+  sys.run_rounds(kw->search_timeout());
+  EXPECT_FALSE(kw->search_outcome(sid).located);
+  EXPECT_GT(kw->walkers_lost(), 0u) << "heavy churn must kill some walkers";
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/runner.h"
+
 namespace churnstore {
 namespace {
 
@@ -44,13 +46,11 @@ TEST(Experiment, MergeAccumulatesCounts) {
 TEST(Experiment, TrialsAreSeedDiverse) {
   // Two trials of the same base seed must use different internal seeds:
   // check by ensuring the merged stats have spread (not identical doubles).
-  SystemConfig cfg = default_system_config(128, 3);
-  cfg.sim.churn.kind = AdversaryKind::kNone;
-  StoreSearchOptions opts;
-  opts.items = 1;
-  opts.searchers_per_batch = 3;
-  opts.batches = 1;
-  const auto merged = run_store_search_trials(cfg, opts, 2);
+  const ScenarioSpec spec = ScenarioSpec::from_cli(
+      Cli({"n=128", "seed=3", "trials=2", "churn=none", "items=1",
+           "searches=3", "batches=1"}));
+  Runner runner;
+  const auto merged = runner.store_search(spec);
   EXPECT_EQ(merged.searches, 6u);
 }
 

@@ -1,10 +1,10 @@
 // Tests for the runtime allocation sentinel (util/heap_sentinel.h): exact
 // per-thread alloc/free/byte accounting, HeapQuiesceScope violation
 // reporting, cross-thread aggregation (the TSan suite runs this file with
-// concurrent allocators), and the forced-unavailable degraded path. The
-// suite names are in scripts/check.sh's SANITIZED_FILTER so the counters
-// are exercised under both TSan and ASan — sanitizer interception sits
-// below our operator new (we forward to malloc), so the two compose.
+// concurrent allocators), and the forced-unavailable degraded path.
+// scripts/check.sh --tsan and --asan run the whole suite, so the counters
+// are exercised under both sanitizers — sanitizer interception sits below
+// our operator new (we forward to malloc), so the two compose.
 #include <gtest/gtest.h>
 
 #include <cstdint>

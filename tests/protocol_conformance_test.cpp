@@ -71,12 +71,20 @@ TEST_P(StackConformance, StoreThenSearchSucceedsWithoutChurn) {
   EXPECT_GT(svc.copies_alive(item), 0u);
 
   const auto sid = svc.begin_search(100, item);
+  const Round begun = sys.round();
+  const Round judged = begun + static_cast<Round>(svc.search_timeout()) + 4;
   sys.run_rounds(svc.search_timeout() + 4);
   const WorkloadOutcome out = svc.search_outcome(sid);
+  EXPECT_TRUE(out.done);
   EXPECT_TRUE(out.located) << "search failed with zero churn";
-  EXPECT_GE(out.located_round, 0);
-  // fetched implies located; fetched_round only set when fetched.
+  // Rounds are absolute: the locate lands inside the window the driver
+  // judges, and a fetch never precedes its locate.
+  EXPECT_GE(out.located_round, begun);
+  EXPECT_LE(out.located_round, judged);
   EXPECT_LE(out.fetched, out.located);
+  if (out.fetched) {
+    EXPECT_GE(out.fetched_round, out.located_round);
+  }
 }
 
 TEST_P(StackConformance, WorkloadRunsThroughGenericTrial) {

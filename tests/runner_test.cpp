@@ -84,15 +84,13 @@ TEST(Runner, SerialAndParallelAgreeForBaselineStack) {
   expect_identical(serial.store_search(spec), parallel.store_search(spec));
 }
 
-TEST(Runner, LegacyTrialsEntryPointIsDeterministic) {
-  SystemConfig cfg = default_system_config(128, 3);
-  cfg.sim.churn.kind = AdversaryKind::kNone;
-  StoreSearchOptions opts;
-  opts.items = 1;
-  opts.searchers_per_batch = 3;
-  opts.batches = 1;
-  const auto a = run_store_search_trials(cfg, opts, 3);
-  const auto b = run_store_search_trials(cfg, opts, 3);
+TEST(Runner, StoreSearchIsRepeatableAndMergesEveryTrial) {
+  const ScenarioSpec spec = ScenarioSpec::from_cli(
+      Cli({"n=128", "seed=3", "trials=3", "churn=none", "items=1",
+           "searches=3", "batches=1"}));
+  Runner runner;
+  const StoreSearchResult a = runner.store_search(spec);
+  const StoreSearchResult b = runner.store_search(spec);
   expect_identical(a, b);
   EXPECT_EQ(a.trial_count, 3u);
 }

@@ -666,6 +666,11 @@ TEST(KvWorkload, RunsAndIsDeterministic) {
   EXPECT_GT(a.searches, 0u);
   EXPECT_GT(a.fetched, 0u) << "kv gets never completed";
   EXPECT_EQ(a.located, a.fetched) << "kv reports verified fetches only";
+  // Fetch latency counts from the batch start: no get finishes before it
+  // began or after the round the driver judges it.
+  const P2PSystem sys(spec.system_config());
+  EXPECT_GE(a.fetch_rounds.min(), 0.0);
+  EXPECT_LE(a.fetch_rounds.max(), sys.search_timeout() + 4.0);
   expect_identical_results(a, b);
 }
 

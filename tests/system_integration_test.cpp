@@ -8,14 +8,24 @@
 namespace churnstore {
 namespace {
 
+/// A paper-stack store-search trial at (n, seed); the spec's default churn
+/// and topology are default_system_config's.
+ScenarioSpec trial_spec(std::uint32_t n, std::uint64_t seed,
+                        const StoreSearchOptions& workload) {
+  ScenarioSpec spec;
+  spec.ns = {n};
+  spec.seed = seed;
+  spec.workload = workload;
+  return spec;
+}
+
 TEST(System, DeterministicAcrossRuns) {
-  const SystemConfig cfg = default_system_config(128, 99);
   StoreSearchOptions opts;
   opts.items = 2;
   opts.searchers_per_batch = 4;
   opts.batches = 1;
-  const auto a = run_store_search_trial(cfg, opts);
-  const auto b = run_store_search_trial(cfg, opts);
+  const auto a = run_store_search_trial(trial_spec(128, 99, opts));
+  const auto b = run_store_search_trial(trial_spec(128, 99, opts));
   EXPECT_EQ(a.searches, b.searches);
   EXPECT_EQ(a.located, b.located);
   EXPECT_EQ(a.fetched, b.fetched);
@@ -26,13 +36,13 @@ TEST(System, DeterministicAcrossRuns) {
 TEST(System, StoreSearchWorkloadSucceedsAtPaperChurn) {
   // n = 256 with the paper's churn formula (k = 1.5, multiplier tuned to a
   // simulatable ~3% per round).
-  SystemConfig cfg = default_system_config(256, 4242);
-  cfg.sim.churn.multiplier = 0.5;
   StoreSearchOptions opts;
   opts.items = 2;
   opts.searchers_per_batch = 8;
   opts.batches = 2;
-  const auto res = run_store_search_trial(cfg, opts);
+  ScenarioSpec spec = trial_spec(256, 4242, opts);
+  spec.churn.multiplier = 0.5;
+  const auto res = run_store_search_trial(spec);
   EXPECT_GT(res.searches, 0u);
   EXPECT_GE(res.locate_rate(), 0.75)
       << "located " << res.located << "/" << res.searches;
@@ -64,10 +74,8 @@ TEST(System, PerNodeTrafficIsPolylogNotLinear) {
   opts.items = 1;
   opts.searchers_per_batch = 2;
   opts.batches = 1;
-  SystemConfig small_cfg = default_system_config(128, 5);
-  SystemConfig big_cfg = default_system_config(512, 5);
-  const auto small_res = run_store_search_trial(small_cfg, opts);
-  const auto big_res = run_store_search_trial(big_cfg, opts);
+  const auto small_res = run_store_search_trial(trial_spec(128, 5, opts));
+  const auto big_res = run_store_search_trial(trial_spec(512, 5, opts));
   ASSERT_GT(small_res.bits_node_round_mean.mean(), 0.0);
   const double ratio = big_res.bits_node_round_mean.mean() /
                        small_res.bits_node_round_mean.mean();
