@@ -1,6 +1,7 @@
-// Microbenchmarks (google-benchmark) for the hot kernels underneath the
+// Microbenchmarks (google-benchmark) for the kernels underneath the
 // simulation: PRNG, GF(256) fused multiply-accumulate, IDA encode/decode,
-// graph generation and rewiring, spectral estimation, and a full soup step.
+// graph generation and rewiring, and spectral estimation. The soup step is
+// timed by the soup_step scenario (bench_driver) and the ledger (ledger/).
 #include <benchmark/benchmark.h>
 
 #include "coding/gf256.h"
@@ -8,10 +9,7 @@
 #include "graph/regular_generator.h"
 #include "graph/rewirer.h"
 #include "graph/spectral.h"
-#include "net/network.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
-#include "walk/token_soup.h"
 
 using namespace churnstore;
 
@@ -100,72 +98,6 @@ void BM_SpectralEstimate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralEstimate)->Arg(1024)->Arg(4096);
-
-void BM_SoupStep(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  SimConfig cfg;
-  cfg.n = n;
-  cfg.seed = 3;
-  cfg.churn.kind = AdversaryKind::kUniform;
-  cfg.churn.k = 1.5;
-  cfg.churn.multiplier = 0.5;
-  Network net(cfg);
-  TokenSoup soup(net, WalkConfig{});
-  // Fill the pipeline so we measure the steady state.
-  for (std::uint32_t i = 0; i < 2 * soup.tau(); ++i) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  for (auto _ : state) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(soup.tokens_alive()));
-}
-BENCHMARK(BM_SoupStep)->Arg(1024)->Arg(4096);
-
-void BM_SoupStepSharded(benchmark::State& state) {
-  // The sharded engine at S shards on a worker pool; bit-identical to the
-  // serial run, so any throughput difference is pure execution. Compare
-  // S=1 vs S=4/16 rows for the speedup (>= 2x at 4+ shards on a multi-core
-  // host is the acceptance bar; a single-core host pins all rows at ~1x).
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto shards = static_cast<std::uint32_t>(state.range(1));
-  SimConfig cfg;
-  cfg.n = n;
-  cfg.seed = 3;
-  cfg.churn.kind = AdversaryKind::kUniform;
-  cfg.churn.k = 1.5;
-  cfg.churn.multiplier = 0.5;
-  cfg.shards = shards;
-  ThreadPool pool;
-  Network net(cfg);
-  if (shards != 1) net.set_worker_pool(&pool);
-  TokenSoup soup(net, WalkConfig{});
-  for (std::uint32_t i = 0; i < 2 * soup.tau(); ++i) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  for (auto _ : state) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(soup.tokens_alive()));
-}
-BENCHMARK(BM_SoupStepSharded)
-    ->Args({4096, 1})
-    ->Args({4096, 4})
-    ->Args({4096, 16})
-    ->Args({100000, 1})
-    ->Args({100000, 4})
-    ->Args({100000, 16})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

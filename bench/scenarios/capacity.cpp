@@ -12,11 +12,12 @@
 //   bench_driver --scenario=capacity n=16384 shard-sweep=1,4,16
 //   bench_driver --scenario=capacity protocol=chord n=100000  # DHT at scale
 //
-// Keys: shard-sweep (default 1,4,16), measure-rounds (default 2 tau),
-// items, searches; threads caps the pool (0 = hardware). Besides total
-// rounds/sec the table breaks the round into phases (soup / handler /
+// Keys: shard-sweep (default 1,4,16), measure-rounds (default 2 tau, at
+// least 1), items, searches; threads caps the pool (0 = hardware). Besides
+// total rounds/sec the table breaks the round into phases (soup / handler /
 // delivery rounds-per-second), so the per-phase sharding wins are visible
-// in isolation; BENCH_capacity.json records the json=true baseline.
+// in isolation. An ungated sweep tool: the one performance gate is the
+// ledger (ledger/, BENCHMARK.json), which runs the paper stack at n=4096.
 #include <chrono>
 
 #include "scenario_common.h"
@@ -35,6 +36,9 @@ CHURNSTORE_SCENARIO(capacity,
   if (!cli.has("n")) base.ns = {100000};
   if (!cli.has("items")) base.workload.items = 64;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 128;
+  if (cli.has("measure-rounds")) {
+    require_nonzero("measure-rounds", cli_count(cli, "measure-rounds", 0));
+  }
 
   banner(base, "C1 capacity — sharded round engine at large n",
          "rounds/sec for one big run vs shard count; the workload outcome "

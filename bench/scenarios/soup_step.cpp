@@ -2,17 +2,18 @@
 //
 // Isolates the sharded TokenSoup::step() kernel: a standalone soup on a
 // churning network, warmed to steady state, then a timed run of bare
-// begin_round/step/deliver rounds at each shard count. Emits the table the
-// BENCH_soup_step.json baseline is generated from:
+// begin_round/step/deliver rounds at each shard count. An ungated sweep
+// tool: the one performance gate is the ledger (ledger/, BENCHMARK.json),
+// whose soup-50k workload times the same kernel; this scenario covers the
+// sizes and shard counts the ledger does not run:
 //
-//   bench_driver --scenario=soup_step json=true > BENCH_soup_step.json
+//   bench_driver --scenario=soup_step                   # n=4096,16384
 //   bench_driver --scenario=soup_step n=100000 shard-sweep=1,4,16
 //
-// Keys: shard-sweep (default 1,4,16), steps (timed rounds, default 128);
-// threads caps the pool (0 = hardware). counters=true adds perf-counter
-// columns (cycles / LLC misses / dTLB misses per forwarded token) when
-// perf_event_open works, "n/a" where it is denied. The google-benchmark
-// variant of the same kernel lives in bench_micro (BM_SoupStepSharded).
+// Keys: shard-sweep (default 1,4,16), steps (timed rounds, default 128,
+// at least 1); threads caps the pool (0 = hardware). counters=true adds
+// perf-counter columns (cycles / LLC misses / dTLB misses per forwarded
+// token) when perf_event_open works, "n/a" where it is denied.
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
@@ -30,11 +31,12 @@ namespace {
 using namespace churnstore::bench;
 
 CHURNSTORE_SCENARIO(soup_step,
-                    "M2: sharded soup-step throughput (S sweep, "
-                    "BENCH_soup_step.json baseline)") {
+                    "M2: sharded soup-step throughput (S sweep, ungated "
+                    "sizing tool)") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {4096, 16384};
   const std::uint32_t steps = cli_count(cli, "steps", 128);
+  require_nonzero("steps", steps);
   const bool want_counters = cli.get_bool("counters", false);
   // Big-n memory guard: the steady state holds ~ n * walks * length tokens
   // (x2 transiently during the handoff merge) plus the sample-buffer

@@ -17,7 +17,9 @@
 #                               # then every example at n=256 (a nonzero
 #                               # exit fails); then the ledger's own smoke
 #                               # (its Release build, determinism and
-#                               # conservation gates)
+#                               # conservation gates). The ledger is the one
+#                               # benchmark gate; its timed runs go through
+#                               # ledger/run.py (ledger/README.md), not here.
 #   scripts/check.sh --lint     # shardcheck determinism linter over
 #                               # src/ bench/ tests/, cross-checked against
 #                               # compile_commands.json so the lint file list
@@ -85,7 +87,6 @@ if [[ "$SMOKE" == "1" ]]; then
       soup_step) EXTRA="steps=8 shard-sweep=1,2 counters=true" ;;
       storage)   EXTRA="horizon-taus=2" ;;
       survival)  EXTRA="probes=4" ;;
-      churn_limit) EXTRA="steps=2" ;;
     esac
     echo "== smoke: $sc $TINY $EXTRA"
     # shellcheck disable=SC2086

@@ -358,13 +358,6 @@ std::size_t ChordNetProtocol::joined_count() const {
   return acc;
 }
 
-std::vector<PeerId> ChordNetProtocol::successor_list(Vertex v) const {
-  std::vector<PeerId> out;
-  out.reserve(nodes_[v].succ.size());
-  for (const Entry& e : nodes_[v].succ) out.push_back(e.peer);
-  return out;
-}
-
 bool ChordNetProtocol::verify_payload(ItemId item, const std::uint8_t* data,
                                       std::size_t len) const {
   const auto it = items_.find(item);

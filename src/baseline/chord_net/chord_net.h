@@ -84,12 +84,6 @@ class ChordNetProtocol final : public Protocol, public StorageService {
                                static_cast<double>(searches_ok)
                          : 0.0;
     }
-    [[nodiscard]] double success_rate() const noexcept {
-      const std::uint64_t done = searches_ok + searches_failed;
-      return done ? static_cast<double>(searches_ok) /
-                        static_cast<double>(done)
-                  : 0.0;
-    }
     void accumulate(const LookupStats& o) noexcept;
     /// Zero every counter and histogram count in place (no reallocation —
     /// the per-round shard-stats reset runs on the round path).
@@ -144,7 +138,6 @@ class ChordNetProtocol final : public Protocol, public StorageService {
   [[nodiscard]] double ring_consistency() const;
   [[nodiscard]] std::size_t joined_count() const;
   [[nodiscard]] bool is_joined(Vertex v) const { return nodes_[v].joined; }
-  [[nodiscard]] std::vector<PeerId> successor_list(Vertex v) const;
 
  private:
   struct Entry {

@@ -23,6 +23,7 @@ void KWalkerSearch::on_churn(Vertex v, PeerId, PeerId) {
     if (w.at == v && w.ttl > 0) {
       w.ttl = 0;
       ++walkers_lost_;
+      --searches_.at(w.sid).walkers;
     }
   }
 }
@@ -53,7 +54,8 @@ bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
 
 std::uint64_t KWalkerSearch::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x6b77ULL) | 1;
-  outcomes_[sid] = WorkloadOutcome{};
+  searches_[sid] = Search{WorkloadOutcome{}, net().round() + ttl_,
+                          options_.walkers};
   for (std::uint32_t i = 0; i < options_.walkers; ++i) {
     walkers_.push_back(Walker{sid, item, initiator, ttl_});
   }
@@ -68,8 +70,12 @@ std::uint64_t KWalkerSearch::begin_search(Vertex initiator, ItemId item) {
 }
 
 WorkloadOutcome KWalkerSearch::search_outcome(std::uint64_t sid) const {
-  const auto it = outcomes_.find(sid);
-  return it == outcomes_.end() ? WorkloadOutcome{} : it->second;
+  const auto it = searches_.find(sid);
+  if (it == searches_.end()) return WorkloadOutcome{};
+  const Search& s = it->second;
+  WorkloadOutcome out = s.outcome;
+  out.done = out.done || s.walkers == 0 || net().round() >= s.deadline;
+  return out;
 }
 
 std::size_t KWalkerSearch::copies_alive(ItemId item) const {
@@ -101,8 +107,7 @@ void KWalkerSearch::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
        i < walker_plan_.end(shard); ++i) {
     Walker w = walkers_[i];
     if (w.ttl == 0) continue;
-    const auto out_it = outcomes_.find(w.sid);
-    if (out_it != outcomes_.end() && out_it->second.done) continue;
+    if (searches_.at(w.sid).outcome.done) continue;
     // Per-(round, walker) stream: trajectories are independent of the
     // shard partition and of sibling walkers' draws.
     Rng rng = stream_rng(round_key, i);
@@ -126,7 +131,7 @@ void KWalkerSearch::on_round_merge() {
   walkers_.clear();
   for (ShardStage& stage : stage_) {
     for (const std::uint64_t sid : stage.hit_sids) {
-      WorkloadOutcome& out = outcomes_[sid];
+      WorkloadOutcome& out = searches_.at(sid).outcome;
       if (!out.done) {
         out.done = out.located = out.fetched = true;
         out.located_round = out.fetched_round = now;
@@ -138,35 +143,22 @@ void KWalkerSearch::on_round_merge() {
     stage.survivors.clear();
   }
 
-  // Resolve sampled probes (serial; traced_ is empty unless sampling hit).
-  // A probe ends ok the round its outcome flips done, and ends failed once
-  // no walker of its sid survives (all TTLs expired or churned out).
+  // Resolve sampled probes (serial; traced_ is empty unless sampling hit):
+  // each ends the round its search is done, ok if a walker located the item.
   if (!traced_.empty()) {
     std::size_t write = 0;
     for (std::size_t read = 0; read < traced_.size(); ++read) {
       const TracedProbe& tp = traced_[read];
-      const auto out_it = outcomes_.find(tp.sid);
-      if (out_it != outcomes_.end() && out_it->second.done) {
-        net().trace_serial(make_trace_event(
-            tp.sid, now, tp.initiator, out_it->second.located_round - tp.start,
-            options_.walkers, RequestClass::kWalkerProbe, TraceEv::kEndOk));
+      const WorkloadOutcome out = search_outcome(tp.sid);
+      if (!out.done) {
+        traced_[write++] = tp;
         continue;
       }
-      bool alive = false;
-      for (const Walker& w : walkers_) {
-        if (w.sid == tp.sid) {
-          alive = true;
-          break;
-        }
-      }
-      if (!alive) {
-        net().trace_serial(make_trace_event(
-            tp.sid, now, tp.initiator, now - tp.start,
-            options_.walkers, RequestClass::kWalkerProbe, TraceEv::kEndFail));
-        continue;
-      }
-      if (write != read) traced_[write] = traced_[read];
-      ++write;
+      net().trace_serial(make_trace_event(
+          tp.sid, now, tp.initiator,
+          (out.located ? out.located_round : now) - tp.start,
+          options_.walkers, RequestClass::kWalkerProbe,
+          out.located ? TraceEv::kEndOk : TraceEv::kEndFail));
     }
     traced_.resize(write);
   }

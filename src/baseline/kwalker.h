@@ -51,7 +51,9 @@ class KWalkerSearch final : public Protocol, public StorageService {
   /// Places replicas from the creator's walk samples; false while its
   /// buffer is cold.
   bool try_store(Vertex creator, ItemId item) override;
-  /// Launches k walkers with a TTL of 4 tau.
+  /// Launches k walkers with a TTL of 4 tau. The search is done when a
+  /// walker lands on a holder, or unlocated once its last walker dies (churn
+  /// or TTL), within search_timeout().
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
@@ -86,11 +88,19 @@ class KWalkerSearch final : public Protocol, public StorageService {
   std::unordered_map<ItemId, std::vector<PeerId>> placed_;
   // shardcheck:cold-state(walker population rebuilt in the serial merge from staged survivors)
   std::vector<Walker> walkers_;
-  // shardcheck:cold-state(outcome registry mutated in serial search/merge context)
-  std::unordered_map<std::uint64_t, WorkloadOutcome> outcomes_;
-  /// Sampled probes awaiting an end event (obs/trace.h). Resolved in the
-  /// serial merge: success when the outcome flips done, failure when no
-  /// walker of the sid survives. Usually empty (only sampled probes).
+  /// Per-search accounting. All k walkers start with the same TTL, so the
+  /// ones churn spares expire together at `deadline`; a miss is done once
+  /// `walkers` reaches 0 or the deadline passes.
+  struct Search {
+    WorkloadOutcome outcome;
+    Round deadline;
+    std::uint32_t walkers;  ///< not yet churned out
+  };
+  // shardcheck:cold-state(search registry mutated in serial search/churn/merge context)
+  std::unordered_map<std::uint64_t, Search> searches_;
+  /// Sampled probes awaiting an end event (obs/trace.h), resolved in the
+  /// serial merge the round their search is done. Usually empty (only
+  /// sampled probes).
   struct TracedProbe {
     std::uint64_t sid;
     Vertex initiator;

@@ -15,6 +15,10 @@ namespace {
 constexpr std::uint64_t kFlagCreation = 1;
 constexpr std::size_t kMembersAt = 12;
 
+// Leader redundancy R: the top-R ranked members all attempt re-formation,
+// ordered by rank (the paper footnote's fallback, made explicit).
+constexpr std::uint32_t kLeaderRedundancy = 2;
+
 // kCommitteeCount: [0] kid [1] count [2] piece_index [3] ida_k
 //                  [4] original_size; blob: IDA piece (erasure mode only).
 // kCommitteeCandidateAlive / kCommitteeAccept / kCommitteeDissolve:
@@ -382,7 +386,7 @@ void CommitteeManager::run_cycle_phase(Vertex v, Membership& m, Round now,
           break;
         }
       }
-      if (rank < config_.leader_redundancy) {
+      if (rank < kLeaderRedundancy) {
         m.candidate = true;
         m.my_rank = rank;
         send_invites(v, m, now, anchor, ctx);
@@ -419,8 +423,8 @@ void CommitteeManager::run_cycle_phase(Vertex v, Membership& m, Round now,
 void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   if (active_count_[shard] == 0) return;
   const Round now = net().round();
-  const std::uint32_t rebuild = std::max<std::uint32_t>(
-      4, static_cast<std::uint32_t>(config_.landmark_rebuild_taus * tau_));
+  // Landmark trees are rebuilt once per tau (paper), at least 4 rounds apart.
+  const std::uint32_t rebuild = std::max<std::uint32_t>(4, tau_);
   ShardStage& stage = stage_[shard];
 
   // shardcheck:ok(R6: expiry sweep scratch: O(expiring committees per cycle))

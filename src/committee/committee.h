@@ -9,7 +9,7 @@
 // anchor round to form the next committee, and (4) the old members resign.
 //
 // The paper's footnote (c_r may be churned out) is realized explicitly:
-// the top R ("leader_redundancy") ranked members all issue invitations,
+// the top R = 2 (kLeaderRedundancy) ranked members all issue invitations,
 // candidates announce themselves to the clique, and every lower-ranked
 // candidate that observes a higher-ranked announcement dissolves its own
 // formation — so exactly one new committee survives whenever at least one

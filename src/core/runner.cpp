@@ -1,7 +1,5 @@
 #include "core/runner.h"
 
-#include <algorithm>
-
 #include "core/experiment.h"
 
 namespace churnstore {
@@ -22,20 +20,13 @@ StoreSearchResult Runner::store_search(const ScenarioSpec& spec) {
   ThreadPool* shard_pool =
       (options_.parallel && spec.shards != 1) ? &pool() : nullptr;
   const auto results = map_trials<StoreSearchResult>(
-      std::max(1u, spec.trials), [&spec, shard_pool](std::uint32_t t) {
+      spec.trials, [&spec, shard_pool](std::uint32_t t) {
         return run_store_search_trial(
             spec.with_seed(trial_seed(spec.seed, t)), shard_pool);
       });
-  StoreSearchResult total;
-  bool first = true;
-  for (const StoreSearchResult& r : results) {
-    if (first) {
-      total = r;
-      first = false;
-    } else {
-      total.merge(r);
-    }
-  }
+  // map_trials rejects trials=0, so there is always a first trial.
+  StoreSearchResult total = results.front();
+  for (std::size_t t = 1; t < results.size(); ++t) total.merge(results[t]);
   return total;
 }
 

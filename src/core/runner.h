@@ -46,9 +46,11 @@ class Runner {
 
   /// Runs fn(trial) for trial in [0, trials); returns results in trial
   /// order. fn must not touch shared mutable state (each trial builds its
-  /// own simulator).
+  /// own simulator). Every trial path goes through here, so here is where
+  /// trials=0 is rejected (std::invalid_argument naming the key).
   template <typename R, typename Fn>
   std::vector<R> map_trials(std::uint32_t trials, Fn&& fn) {
+    require_nonzero("trials", trials);
     std::vector<R> out(trials);
     if (!options_.parallel || trials <= 1) {
       for (std::uint32_t t = 0; t < trials; ++t) out[t] = fn(t);

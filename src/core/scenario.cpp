@@ -37,10 +37,9 @@ const char* const kKnownKeys[] = {
     "churn-k",    "churn-absolute",              "adaptive-pad",
     "edge",       "rewire-swaps",                "walk-rate",
     "walk-t",     "walk-cap",   "walk-window",   "h",
-    "oversample", "leader-redundancy",           "fanout",
-    "delta",      "landmark-ttl-taus",           "landmark-rebuild-taus",
-    "refresh-taus",             "timeout-taus",  "inquiry-cap",
-    "item-bits",  "erasure",    "ida-surplus",   "items",
+    "oversample", "fanout",     "delta",         "landmark-ttl-taus",
+    "refresh-taus",             "timeout-taus",  "item-bits",
+    "erasure",    "ida-surplus",                 "items",
     "searches",   "batches",    "age-taus",      "threads",
     "parallel",   "shards",     "csv",           "json",
     "scenario",   "list",       "stacks",        "help",
@@ -181,18 +180,13 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   ProtocolConfig& pc = spec.protocol_config;
   pc.h = cli.get_double("h", pc.h);
   pc.invite_oversample = cli.get_double("oversample", pc.invite_oversample);
-  pc.leader_redundancy =
-      get_count(cli, "leader-redundancy", pc.leader_redundancy);
   pc.tree_fanout = get_count(cli, "fanout", pc.tree_fanout);
   pc.delta = cli.get_double("delta", pc.delta);
   pc.landmark_ttl_taus =
       cli.get_double("landmark-ttl-taus", pc.landmark_ttl_taus);
-  pc.landmark_rebuild_taus =
-      cli.get_double("landmark-rebuild-taus", pc.landmark_rebuild_taus);
   pc.refresh_taus = cli.get_double("refresh-taus", pc.refresh_taus);
   pc.search_timeout_taus =
       cli.get_double("timeout-taus", pc.search_timeout_taus);
-  pc.inquiry_cap = get_count(cli, "inquiry-cap", pc.inquiry_cap);
   pc.item_bits = get_count(cli, "item-bits", pc.item_bits);
   pc.use_erasure_coding = cli.get_bool("erasure", pc.use_erasure_coding);
   pc.ida_surplus = get_count(cli, "ida-surplus", pc.ida_surplus);
@@ -245,15 +239,11 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
   kv("walk-window", fmt_double(walk.window_mult));
   kv("h", fmt_double(protocol_config.h));
   kv("oversample", fmt_double(protocol_config.invite_oversample));
-  kv("leader-redundancy", std::to_string(protocol_config.leader_redundancy));
   kv("fanout", std::to_string(protocol_config.tree_fanout));
   kv("delta", fmt_double(protocol_config.delta));
   kv("landmark-ttl-taus", fmt_double(protocol_config.landmark_ttl_taus));
-  kv("landmark-rebuild-taus",
-     fmt_double(protocol_config.landmark_rebuild_taus));
   kv("refresh-taus", fmt_double(protocol_config.refresh_taus));
   kv("timeout-taus", fmt_double(protocol_config.search_timeout_taus));
-  kv("inquiry-cap", std::to_string(protocol_config.inquiry_cap));
   kv("item-bits", std::to_string(protocol_config.item_bits));
   kv("erasure", protocol_config.use_erasure_coding ? "true" : "false");
   kv("ida-surplus", std::to_string(protocol_config.ida_surplus));
@@ -344,6 +334,12 @@ std::uint32_t extras_count(const std::map<std::string, std::string>& extras,
   return non_negative<std::uint32_t>(key, extras_int(extras, key, fallback));
 }
 
+void require_nonzero(const std::string& key, std::uint64_t value) {
+  if (value == 0) {
+    throw std::invalid_argument("spec key '" + key + "' must be >= 1, got 0");
+  }
+}
+
 std::string ScenarioSpec::extra(const std::string& key,
                                 const std::string& fallback) const {
   return extras_string(extras, key, fallback);
@@ -352,11 +348,6 @@ std::string ScenarioSpec::extra(const std::string& key,
 std::int64_t ScenarioSpec::extra_int(const std::string& key,
                                      std::int64_t fallback) const {
   return extras_int(extras, key, fallback);
-}
-
-double ScenarioSpec::extra_double(const std::string& key,
-                                  double fallback) const {
-  return extras_double(extras, key, fallback);
 }
 
 void emit_table(const Table& table, const ScenarioSpec& spec,

@@ -111,8 +111,6 @@ struct ScenarioSpec {
                                   const std::string& fallback) const;
   [[nodiscard]] std::int64_t extra_int(const std::string& key,
                                        std::int64_t fallback) const;
-  [[nodiscard]] double extra_double(const std::string& key,
-                                    double fallback) const;
 };
 
 /// Lookup helpers for key=value extras maps (shared by ScenarioSpec and
@@ -141,6 +139,10 @@ struct ScenarioSpec {
 [[nodiscard]] std::uint32_t extras_count(
     const std::map<std::string, std::string>& extras, const std::string& key,
     std::uint32_t fallback);
+/// Rejects a zero count for a key that sizes the measured work itself
+/// (trials, timed steps): zero runs nothing, and the all-zero rows it would
+/// print read as a measurement. Throws std::invalid_argument naming the key.
+void require_nonzero(const std::string& key, std::uint64_t value);
 
 /// Enum <-> name mappings used by the spec (and anywhere else a config
 /// field meets a command line).

@@ -91,17 +91,13 @@ struct ProtocolConfig {
   /// surviving membership at the target (the paper hides this in its
   /// constant slack, e.g. h <= alpha/36).
   double invite_oversample = 3.0;
-  /// Leader redundancy R: top-R ranked members all attempt re-formation,
-  /// ordered by rank (paper footnote's fallback, made explicit).
-  std::uint32_t leader_redundancy = 2;
   /// Landmark tree fanout (paper: 2).
   std::uint32_t tree_fanout = 2;
   /// delta in the landmark tree depth formula (paper eq. 4 uses the churn
   /// exponent; the depth is capped to (0.5 + delta) log2 n).
   double delta = 0.25;
-  /// Landmark TTL and rebuild period, in units of tau (paper: 2 and 1).
+  /// Landmark TTL, in units of tau (paper: 2). Trees rebuild every tau.
   double landmark_ttl_taus = 2.0;
-  double landmark_rebuild_taus = 1.0;
   /// Committee refresh period, in units of tau. The paper refreshes every
   /// 2*tau where tau is the mixing time; our tau already includes the full
   /// walk length plus slack, so 1 tau of ours covers the paper's intent and
@@ -110,9 +106,6 @@ struct ProtocolConfig {
   double refresh_taus = 1.0;
   /// Search deadline, in units of tau.
   double search_timeout_taus = 4.0;
-  /// Max inquiries a search landmark issues per round (0 = all samples,
-  /// matching the paper's "contacts all nodes of received samples").
-  std::uint32_t inquiry_cap = 0;
   /// Data item payload size in bits (for message accounting).
   std::uint64_t item_bits = 1024;
   /// Erasure coding (section 4.4): store IDA pieces instead of replicas.

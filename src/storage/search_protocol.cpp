@@ -205,16 +205,11 @@ void SearchManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
     if (lm == nullptr) continue;
     // A search landmark that itself knows the item reports immediately.
     reply_if_holder(w, lm->item, sid, lm->search_root, ctx);
-    const auto& sources = soup_.samples(w).at(now - 1);
-    const std::size_t cap = config_.inquiry_cap == 0
-                                ? sources.size()
-                                : std::min<std::size_t>(config_.inquiry_cap,
-                                                        sources.size());
     const PeerId self = net().peer_at(w);
-    for (std::size_t i = 0; i < cap; ++i) {
+    for (const PeerId source : soup_.samples(w).at(now - 1)) {
       Message msg;
       msg.src = self;
-      msg.dst = sources[i];
+      msg.dst = source;
       msg.type = MsgType::kInquiry;
       msg.words = {lm->item, sid};
       ctx.send(w, std::move(msg));

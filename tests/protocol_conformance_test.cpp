@@ -87,6 +87,25 @@ TEST_P(StackConformance, StoreThenSearchSucceedsWithoutChurn) {
   }
 }
 
+TEST_P(StackConformance, SearchForAnUnstoredItemFinishesUnlocated) {
+  // A miss finishes too: "outcomes stabilize after search_timeout()" holds
+  // for a search nothing can answer, with and without churn.
+  for (const double churn : {0.0, 0.25}) {
+    const ScenarioSpec spec =
+        conformance_spec(GetParam()).with_churn_multiplier(churn);
+    const BuiltSystem built =
+        build_stack(spec.protocol, spec.system_config(), spec.extras);
+    P2PSystem& sys = *built.system;
+    StorageService& svc = *built.service;
+    sys.run_rounds(sys.warmup_rounds());
+    const auto sid = svc.begin_search(100, 0xBADF00D);
+    sys.run_rounds(svc.search_timeout() + 4);
+    const WorkloadOutcome out = svc.search_outcome(sid);
+    EXPECT_TRUE(out.done) << "churn-mult=" << churn;
+    EXPECT_FALSE(out.located) << "churn-mult=" << churn;
+  }
+}
+
 TEST_P(StackConformance, WorkloadRunsThroughGenericTrial) {
   const ScenarioSpec spec = conformance_spec(GetParam());
   const StoreSearchResult res = run_store_search_trial(spec);

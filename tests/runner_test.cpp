@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "core/experiment.h"
@@ -93,6 +94,27 @@ TEST(Runner, StoreSearchIsRepeatableAndMergesEveryTrial) {
   const StoreSearchResult b = runner.store_search(spec);
   expect_identical(a, b);
   EXPECT_EQ(a.trial_count, 3u);
+}
+
+TEST(Runner, ZeroTrialsErrorOutNamingTheKey) {
+  // trials=0 would run nothing and print all-zero rows as a measurement.
+  ScenarioSpec spec = small_spec("churnstore");
+  spec.trials = 0;
+  Runner runner(RunnerOptions{.threads = 1, .parallel = false});
+  try {
+    (void)runner.store_search(spec);
+    FAIL() << "trials=0 must not run";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'trials'"), std::string::npos);
+  }
+  bool ran = false;
+  EXPECT_THROW(runner.map_trials<int>(0,
+                                      [&ran](std::uint32_t) {
+                                        ran = true;
+                                        return 0;
+                                      }),
+               std::invalid_argument);
+  EXPECT_FALSE(ran);
 }
 
 TEST(Runner, OptionsComeFromSpec) {
