@@ -53,7 +53,6 @@ CHURNSTORE_SCENARIO(ablation,
   // Every knob is a paper-stack constant: the cells store and search on
   // that stack, at the first n.
   base.protocol = "churnstore";
-  base.workload_kind = "store-search";
   base.ns = {cli.has("n") ? base.n() : 512};
   if (!cli.has("items")) base.workload.items = 1;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 8;

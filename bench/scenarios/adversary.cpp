@@ -29,7 +29,6 @@ CHURNSTORE_SCENARIO(adversary,
   ScenarioSpec base = spec;
   // Every panel stores and searches on the paper stack.
   base.protocol = "churnstore";
-  base.workload_kind = "store-search";
   if (!cli.has("n")) base.ns = {512};
   if (!cli.has("items")) base.workload.items = 2;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 8;

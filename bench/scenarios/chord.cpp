@@ -13,7 +13,8 @@
 //
 // Keys: chord-replication, chord-stabilize, chord-replicate, items
 // (default 8), searches (24), age-taus (0: taus of aging beyond the
-// driver's fixed 2 tau) and batches (1).
+// driver's fixed 2 tau) and batches (1). trials must be 1 (the default
+// here): each cell is one run.
 #include <cmath>
 #include <optional>
 
@@ -50,16 +51,8 @@ ChordCell run_cell(const ScenarioSpec& spec, const std::string& obs_label) {
   // obs=jsonl|chrome attaches a per-cell exporter session; each cell gets
   // its own labelled file. Declared after `built` so the session (whose
   // trace lanes borrow the network's shard arenas) dies first.
-  ObsConfig obs = obs_config_from_extras(cell.extras);
-  std::optional<ObsSession> session;
-  if (obs.mode != ObsConfig::Mode::kNone) {
-    if (obs.path.empty()) {
-      obs.path = obs.mode == ObsConfig::Mode::kJsonl ? "obs.jsonl"
-                                                     : "obs_trace.json";
-    }
-    obs.path = obs_path_with_label(obs.path, obs_label);
-    session.emplace(sys, obs);
-  }
+  const std::optional<ObsSession> session =
+      attach_obs_session(sys, cell.extras, obs_label);
 
   ChordCell out;
   out.workload =
@@ -77,7 +70,9 @@ CHURNSTORE_SCENARIO(chord,
                     "ring health vs churn") {
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {1024, 4096};
-  if (!cli.has("trials")) base.trials = 1;
+  // One cell per (n, churn level) and no trial axis: any other trials value
+  // would print this one-trial table as if it had been honoured.
+  if (cli.has("trials")) require_exactly("trials", spec.trials, 1);
   if (!cli.has("items")) base.workload.items = 8;
   if (!cli.has("searches")) base.workload.searchers_per_batch = 24;
   if (!cli.has("age-taus")) base.workload.age_taus = 0.0;

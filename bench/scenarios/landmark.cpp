@@ -86,9 +86,9 @@ CHURNSTORE_SCENARIO(landmark, "E5: landmark set size vs sqrt(n) (Lemma 8)") {
   }
   emit(t, base);
   if (!base.csv && !base.json) {
-    std::printf("\nlog-log slope of peak landmarks vs n: %.3f "
+    std::printf("\nlog-log slope of peak landmarks vs n: %s "
                 "(Lemma 8 predicts within [0.5, 0.75])\n",
-                loglog_slope(xs, ys));
+                slope_text(loglog_slope(xs, ys), 3).c_str());
   }
 }
 

@@ -57,9 +57,9 @@ CHURNSTORE_SCENARIO(message_complexity,
   emit(t, base);
   if (!base.csv && !base.json) {
     std::printf(
-        "\nlog-log slope of mean bits vs n: %.3f "
+        "\nlog-log slope of mean bits vs n: %s "
         "(0 = constant, 1 = linear; polylog gives ~0.1-0.3 at these n)\n",
-        loglog_slope(xs, ys));
+        slope_text(loglog_slope(xs, ys), 3).c_str());
   }
 }
 

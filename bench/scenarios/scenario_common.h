@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/experiment.h"
@@ -29,6 +30,15 @@ inline void banner(const ScenarioSpec& spec, const std::string& experiment,
                    const std::string& claim) {
   if (spec.csv || spec.json) return;  // keep machine output clean
   std::printf("== %s ==\n%s\n\n", experiment.c_str(), claim.c_str());
+}
+
+/// A fitted slope for a summary line, or "n/a" when the fit has no slope
+/// (fewer than two usable points): never a fake zero.
+inline std::string slope_text(const std::optional<double>& slope, int digits) {
+  if (!slope) return "n/a";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", digits, *slope);
+  return buf;
 }
 
 /// Churn sweep helper: spec variant at multiplier `cm` (kNone at 0).

@@ -68,10 +68,10 @@ CHURNSTORE_SCENARIO(search, "E7: retrieval success and latency (Theorem 4)") {
     }
   }
   emit(t, base);
-  if (lnns.size() >= 2 && !base.csv && !base.json) {
-    std::printf("\nlocate-rounds vs ln(n): linear slope %.2f rounds per ln n "
+  if (!base.csv && !base.json) {
+    std::printf("\nlocate-rounds vs ln(n): linear slope %s rounds per ln n "
                 "unit (Theorem 4: O(log n) rounds)\n",
-                linear_slope(lnns, latencies));
+                slope_text(linear_slope(lnns, latencies), 2).c_str());
   }
 }
 

@@ -1,21 +1,13 @@
 // A decentralized key/value service node: the KvStore facade over the
-// churn-resilient protocols, plus the distributed size estimator keeping a
-// live estimate of the swarm size (nodes only know n approximately in
-// practice; the paper assumes a constant-factor estimate, and this is how
-// one is obtained).
+// churn-resilient protocols. Keys hash to item ids, values are real bytes,
+// and every get is verified against the stored value's content hash.
 //
-// Also shows the pluggable-protocol API: the estimator is one extra module
-// appended to the paper stack and driven by the same P2PSystem round loop —
-// no side-channel stepping.
-//
-//   ./build/examples/kv_service [--n=1024] [--churn-mult=0.5] [--pairs=5]
+//   ./build/example_kv_service [--n=1024] [--churn-mult=0.5] [--pairs=5]
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/kv_store.h"
-#include "core/size_estimator.h"
 #include "core/system.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -34,19 +26,14 @@ int main(int argc, char** argv) {
   config.sim.churn.k = 1.5;
   config.sim.churn.multiplier = cli.get_double("churn-mult", 0.5);
 
-  // The estimator is a Protocol module: append it to the paper stack and
-  // the driver steps it every round along with everything else.
-  auto mods = P2PSystem::paper_protocols(config);
-  mods.push_back(std::make_unique<SizeEstimator>(/*k=*/32));
-  P2PSystem sys(config, std::move(mods));
+  P2PSystem sys(config);
   KvStore kv(sys);
-  SizeEstimator& estimator = *sys.find_protocol<SizeEstimator>();
 
   auto run = [&](std::uint32_t rounds) { sys.run_rounds(rounds); };
 
   run(sys.warmup_rounds());
-  std::printf("swarm size: true n=%u, distributed estimate=%.0f\n", n,
-              estimator.median_estimate());
+  std::printf("swarm of n=%u peers, walk soup mixed after %u rounds\n", n,
+              sys.warmup_rounds());
 
   Rng rng(17);
   std::vector<std::string> keys;
@@ -80,9 +67,9 @@ int main(int argc, char** argv) {
                   key.c_str());
     }
   }
-  std::printf("\n%u/%zu gets verified; swarm estimate now %.0f; the network "
-              "replaced %llu peers during the run\n",
-              found, keys.size(), estimator.median_estimate(),
+  std::printf("\n%u/%zu gets verified; the network replaced %llu peers "
+              "during the run\n",
+              found, keys.size(),
               static_cast<unsigned long long>(sys.network().churn_events()));
   return found * 2 >= keys.size() ? 0 : 1;
 }

@@ -92,26 +92,32 @@ if [[ "$SMOKE" == "1" ]]; then
     # shellcheck disable=SC2086
     "$DRIVER" --scenario="$sc" $TINY $EXTRA >/dev/null
   done
-  # Observability smoke: the chord scenario with both exporters. Every
+  # Observability smoke: the chord scenario with both exporters, and the
+  # search scenario, whose store-search trials each attach a session. Every
   # emitted file must parse — jsonl line by line, the chrome trace as one
   # JSON document (the Perfetto-loadability floor).
   OBS_DIR="$(mktemp -d)"
   trap 'rm -rf "$OBS_DIR"' EXIT
-  echo "== smoke: chord $TINY obs=jsonl (and obs=chrome) -> $OBS_DIR"
+  echo "== smoke: chord $TINY obs=jsonl (and obs=chrome), search $TINY obs=jsonl -> $OBS_DIR"
   # shellcheck disable=SC2086
   "$DRIVER" --scenario=chord $TINY \
     obs=jsonl obs-file="$OBS_DIR/obs.jsonl" trace-sample=1 >/dev/null
   # shellcheck disable=SC2086
   "$DRIVER" --scenario=chord $TINY \
     obs=chrome obs-file="$OBS_DIR/obs_trace.json" >/dev/null
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY \
+    obs=jsonl obs-file="$OBS_DIR/search.jsonl" >/dev/null
   python3 - "$OBS_DIR" <<'PYEOF'
 import glob, json, sys
 obs_dir = sys.argv[1]
 jsonl = glob.glob(obs_dir + "/obs.*.jsonl")
+search = glob.glob(obs_dir + "/search.*.jsonl")
 chrome = glob.glob(obs_dir + "/obs_trace.*.json")
 assert jsonl, "obs=jsonl produced no files"
+assert search, "search obs=jsonl produced no files"
 assert chrome, "obs=chrome produced no files"
-for path in jsonl:
+for path in jsonl + search:
     summaries = 0
     with open(path) as f:
         for i, line in enumerate(f):
@@ -124,11 +130,11 @@ for path in chrome:
     events = doc["traceEvents"]
     assert events, f"{path}: empty traceEvents"
     assert all("ph" in e for e in events), f"{path}: event without ph"
-print(f"obs smoke: {len(jsonl)} jsonl + {len(chrome)} chrome files parse")
+print(f"obs smoke: {len(jsonl)} chord + {len(search)} search jsonl and "
+      f"{len(chrome)} chrome files parse")
 PYEOF
   # Example smoke: every program under examples/ end to end at n=256; a
-  # nonzero exit fails. kv_service is the one program that stacks a
-  # churn-hook user (SizeEstimator) on the paper stack.
+  # nonzero exit fails.
   for ex in "${EXAMPLES[@]}"; do
     echo "== smoke: $ex n=256"
     "$BUILD_DIR/$ex" n=256 >/dev/null

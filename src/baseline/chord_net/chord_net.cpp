@@ -269,7 +269,20 @@ bool ChordNetProtocol::put(Vertex creator, ItemId item,
   return true;
 }
 
-std::uint64_t ChordNetProtocol::get(Vertex initiator, ItemId item) {
+const ChordNetProtocol::SearchRec* ChordNetProtocol::record(
+    std::uint64_t sid) const {
+  const auto it = records_.find(sid);
+  return it == records_.end() ? nullptr : &it->second;
+}
+
+bool ChordNetProtocol::try_store(Vertex creator, ItemId item) {
+  // "Not ready" while the creator is still rejoining the ring — the
+  // store-search driver retries from another creator next round.
+  if (!nodes_[creator].joined) return false;
+  return put(creator, item, make_payload(item, options_.item_bits));
+}
+
+std::uint64_t ChordNetProtocol::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x63686f7264ULL) | 1;
   TraceCollector* tc = net().trace_collector();
   const bool traced = tc != nullptr && tc->sampled(sid);
@@ -306,23 +319,6 @@ std::uint64_t ChordNetProtocol::get(Vertex initiator, ItemId item) {
   }
   lookups_[initiator].push_back(std::move(lk));
   return sid;
-}
-
-const ChordNetProtocol::SearchRec* ChordNetProtocol::record(
-    std::uint64_t sid) const {
-  const auto it = records_.find(sid);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
-bool ChordNetProtocol::try_store(Vertex creator, ItemId item) {
-  // "Not ready" while the creator is still rejoining the ring — the
-  // store-search driver retries from another creator next round.
-  if (!nodes_[creator].joined) return false;
-  return put(creator, item, make_payload(item, options_.item_bits));
-}
-
-std::uint64_t ChordNetProtocol::begin_search(Vertex initiator, ItemId item) {
-  return get(initiator, item);
 }
 
 WorkloadOutcome ChordNetProtocol::search_outcome(std::uint64_t sid) const {

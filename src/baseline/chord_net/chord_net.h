@@ -103,15 +103,11 @@ class ChordNetProtocol final : public Protocol, public StorageService {
   void on_dispatch_merge() override;
   void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
-  /// --- direct API (kv workload, tests) ------------------------------------
+  /// --- payload API (tests) -----------------------------------------------
   /// Store `payload` under `item` from the peer at `creator`: routes a
   /// find_successor lookup for the item id, then transfers the payload to
   /// the r successors. False when the item id is already stored.
   bool put(Vertex creator, ItemId item, std::vector<std::uint8_t> payload);
-
-  /// Begin a lookup+fetch for `item`; returns a search handle. The fetch
-  /// succeeds only when the returned bytes hash-match the stored payload.
-  [[nodiscard]] std::uint64_t get(Vertex initiator, ItemId item);
 
   struct SearchRec {
     WorkloadOutcome out;
@@ -121,7 +117,11 @@ class ChordNetProtocol final : public Protocol, public StorageService {
   [[nodiscard]] const SearchRec* record(std::uint64_t sid) const;
 
   /// --- StorageService -----------------------------------------------------
+  /// put() of the item's deterministic payload; false while the creator is
+  /// still rejoining the ring.
   bool try_store(Vertex creator, ItemId item) override;
+  /// Begin a lookup+fetch for `item`; returns a search handle. The fetch
+  /// succeeds only when the returned bytes hash-match the stored payload.
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
@@ -272,7 +272,7 @@ class ChordNetProtocol final : public Protocol, public StorageService {
   /// serial context only; dispatch handlers only find().
   // shardcheck:cold-state(written from serial context only; dispatch handlers only find())
   std::unordered_map<ItemId, ItemInfo> items_;
-  // shardcheck:cold-state(search registry grown only from the serial search()/store() API paths)
+  // shardcheck:cold-state(search registry grown only from the serial begin_search() API path)
   std::unordered_map<std::uint64_t, SearchRec> records_;
   std::uint64_t next_sid_ = 1;
 

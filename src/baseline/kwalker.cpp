@@ -55,7 +55,8 @@ bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
 std::uint64_t KWalkerSearch::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x6b77ULL) | 1;
   searches_[sid] = Search{WorkloadOutcome{}, net().round() + ttl_,
-                          options_.walkers};
+                          options_.walkers, net().peer_at(initiator)};
+  pending_.push_back(sid);
   for (std::uint32_t i = 0; i < options_.walkers; ++i) {
     walkers_.push_back(Walker{sid, item, initiator, ttl_});
   }
@@ -90,6 +91,23 @@ std::size_t KWalkerSearch::copies_alive(ItemId item) const {
 }
 
 void KWalkerSearch::on_round_begin() {
+  // A search whose initiator churned out before it located is censored,
+  // the rule every stack applies: the guarantee is for searchers that stay.
+  // Censoring is bookkeeping only. The walkers cannot know their searcher
+  // left, so they walk on until their TTL or their carrier ends them; a hit
+  // they make no longer counts.
+  std::size_t write = 0;
+  for (const std::uint64_t sid : pending_) {
+    Search& s = searches_.at(sid);
+    if (s.outcome.done) continue;  // located
+    if (!net().find_vertex(s.initiator)) {
+      s.outcome.done = s.outcome.censored = true;
+      continue;
+    }
+    if (search_outcome(sid).done) continue;  // a miss: no walker left
+    pending_[write++] = sid;
+  }
+  pending_.resize(write);
   // Partition the walker index range across the engine's shard count; the
   // walkers themselves are processed in the sharded hook.
   walker_plan_ = ShardPlan(static_cast<std::uint32_t>(walkers_.size()),
@@ -107,7 +125,7 @@ void KWalkerSearch::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
        i < walker_plan_.end(shard); ++i) {
     Walker w = walkers_[i];
     if (w.ttl == 0) continue;
-    if (searches_.at(w.sid).outcome.done) continue;
+    if (searches_.at(w.sid).outcome.located) continue;
     // Per-(round, walker) stream: trajectories are independent of the
     // shard partition and of sibling walkers' draws.
     Rng rng = stream_rng(round_key, i);
@@ -144,7 +162,8 @@ void KWalkerSearch::on_round_merge() {
   }
 
   // Resolve sampled probes (serial; traced_ is empty unless sampling hit):
-  // each ends the round its search is done, ok if a walker located the item.
+  // each ends the round its search is done, ok if a walker located the item,
+  // censored if its initiator left first.
   if (!traced_.empty()) {
     std::size_t write = 0;
     for (std::size_t read = 0; read < traced_.size(); ++read) {
@@ -158,7 +177,9 @@ void KWalkerSearch::on_round_merge() {
           tp.sid, now, tp.initiator,
           (out.located ? out.located_round : now) - tp.start,
           options_.walkers, RequestClass::kWalkerProbe,
-          out.located ? TraceEv::kEndOk : TraceEv::kEndFail));
+          out.located    ? TraceEv::kEndOk
+          : out.censored ? TraceEv::kEndCensored
+                         : TraceEv::kEndFail));
     }
     traced_.resize(write);
   }

@@ -37,7 +37,8 @@ class KWalkerSearch final : public Protocol, public StorageService {
     return "k-walker";
   }
   void on_attach(Network& net) override;
-  /// Sharded round: walkers are global agents, so the round partitions the
+  /// Sharded round: the serial prologue censors searches whose initiator
+  /// churned out; walkers are global agents, so the round partitions the
   /// WALKER index range (not the vertex range) across the same shard count;
   /// every walker draws from its own per-(round, index) stream, processing
   /// charges stage through ctx, and hits/survivors merge in canonical
@@ -53,7 +54,8 @@ class KWalkerSearch final : public Protocol, public StorageService {
   bool try_store(Vertex creator, ItemId item) override;
   /// Launches k walkers with a TTL of 4 tau. The search is done when a
   /// walker lands on a holder, or unlocated once its last walker dies (churn
-  /// or TTL), within search_timeout().
+  /// or TTL), within search_timeout(). A search whose initiator churns out
+  /// before it locates is done and censored.
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
                                            ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
@@ -95,9 +97,14 @@ class KWalkerSearch final : public Protocol, public StorageService {
     WorkloadOutcome outcome;
     Round deadline;
     std::uint32_t walkers;  ///< not yet churned out
+    PeerId initiator;       ///< censors the search if it leaves first
   };
   // shardcheck:cold-state(search registry mutated in serial search/churn/merge context)
   std::unordered_map<std::uint64_t, Search> searches_;
+  /// Searches not yet done, in start order; the serial prologue censors the
+  /// ones whose initiator churned out and drops the finished ones.
+  // shardcheck:cold-state(appended by the serial begin_search() path, compacted in the serial prologue)
+  std::vector<std::uint64_t> pending_;
   /// Sampled probes awaiting an end event (obs/trace.h), resolved in the
   /// serial merge the round their search is done. Usually empty (only
   /// sampled probes).

@@ -1,13 +1,14 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <cstdio>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 
-#include "baseline/chord_net/chord_net.h"
-#include "core/kv_store.h"
 #include "core/stacks.h"
+#include "obs/export.h"
 #include "storage/item.h"
 #include "util/rng.h"
 
@@ -22,7 +23,6 @@ void StoreSearchResult::merge(const StoreSearchResult& o) {
   fetch_rounds.merge(o.fetch_rounds);
   locate_hist.merge(o.locate_hist);
   copies_alive.merge(o.copies_alive);
-  landmarks_alive.merge(o.landmarks_alive);
   availability.merge(o.availability);
   bits_node_round_max.merge(o.bits_node_round_max);
   bits_node_round_mean.merge(o.bits_node_round_mean);
@@ -92,7 +92,6 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
     std::uint64_t avail = 0;
     for (const ItemId item : items) {
       res.copies_alive.add(static_cast<double>(svc.copies_alive(item)));
-      res.landmarks_alive.add(static_cast<double>(svc.landmarks_alive(item)));
       avail += svc.is_available(item);
     }
     avail_fraction +=
@@ -142,130 +141,47 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
 
 namespace {
 
-/// StorageService adapter over the KvStore facade (workload=kv): the
-/// generic workload's item ids become string keys with real payload bytes,
-/// so the ONE store -> age -> search driver above also exercises the kv
-/// path. `located` and `fetched` coincide — kv reports hash-verified
-/// fetches only — and kv gets have no censoring channel.
-class KvWorkloadService final : public StorageService {
- public:
-  explicit KvWorkloadService(P2PSystem& sys) : sys_(sys), kv_(sys) {}
+/// Spec keys that set how a trial executes or reports, not what it
+/// simulates.
+constexpr std::string_view kExecutionKeys[] = {
+    "threads", "parallel", "shards",   "csv",         "json",
+    "obs",     "obs-file", "obs-host", "trace-sample"};
 
-  bool try_store(Vertex creator, ItemId item) override {
-    return kv_.put(creator, key_for(item),
-                   make_payload(item, sys_.config().protocol.item_bits));
+/// The obs file label of one trial: stack, n and churn per round, then a
+/// digest of every other spec key that shapes the run (the trial seed, the
+/// churn kind, the protocol and workload knobs), so no two trials of one
+/// invocation share a file. Execution keys stay out of the digest: a trial
+/// names the same file at every shard count.
+std::string obs_trial_label(const ScenarioSpec& spec) {
+  std::uint64_t digest = 0;
+  for (const std::string& kv : spec.to_key_values()) {
+    const std::string_view key = std::string_view(kv).substr(0, kv.find('='));
+    if (std::find(std::begin(kExecutionKeys), std::end(kExecutionKeys), key) !=
+        std::end(kExecutionKeys)) {
+      continue;
+    }
+    digest = mix64(digest ^ content_hash(reinterpret_cast<const std::uint8_t*>(
+                                             kv.data()),
+                                         kv.size()));
   }
-  [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
-                                           ItemId item) override {
-    return kv_.get(initiator, key_for(item));
-  }
-  [[nodiscard]] WorkloadOutcome search_outcome(
-      std::uint64_t sid) const override {
-    // A kv get handle is the search id; read its status directly.
-    WorkloadOutcome out;
-    const SearchStatus* st = sys_.search_status(sid);
-    if (!st) return out;
-    out.done = st->finished;
-    out.located = out.fetched = st->fetch_ok;
-    if (st->fetch_ok) out.located_round = out.fetched_round = st->fetched;
-    return out;
-  }
-  [[nodiscard]] std::uint32_t search_timeout() const override {
-    return sys_.search_timeout();
-  }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return sys_.store().copies_alive(KvStore::key_to_item(key_for(item)));
-  }
-  [[nodiscard]] std::size_t landmarks_alive(ItemId item) const override {
-    return sys_.store().landmarks_alive(KvStore::key_to_item(key_for(item)));
-  }
-  [[nodiscard]] bool is_available(ItemId item) const override {
-    return kv_.contains(key_for(item));
-  }
-
- private:
-  [[nodiscard]] static std::string key_for(ItemId item) {
-    return "item/" + std::to_string(item);
-  }
-
-  P2PSystem& sys_;
-  KvStore kv_;
-};
-
-/// workload=kv over the Chord stack: string keys hash to item ids, puts
-/// carry real payload bytes, and gets route through iterative
-/// find_successor lookups — `fetched` means the returned bytes
-/// hash-verified against the stored value.
-class ChordKvWorkloadService final : public StorageService {
- public:
-  explicit ChordKvWorkloadService(ChordNetProtocol& chord,
-                                  std::uint64_t item_bits)
-      : chord_(chord), item_bits_(item_bits) {}
-
-  bool try_store(Vertex creator, ItemId item) override {
-    // Same "not ready" gate as ChordNetProtocol::try_store: an unjoined
-    // creator cannot route the placement, and counting it as stored would
-    // deflate workload=kv availability relative to store-search.
-    if (!chord_.is_joined(creator)) return false;
-    const ItemId id = key_to_item(item);
-    return chord_.put(creator, id, make_payload(id, item_bits_));
-  }
-  [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
-                                           ItemId item) override {
-    return chord_.get(initiator, key_to_item(item));
-  }
-  [[nodiscard]] WorkloadOutcome search_outcome(
-      std::uint64_t sid) const override {
-    return chord_.search_outcome(sid);
-  }
-  [[nodiscard]] std::uint32_t search_timeout() const override {
-    return chord_.search_timeout();
-  }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return chord_.copies_alive(key_to_item(item));
-  }
-
- private:
-  /// Content addressing like KvStore: key string -> item id.
-  [[nodiscard]] static ItemId key_to_item(ItemId item) {
-    return KvStore::key_to_item("item/" + std::to_string(item));
-  }
-
-  ChordNetProtocol& chord_;
-  std::uint64_t item_bits_;
-};
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(digest));
+  return spec.protocol + ".n" + std::to_string(spec.n()) + ".c" +
+         std::to_string(spec.churn.per_round(spec.n())) + "." + hex;
+}
 
 }  // namespace
 
 StoreSearchResult run_store_search_trial(const ScenarioSpec& spec,
                                          ThreadPool* shard_pool) {
-  if (spec.workload_kind == "kv") {
-    if (spec.protocol == "chord") {
-      // Verified fetches route through Chord find_successor lookups.
-      BuiltSystem built =
-          build_stack(spec.protocol, spec.system_config(), spec.extras);
-      auto* chord = built.system->find_protocol<ChordNetProtocol>();
-      built.system->set_shard_pool(shard_pool);
-      ChordKvWorkloadService svc(*chord,
-                                 spec.system_config().protocol.item_bits);
-      return drive_store_search(*built.system, svc, spec.workload, spec.seed);
-    }
-    // The kv facade drives Store/Search managers directly: paper stack only.
-    if (spec.protocol != "churnstore") {
-      throw std::invalid_argument(
-          "workload=kv requires protocol=churnstore or protocol=chord");
-    }
-    P2PSystem sys(spec.system_config());
-    sys.set_shard_pool(shard_pool);
-    KvWorkloadService svc(sys);
-    return drive_store_search(sys, svc, spec.workload, spec.seed);
-  }
-  if (spec.workload_kind != "store-search") {
-    throw std::invalid_argument("unknown workload: " + spec.workload_kind);
-  }
   BuiltSystem built =
       build_stack(spec.protocol, spec.system_config(), spec.extras);
   built.system->set_shard_pool(shard_pool);
+  // Declared after `built`: the session's trace lanes borrow the network's
+  // shard arenas, so it must close first.
+  const std::optional<ObsSession> session =
+      attach_obs_session(*built.system, spec.extras, obs_trial_label(spec));
   return drive_store_search(*built.system, *built.service, spec.workload,
                             spec.seed);
 }

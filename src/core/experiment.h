@@ -33,7 +33,6 @@ struct StoreSearchResult {
   /// so scenarios can print tail quantiles, not just the mean.
   Histogram locate_hist{0.0, 256.0, 256};
   RunningStat copies_alive;       ///< sampled at search time, per item
-  RunningStat landmarks_alive;
   /// Per-trial summaries: each trial contributes ONE observation, so after
   /// a merge the mean/stddev/ci95_halfwidth are across-trial statistics
   /// (the tables print mean +/- ci95). Replaces the old trial-weighted
@@ -60,11 +59,12 @@ struct StoreSearchResult {
     P2PSystem& sys, StorageService& svc, const StoreSearchOptions& options,
     std::uint64_t seed);
 
-/// One workload trial of the spec's protocol stack (spec.seed): the
-/// canonical store-then-search trial, or the KvStore workload when
-/// spec.workload_kind == "kv". `shard_pool` (borrowed, may be null) is lent
-/// to the trial system's sharded round engine (sim.shards from the spec).
-/// Multi-trial runs go through Runner::store_search.
+/// One store-then-search trial (drive_store_search) of the spec's protocol
+/// stack at spec.seed. `shard_pool` (borrowed, may be null) is lent to the
+/// trial system's sharded round engine (sim.shards from the spec). With the
+/// obs= spec keys set, the trial exports to its own file, labelled by
+/// protocol, n, churn per round and a digest of the trial's spec (seed
+/// included). Multi-trial runs go through Runner::store_search.
 [[nodiscard]] StoreSearchResult run_store_search_trial(
     const ScenarioSpec& spec, ThreadPool* shard_pool = nullptr);
 

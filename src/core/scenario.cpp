@@ -32,8 +32,8 @@ std::string fmt_n_list(const std::vector<std::uint32_t>& ns) {
 /// The driver's own switches (scenario, list, stacks, help) count as known
 /// so a spec parsed from the driver's argv validates cleanly.
 const char* const kKnownKeys[] = {
-    "protocol",   "workload",   "n",             "degree",
-    "seed",       "trials",     "churn",         "churn-mult",
+    "protocol",   "n",          "degree",        "seed",
+    "trials",     "churn",      "churn-mult",
     "churn-k",    "churn-absolute",              "adaptive-pad",
     "edge",       "rewire-swaps",                "walk-rate",
     "walk-t",     "walk-cap",   "walk-window",   "h",
@@ -152,7 +152,6 @@ EdgeDynamics edge_dynamics_from_name(std::string_view name) {
 ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   ScenarioSpec spec;
   spec.protocol = cli.get("protocol", spec.protocol);
-  spec.workload_kind = cli.get("workload", spec.workload_kind);
 
   spec.ns = cli_count_list(cli, "n", {1024});
   if (spec.ns.empty()) spec.ns = {1024};
@@ -221,7 +220,6 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
     out.push_back(k + "=" + v);
   };
   kv("protocol", protocol);
-  kv("workload", workload_kind);
   kv("n", fmt_n_list(ns));
   kv("degree", std::to_string(degree));
   kv("seed", std::to_string(seed));
@@ -337,6 +335,15 @@ std::uint32_t extras_count(const std::map<std::string, std::string>& extras,
 void require_nonzero(const std::string& key, std::uint64_t value) {
   if (value == 0) {
     throw std::invalid_argument("spec key '" + key + "' must be >= 1, got 0");
+  }
+}
+
+void require_exactly(const std::string& key, std::uint64_t value,
+                     std::uint64_t only) {
+  if (value != only) {
+    throw std::invalid_argument("spec key '" + key + "' must be " +
+                                std::to_string(only) + ", got " +
+                                std::to_string(value));
   }
 }
 

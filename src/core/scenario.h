@@ -44,11 +44,6 @@ struct ScenarioSpec {
   /// k-walker, sqrt-replication.
   std::string protocol = "churnstore";
 
-  /// Workload driven through the stack: "store-search" (the canonical
-  /// store -> age -> search trial) or "kv" (the KvStore facade: string keys,
-  /// payload round-trip verification; churnstore stack only).
-  std::string workload_kind = "store-search";
-
   /// Network sizes; scenarios sweep the list, single-system helpers use the
   /// first entry.
   std::vector<std::uint32_t> ns = {1024};
@@ -143,6 +138,12 @@ struct ScenarioSpec {
 /// (trials, timed steps): zero runs nothing, and the all-zero rows it would
 /// print read as a measurement. Throws std::invalid_argument naming the key.
 void require_nonzero(const std::string& key, std::uint64_t value);
+/// Rejects any value but `only` for a key a scenario cannot vary (chord
+/// runs one cell per n and churn level, so its `trials` must be 1): an
+/// ignored value would print a table that reads as if it had been used.
+/// Throws std::invalid_argument naming the key.
+void require_exactly(const std::string& key, std::uint64_t value,
+                     std::uint64_t only);
 
 /// Enum <-> name mappings used by the spec (and anywhere else a config
 /// field meets a command line).

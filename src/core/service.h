@@ -3,8 +3,8 @@
 // Every storage scheme in the repository — the paper's committee protocol
 // and all four baselines — exposes the same minimal workload surface:
 // try to store an item, begin a search, poll the outcome. Apart from
-// chord's byte-carrying put/get (workload=kv), the baselines have no other
-// request API. The one store-then-search driver
+// chord's byte-carrying put (tests store chosen bytes through it), the
+// baselines have no other request API. The one store-then-search driver
 // (drive_store_search, core/experiment.h) and the Runner drive ANY stack
 // through this interface, so swapping the paper protocol for Chord or
 // sqrt-replication is a ScenarioSpec field, not a new main().
@@ -17,8 +17,8 @@
 //  * `located` is the paper's success criterion (a live holder identified);
 //    `fetched` additionally requires the payload retrieved and verified.
 //    Baselines without a payload-integrity path report fetched == located.
-//  * God-view accessors (copies_alive, ...) are measurement-only and
-//    default to "no notion of this".
+//  * God-view accessors (copies_alive, is_available) are measurement-only
+//    and default to "no notion of this".
 #pragma once
 
 #include <cstdint>
@@ -56,10 +56,6 @@ class StorageService {
 
   /// --- god-view instrumentation (measurement only) ----------------------
   [[nodiscard]] virtual std::size_t copies_alive(ItemId item) const {
-    (void)item;
-    return 0;
-  }
-  [[nodiscard]] virtual std::size_t landmarks_alive(ItemId item) const {
     (void)item;
     return 0;
   }

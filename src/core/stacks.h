@@ -59,9 +59,6 @@ class ChurnstoreService final : public StorageService {
   [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
     return sys_.store().copies_alive(item);
   }
-  [[nodiscard]] std::size_t landmarks_alive(ItemId item) const override {
-    return sys_.store().landmarks_alive(item);
-  }
   [[nodiscard]] bool is_available(ItemId item) const override {
     return sys_.store().is_available(item);
   }

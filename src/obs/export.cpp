@@ -87,7 +87,8 @@ std::string obs_path_with_label(const std::string& path,
   return path.substr(0, dot) + "." + label + path.substr(dot);
 }
 
-ObsSession::ObsSession(P2PSystem& sys, ObsConfig config)
+ObsSession::ObsSession(P2PSystem& sys, ObsConfig config,
+                       const std::string& label)
     : sys_(sys),
       config_(std::move(config)),
       trace_(sys.config().sim.seed,
@@ -100,6 +101,7 @@ ObsSession::ObsSession(P2PSystem& sys, ObsConfig config)
     config_.path = config_.mode == ObsConfig::Mode::kJsonl ? "obs.jsonl"
                                                            : "obs_trace.json";
   }
+  config_.path = obs_path_with_label(config_.path, label);
   out_.open(config_.path, std::ios::out | std::ios::trunc);
   if (!out_) {
     throw std::runtime_error("obs: cannot open output file " + config_.path);
@@ -149,6 +151,15 @@ ObsSession::ObsSession(P2PSystem& sys, ObsConfig config)
 }
 
 ObsSession::~ObsSession() { finalize(); }
+
+std::optional<ObsSession> attach_obs_session(
+    P2PSystem& sys, const std::map<std::string, std::string>& extras,
+    const std::string& label) {
+  ObsConfig config = obs_config_from_extras(extras);
+  if (config.mode == ObsConfig::Mode::kNone) return std::nullopt;
+  return std::optional<ObsSession>(std::in_place, sys, std::move(config),
+                                   label);
+}
 
 void ObsSession::finalize() {
   if (finalized_) return;

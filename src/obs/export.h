@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,9 @@ struct ObsConfig {
 /// (the collector's lanes borrow the network's shard arenas).
 class ObsSession final : public RoundObserver {
  public:
-  ObsSession(P2PSystem& sys, ObsConfig config);
+  /// Writes to config.path (default obs.jsonl / obs_trace.json) with
+  /// `label` inserted before the extension (obs_path_with_label).
+  ObsSession(P2PSystem& sys, ObsConfig config, const std::string& label);
   ~ObsSession() override;
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
@@ -96,5 +99,14 @@ class ObsSession final : public RoundObserver {
   RoundPhaseTimers prev_timers_;
   std::vector<double> prev_protocol_secs_;
 };
+
+/// The session a run's obs= keys ask for (`extras` holds the spec's extras;
+/// see obs_config_from_extras), attached to `sys` and writing to a file
+/// labelled `label`; empty when obs is off. Scenarios attach sessions only
+/// through here: chord per cell, run_store_search_trial per trial. Declare
+/// the result after the system, so it dies first.
+[[nodiscard]] std::optional<ObsSession> attach_obs_session(
+    P2PSystem& sys, const std::map<std::string, std::string>& extras,
+    const std::string& label);
 
 }  // namespace churnstore

@@ -57,9 +57,10 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double linear_slope(const std::vector<double>& x, const std::vector<double>& y) {
+std::optional<double> linear_slope(const std::vector<double>& x,
+                                   const std::vector<double>& y) {
   const std::size_t n = std::min(x.size(), y.size());
-  if (n < 2) return 0.0;
+  if (n < 2) return std::nullopt;
   double sx = 0, sy = 0, sxx = 0, sxy = 0;
   for (std::size_t i = 0; i < n; ++i) {
     sx += x[i];
@@ -69,11 +70,12 @@ double linear_slope(const std::vector<double>& x, const std::vector<double>& y) 
   }
   const double nn = static_cast<double>(n);
   const double denom = nn * sxx - sx * sx;
-  if (denom == 0.0) return 0.0;
+  if (denom == 0.0) return std::nullopt;
   return (nn * sxy - sx * sy) / denom;
 }
 
-double loglog_slope(const std::vector<double>& x, const std::vector<double>& y) {
+std::optional<double> loglog_slope(const std::vector<double>& x,
+                                   const std::vector<double>& y) {
   std::vector<double> lx, ly;
   const std::size_t n = std::min(x.size(), y.size());
   lx.reserve(n);

@@ -5,6 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace churnstore {
@@ -36,13 +37,16 @@ class RunningStat {
 /// Batch percentile; q in [0,1]; linear interpolation; copies the data.
 [[nodiscard]] double percentile(std::vector<double> values, double q);
 
-/// Least-squares slope of log(y) against log(x); used to estimate scaling
-/// exponents (e.g. "search time grows like log n", "landmarks like sqrt n").
-[[nodiscard]] double loglog_slope(const std::vector<double>& x,
-                                  const std::vector<double>& y);
+/// Least-squares slope of log(y) against log(x) over the points with
+/// x, y > 0; used to estimate scaling exponents (e.g. "search time grows
+/// like log n", "landmarks like sqrt n"). Empty when fewer than two such
+/// points remain or their x has no spread: no slope, not a zero one.
+[[nodiscard]] std::optional<double> loglog_slope(const std::vector<double>& x,
+                                                 const std::vector<double>& y);
 
-/// Ordinary least-squares slope of y against x.
-[[nodiscard]] double linear_slope(const std::vector<double>& x,
-                                  const std::vector<double>& y);
+/// Ordinary least-squares slope of y against x; empty when there are fewer
+/// than two points or x has no spread.
+[[nodiscard]] std::optional<double> linear_slope(const std::vector<double>& x,
+                                                 const std::vector<double>& y);
 
 }  // namespace churnstore

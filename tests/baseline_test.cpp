@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baseline/flooding.h"
 #include "baseline/kwalker.h"
@@ -163,6 +165,39 @@ TEST(KWalker, WalkersDieWithChurnedCarriers) {
   sys.run_rounds(kw->search_timeout());
   EXPECT_FALSE(kw->search_outcome(sid).located);
   EXPECT_GT(kw->walkers_lost(), 0u) << "heavy churn must kill some walkers";
+}
+
+TEST(KWalker, SearchInitiatorChurnIsReportedAsCensored) {
+  // A searcher that leaves before locating is censored, as in every other
+  // stack, not counted as a miss. Surgical churn kills exactly the queued
+  // victims; the item does not exist, so no search can locate.
+  SystemConfig cfg = net_config(256, 1);
+  cfg.sim.churn.kind = AdversaryKind::kAdaptive;
+  cfg.sim.churn.adaptive_pad_uniform = false;
+  TokenSoup* soup = nullptr;
+  KWalkerSearch* kw = nullptr;
+  P2PSystem sys = soup_system<KWalkerSearch>(cfg, KWalkerSearch::Options{},
+                                             &soup, &kw);
+  std::vector<Vertex> victims;
+  sys.network().set_adaptive_targeter([&victims](AdaptiveTargetQuery& q) {
+    for (const Vertex v : std::exchange(victims, {})) q.victims.push_back(v);
+  });
+  sys.run_rounds(2 * soup->tau());
+  const auto leaver = kw->begin_search(123, 0xDEAD);
+  const auto stayer = kw->begin_search(45, 0xDEAD);
+  victims = {123};
+  sys.run_rounds(2);
+  const WorkloadOutcome left = kw->search_outcome(leaver);
+  EXPECT_TRUE(left.done);
+  EXPECT_TRUE(left.censored);
+  EXPECT_FALSE(left.located);
+  EXPECT_FALSE(kw->search_outcome(stayer).done);
+  // The searcher that stayed runs out its walkers: a miss, not censored.
+  sys.run_rounds(kw->search_timeout());
+  const WorkloadOutcome missed = kw->search_outcome(stayer);
+  EXPECT_TRUE(missed.done);
+  EXPECT_FALSE(missed.censored);
+  EXPECT_FALSE(missed.located);
 }
 
 }  // namespace

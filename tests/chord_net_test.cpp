@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/runner.h"
 #include "core/stacks.h"
 #include "core/system.h"
 #include "storage/item.h"
@@ -68,8 +67,9 @@ TEST(ChordNet, ConvergedRingResolvesEveryLookupWithoutChurn) {
 
   std::vector<std::uint64_t> sids;
   for (int i = 0; i < 12; ++i) {
-    sids.push_back(chord->get(static_cast<Vertex>(rng.next_below(256)),
-                              items[rng.next_below(items.size())]));
+    sids.push_back(
+        chord->begin_search(static_cast<Vertex>(rng.next_below(256)),
+                            items[rng.next_below(items.size())]));
   }
   sys.run_rounds(chord->search_timeout());
   for (const std::uint64_t sid : sids) {
@@ -84,8 +84,8 @@ TEST(ChordNet, ConvergedRingResolvesEveryLookupWithoutChurn) {
 }
 
 TEST(ChordNet, FetchedValuesMatchStoredBytesUnderChurn) {
-  // The kv contract: a get returns the exact bytes the put stored, verified
-  // against the content hash — under live churn.
+  // The payload contract: a search returns the exact bytes the put stored,
+  // verified against the content hash — under live churn.
   auto [sys, chord] = make_chord(chord_config(256, 3, 7));
   sys.run_rounds(12);
 
@@ -113,7 +113,7 @@ TEST(ChordNet, FetchedValuesMatchStoredBytesUnderChurn) {
   std::vector<std::uint64_t> sids;
   for (const auto& [item, value] : stored) {
     sids.push_back(
-        chord->get(static_cast<Vertex>(rng.next_below(256)), item));
+        chord->begin_search(static_cast<Vertex>(rng.next_below(256)), item));
   }
   sys.run_rounds(chord->search_timeout());
 
@@ -157,8 +157,9 @@ TEST(ChordNet, RingRepairsAndServesLookupsAfterChurnRounds) {
 
   std::vector<std::uint64_t> sids;
   for (int i = 0; i < 16; ++i) {
-    sids.push_back(chord->get(static_cast<Vertex>(rng.next_below(256)),
-                              items[rng.next_below(items.size())]));
+    sids.push_back(
+        chord->begin_search(static_cast<Vertex>(rng.next_below(256)),
+                            items[rng.next_below(items.size())]));
   }
   sys.run_rounds(chord->search_timeout());
   std::uint64_t ok = 0, eligible = 0;
@@ -214,8 +215,9 @@ ChordRun run_chord_net(std::uint32_t n, std::uint32_t shards,
   sys.run_rounds(30);
   std::vector<std::uint64_t> sids;
   for (int i = 0; i < 8 && !items.empty(); ++i) {
-    sids.push_back(chord->get(static_cast<Vertex>(rng.next_below(n)),
-                              items[rng.next_below(items.size())]));
+    sids.push_back(
+        chord->begin_search(static_cast<Vertex>(rng.next_below(n)),
+                            items[rng.next_below(items.size())]));
   }
   sys.run_rounds(chord->search_timeout());
 
@@ -299,34 +301,6 @@ TEST(ChordNetStack, StoreSearchTrialResolvesEveryLookupAtZeroChurn) {
   EXPECT_GT(res.searches, 0u);
   EXPECT_DOUBLE_EQ(res.locate_rate(), 1.0) << "failed lookups at zero churn";
   EXPECT_DOUBLE_EQ(res.availability.mean(), 1.0);
-}
-
-TEST(ChordNetKvWorkload, VerifiedFetchesThroughRunnerAndShardInvariant) {
-  // workload=kv over protocol=chord: puts carry payload bytes, gets route
-  // through find_successor, fetched == hash-verified — and the whole trial
-  // is deterministic and shard-count invariant through the Runner.
-  // churn-mult well below the paper rate: at n=128 the default 0.5 means
-  // ~5% replacement per round, which (correctly) collapses a DHT — here we
-  // test the kv round-trip, not the collapse.
-  ScenarioSpec s1 = ScenarioSpec::from_cli(
-      Cli({"protocol=chord", "workload=kv", "n=128", "trials=2", "items=2",
-           "searches=4", "batches=1", "age-taus=1", "churn-mult=0.1"}));
-  ScenarioSpec s16 = s1;
-  s16.shards = 16;
-  Runner serial(RunnerOptions{.threads = 1, .parallel = false});
-  Runner nested(RunnerOptions{.threads = 4, .parallel = true});
-  const StoreSearchResult a = serial.store_search(s1);
-  const StoreSearchResult b = nested.store_search(s16);
-  EXPECT_GT(a.searches, 0u);
-  EXPECT_GT(a.fetched, 0u) << "kv gets never completed over chord";
-  EXPECT_EQ(a.located, a.fetched) << "chord kv reports verified fetches only";
-  EXPECT_EQ(a.searches, b.searches);
-  EXPECT_EQ(a.located, b.located);
-  EXPECT_EQ(a.fetched, b.fetched);
-  EXPECT_EQ(a.censored, b.censored);
-  EXPECT_DOUBLE_EQ(a.availability.mean(), b.availability.mean());
-  EXPECT_DOUBLE_EQ(a.bits_node_round_mean.mean(),
-                   b.bits_node_round_mean.mean());
 }
 
 TEST(ChordNetStack, BuildStackBuildsChordNetProtocol) {

@@ -3,15 +3,25 @@
 // function of (seed, id), the message-carried trace id is charged honestly,
 // TraceCollector drains spans into the right counters/histograms, and the
 // registry/exporter plumbing (snapshot order, ok gating, spec-key parsing,
-// per-cell file labels) behaves as documented.
+// per-cell file labels) behaves as documented, and a store-search trial
+// with obs= set writes one well-formed jsonl file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/experiment.h"
+#include "core/runner.h"
+#include "core/scenario.h"
 #include "net/message.h"
 #include "net/metrics.h"
 #include "obs/export.h"
@@ -225,6 +235,210 @@ TEST(ObsPathLabel, InsertsTheLabelBeforeTheExtension) {
   EXPECT_EQ(obs_path_with_label("dir.v1/noext", "a"), "dir.v1/noext.a")
       << "a dot in a directory name is not an extension";
   EXPECT_EQ(obs_path_with_label("obs.jsonl", ""), "obs.jsonl");
+}
+
+/// True when `text` is exactly one JSON value (objects, arrays, strings
+/// with escapes, numbers, true/false/null) — enough to hold the exporter to
+/// "every line parses".
+class JsonCheck {
+ public:
+  explicit JsonCheck(std::string_view text) : s_(text) {}
+  bool document() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{': return members('}', true);
+      case '[': return members(']', false);
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+  /// An object's key:value members or an array's values, up to `close`.
+  bool members(char close, bool keyed) {
+    ++i_;
+    skip_ws();
+    if (eat(close)) return true;
+    for (;;) {
+      skip_ws();
+      if (keyed) {
+        if (!string()) return false;
+        skip_ws();
+        if (!eat(':')) return false;
+        skip_ws();
+      }
+      if (!value()) return false;
+      skip_ws();
+      if (eat(close)) return true;
+      if (!eat(',')) return false;
+    }
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size()) {
+      const char c = s_[i_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') continue;
+      if (i_ >= s_.size()) return false;
+      const char e = s_[i_++];
+      if (e == 'u') {
+        for (int k = 0; k < 4; ++k) {
+          if (i_ >= s_.size() ||
+              !std::isxdigit(static_cast<unsigned char>(s_[i_++]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool number() {
+    eat('-');
+    if (eat('0')) {
+      // no leading zeros
+    } else if (!digits()) {
+      return false;
+    }
+    if (eat('.') && !digits()) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool digits() {
+    const std::size_t start = i_;
+    while (i_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
+    return i_ > start;
+  }
+  bool literal(std::string_view word) {
+    if (s_.substr(i_, word.size()) != word) return false;
+    i_ += word.size();
+    return true;
+  }
+  bool eat(char c) {
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  void skip_ws() {
+    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
+                              s_[i_] == '\n' || s_[i_] == '\r')) {
+      ++i_;
+    }
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
+TEST(JsonCheck, AcceptsJsonAndRejectsNearMisses) {
+  for (const char* ok : {R"({"a":1,"b":[true,null,-0.5e3],"c":"x\"y"})",
+                         "[]", "{}", R"("\u00e9")"}) {
+    EXPECT_TRUE(JsonCheck(ok).document()) << ok;
+  }
+  for (const char* bad : {R"({"a":1,})", R"({"a" 1})", "[1 2]", "01",
+                          R"({"a":nan})", R"({"a":1}{)", R"("\x")", ""}) {
+    EXPECT_FALSE(JsonCheck(bad).document()) << bad;
+  }
+}
+
+/// The jsonl files in `dir`, sorted.
+std::vector<std::filesystem::path> jsonl_files(
+    const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".jsonl") out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every line of an obs=jsonl file is JSON, exactly one (the last) is the
+/// summary, and at least one is a request span.
+void expect_well_formed_jsonl(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0, summaries = 0, spans = 0;
+  bool summary_last = false;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_TRUE(JsonCheck(line).document())
+        << path << " line " << lines << ": " << line;
+    summary_last = line.rfind(R"({"summary":true)", 0) == 0;
+    summaries += summary_last;
+    spans += line.rfind(R"({"span":)", 0) == 0;
+  }
+  EXPECT_GT(lines, 1u) << path;
+  EXPECT_EQ(summaries, 1u) << path;
+  EXPECT_TRUE(summary_last) << path << ": the summary closes the file";
+  EXPECT_GT(spans, 0u) << path << ": trace-sample=1 traced no request";
+}
+
+TEST(ObsExport, TracedStoreSearchTrialWritesOneParsableJsonlFile) {
+  // obs= reaches the store-search trial every search-type scenario runs:
+  // one trial writes exactly one labelled, well-formed jsonl file, and
+  // tracing does not move the trial's result. Trials run in parallel write
+  // one file each.
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "churnstore_obs_XXXXXX")
+          .string();
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const std::filesystem::path dir = dir_template;
+  std::filesystem::create_directories(dir / "one");
+  std::filesystem::create_directories(dir / "two");
+  const std::vector<std::string> keys = {"n=128",     "trials=1",
+                                         "items=1",   "searches=3",
+                                         "batches=1", "age-taus=0.5"};
+  const auto traced_spec = [&keys](const std::filesystem::path& out) {
+    std::vector<std::string> traced = keys;
+    traced.insert(traced.end(), {"obs=jsonl", "obs-file=" + out.string(),
+                                 "trace-sample=1"});
+    return ScenarioSpec::from_cli(Cli(traced));
+  };
+
+  const StoreSearchResult plain =
+      run_store_search_trial(ScenarioSpec::from_cli(Cli(keys)));
+  const StoreSearchResult traced =
+      run_store_search_trial(traced_spec(dir / "one" / "trial.jsonl"));
+  EXPECT_EQ(plain.searches, traced.searches);
+  EXPECT_EQ(plain.located, traced.located);
+  EXPECT_EQ(plain.fetched, traced.fetched);
+  EXPECT_EQ(plain.censored, traced.censored);
+  EXPECT_DOUBLE_EQ(plain.bits_node_round_mean.mean(),
+                   traced.bits_node_round_mean.mean());
+  const auto one = jsonl_files(dir / "one");
+  ASSERT_EQ(one.size(), 1u) << "one trial, one file";
+  EXPECT_EQ(one[0].filename().string().rfind("trial.churnstore.n128.", 0), 0u)
+      << one[0];
+  expect_well_formed_jsonl(one[0]);
+
+  ScenarioSpec two = traced_spec(dir / "two" / "trial.jsonl");
+  two.trials = 2;
+  Runner parallel(RunnerOptions{.threads = 2, .parallel = true});
+  (void)parallel.store_search(two);
+  const auto files = jsonl_files(dir / "two");
+  ASSERT_EQ(files.size(), 2u) << "each trial seed labels its own file";
+  for (const auto& path : files) expect_well_formed_jsonl(path);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -67,6 +67,19 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
     EXPECT_NE(msg.find("accepted keys"), std::string::npos);
     EXPECT_NE(msg.find("shards"), std::string::npos) << msg;
   }
+  // Every trial is the store -> age -> search one: no `workload` key
+  // selects another.
+  try {
+    (void)ScenarioSpec::from_cli(Cli({"n=128", "workload=kv"}));
+    FAIL() << "workload=kv must not parse";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown spec key 'workload'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("accepted keys"), std::string::npos) << msg;
+  }
+  const auto keys = ScenarioSpec::accepted_keys();
+  EXPECT_EQ(std::find(keys.begin(), keys.end(), "workload"), keys.end());
   // Registered extras still parse (stack and scenario knobs).
   EXPECT_NO_THROW((void)ScenarioSpec::from_cli(
       Cli({"walkers=8", "chord-stabilize=4", "shard-sweep=1,4"})));
@@ -111,6 +124,24 @@ TEST(ScenarioSpec, CountReadersRejectNegativeScenarioKeys) {
   EXPECT_EQ(cli_count(Cli({"steps=8"}), "steps", 128), 8u);
   EXPECT_EQ(cli_count_list(Cli({}), "shard-sweep", {1, 4}),
             (std::vector<std::uint32_t>{1, 4}));
+}
+
+TEST(ScenarioSpec, FixedKeysRejectEveryOtherValueNamingTheKey) {
+  // The chord scenario runs one cell per (n, churn level) and checks
+  // `trials` through require_exactly: any value but 1 would print the
+  // one-trial table as if it had been honoured.
+  for (const std::uint64_t trials : {0u, 2u, 3u}) {
+    try {
+      require_exactly("trials", trials, 1);
+      FAIL() << "trials=" << trials << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'trials' must be 1, got " + std::to_string(trials)),
+                std::string::npos)
+          << msg;
+    }
+  }
+  EXPECT_NO_THROW(require_exactly("trials", 1, 1));
 }
 
 TEST(ScenarioSpec, AcceptExtraKeyRegistersNewKnobs) {

@@ -71,7 +71,7 @@ TEST(Percentile, KnownValues) {
 TEST(Slopes, LinearSlopeExact) {
   std::vector<double> x{1, 2, 3, 4};
   std::vector<double> y{3, 5, 7, 9};  // slope 2
-  EXPECT_NEAR(linear_slope(x, y), 2.0, 1e-12);
+  EXPECT_NEAR(linear_slope(x, y).value(), 2.0, 1e-12);
 }
 
 TEST(Slopes, LogLogSlopeRecoversExponent) {
@@ -80,7 +80,22 @@ TEST(Slopes, LogLogSlopeRecoversExponent) {
     x.push_back(v);
     y.push_back(5.0 * std::pow(v, 1.5));
   }
-  EXPECT_NEAR(loglog_slope(x, y), 1.5, 1e-9);
+  EXPECT_NEAR(loglog_slope(x, y).value(), 1.5, 1e-9);
+}
+
+TEST(Slopes, NoSlopeWithoutTwoPointsOrSpread) {
+  // One point (a single-n sweep) has no slope; reading one as 0.000 would
+  // claim constant scaling that nothing measured.
+  EXPECT_FALSE(linear_slope({}, {}).has_value());
+  EXPECT_FALSE(linear_slope({3.0}, {7.0}).has_value());
+  EXPECT_FALSE(linear_slope({2.0, 2.0}, {1.0, 5.0}).has_value())
+      << "x without spread";
+  EXPECT_FALSE(loglog_slope({1024.0}, {5.0}).has_value());
+  // Non-positive points drop out of the log-log fit before the count check.
+  EXPECT_FALSE(loglog_slope({256.0, 512.0}, {0.0, 9.0}).has_value());
+  EXPECT_FALSE(loglog_slope({256.0, 256.0}, {4.0, 9.0}).has_value());
+  // Two distinct points are enough.
+  EXPECT_NEAR(linear_slope({1.0, 3.0}, {1.0, 5.0}).value(), 2.0, 1e-12);
 }
 
 TEST(Histogram, BinningAndQuantile) {
