@@ -7,9 +7,8 @@
 //   bench_driver --scenario=search n=256,512 trials=4 churn-mult=1.0
 //   bench_driver --scenario=baselines protocol=chord n=512 json=true
 //
-// All spec keys are bare key=value (or --key=value); CHURNSTORE_<KEY>
-// environment variables act as defaults, so the whole suite scales up or
-// down without editing command lines.
+// All spec keys are bare key=value (or --key=value). The command line is
+// the only input: no environment variable changes a run.
 #include <cstdio>
 #include <exception>
 
@@ -27,8 +26,9 @@ void print_usage() {
       "       bench_driver --list      (scenario catalog)\n"
       "       bench_driver --stacks    (protocol stack catalog)\n"
       "\ncommon keys: protocol n degree seed trials churn churn-mult edge\n"
-      "             items searches batches age-taus threads parallel csv "
-      "json\n");
+      "             items searches batches age-taus threads parallel shards\n"
+      "             csv json (an unknown key exits 1 listing them all)\n"
+      "the command line is the only input; no environment variable is read\n");
 }
 
 void print_catalog() {

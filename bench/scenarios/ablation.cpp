@@ -1,10 +1,11 @@
 // E13 — Design ablations around the paper's constants.
 //
-// Sweeps the knobs DESIGN.md calls out: committee refresh period (paper:
-// every 2 tau), invitation oversampling (our finite-n compensation for
-// sample staleness), landmark tree fanout (paper: 2) and TTL (paper: 2
-// tau), and walk length. Each row reports item persistence, search
-// success, and the per-node traffic the setting costs.
+// Sweeps the protocol constants around the paper's choices (README's
+// scenario catalog, E13): committee refresh period (paper: every 2 tau),
+// invitation oversampling (our finite-n compensation for sample
+// staleness), landmark tree fanout (paper: 2) and TTL (paper: 2 tau), and
+// walk length. Each row reports item persistence, search success, and the
+// per-node traffic the setting costs.
 #include "scenario_common.h"
 
 namespace churnstore {

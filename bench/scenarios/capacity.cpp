@@ -32,6 +32,7 @@ using namespace churnstore::bench;
 CHURNSTORE_SCENARIO(capacity,
                     "C1: large-n capacity — rounds/sec serial vs sharded, "
                     "same seed, bit-identical results") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {100000};
   if (!cli.has("items")) base.workload.items = 64;

@@ -66,6 +66,7 @@ LimitRow run_once(const ScenarioSpec& spec, std::int64_t churn_abs,
 CHURNSTORE_SCENARIO(churn_limit,
                     "E11: the churn wall in both functional forms (section "
                     "5 conjecture)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {512};
 

@@ -27,6 +27,7 @@ struct CommitteeRow {
 };
 
 CHURNSTORE_SCENARIO(committee, "E4: committee maintenance (Theorem 2)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {512};
   if (!cli.has("trials")) base.trials = 3;

@@ -64,6 +64,7 @@ ErasureRow run_once(const ScenarioSpec& spec, bool erasure,
 }
 
 CHURNSTORE_SCENARIO(erasure, "E10: IDA pieces vs replication (section 4.4)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {512};
 

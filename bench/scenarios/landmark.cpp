@@ -25,6 +25,7 @@ struct LandmarkRow {
 };
 
 CHURNSTORE_SCENARIO(landmark, "E5: landmark set size vs sqrt(n) (Lemma 8)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {256, 512, 1024, 2048, 4096};
 

@@ -57,6 +57,7 @@ UniformityReport measure(const ScenarioSpec& spec, EdgeDynamics dynamics,
 }
 
 CHURNSTORE_SCENARIO(mixing, "E2: dynamic mixing time per edge mode (Lemma 1)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {1024};
   if (!cli.has("trials")) base.trials = 1;

@@ -1,4 +1,5 @@
-// Shared plumbing for the registered scenarios (DESIGN.md E1-E13).
+// Shared plumbing for the registered scenarios (README's scenario
+// catalog, E1-E14).
 //
 // Every scenario receives a parsed ScenarioSpec (network sizes, churn,
 // workload shape, trials, output format) plus the raw Cli for
@@ -17,6 +18,7 @@
 #include "core/scenario.h"
 #include "core/stacks.h"
 #include "core/system.h"
+#include "obs/export.h"
 #include "util/cli.h"
 #include "util/table.h"
 

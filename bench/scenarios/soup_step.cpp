@@ -33,6 +33,7 @@ using namespace churnstore::bench;
 CHURNSTORE_SCENARIO(soup_step,
                     "M2: sharded soup-step throughput (S sweep, ungated "
                     "sizing tool)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {4096, 16384};
   const std::uint32_t steps = cli_count(cli, "steps", 128);

@@ -28,6 +28,7 @@ struct StorageRow {
 };
 
 CHURNSTORE_SCENARIO(storage, "E6: storage persistence traces (Theorem 3)") {
+  reject_obs_keys(spec.extras);
   ScenarioSpec base = spec;
   if (!cli.has("n")) base.ns = {512};
   if (!cli.has("trials")) base.trials = 3;

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   config.sim.n = n;
   config.sim.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   config.sim.churn.kind = AdversaryKind::kUniform;
-  config.sim.churn.k = 1.5;
   config.sim.churn.multiplier = cli.get_double("churn-mult", 0.5);
   config.protocol.item_bits = 4096;  // 512-byte "files"
 

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   base.sim.n = n;
   base.sim.seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
   base.sim.churn.kind = AdversaryKind::kUniform;
-  base.sim.churn.k = 1.5;
   base.sim.churn.multiplier = cli.get_double("churn-mult", 0.5);
   base.protocol.item_bits = item_bits;
 

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   config.sim.n = static_cast<std::uint32_t>(cli.get_int("n", 1024));
   config.sim.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   config.sim.churn.kind = AdversaryKind::kUniform;
-  config.sim.churn.k = 1.5;
   config.sim.churn.multiplier = cli.get_double("churn-mult", 0.5);
 
   P2PSystem sys(config);

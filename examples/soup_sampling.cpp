@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   config.n = static_cast<std::uint32_t>(cli.get_int("n", 1024));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
   config.churn.kind = AdversaryKind::kUniform;
-  config.churn.k = 1.5;
   config.churn.multiplier = cli.get_double("churn-mult", 0.5);
 
   Network net(config);

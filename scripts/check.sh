@@ -86,7 +86,6 @@ if [[ "$SMOKE" == "1" ]]; then
       soup)      EXTRA="probes=4" ;;
       soup_step) EXTRA="steps=8 shard-sweep=1,2 counters=true" ;;
       storage)   EXTRA="horizon-taus=2" ;;
-      survival)  EXTRA="probes=4" ;;
     esac
     echo "== smoke: $sc $TINY $EXTRA"
     # shellcheck disable=SC2086
@@ -133,6 +132,27 @@ for path in chrome:
 print(f"obs smoke: {len(jsonl)} chord + {len(search)} search jsonl and "
       f"{len(chrome)} chrome files parse")
 PYEOF
+  # A scenario that attaches no session rejects the obs keys: exit 1 and no
+  # file, never exit 0 with nothing written.
+  echo "== smoke: landmark $TINY obs=jsonl must exit 1 and write no file"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=landmark $TINY \
+    obs=jsonl obs-file="$OBS_DIR/landmark.jsonl" >/dev/null 2>&1 || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: landmark exited $status, want 1"; exit 1; }
+  if compgen -G "$OBS_DIR/landmark*" >/dev/null; then
+    echo "smoke: landmark wrote an obs file"
+    exit 1
+  fi
+  # The command line is the only input: exported CHURNSTORE_<KEY>
+  # variables must not change a run's bytes.
+  echo "== smoke: search $TINY csv=true, with and without CHURNSTORE_* set"
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY csv=true >"$OBS_DIR/search_plain.csv"
+  # shellcheck disable=SC2086
+  CHURNSTORE_N=512 CHURNSTORE_CHURN_MULT=3.0 \
+    "$DRIVER" --scenario=search $TINY csv=true >"$OBS_DIR/search_env.csv"
+  cmp "$OBS_DIR/search_plain.csv" "$OBS_DIR/search_env.csv"
   # Example smoke: every program under examples/ end to end at n=256; a
   # nonzero exit fails.
   for ex in "${EXAMPLES[@]}"; do

@@ -69,7 +69,7 @@ void CommitteeManager::on_attach(Network& net_ref) {
   tau_ = soup_.tau();
   period_ = std::max<std::uint32_t>(
       8, static_cast<std::uint32_t>(config_.refresh_taus * tau_));
-  target_ = committee_target(n, config_);
+  target_ = committee_target(n);
   state_.assign(n, {});
   pending_.assign(n, {});
   active_flag_.assign(n, 0);

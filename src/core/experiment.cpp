@@ -22,7 +22,6 @@ void StoreSearchResult::merge(const StoreSearchResult& o) {
   locate_rounds.merge(o.locate_rounds);
   fetch_rounds.merge(o.fetch_rounds);
   locate_hist.merge(o.locate_hist);
-  copies_alive.merge(o.copies_alive);
   availability.merge(o.availability);
   bits_node_round_max.merge(o.bits_node_round_max);
   bits_node_round_mean.merge(o.bits_node_round_mean);
@@ -39,23 +38,6 @@ double StoreSearchResult::fetch_rate() const {
   const std::uint64_t eligible = searches - censored;
   return eligible ? static_cast<double>(fetched) / static_cast<double>(eligible)
                   : 0.0;
-}
-
-SystemConfig default_system_config(std::uint32_t n, std::uint64_t seed) {
-  SystemConfig c;
-  c.sim.n = n;
-  c.sim.seed = seed;
-  c.sim.degree = 8;
-  c.sim.churn.kind = AdversaryKind::kUniform;
-  c.sim.churn.k = 1.5;
-  // Paper-form churn c * n / ln^k n. The paper's c = 4 means >25% of the
-  // network per round at simulatable n (ln n ~ 6-9), far outside the
-  // asymptotic regime the analysis lives in; c = 0.5 (~2-4% per round) keeps
-  // the same functional form at a survivable constant. The churn_limit
-  // scenario sweeps c to find the breaking point.
-  c.sim.churn.multiplier = 0.5;
-  c.sim.edge_dynamics = EdgeDynamics::kRewire;
-  return c;
 }
 
 StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
@@ -90,10 +72,7 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
   for (std::uint32_t b = 0; b < options.batches; ++b) {
     // Sample availability god-view at batch start.
     std::uint64_t avail = 0;
-    for (const ItemId item : items) {
-      res.copies_alive.add(static_cast<double>(svc.copies_alive(item)));
-      avail += svc.is_available(item);
-    }
+    for (const ItemId item : items) avail += svc.is_available(item);
     avail_fraction +=
         items.empty() ? 0.0
                       : static_cast<double>(avail) /

@@ -1,6 +1,6 @@
-// Shared experiment workloads (DESIGN.md E1-E13): the canonical
-// store-then-search trial, availability tracking over time, and Monte-Carlo
-// aggregation across seeds.
+// Shared experiment workloads (README's scenario catalog, E1-E14): the
+// canonical store-then-search trial, availability tracking over time, and
+// Monte-Carlo aggregation across seeds.
 //
 // The store-search trial is generic over the protocol stack: it drives any
 // ScenarioSpec-named stack (paper protocol or baseline) through the
@@ -32,7 +32,6 @@ struct StoreSearchResult {
   /// Full locate-latency distribution (same observations as locate_rounds)
   /// so scenarios can print tail quantiles, not just the mean.
   Histogram locate_hist{0.0, 256.0, 256};
-  RunningStat copies_alive;       ///< sampled at search time, per item
   /// Per-trial summaries: each trial contributes ONE observation, so after
   /// a merge the mean/stddev/ci95_halfwidth are across-trial statistics
   /// (the tables print mean +/- ci95). Replaces the old trial-weighted
@@ -87,9 +86,5 @@ struct AvailabilityTrace {
 [[nodiscard]] AvailabilityTrace run_availability_trial(
     const SystemConfig& config, double horizon_taus,
     std::uint32_t sample_every = 4);
-
-/// Default system config used by benches; callers tweak fields afterwards.
-[[nodiscard]] SystemConfig default_system_config(std::uint32_t n,
-                                                 std::uint64_t seed);
 
 }  // namespace churnstore

@@ -33,16 +33,14 @@ std::string fmt_n_list(const std::vector<std::uint32_t>& ns) {
 /// so a spec parsed from the driver's argv validates cleanly.
 const char* const kKnownKeys[] = {
     "protocol",   "n",          "degree",        "seed",
-    "trials",     "churn",      "churn-mult",
-    "churn-k",    "churn-absolute",              "adaptive-pad",
-    "edge",       "rewire-swaps",                "walk-rate",
-    "walk-t",     "walk-cap",   "walk-window",   "h",
-    "oversample", "fanout",     "delta",         "landmark-ttl-taus",
-    "refresh-taus",             "timeout-taus",  "item-bits",
-    "erasure",    "ida-surplus",                 "items",
-    "searches",   "batches",    "age-taus",      "threads",
-    "parallel",   "shards",     "csv",           "json",
-    "scenario",   "list",       "stacks",        "help",
+    "trials",     "churn",      "churn-mult",    "churn-absolute",
+    "edge",       "walk-rate",  "walk-t",        "walk-window",
+    "oversample", "fanout",     "landmark-ttl-taus",
+    "refresh-taus",             "item-bits",     "erasure",
+    "ida-surplus",              "items",         "searches",
+    "batches",    "age-taus",   "threads",       "parallel",
+    "shards",     "csv",        "json",          "scenario",
+    "list",       "stacks",     "help",
 };
 
 /// Scenario-/stack-specific knobs shipped in-tree; out-of-tree code extends
@@ -160,32 +158,21 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
       cli.get_int("seed", static_cast<std::int64_t>(spec.seed)));
   spec.trials = get_count(cli, "trials", spec.trials);
 
-  // Churn defaults follow default_system_config: the paper-form formula at a
-  // survivable multiplier (see core/experiment.cpp for the rationale).
   spec.churn.kind = adversary_from_name(cli.get("churn", "uniform"));
-  spec.churn.multiplier = cli.get_double("churn-mult", 0.5);
-  spec.churn.k = cli.get_double("churn-k", spec.churn.k);
+  spec.churn.multiplier = cli.get_double("churn-mult", spec.churn.multiplier);
   spec.churn.absolute = cli.get_int("churn-absolute", spec.churn.absolute);
-  spec.churn.adaptive_pad_uniform =
-      cli.get_bool("adaptive-pad", spec.churn.adaptive_pad_uniform);
   spec.edge_dynamics = edge_dynamics_from_name(cli.get("edge", "rewire"));
-  spec.rewire_swaps = get_count(cli, "rewire-swaps", spec.rewire_swaps);
 
   spec.walk.rate_mult = cli.get_double("walk-rate", spec.walk.rate_mult);
   spec.walk.t_mult = cli.get_double("walk-t", spec.walk.t_mult);
-  spec.walk.cap_mult = cli.get_double("walk-cap", spec.walk.cap_mult);
   spec.walk.window_mult = cli.get_double("walk-window", spec.walk.window_mult);
 
   ProtocolConfig& pc = spec.protocol_config;
-  pc.h = cli.get_double("h", pc.h);
   pc.invite_oversample = cli.get_double("oversample", pc.invite_oversample);
   pc.tree_fanout = get_count(cli, "fanout", pc.tree_fanout);
-  pc.delta = cli.get_double("delta", pc.delta);
   pc.landmark_ttl_taus =
       cli.get_double("landmark-ttl-taus", pc.landmark_ttl_taus);
   pc.refresh_taus = cli.get_double("refresh-taus", pc.refresh_taus);
-  pc.search_timeout_taus =
-      cli.get_double("timeout-taus", pc.search_timeout_taus);
   pc.item_bits = get_count(cli, "item-bits", pc.item_bits);
   pc.use_erasure_coding = cli.get_bool("erasure", pc.use_erasure_coding);
   pc.ida_surplus = get_count(cli, "ida-surplus", pc.ida_surplus);
@@ -226,22 +213,15 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
   kv("trials", std::to_string(trials));
   kv("churn", std::string(to_name(churn.kind)));
   kv("churn-mult", fmt_double(churn.multiplier));
-  kv("churn-k", fmt_double(churn.k));
   kv("churn-absolute", std::to_string(churn.absolute));
-  kv("adaptive-pad", churn.adaptive_pad_uniform ? "true" : "false");
   kv("edge", std::string(to_name(edge_dynamics)));
-  kv("rewire-swaps", std::to_string(rewire_swaps));
   kv("walk-rate", fmt_double(walk.rate_mult));
   kv("walk-t", fmt_double(walk.t_mult));
-  kv("walk-cap", fmt_double(walk.cap_mult));
   kv("walk-window", fmt_double(walk.window_mult));
-  kv("h", fmt_double(protocol_config.h));
   kv("oversample", fmt_double(protocol_config.invite_oversample));
   kv("fanout", std::to_string(protocol_config.tree_fanout));
-  kv("delta", fmt_double(protocol_config.delta));
   kv("landmark-ttl-taus", fmt_double(protocol_config.landmark_ttl_taus));
   kv("refresh-taus", fmt_double(protocol_config.refresh_taus));
-  kv("timeout-taus", fmt_double(protocol_config.search_timeout_taus));
   kv("item-bits", std::to_string(protocol_config.item_bits));
   kv("erasure", protocol_config.use_erasure_coding ? "true" : "false");
   kv("ida-surplus", std::to_string(protocol_config.ida_surplus));
@@ -265,7 +245,6 @@ SystemConfig ScenarioSpec::system_config(std::uint32_t n_override) const {
   cfg.sim.seed = seed;
   cfg.sim.churn = churn;
   cfg.sim.edge_dynamics = edge_dynamics;
-  cfg.sim.rewire_swaps = rewire_swaps;
   cfg.sim.shards = shards;
   cfg.walk = walk;
   cfg.protocol = protocol_config;

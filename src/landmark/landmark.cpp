@@ -18,8 +18,7 @@ LandmarkManager::LandmarkManager(TokenSoup& soup, CommitteeManager& committees,
 
 void LandmarkManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
-  depth_ = landmark_tree_depth(net().n(), net().config().churn.k,
-                               config_.delta, committees_.target_size());
+  depth_ = landmark_tree_depth(net().n(), committees_.target_size());
   ttl_ = std::max<std::uint32_t>(
       4, static_cast<std::uint32_t>(config_.landmark_ttl_taus *
                                     committees_.tau()));

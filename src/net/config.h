@@ -1,6 +1,6 @@
 // Simulation configuration: network size, degree, churn specification,
 // edge dynamics, and the protocol constants mapped from the paper's symbols
-// (see DESIGN.md section 4 for the mapping table).
+// (README's scenario catalog lists the experiments that exercise them).
 #pragma once
 
 #include <cstdint>
@@ -19,14 +19,15 @@ enum class AdversaryKind {
   /// ADAPTIVE (deliberately violates the paper's oblivious model): the
   /// adversary reads protocol state each round (via a targeter callback)
   /// and churns exactly the nodes doing the work. Exists to demonstrate
-  /// *why* the obliviousness assumption is necessary (bench_adversary).
+  /// *why* the obliviousness assumption is necessary (the adversary
+  /// scenario).
   kAdaptive,
 };
 
 struct ChurnSpec {
   AdversaryKind kind = AdversaryKind::kUniform;
-  /// Paper churn limit: multiplier * n / (ln n)^k per round.
-  double k = 1.5;
+  /// Paper churn limit: multiplier * n / (ln n)^k per round, with the
+  /// paper's k = 1 + delta fixed at 1.5.
   double multiplier = 4.0;
   /// If >= 0, overrides the formula with an absolute per-round count.
   std::int64_t absolute = -1;
@@ -51,9 +52,9 @@ struct SimConfig {
   std::uint32_t degree = 8;
   std::uint64_t seed = 1;
   ChurnSpec churn{};
+  /// kRewire makes n / 8 double-edge swaps per round (a quarter of the
+  /// edges touched).
   EdgeDynamics edge_dynamics = EdgeDynamics::kRewire;
-  /// Rewire swaps per round; 0 means "n / 8" (a quarter of edges touched).
-  std::uint32_t rewire_swaps = 0;
   /// Shards the per-round engine partitions the vertex slots into
   /// (0 = hardware concurrency). Results are bit-identical for every value:
   /// sharding is an execution detail, not a model parameter (see
@@ -72,19 +73,11 @@ struct WalkConfig {
   /// fresh (walk sources are T rounds old when they arrive, and stale
   /// sources are the dominant loss channel under churn).
   double t_mult = 2.5;
-  /// Per-node forwarding cap per round. 0 (default) = auto: twice the
-  /// steady-state load 2 * walks_per_round * walk_length (the paper's
-  /// "cap = 2x expected arrivals" choice from Lemma 1, adjusted for the
-  /// continuous spawning of section 4.1). > 0 = cap_mult * ln n, used by
-  /// cap-pressure experiments.
-  double cap_mult = 0.0;
   /// Sample retention window in rounds = window_mult * tau.
   double window_mult = 2.5;
 };
 
 struct ProtocolConfig {
-  /// Committee size target h * ln n. Paper: h log n.
-  double h = 1.0;
   /// Invitations sent per (re-)formation = oversample * target. Walk
   /// samples are ~T rounds old, so a churn-rate-dependent fraction of the
   /// sampled sources is already gone; oversampling keeps the expected
@@ -93,19 +86,14 @@ struct ProtocolConfig {
   double invite_oversample = 3.0;
   /// Landmark tree fanout (paper: 2).
   std::uint32_t tree_fanout = 2;
-  /// delta in the landmark tree depth formula (paper eq. 4 uses the churn
-  /// exponent; the depth is capped to (0.5 + delta) log2 n).
-  double delta = 0.25;
   /// Landmark TTL, in units of tau (paper: 2). Trees rebuild every tau.
   double landmark_ttl_taus = 2.0;
   /// Committee refresh period, in units of tau. The paper refreshes every
   /// 2*tau where tau is the mixing time; our tau already includes the full
   /// walk length plus slack, so 1 tau of ours covers the paper's intent and
   /// survives the much-larger-than-asymptotic churn fractions reachable at
-  /// simulatable n. Ablated in bench_ablation.
+  /// simulatable n. Ablated in the ablation scenario.
   double refresh_taus = 1.0;
-  /// Search deadline, in units of tau.
-  double search_timeout_taus = 4.0;
   /// Data item payload size in bits (for message accounting).
   std::uint64_t item_bits = 1024;
   /// Erasure coding (section 4.4): store IDA pieces instead of replicas.
@@ -124,17 +112,21 @@ struct ProtocolConfig {
 
 [[nodiscard]] std::uint32_t walks_per_round(std::uint32_t n, const WalkConfig& wc);
 [[nodiscard]] std::uint32_t walk_length(std::uint32_t n, const WalkConfig& wc);
+/// Per-node forwarding cap per round: twice the steady-state load
+/// 2 * walks_per_round * walk_length (the paper's "cap = 2x expected
+/// arrivals" choice from Lemma 1, adjusted for the continuous spawning of
+/// section 4.1).
 [[nodiscard]] std::uint32_t forward_cap(std::uint32_t n, const WalkConfig& wc);
-[[nodiscard]] std::uint32_t committee_target(std::uint32_t n,
-                                             const ProtocolConfig& pc);
+/// Committee size target max(3, round(ln n)). Paper: h log n, here h = 1.
+[[nodiscard]] std::uint32_t committee_target(std::uint32_t n);
 
 /// Landmark tree depth mu. Uses paper equation (4) where it is defined;
 /// for the small n reachable in simulation the equation's denominator
 /// degenerates (its loss terms are asymptotic), so the depth falls back to
 /// the sizing bound ceil(log2(sqrt(n)/committee)) + 1 that achieves the same
-/// goal (committee * 2^mu >= sqrt(n)). Clamped to [1, (0.5+delta) log2 n].
-[[nodiscard]] std::uint32_t landmark_tree_depth(std::uint32_t n, double churn_k,
-                                                double delta,
+/// goal (committee * 2^mu >= sqrt(n)). Clamped to [1, (0.5+delta) log2 n]
+/// with the paper's delta fixed at 0.25.
+[[nodiscard]] std::uint32_t landmark_tree_depth(std::uint32_t n,
                                                 std::uint32_t committee_size);
 
 }  // namespace churnstore

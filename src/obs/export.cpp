@@ -76,6 +76,22 @@ ObsConfig obs_config_from_extras(
   return cfg;
 }
 
+void reject_obs_keys(const std::map<std::string, std::string>& extras) {
+  for (const std::string key :
+       {"obs", "obs-file", "obs-host", "trace-sample"}) {
+    if (extras.count(key) == 0) continue;
+    if (key == "obs" &&
+        obs_config_from_extras(extras).mode == ObsConfig::Mode::kNone) {
+      continue;
+    }
+    throw std::invalid_argument(
+        "spec key '" + key +
+        "' asks for observability output, but this scenario attaches no "
+        "session; the scenarios that export are chord, search, baselines, "
+        "message_complexity, ablation and adversary");
+  }
+}
+
 std::string obs_path_with_label(const std::string& path,
                                 const std::string& label) {
   if (label.empty()) return path;

@@ -54,6 +54,12 @@ struct ObsConfig {
 [[nodiscard]] ObsConfig obs_config_from_extras(
     const std::map<std::string, std::string>& extras);
 
+/// Called first by every scenario that attaches no session: throws
+/// std::invalid_argument naming the key when `extras` asks for output
+/// (obs= other than off, obs-file=, obs-host= or trace-sample=). An
+/// accepted key that writes nothing would exit 0 with no file.
+void reject_obs_keys(const std::map<std::string, std::string>& extras);
+
 /// Derive a per-cell output path: "dir/base.ext" + "label" ->
 /// "dir/base.label.ext" (scenarios running several cells give each its own
 /// file instead of overwriting one).

@@ -16,6 +16,8 @@ namespace {
 constexpr std::size_t kHoldersAt = 3;
 constexpr std::size_t kReplyMembersAt = 6;
 constexpr std::size_t kFetchParallelism = 2;
+/// Search deadline, in units of tau.
+constexpr double kSearchTimeoutTaus = 4.0;
 }  // namespace
 
 SearchManager::SearchManager(TokenSoup& soup, CommitteeManager& committees,
@@ -30,8 +32,7 @@ SearchManager::SearchManager(TokenSoup& soup, CommitteeManager& committees,
 void SearchManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   timeout_ = std::max<std::uint32_t>(
-      8, static_cast<std::uint32_t>(config_.search_timeout_taus *
-                                    committees_.tau()));
+      8, static_cast<std::uint32_t>(kSearchTimeoutTaus * committees_.tau()));
   initiator_.assign(net().n(), {});
 }
 

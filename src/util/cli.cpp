@@ -1,6 +1,5 @@
 #include "util/cli.h"
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,17 +40,8 @@ void Cli::parse(const std::vector<std::string>& tokens) {
 }
 
 const std::string* Cli::lookup(const std::string& name) const {
-  if (const auto it = values_.find(name); it != values_.end()) return &it->second;
-  if (const auto it = env_cache_.find(name); it != env_cache_.end())
-    return &it->second;
-  std::string env_name = "CHURNSTORE_";
-  for (const char c : name)
-    env_name += (c == '-') ? '_' : static_cast<char>(std::toupper(c));
-  if (const char* v = std::getenv(env_name.c_str())) {
-    env_cache_[name] = v;
-    return &env_cache_[name];
-  }
-  return nullptr;
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 bool Cli::has(const std::string& name) const { return lookup(name) != nullptr; }

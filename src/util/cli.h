@@ -3,9 +3,8 @@
 // Flags take the form --name=value, --name value, or bare key=value (the
 // ScenarioSpec syntax: `bench_driver --scenario=search n=512 trials=4`);
 // bare --name sets a bool. Unknown flags are collected and can be rejected
-// by the caller. Environment variables CHURNSTORE_<NAME> (uppercased,
-// '-'→'_') act as defaults so the whole bench suite can be scaled down/up
-// without editing command lines.
+// by the caller. The command line is the only input: no environment
+// variable reaches a run.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +45,11 @@ class Cli {
 
  private:
   void parse(const std::vector<std::string>& tokens);
-  /// Looks up flag value, falling back to CHURNSTORE_<NAME> env var.
+  /// The flag's value, or null when the command line does not set it.
   [[nodiscard]] const std::string* lookup(const std::string& name) const;
 
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
-  mutable std::map<std::string, std::string> env_cache_;
 };
 
 }  // namespace churnstore

@@ -21,13 +21,9 @@ std::vector<Vertex> select(Adversary& adv, Round r, std::uint32_t count,
 TEST(ChurnSpec, FormulaAndCaps) {
   ChurnSpec spec;
   spec.kind = AdversaryKind::kUniform;
-  spec.k = 1.5;
   spec.multiplier = 4.0;
   // 4 * 1024 / ln(1024)^1.5 = 4096 / 6.93^1.5 ~ 224.
   EXPECT_NEAR(spec.per_round(1024), 224, 3);
-  // Larger k means less churn.
-  spec.k = 3.0;
-  EXPECT_LT(spec.per_round(1024), 224u);
   // Absolute override.
   spec.absolute = 10;
   EXPECT_EQ(spec.per_round(1024), 10u);

@@ -113,7 +113,6 @@ TEST(Committee, SurvivesChurn) {
   SystemConfig cfg = make_config(n, 0);
   cfg.sim.churn.kind = AdversaryKind::kUniform;
   cfg.sim.churn.absolute = -1;
-  cfg.sim.churn.k = 1.5;
   // Paper-form churn c * n / ln^1.5 n with c = 0.5: ~10 peers (3.9%) per
   // round at n = 256 — already far above the asymptotic regime's fraction.
   cfg.sim.churn.multiplier = 0.5;

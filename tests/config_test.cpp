@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace churnstore {
@@ -17,39 +18,35 @@ TEST(Config, WalkConstantsGrowLogarithmically) {
 }
 
 TEST(Config, CommitteeTargetMatchesHLogN) {
-  ProtocolConfig pc;
-  pc.h = 1.0;
-  EXPECT_EQ(committee_target(1024, pc),
-            static_cast<std::uint32_t>(std::lround(std::log(1024.0))));
-  pc.h = 2.0;
-  EXPECT_EQ(committee_target(1024, pc),
-            static_cast<std::uint32_t>(std::lround(2.0 * std::log(1024.0))));
-  // Floor of 3 for tiny networks.
-  pc.h = 0.1;
-  EXPECT_EQ(committee_target(8, pc), 3u);
+  // h log n with h = 1: round(ln n), floored at 3 for tiny networks.
+  for (std::uint32_t n : {8u, 16u, 64u, 1024u, 65536u, 1u << 20}) {
+    const auto expected = std::max<std::uint32_t>(
+        3, static_cast<std::uint32_t>(
+               std::lround(std::log(static_cast<double>(n)))));
+    EXPECT_EQ(committee_target(n), expected) << "n=" << n;
+  }
+  EXPECT_EQ(committee_target(8), 3u);
+  EXPECT_EQ(committee_target(1024), 7u);
 }
 
 TEST(Config, TreeDepthReachesSqrtNLandmarks) {
   for (std::uint32_t n : {256u, 1024u, 4096u, 16384u}) {
-    ProtocolConfig pc;
-    const std::uint32_t committee = committee_target(n, pc);
-    const std::uint32_t mu = landmark_tree_depth(n, 1.5, pc.delta, committee);
+    const std::uint32_t committee = committee_target(n);
+    const std::uint32_t mu = landmark_tree_depth(n, committee);
     // committee * 2^mu must reach sqrt(n) ...
     EXPECT_GE(static_cast<double>(committee) * std::pow(2.0, mu),
               std::sqrt(static_cast<double>(n)))
         << "n=" << n;
     // ... and stay within the paper's O(n^{0.5+delta}) budget per tree path:
-    // mu <= (0.5 + delta) log2 n (eq. 4's cap).
-    EXPECT_LE(mu, std::ceil((0.5 + pc.delta) * std::log2(n))) << "n=" << n;
+    // mu <= (0.5 + delta) log2 n with delta = 0.25 (eq. 4's cap).
+    EXPECT_LE(mu, std::ceil(0.75 * std::log2(n))) << "n=" << n;
   }
 }
 
 TEST(Config, TreeDepthMonotoneInN) {
-  ProtocolConfig pc;
   std::uint32_t prev = 0;
   for (std::uint32_t n : {64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
-    const std::uint32_t mu =
-        landmark_tree_depth(n, 1.5, pc.delta, committee_target(n, pc));
+    const std::uint32_t mu = landmark_tree_depth(n, committee_target(n));
     EXPECT_GE(mu + 1, prev) << "n=" << n;  // allow plateaus, not collapses
     prev = mu;
   }
@@ -58,7 +55,6 @@ TEST(Config, TreeDepthMonotoneInN) {
 TEST(Config, ChurnRateMatchesPaperFormula) {
   ChurnSpec spec;
   spec.kind = AdversaryKind::kUniform;
-  spec.k = 1.0 + 0.5;
   spec.multiplier = 4.0;
   for (std::uint32_t n : {512u, 4096u, 32768u}) {
     const double ln_n = std::log(static_cast<double>(n));

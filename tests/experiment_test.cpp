@@ -7,14 +7,23 @@
 namespace churnstore {
 namespace {
 
+/// The default spec's system at (n, seed).
+SystemConfig spec_config(std::uint32_t n, std::uint64_t seed) {
+  return ScenarioSpec{}.with_seed(seed).system_config(n);
+}
+
 TEST(Experiment, DefaultConfigUsesPaperFormChurn) {
-  const SystemConfig cfg = default_system_config(1024, 7);
+  const SystemConfig cfg = ScenarioSpec{}.system_config();
   EXPECT_EQ(cfg.sim.n, 1024u);
-  EXPECT_EQ(cfg.sim.seed, 7u);
+  EXPECT_EQ(cfg.sim.degree, 8u);
+  EXPECT_EQ(cfg.sim.seed, 1u);
   EXPECT_EQ(cfg.sim.churn.kind, AdversaryKind::kUniform);
-  EXPECT_DOUBLE_EQ(cfg.sim.churn.k, 1.5);
-  EXPECT_GT(cfg.sim.churn.per_round(1024), 0u);
+  EXPECT_DOUBLE_EQ(cfg.sim.churn.multiplier, 0.5);
+  EXPECT_EQ(cfg.sim.churn.absolute, -1);
+  // c * n / ln^1.5 n at c = 0.5: floor(512 / 6.93^1.5) = 28 per round.
+  EXPECT_EQ(cfg.sim.churn.per_round(1024), 28u);
   EXPECT_EQ(cfg.sim.edge_dynamics, EdgeDynamics::kRewire);
+  EXPECT_EQ(cfg.sim.shards, 1u);
 }
 
 TEST(Experiment, RatesHandleCensoring) {
@@ -55,7 +64,7 @@ TEST(Experiment, TrialsAreSeedDiverse) {
 }
 
 TEST(Experiment, AvailabilityTraceFieldsConsistent) {
-  SystemConfig cfg = default_system_config(128, 11);
+  SystemConfig cfg = spec_config(128, 11);
   cfg.sim.churn.kind = AdversaryKind::kNone;
   const auto trace = run_availability_trial(cfg, 4.0);
   ASSERT_FALSE(trace.rounds.empty());
@@ -73,7 +82,7 @@ TEST(Experiment, AvailabilityTraceFieldsConsistent) {
 }
 
 TEST(Experiment, AvailableImpliesRecoverable) {
-  SystemConfig cfg = default_system_config(256, 13);
+  const SystemConfig cfg = spec_config(256, 13);
   const auto trace = run_availability_trial(cfg, 6.0);
   for (std::size_t i = 0; i < trace.available.size(); ++i) {
     if (trace.available[i]) {

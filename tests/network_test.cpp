@@ -152,7 +152,6 @@ TEST(Network, ChurnEventsFire) {
 TEST(Network, GraphStaysRegularUnderRewire) {
   SimConfig c = basic_config(64, 4);
   c.edge_dynamics = EdgeDynamics::kRewire;
-  c.rewire_swaps = 32;
   Network net(c);
   for (int i = 0; i < 50; ++i) net.begin_round();
   EXPECT_TRUE(net.graph().check_invariants());

@@ -226,6 +226,31 @@ TEST(ObsConfig, ParsesSpecKeysAndRejectsUnknownModes) {
                std::invalid_argument);
 }
 
+TEST(ObsConfig, RejectObsKeysNamesTheKeyAndTheScenariosThatExport) {
+  using Extras = std::map<std::string, std::string>;
+  EXPECT_NO_THROW(reject_obs_keys(Extras{}));
+  EXPECT_NO_THROW(reject_obs_keys(Extras{{"obs", "off"}}));
+  EXPECT_NO_THROW(reject_obs_keys(Extras{{"walkers", "8"}}));
+  for (const Extras& extras :
+       {Extras{{"obs", "jsonl"}}, Extras{{"obs", "chrome"}},
+        Extras{{"obs-file", "x.jsonl"}}, Extras{{"obs-host", "0"}},
+        Extras{{"trace-sample", "4"}}}) {
+    const std::string key = extras.begin()->first;
+    try {
+      reject_obs_keys(extras);
+      FAIL() << key << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+      for (const char* exporter : {"chord", "search", "baselines",
+                                   "message_complexity", "ablation",
+                                   "adversary"}) {
+        EXPECT_NE(msg.find(exporter), std::string::npos) << msg;
+      }
+    }
+  }
+}
+
 TEST(ObsPathLabel, InsertsTheLabelBeforeTheExtension) {
   EXPECT_EQ(obs_path_with_label("obs.jsonl", "net.n256"),
             "obs.net.n256.jsonl");

@@ -28,7 +28,6 @@ void expect_identical(const StoreSearchResult& a, const StoreSearchResult& b) {
   EXPECT_EQ(a.locate_rounds.count(), b.locate_rounds.count());
   EXPECT_DOUBLE_EQ(a.locate_rounds.mean(), b.locate_rounds.mean());
   EXPECT_DOUBLE_EQ(a.fetch_rounds.mean(), b.fetch_rounds.mean());
-  EXPECT_DOUBLE_EQ(a.copies_alive.mean(), b.copies_alive.mean());
   EXPECT_EQ(a.availability.count(), b.availability.count());
   EXPECT_DOUBLE_EQ(a.availability.mean(), b.availability.mean());
   EXPECT_DOUBLE_EQ(a.availability.ci95_halfwidth(),

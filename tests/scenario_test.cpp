@@ -39,8 +39,8 @@ TEST(ScenarioSpec, DashDashFlagsAndBareTokensAreEquivalent) {
 
 TEST(ScenarioSpec, RoundTripsThroughKeyValues) {
   const Cli cli({"n=128,256", "degree=6", "seed=99", "trials=5",
-                 "churn=oldest-first", "churn-mult=0.75", "churn-k=1.25",
-                 "edge=regenerate", "walk-t=3.5", "h=1.5", "items=7",
+                 "churn=oldest-first", "churn-mult=0.75",
+                 "edge=regenerate", "walk-t=3.5", "items=7",
                  "searches=9", "batches=3", "age-taus=4.5", "threads=2",
                  "parallel=false", "json=true", "walkers=8",
                  "protocol=k-walker"});
@@ -80,6 +80,20 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
   }
   const auto keys = ScenarioSpec::accepted_keys();
   EXPECT_EQ(std::find(keys.begin(), keys.end(), "workload"), keys.end());
+  // The knobs every run holds at one value are constants, not keys.
+  for (const char* removed : {"adaptive-pad", "churn-k", "delta", "h",
+                              "rewire-swaps", "timeout-taus", "walk-cap"}) {
+    const std::string key = removed;
+    EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+    try {
+      (void)ScenarioSpec::from_cli(Cli({key + "=1"}));
+      FAIL() << key << " must not parse";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown spec key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Registered extras still parse (stack and scenario knobs).
   EXPECT_NO_THROW((void)ScenarioSpec::from_cli(
       Cli({"walkers=8", "chord-stabilize=4", "shard-sweep=1,4"})));

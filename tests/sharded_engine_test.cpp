@@ -617,7 +617,6 @@ void expect_identical_results(const StoreSearchResult& a,
   EXPECT_EQ(a.fetched, b.fetched);
   EXPECT_EQ(a.censored, b.censored);
   EXPECT_DOUBLE_EQ(a.locate_rounds.mean(), b.locate_rounds.mean());
-  EXPECT_DOUBLE_EQ(a.copies_alive.mean(), b.copies_alive.mean());
   EXPECT_DOUBLE_EQ(a.availability.mean(), b.availability.mean());
   EXPECT_DOUBLE_EQ(a.bits_node_round_max.mean(), b.bits_node_round_max.mean());
   EXPECT_DOUBLE_EQ(a.bits_node_round_mean.mean(),

@@ -8,10 +8,10 @@
 namespace churnstore {
 namespace {
 
-/// A paper-stack store-search trial at (n, seed); the spec's default churn
-/// and topology are default_system_config's.
+/// A paper-stack store-search trial at (n, seed), with the default spec's
+/// churn and topology.
 ScenarioSpec trial_spec(std::uint32_t n, std::uint64_t seed,
-                        const StoreSearchOptions& workload) {
+                        const StoreSearchOptions& workload = {}) {
   ScenarioSpec spec;
   spec.ns = {n};
   spec.seed = seed;
@@ -46,11 +46,11 @@ TEST(System, StoreSearchWorkloadSucceedsAtPaperChurn) {
   EXPECT_GT(res.searches, 0u);
   EXPECT_GE(res.locate_rate(), 0.75)
       << "located " << res.located << "/" << res.searches;
-  EXPECT_GT(res.copies_alive.mean(), 2.0);
+  EXPECT_GE(res.availability.mean(), 0.75);
 }
 
 TEST(System, AvailabilityPersistsOverManyTaus) {
-  SystemConfig cfg = default_system_config(256, 7);
+  SystemConfig cfg = trial_spec(256, 7).system_config();
   cfg.sim.churn.multiplier = 0.5;
   const auto trace = run_availability_trial(cfg, /*horizon_taus=*/10.0);
   EXPECT_GT(trace.rounds.size(), 10u);
@@ -61,7 +61,7 @@ TEST(System, AvailabilityPersistsOverManyTaus) {
 }
 
 TEST(System, NoChurnAvailabilityIsPerfect) {
-  SystemConfig cfg = default_system_config(128, 7);
+  SystemConfig cfg = trial_spec(128, 7).system_config();
   cfg.sim.churn.kind = AdversaryKind::kNone;
   const auto trace = run_availability_trial(cfg, 6.0);
   EXPECT_DOUBLE_EQ(trace.recoverable_fraction(), 1.0);
@@ -83,12 +83,12 @@ TEST(System, PerNodeTrafficIsPolylogNotLinear) {
 }
 
 TEST(System, WarmupRoundsMatchTwoTaus) {
-  P2PSystem sys(default_system_config(128, 1));
+  P2PSystem sys(trial_spec(128, 1).system_config());
   EXPECT_EQ(sys.warmup_rounds(), 2 * sys.tau() + 2);
 }
 
 TEST(System, RunRoundsAdvancesClock) {
-  P2PSystem sys(default_system_config(64, 1));
+  P2PSystem sys(trial_spec(64, 1).system_config());
   const Round before = sys.round();
   sys.run_rounds(7);
   EXPECT_EQ(sys.round(), before + 7);
@@ -97,7 +97,7 @@ TEST(System, RunRoundsAdvancesClock) {
 TEST(System, MostNodesCanSearchSuccessfully) {
   // Down-scaled version of Theorem 4's n - o(n) claim: sample initiators
   // across the network; nearly all locate the item.
-  SystemConfig cfg = default_system_config(256, 2026);
+  SystemConfig cfg = trial_spec(256, 2026).system_config();
   cfg.sim.churn.multiplier = 0.5;
   P2PSystem sys(cfg);
   sys.run_rounds(sys.warmup_rounds());

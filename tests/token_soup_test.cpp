@@ -168,19 +168,17 @@ TEST(TokenSoup, DestinationsAreNearUniform) {
 }
 
 TEST(TokenSoup, CapQueueingKicksInUnderOverload) {
-  // Force a tiny manual cap: spawning far outpaces forwarding, so tokens
-  // must queue (and the queue must be visible in the metrics).
-  WalkConfig wc;
-  wc.rate_mult = 4.0;
-  wc.cap_mult = 1.0;  // cap ~ ln n = 4: far below the spawn rate
+  // Overload one vertex: twice cap() probes in one round, so at least
+  // cap() tokens must queue (and the queue must be visible in the metrics).
   Network net(net_config(64));
-  TokenSoup soup(net, wc);
-  for (std::uint32_t i = 0; i < soup.tau(); ++i) {
-    net.begin_round();
-    soup.step();
-    net.deliver();
+  TokenSoup soup(net, WalkConfig{});
+  net.begin_round();
+  for (std::uint32_t i = 0; i < 2 * soup.cap(); ++i) {
+    soup.inject_probe(0, 0, soup.walk_length());
   }
-  EXPECT_GT(net.metrics().tokens_queued(), 0u);
+  soup.step();
+  net.deliver();
+  EXPECT_GE(net.metrics().tokens_queued(), soup.cap());
   EXPECT_GT(soup.tokens_alive(), 0u);
 }
 
