@@ -8,10 +8,8 @@
 // per-node traffic the setting costs.
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct AblationResult {
   double persist = 0.0;
@@ -22,14 +20,11 @@ struct AblationResult {
 /// `trials` trials of `cell` (seeded from cell.seed): each measures the
 /// item's persistence over 10 taus and runs the store -> search workload.
 AblationResult run(Runner& runner, const ScenarioSpec& cell) {
-  struct Row {
-    double persist = 0.0, locate = 0.0, bits = 0.0;
-  };
-  const auto rows =
-      runner.map_trials<Row>(cell.trials, [&cell](std::uint32_t trial) {
+  const auto rows = runner.map_trials<AblationResult>(
+      cell.trials, [&cell](std::uint32_t trial) {
         const ScenarioSpec trial_spec =
             cell.with_seed(Runner::trial_seed(cell.seed, trial));
-        Row row;
+        AblationResult row;
         const auto trace =
             run_availability_trial(trial_spec.system_config(), 10.0);
         row.persist = trace.recoverable_fraction();
@@ -38,26 +33,19 @@ AblationResult run(Runner& runner, const ScenarioSpec& cell) {
         row.bits = res.bits_node_round_mean.mean();
         return row;
       });
-  RunningStat persist, locate, bits;
-  for (const Row& row : rows) {
-    persist.add(row.persist);
-    locate.add(row.locate);
-    bits.add(row.bits);
-  }
-  return AblationResult{persist.mean(), locate.mean(), bits.mean()};
+  return AblationResult{trial_mean(rows, &AblationResult::persist),
+                        trial_mean(rows, &AblationResult::locate),
+                        trial_mean(rows, &AblationResult::bits)};
 }
 
-CHURNSTORE_SCENARIO(ablation,
-                    "E13: sweep each protocol constant around the paper's "
-                    "choice") {
+}  // namespace
+
+void run_ablation(const ScenarioSpec& spec, const Cli&) {
   ScenarioSpec base = spec;
   // Every knob is a paper-stack constant: the cells store and search on
   // that stack, at the first n.
   base.protocol = "churnstore";
-  base.ns = {cli.has("n") ? base.n() : 512};
-  if (!cli.has("items")) base.workload.items = 1;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 8;
-  if (!cli.has("batches")) base.workload.batches = 1;
+  base.ns = {base.n()};
 
   banner(base, "E13 ablation — design-choice sweeps",
          "persistence / search success / cost as each protocol constant "
@@ -111,5 +99,4 @@ CHURNSTORE_SCENARIO(ablation,
   emit(t, base);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -11,10 +11,8 @@
 // the current committee members.
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct StrategyRow {
   double recoverable = 0.0;
@@ -23,16 +21,12 @@ struct StrategyRow {
   double fetch = 0.0;
 };
 
-CHURNSTORE_SCENARIO(adversary,
-                    "E12: oblivious strategy ablation + the adaptive "
-                    "model-violation demo") {
+}  // namespace
+
+void run_adversary(const ScenarioSpec& spec, const Cli&) {
   ScenarioSpec base = spec;
   // Every panel stores and searches on the paper stack.
   base.protocol = "churnstore";
-  if (!cli.has("n")) base.ns = {512};
-  if (!cli.has("items")) base.workload.items = 2;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 8;
-  if (!cli.has("batches")) base.workload.batches = 1;
 
   banner(base, "E12 adversary — oblivious strategy ablation",
          "same churn volume, different victim-selection strategies: the "
@@ -64,21 +58,14 @@ CHURNSTORE_SCENARIO(adversary,
               row.fetch = res.fetch_rate();
               return row;
             });
-        RunningStat reco, avail, locate, fetch;
-        for (const StrategyRow& row : rows) {
-          reco.add(row.recoverable);
-          avail.add(row.available);
-          locate.add(row.locate);
-          fetch.add(row.fetch);
-        }
         t.begin_row()
             .cell(std::string(to_name(kind)))
             .cell(static_cast<std::int64_t>(n))
             .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
-            .cell(reco.mean(), 3)
-            .cell(avail.mean(), 3)
-            .cell(locate.mean(), 3)
-            .cell(fetch.mean(), 3);
+            .cell(trial_mean(rows, &StrategyRow::recoverable), 3)
+            .cell(trial_mean(rows, &StrategyRow::available), 3)
+            .cell(trial_mean(rows, &StrategyRow::locate), 3)
+            .cell(trial_mean(rows, &StrategyRow::fetch), 3);
       }
     }
   }
@@ -108,17 +95,14 @@ CHURNSTORE_SCENARIO(adversary,
             sys.run_rounds(8 * sys.tau());
             return sys.store().is_recoverable(1) ? 1.0 : 0.0;
           });
-      RunningStat reco;
-      for (const double r : rows) reco.add(r);
       t2.begin_row()
           .cell(adaptive ? "ADAPTIVE (sees committees)" : "oblivious uniform")
           .cell(static_cast<std::int64_t>(n))
           .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
-          .cell(reco.mean(), 2);
+          .cell(trial_mean(rows), 2);
     }
   }
   emit(t2, base);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

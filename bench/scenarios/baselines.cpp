@@ -17,43 +17,28 @@
 // per row — the comparison the old bespoke bench hand-rolled per baseline.
 #include "scenario_common.h"
 
-namespace churnstore {
-namespace {
+namespace churnstore::bench {
 
-using namespace churnstore::bench;
-
-CHURNSTORE_SCENARIO(baselines,
-                    "E9: paper protocol vs chord/flooding/k-walker/sqrt "
-                    "baselines under churn") {
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
-  if (!cli.has("items")) base.workload.items = 2;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 10;
-  if (!cli.has("batches")) base.workload.batches = 1;
-  // How long items sit under churn before anyone searches. The maintained
-  // protocol is indifferent to this; the unmaintained baselines decay with
-  // it — which is the paper's whole point.
-  if (!cli.has("age-taus")) base.workload.age_taus = 10.0;
-
-  banner(base, "E9 baselines — protocol comparison under churn",
+void run_baselines(const ScenarioSpec& spec, const Cli& cli) {
+  banner(spec, "E9 baselines — protocol comparison under churn",
          "retrieval success and per-node cost: churnstore keeps succeeding "
          "where unmaintained/structured baselines decay, at polylog cost");
 
   const std::vector<std::string> stacks =
       cli.has("protocol")
-          ? std::vector<std::string>{base.protocol}
+          ? std::vector<std::string>{spec.protocol}
           : std::vector<std::string>{"churnstore", "sqrt-replication",
                                      "k-walker", "chord", "flooding"};
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"system", "n", "churn/rd", "locate rate", "censored", "avail",
            "avail ci95", "locate rds", "mean bits/node/rd"});
-  for (const std::uint32_t n : base.ns) {
-    for (const double cm : {0.0, 0.25, base.churn.multiplier,
-                            2 * base.churn.multiplier}) {
+  for (const std::uint32_t n : spec.ns) {
+    for (const double cm : {0.0, 0.25, spec.churn.multiplier,
+                            2 * spec.churn.multiplier}) {
       for (const std::string& stack : stacks) {
-        ScenarioSpec cell = at_churn(base, n, cm).with_seed(
-            mix64(base.seed + n));
+        ScenarioSpec cell = at_churn(spec, n, cm).with_seed(
+            mix64(spec.seed + n));
         cell.protocol = stack;
         const StoreSearchResult res = runner.store_search(cell);
         t.begin_row()
@@ -70,8 +55,7 @@ CHURNSTORE_SCENARIO(baselines,
       }
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

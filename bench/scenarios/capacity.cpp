@@ -24,31 +24,21 @@
 #include "util/resource.h"
 #include "util/thread_pool.h"
 
-namespace churnstore {
-namespace {
+namespace churnstore::bench {
 
-using namespace churnstore::bench;
-
-CHURNSTORE_SCENARIO(capacity,
-                    "C1: large-n capacity — rounds/sec serial vs sharded, "
-                    "same seed, bit-identical results") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {100000};
-  if (!cli.has("items")) base.workload.items = 64;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 128;
+void run_capacity(const ScenarioSpec& spec, const Cli& cli) {
   if (cli.has("measure-rounds")) {
     require_nonzero("measure-rounds", cli_count(cli, "measure-rounds", 0));
   }
 
-  banner(base, "C1 capacity — sharded round engine at large n",
+  banner(spec, "C1 capacity — sharded round engine at large n",
          "rounds/sec for one big run vs shard count; the workload outcome "
          "is bit-identical per n (sharding is an execution detail)");
 
   const std::vector<std::uint32_t> sweep =
       cli_count_list(cli, "shard-sweep", {1, 4, 16});
 
-  ThreadPool pool(base.threads);
+  ThreadPool pool(spec.threads);
   // Per-phase columns isolate where a round goes: soup = TokenSoup's token
   // moves, handlers = every other protocol's (sharded) round hooks,
   // delivery = lane flush + inbox filing + message dispatch. Each prints as
@@ -57,23 +47,23 @@ CHURNSTORE_SCENARIO(capacity,
   Table t({"n", "shards", "churn/rd", "rounds/sec", "speedup", "soup r/s",
            "handler r/s", "deliver r/s", "tokens", "searches",
            "locate rate", "maxrss MB"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     double baseline_rps = 0.0;
     for (const std::uint32_t shards : sweep) {
-      SystemConfig cfg = base.with_n(n).system_config();
+      SystemConfig cfg = spec.with_n(n).system_config();
       cfg.sim.shards = shards;
       // Any registered stack runs here (protocol=chord measures the DHT at
       // capacity scale); the soup phase column is 0 for soup-less stacks.
-      BuiltSystem built = build_stack(base.protocol, cfg, base.extras);
+      BuiltSystem built = build_stack(spec.protocol, cfg, spec.extras);
       P2PSystem& sys = *built.system;
-      if (shards != 1 && base.parallel) sys.set_shard_pool(&pool);
+      if (shards != 1 && spec.parallel) sys.set_shard_pool(&pool);
       StorageService& svc = *built.service;
-      Rng workload(mix64(base.seed ^ 0x63617061ULL));
+      Rng workload(mix64(spec.seed ^ 0x63617061ULL));
 
       sys.run_rounds(sys.warmup_rounds());
       std::vector<ItemId> items;
-      for (std::uint32_t i = 0; i < base.workload.items; ++i) {
-        const ItemId item = mix64(base.seed * 1000 + i) | 1;
+      for (std::uint32_t i = 0; i < spec.workload.items; ++i) {
+        const ItemId item = mix64(spec.seed * 1000 + i) | 1;
         for (int attempt = 0; attempt < 16; ++attempt) {
           const auto creator =
               static_cast<Vertex>(workload.next_below(sys.n()));
@@ -85,7 +75,7 @@ CHURNSTORE_SCENARIO(capacity,
         }
       }
       std::vector<std::uint64_t> sids;
-      for (std::uint32_t s = 0; s < base.workload.searchers_per_batch; ++s) {
+      for (std::uint32_t s = 0; s < spec.workload.searchers_per_batch; ++s) {
         if (items.empty()) break;
         const ItemId item = items[workload.next_below(items.size())];
         const auto initiator =
@@ -140,8 +130,7 @@ CHURNSTORE_SCENARIO(capacity,
           .cell(static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0), 1);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

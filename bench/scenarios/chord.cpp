@@ -11,10 +11,10 @@
 //   bench_driver --scenario=chord                      # n=1024,4096
 //   bench_driver --scenario=chord n=10000,100000 json=true   # BENCH_chord
 //
-// Keys: chord-replication, chord-stabilize, chord-replicate, items
-// (default 8), searches (24), age-taus (0: taus of aging beyond the
-// driver's fixed 2 tau) and batches (1). trials must be 1 (the default
-// here): each cell is one run.
+// Keys: chord-replication, chord-stabilize, chord-replicate, items,
+// searches, age-taus (taus of aging beyond the driver's fixed 2 tau) and
+// batches, at the defaults `bench_driver --list` shows. trials must be 1:
+// each cell is one run.
 #include <cmath>
 #include <optional>
 
@@ -24,10 +24,8 @@
 #include "stats/histogram.h"
 #include "util/resource.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 /// One measured cell: the generic workload's result plus the protocol's
 /// own hop counters and ring god views.
@@ -65,20 +63,14 @@ ChordCell run_cell(const ScenarioSpec& spec, const std::string& obs_label) {
   return out;
 }
 
-CHURNSTORE_SCENARIO(chord,
-                    "E14: message-accurate Chord — measured hops, bits, and "
-                    "ring health vs churn") {
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {1024, 4096};
+}  // namespace
+
+void run_chord(const ScenarioSpec& spec, const Cli& cli) {
   // One cell per (n, churn level) and no trial axis: any other trials value
   // would print this one-trial table as if it had been honoured.
   if (cli.has("trials")) require_exactly("trials", spec.trials, 1);
-  if (!cli.has("items")) base.workload.items = 8;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 24;
-  if (!cli.has("age-taus")) base.workload.age_taus = 0.0;
-  if (!cli.has("batches")) base.workload.batches = 1;
 
-  banner(base, "E14 chord — message-accurate Chord DHT on the Network layer",
+  banner(spec, "E14 chord — message-accurate Chord DHT on the Network layer",
          "lookup success and MEASURED hop/bit cost via the normal charge "
          "path");
 
@@ -89,12 +81,12 @@ CHURNSTORE_SCENARIO(chord,
            "mean bits/node/rd", "locate rds", "maxrss MB", "hops p50",
            "hops p95", "hops p99", "lat p50", "lat p95", "lat p99",
            "lat p999"});
-  for (const std::uint32_t n : base.ns) {
-    for (const double cm : {0.0, 0.25 * base.churn.multiplier,
-                            0.5 * base.churn.multiplier,
-                            base.churn.multiplier}) {
+  for (const std::uint32_t n : spec.ns) {
+    for (const double cm : {0.0, 0.25 * spec.churn.multiplier,
+                            0.5 * spec.churn.multiplier,
+                            spec.churn.multiplier}) {
       const ScenarioSpec cell =
-          at_churn(base, n, cm).with_seed(mix64(base.seed + n));
+          at_churn(spec, n, cm).with_seed(mix64(spec.seed + n));
       const std::string obs_label =
           "net.n" + std::to_string(n) + ".c" +
           std::to_string(static_cast<std::int64_t>(cell.churn.per_round(n)));
@@ -130,8 +122,7 @@ CHURNSTORE_SCENARIO(chord,
       for (const double q : {0.50, 0.95, 0.99, 0.999}) quant(w.locate_hist, q);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -12,10 +12,8 @@
 
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct LimitRow {
   double walk_survival = 0.0;
@@ -63,39 +61,29 @@ LimitRow run_once(const ScenarioSpec& spec, std::int64_t churn_abs,
   return row;
 }
 
-CHURNSTORE_SCENARIO(churn_limit,
-                    "E11: the churn wall in both functional forms (section "
-                    "5 conjecture)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
+}  // namespace
 
-  banner(base, "E11 churn_limit — the churn wall (section 5 conjecture)",
+void run_churn_limit(const ScenarioSpec& spec, const Cli&) {
+  banner(spec, "E11 churn_limit — the churn wall (section 5 conjecture)",
          "sweep churn in both functional forms; the protocol degrades as "
          "the per-mixing-time churn fraction approaches a constant "
          "(conjectured wall at Omega(n/log n) per round)");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"form", "c", "churn/rd", "frac/rd", "frac/tau", "walk survival",
            "persisted", "locate rate"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     const double ln_n = std::log(static_cast<double>(n));
-    const std::uint32_t tau = tau_rounds(n, base.walk);
-    const ScenarioSpec cell = base.with_n(n);
+    const std::uint32_t tau = tau_rounds(n, spec.walk);
+    const ScenarioSpec cell = spec.with_n(n);
     auto sweep = [&](const char* form, double divisor, double c) {
       const auto churn =
           static_cast<std::int64_t>(c * static_cast<double>(n) / divisor);
       const auto rows = runner.map_trials<LimitRow>(
-          base.trials, [&cell, churn, n](std::uint32_t trial) {
+          spec.trials, [&cell, churn, n](std::uint32_t trial) {
             return run_once(cell, churn,
                             Runner::trial_seed(cell.seed + n, trial));
           });
-      RunningStat surv, persist, locate;
-      for (const LimitRow& row : rows) {
-        surv.add(row.walk_survival);
-        persist.add(row.persist);
-        locate.add(row.locate_rate);
-      }
       const double frac = static_cast<double>(churn) / n;
       t.begin_row()
           .cell(form)
@@ -103,9 +91,9 @@ CHURNSTORE_SCENARIO(churn_limit,
           .cell(churn)
           .cell(frac, 4)
           .cell(std::min(1.0, frac * tau), 3)
-          .cell(surv.mean(), 3)
-          .cell(persist.mean(), 2)
-          .cell(locate.mean(), 3);
+          .cell(trial_mean(rows, &LimitRow::walk_survival), 3)
+          .cell(trial_mean(rows, &LimitRow::persist), 2)
+          .cell(trial_mean(rows, &LimitRow::locate_rate), 3);
     };
     for (const double c : {0.25, 0.5, 1.0, 1.5, 2.0}) {
       sweep("n/ln^1.5 n", std::pow(ln_n, 1.5), c);
@@ -114,8 +102,7 @@ CHURNSTORE_SCENARIO(churn_limit,
       sweep("n/ln n", ln_n, c);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

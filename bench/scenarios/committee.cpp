@@ -8,14 +8,13 @@
 // sweep; report survival to the horizon, generations completed, size
 // statistics, and failed handovers.
 #include <algorithm>
+#include <vector>
 
 #include "committee/committee.h"
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct CommitteeRow {
   bool valid = false;
@@ -26,25 +25,23 @@ struct CommitteeRow {
   double failed = 0.0;
 };
 
-CHURNSTORE_SCENARIO(committee, "E4: committee maintenance (Theorem 2)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
-  if (!cli.has("trials")) base.trials = 3;
+}  // namespace
+
+void run_committee(const ScenarioSpec& spec, const Cli& cli) {
   const std::uint32_t horizon_periods = cli_count(cli, "periods", 24);
 
-  banner(base, "E4 committee — committee maintenance (Theorem 2)",
+  banner(spec, "E4 committee — committee maintenance (Theorem 2)",
          "committee survival over many refresh periods vs churn; size stays "
          "Theta(log n), re-formation succeeds almost every cycle");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "churn/rd", "periods", "survived", "generations",
            "min size", "mean size", "failed handovers"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const double cm : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-      const ScenarioSpec cell = at_churn(base, n, cm);
-      const auto rows = runner.map_trials<CommitteeRow>(
-          base.trials, [&cell, n, horizon_periods](std::uint32_t trial) {
+      const ScenarioSpec cell = at_churn(spec, n, cm);
+      auto rows = runner.map_trials<CommitteeRow>(
+          spec.trials, [&cell, n, horizon_periods](std::uint32_t trial) {
             SystemConfig cfg = cell.system_config();
             cfg.sim.seed = Runner::trial_seed(cell.seed + n, trial);
             P2PSystem sys(cfg);
@@ -78,28 +75,20 @@ CHURNSTORE_SCENARIO(committee, "E4: committee maintenance (Theorem 2)") {
                 static_cast<double>(sys.metrics().committees_lost());
             return row;
           });
-      RunningStat survived, gens, min_size, mean_size, failed;
-      for (const CommitteeRow& row : rows) {
-        if (!row.valid) continue;
-        survived.add(row.survived);
-        gens.add(row.generations);
-        min_size.add(row.min_size);
-        mean_size.add(row.mean_size);
-        failed.add(row.failed);
-      }
+      // A trial whose committee never formed has nothing to average.
+      std::erase_if(rows, [](const CommitteeRow& row) { return !row.valid; });
       t.begin_row()
           .cell(static_cast<std::int64_t>(n))
           .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
           .cell(static_cast<std::int64_t>(horizon_periods))
-          .cell(survived.mean(), 2)
-          .cell(gens.mean(), 1)
-          .cell(min_size.mean(), 1)
-          .cell(mean_size.mean(), 1)
-          .cell(failed.mean(), 1);
+          .cell(trial_mean(rows, &CommitteeRow::survived), 2)
+          .cell(trial_mean(rows, &CommitteeRow::generations), 1)
+          .cell(trial_mean(rows, &CommitteeRow::min_size), 1)
+          .cell(trial_mean(rows, &CommitteeRow::mean_size), 1)
+          .cell(trial_mean(rows, &CommitteeRow::failed), 1);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -8,10 +8,8 @@
 // bytes stored network-wide per item, persistence, and retrieval success.
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct ErasureRow {
   double stored_bytes = 0.0;
@@ -63,47 +61,40 @@ ErasureRow run_once(const ScenarioSpec& spec, bool erasure,
   return row;
 }
 
-CHURNSTORE_SCENARIO(erasure, "E10: IDA pieces vs replication (section 4.4)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
+}  // namespace
 
-  banner(base, "E10 erasure — IDA vs replication (section 4.4)",
+void run_erasure(const ScenarioSpec& spec, const Cli&) {
+  banner(spec, "E10 erasure — IDA vs replication (section 4.4)",
          "stored bytes per item drop from Theta(log n)*|I| to ~L/K * |I| "
          "while persistence and retrieval stay intact");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"mode", "n", "churn/rd", "surplus", "stored bytes", "x item size",
            "persisted", "fetch rate"});
   const double item_bytes = 8192.0 / 8.0;
-  for (const std::uint32_t n : base.ns) {
-    for (const double cm : {0.25, base.churn.multiplier}) {
-      const ScenarioSpec cell = at_churn(base, n, cm);
+  for (const std::uint32_t n : spec.ns) {
+    for (const double cm : {0.25, spec.churn.multiplier}) {
+      const ScenarioSpec cell = at_churn(spec, n, cm);
       const auto churn_rd =
           static_cast<std::int64_t>(cell.churn.per_round(n));
       auto sweep = [&](const char* mode, bool erasure_mode,
                        std::uint32_t surplus, const std::string& label) {
         const auto rows = runner.map_trials<ErasureRow>(
-            base.trials,
+            spec.trials,
             [&cell, erasure_mode, surplus, n](std::uint32_t trial) {
               return run_once(cell, erasure_mode, surplus,
                               Runner::trial_seed(cell.seed + n, trial));
             });
-        RunningStat bytes, persist, fetch;
-        for (const ErasureRow& row : rows) {
-          bytes.add(row.stored_bytes);
-          persist.add(row.persist);
-          fetch.add(row.fetch_rate);
-        }
+        const double bytes = trial_mean(rows, &ErasureRow::stored_bytes);
         t.begin_row()
             .cell(mode)
             .cell(static_cast<std::int64_t>(n))
             .cell(churn_rd)
             .cell(label)
-            .cell(bytes.mean(), 0)
-            .cell(bytes.mean() / item_bytes, 2)
-            .cell(persist.mean(), 2)
-            .cell(fetch.mean(), 2);
+            .cell(bytes, 0)
+            .cell(bytes / item_bytes, 2)
+            .cell(trial_mean(rows, &ErasureRow::persist), 2)
+            .cell(trial_mean(rows, &ErasureRow::fetch_rate), 2);
       };
       sweep("replication", false, 3, "-");
       for (const std::uint32_t surplus : {2u, 3u, 4u}) {
@@ -111,8 +102,7 @@ CHURNSTORE_SCENARIO(erasure, "E10: IDA pieces vs replication (section 4.4)") {
       }
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -13,10 +13,8 @@
 #include "scenario_common.h"
 #include "stats/summary.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct LandmarkRow {
   double peak = 0.0;
@@ -24,23 +22,21 @@ struct LandmarkRow {
   std::uint32_t depth = 0;
 };
 
-CHURNSTORE_SCENARIO(landmark, "E5: landmark set size vs sqrt(n) (Lemma 8)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {256, 512, 1024, 2048, 4096};
+}  // namespace
 
-  banner(base, "E5 landmark — landmark set size (Lemma 8)",
+void run_landmark(const ScenarioSpec& spec, const Cli&) {
+  banner(spec, "E5 landmark — landmark set size (Lemma 8)",
          "sqrt(n) <= |M_I| <= O(n^{0.5+delta} log n); log-log slope of the "
          "landmark count vs n should land in [0.5, 0.75]");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "tree depth", "peak landmarks", "mean landmarks", "sqrt(n)",
            "n^0.75*ln n", "peak/sqrt(n)"});
   std::vector<double> xs, ys;
-  for (const std::uint32_t n : base.ns) {
-    const ScenarioSpec cell = base.with_n(n);
+  for (const std::uint32_t n : spec.ns) {
+    const ScenarioSpec cell = spec.with_n(n);
     const auto rows = runner.map_trials<LandmarkRow>(
-        base.trials, [&cell, n](std::uint32_t trial) {
+        spec.trials, [&cell, n](std::uint32_t trial) {
           SystemConfig cfg = cell.system_config();
           cfg.sim.seed = Runner::trial_seed(cell.seed + n, trial);
           P2PSystem sys(cfg);
@@ -65,33 +61,26 @@ CHURNSTORE_SCENARIO(landmark, "E5: landmark set size vs sqrt(n) (Lemma 8)") {
           row.mean = trace.mean();
           return row;
         });
-    RunningStat peak, mean;
-    std::uint32_t depth = 0;
-    for (const LandmarkRow& row : rows) {
-      peak.add(row.peak);
-      mean.add(row.mean);
-      depth = row.depth;
-    }
+    const double peak = trial_mean(rows, &LandmarkRow::peak);
     const double sqrt_n = std::sqrt(static_cast<double>(n));
     const double upper = std::pow(static_cast<double>(n), 0.75) * std::log(n);
     t.begin_row()
         .cell(static_cast<std::int64_t>(n))
-        .cell(static_cast<std::int64_t>(depth))
-        .cell(peak.mean(), 1)
-        .cell(mean.mean(), 1)
+        .cell(static_cast<std::int64_t>(rows.back().depth))
+        .cell(peak, 1)
+        .cell(trial_mean(rows, &LandmarkRow::mean), 1)
         .cell(sqrt_n, 1)
         .cell(upper, 1)
-        .cell(peak.mean() / sqrt_n, 2);
+        .cell(peak / sqrt_n, 2);
     xs.push_back(static_cast<double>(n));
-    ys.push_back(peak.mean());
+    ys.push_back(peak);
   }
-  emit(t, base);
-  if (!base.csv && !base.json) {
+  emit(t, spec);
+  if (!spec.csv && !spec.json) {
     std::printf("\nlog-log slope of peak landmarks vs n: %s "
                 "(Lemma 8 predicts within [0.5, 0.75])\n",
                 slope_text(loglog_slope(xs, ys), 3).c_str());
   }
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -15,30 +15,19 @@
 #include "scenario_common.h"
 #include "stats/summary.h"
 
-namespace churnstore {
-namespace {
+namespace churnstore::bench {
 
-using namespace churnstore::bench;
-
-CHURNSTORE_SCENARIO(message_complexity,
-                    "E8: per-node traffic is polylog(n), not linear") {
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {128, 256, 512, 1024, 2048};
-  if (!cli.has("trials")) base.trials = 1;
-  if (!cli.has("items")) base.workload.items = 2;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 6;
-  if (!cli.has("batches")) base.workload.batches = 1;
-
-  banner(base, "E8 message_complexity — per-node traffic is polylog(n)",
+void run_message_complexity(const ScenarioSpec& spec, const Cli&) {
+  banner(spec, "E8 message_complexity — per-node traffic is polylog(n)",
          "mean/max bits per node per round under the full workload; "
          "bits / ln^2 n stays near-constant while bits/n vanishes");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "mean bits/node/rd", "mean ci95", "max bits/node/rd",
            "mean/ln^2 n", "mean/n"});
   std::vector<double> xs, ys;
-  for (const std::uint32_t n : base.ns) {
-    const ScenarioSpec cell = base.with_n(n).with_seed(base.seed + n);
+  for (const std::uint32_t n : spec.ns) {
+    const ScenarioSpec cell = spec.with_n(n).with_seed(spec.seed + n);
     const StoreSearchResult res = runner.store_search(cell);
     const double mean_bits = res.bits_node_round_mean.mean();
     const double ln2 = std::pow(std::log(static_cast<double>(n)), 2.0);
@@ -54,8 +43,8 @@ CHURNSTORE_SCENARIO(message_complexity,
     xs.push_back(static_cast<double>(n));
     ys.push_back(mean_bits);
   }
-  emit(t, base);
-  if (!base.csv && !base.json) {
+  emit(t, spec);
+  if (!spec.csv && !spec.json) {
     std::printf(
         "\nlog-log slope of mean bits vs n: %s "
         "(0 = constant, 1 = linear; polylog gives ~0.1-0.3 at these n)\n",
@@ -63,5 +52,4 @@ CHURNSTORE_SCENARIO(message_complexity,
   }
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -16,10 +16,8 @@
 #include "stats/divergence.h"
 #include "walk/token_soup.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 UniformityReport measure(const ScenarioSpec& spec, EdgeDynamics dynamics,
                          double t_mult, std::uint64_t seed,
@@ -56,14 +54,12 @@ UniformityReport measure(const ScenarioSpec& spec, EdgeDynamics dynamics,
   return uniformity_report(arrivals);
 }
 
-CHURNSTORE_SCENARIO(mixing, "E2: dynamic mixing time per edge mode (Lemma 1)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {1024};
-  if (!cli.has("trials")) base.trials = 1;
+}  // namespace
+
+void run_mixing(const ScenarioSpec& spec, const Cli& cli) {
   const std::uint32_t probes = cli_count(cli, "probes", 40000);
 
-  banner(base, "E2 mixing — dynamic mixing time (Lemma 1)",
+  banner(spec, "E2 mixing — dynamic mixing time (Lemma 1)",
          "single-source destination TVD vs walk length, per edge-dynamics "
          "mode; T ~ 2.5 ln n suffices on every mode (mixing is Theta(log n))");
 
@@ -71,17 +67,17 @@ CHURNSTORE_SCENARIO(mixing, "E2: dynamic mixing time per edge mode (Lemma 1)") {
     double tvd = 0.0, min_pn = 0.0, max_pn = 0.0, zero = 0.0;
   };
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "mode", "T (steps)", "T/ln n", "tvd", "min p*n", "max p*n",
            "zero frac"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const EdgeDynamics mode :
          {EdgeDynamics::kStatic, EdgeDynamics::kRewire,
           EdgeDynamics::kRegenerate}) {
       for (const double tm : {0.5, 1.0, 1.5, 2.0, 2.5, 3.0}) {
-        const ScenarioSpec cell_spec = base.with_n(n);
+        const ScenarioSpec cell_spec = spec.with_n(n);
         const auto cells = runner.map_trials<Cell>(
-            base.trials, [&cell_spec, mode, tm, n, probes](std::uint32_t trial) {
+            spec.trials, [&cell_spec, mode, tm, n, probes](std::uint32_t trial) {
               const auto rep =
                   measure(cell_spec, mode, tm,
                           Runner::trial_seed(cell_spec.seed + n, trial),
@@ -89,30 +85,22 @@ CHURNSTORE_SCENARIO(mixing, "E2: dynamic mixing time per edge mode (Lemma 1)") {
               return Cell{rep.tvd, rep.min_prob_times_n, rep.max_prob_times_n,
                           rep.zero_fraction};
             });
-        WalkConfig wc = base.walk;
+        WalkConfig wc = spec.walk;
         wc.t_mult = tm;
         const std::uint32_t steps = walk_length(n, wc);
-        RunningStat tvd, min_pn, max_pn, zero;
-        for (const Cell& c : cells) {
-          tvd.add(c.tvd);
-          min_pn.add(c.min_pn);
-          max_pn.add(c.max_pn);
-          zero.add(c.zero);
-        }
         t.begin_row()
             .cell(static_cast<std::int64_t>(n))
             .cell(std::string(to_name(mode)))
             .cell(static_cast<std::int64_t>(steps))
             .cell(tm, 1)
-            .cell(tvd.mean())
-            .cell(min_pn.mean(), 3)
-            .cell(max_pn.mean(), 3)
-            .cell(zero.mean(), 3);
+            .cell(trial_mean(cells, &Cell::tvd))
+            .cell(trial_mean(cells, &Cell::min_pn), 3)
+            .cell(trial_mean(cells, &Cell::max_pn), 3)
+            .cell(trial_mean(cells, &Cell::zero), 3);
       }
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

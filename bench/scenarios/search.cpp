@@ -12,22 +12,14 @@
 #include "scenario_common.h"
 #include "stats/summary.h"
 
-namespace churnstore {
-namespace {
+namespace churnstore::bench {
 
-using namespace churnstore::bench;
-
-CHURNSTORE_SCENARIO(search, "E7: retrieval success and latency (Theorem 4)") {
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {256, 512, 1024};
-  if (!cli.has("items")) base.workload.items = 3;
-  if (!cli.has("searches")) base.workload.searchers_per_batch = 12;
-
-  banner(base, "E7 search — retrieval success and latency (Theorem 4)",
+void run_search(const ScenarioSpec& spec, const Cli&) {
+  banner(spec, "E7 search — retrieval success and latency (Theorem 4)",
          "locate/fetch rates among surviving searchers and rounds-to-locate "
          "vs n and churn; latency grows like log n, success stays ~1");
 
-  Runner runner(base);
+  Runner runner(spec);
   // Tail-latency quantiles appended after the historical columns (same
   // observations as "locate rds mean", full distribution via locate_hist).
   Table t({"n", "churn/rd", "searches", "censored", "locate rate",
@@ -35,10 +27,10 @@ CHURNSTORE_SCENARIO(search, "E7: retrieval success and latency (Theorem 4)") {
            "locate rds max", "tau", "lat p50", "lat p95", "lat p99",
            "lat p999"});
   std::vector<double> lnns, latencies;
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const double cm :
-         {0.0, base.churn.multiplier, 2 * base.churn.multiplier}) {
-      ScenarioSpec cell = at_churn(base, n, cm).with_seed(base.seed + n);
+         {0.0, spec.churn.multiplier, 2 * spec.churn.multiplier}) {
+      ScenarioSpec cell = at_churn(spec, n, cm).with_seed(spec.seed + n);
       const StoreSearchResult res = runner.store_search(cell);
       const std::uint32_t tau = tau_rounds(n, cell.walk);
       t.begin_row()
@@ -61,19 +53,18 @@ CHURNSTORE_SCENARIO(search, "E7: retrieval success and latency (Theorem 4)") {
       } else {
         t.cell("n/a").cell("n/a").cell("n/a").cell("n/a");
       }
-      if (cm == base.churn.multiplier && res.locate_rounds.count() > 0) {
+      if (cm == spec.churn.multiplier && res.locate_rounds.count() > 0) {
         lnns.push_back(std::log(static_cast<double>(n)));
         latencies.push_back(res.locate_rounds.mean());
       }
     }
   }
-  emit(t, base);
-  if (!base.csv && !base.json) {
+  emit(t, spec);
+  if (!spec.csv && !spec.json) {
     std::printf("\nlocate-rounds vs ln(n): linear slope %s rounds per ln n "
                 "unit (Theorem 4: O(log n) rounds)\n",
                 slope_text(linear_slope(lnns, latencies), 2).c_str());
   }
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

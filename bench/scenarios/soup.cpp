@@ -19,10 +19,8 @@
 #include "stats/divergence.h"
 #include "walk/token_soup.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct SoupRow {
   double survival = 0.0;
@@ -95,57 +93,42 @@ SoupRow run_once(const ScenarioSpec& spec, std::uint64_t seed,
   return row;
 }
 
-CHURNSTORE_SCENARIO(soup,
-                    "E1+E3: Soup Theorem probe uniformity and walk survival "
-                    "(Theorem 1, Lemma 2)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {256, 512, 1024};
-  if (!cli.has("trials")) base.trials = 3;
+}  // namespace
+
+void run_soup(const ScenarioSpec& spec, const Cli& cli) {
   const std::uint32_t probes = cli_count(cli, "probes", 24);
 
-  banner(base, "E1+E3 soup — Soup Theorem (Thm 1), walk survival (Lemma 2)",
+  banner(spec, "E1+E3 soup — Soup Theorem (Thm 1), walk survival (Lemma 2)",
          "walks from a large Core land near-uniformly despite churn: "
          "min p*n >= 1/17, max p*n <= 3/2, Core ~ n - o(n); |S| = sources "
          "within the lemma's loss bound stays ~ n - o(n)");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "churn/rd", "survival", "tvd", "min p*n", "max p*n",
            "band frac", "good src frac", "lemma bound", "|S|/n (>=bound)"});
-  for (const std::uint32_t n : base.ns) {
-    for (const double cm : {0.0, 0.1, 0.25, base.churn.multiplier,
-                            2 * base.churn.multiplier}) {
-      const ScenarioSpec cell = at_churn(base, n, cm);
+  for (const std::uint32_t n : spec.ns) {
+    for (const double cm : {0.0, 0.1, 0.25, spec.churn.multiplier,
+                            2 * spec.churn.multiplier}) {
+      const ScenarioSpec cell = at_churn(spec, n, cm);
       const auto rows = runner.map_trials<SoupRow>(
-          base.trials, [&cell, n, probes](std::uint32_t trial) {
+          spec.trials, [&cell, n, probes](std::uint32_t trial) {
             return run_once(cell, Runner::trial_seed(cell.seed + n, trial),
                             probes);
           });
-      RunningStat survival, tvd, min_pn, max_pn, band, src, src_bound;
-      for (const SoupRow& row : rows) {
-        survival.add(row.survival);
-        tvd.add(row.tvd);
-        min_pn.add(row.min_pn);
-        max_pn.add(row.max_pn);
-        band.add(row.core_fraction);
-        src.add(row.source_good);
-        src_bound.add(row.source_bound);
-      }
       t.begin_row()
           .cell(static_cast<std::int64_t>(n))
           .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
-          .cell(survival.mean())
-          .cell(tvd.mean())
-          .cell(min_pn.mean(), 3)
-          .cell(max_pn.mean(), 3)
-          .cell(band.mean(), 3)
-          .cell(src.mean(), 3)
+          .cell(trial_mean(rows, &SoupRow::survival))
+          .cell(trial_mean(rows, &SoupRow::tvd))
+          .cell(trial_mean(rows, &SoupRow::min_pn), 3)
+          .cell(trial_mean(rows, &SoupRow::max_pn), 3)
+          .cell(trial_mean(rows, &SoupRow::core_fraction), 3)
+          .cell(trial_mean(rows, &SoupRow::source_good), 3)
           .cell(lemma_bound(n), 3)
-          .cell(src_bound.mean(), 3);
+          .cell(trial_mean(rows, &SoupRow::source_bound), 3);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -25,17 +25,10 @@
 #include "util/thread_pool.h"
 #include "walk/token_soup.h"
 
-namespace churnstore {
-namespace {
+namespace churnstore::bench {
 
-using namespace churnstore::bench;
-
-CHURNSTORE_SCENARIO(soup_step,
-                    "M2: sharded soup-step throughput (S sweep, ungated "
-                    "sizing tool)") {
-  reject_obs_keys(spec.extras);
+void run_soup_step(const ScenarioSpec& spec, const Cli& cli) {
   ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {4096, 16384};
   const std::uint32_t steps = cli_count(cli, "steps", 128);
   require_nonzero("steps", steps);
   const bool want_counters = cli.get_bool("counters", false);
@@ -166,5 +159,4 @@ CHURNSTORE_SCENARIO(soup_step,
   emit(t, base);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

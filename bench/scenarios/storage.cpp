@@ -12,10 +12,8 @@
 
 #include "scenario_common.h"
 
-namespace churnstore {
+namespace churnstore::bench {
 namespace {
-
-using namespace churnstore::bench;
 
 struct StorageRow {
   double recoverable = 0.0;
@@ -27,31 +25,29 @@ struct StorageRow {
   std::uint32_t horizon = 0;
 };
 
-CHURNSTORE_SCENARIO(storage, "E6: storage persistence traces (Theorem 3)") {
-  reject_obs_keys(spec.extras);
-  ScenarioSpec base = spec;
-  if (!cli.has("n")) base.ns = {512};
-  if (!cli.has("trials")) base.trials = 3;
+}  // namespace
+
+void run_storage(const ScenarioSpec& spec, const Cli& cli) {
   const double horizon_taus = cli.get_double("horizon-taus", 20.0);
 
-  banner(base, "E6 storage — storage persistence (Theorem 3)",
+  banner(spec, "E6 storage — storage persistence (Theorem 3)",
          "availability over a long horizon vs churn; copies stay Theta(log "
          "n), the item survives every committee handover");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"n", "churn/rd", "horizon rds", "recoverable", "available",
            "copies mean", "copies min", "generations", "lost@round"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const double cm : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-      const ScenarioSpec cell = at_churn(base, n, cm);
+      const ScenarioSpec cell = at_churn(spec, n, cm);
       const auto rows = runner.map_trials<StorageRow>(
-          base.trials, [&cell, n, horizon_taus](std::uint32_t trial) {
+          spec.trials, [&cell, n, horizon_taus](std::uint32_t trial) {
             SystemConfig cfg = cell.system_config();
             cfg.sim.seed = Runner::trial_seed(cell.seed + n, trial);
             const auto trace = run_availability_trial(cfg, horizon_taus);
             StorageRow row;
-            row.horizon =
-                static_cast<std::uint32_t>(trace.rounds.size()) * 4;
+            row.horizon = static_cast<std::uint32_t>(trace.rounds.size()) *
+                          kAvailabilitySampleRounds;
             row.recoverable = trace.recoverable_fraction();
             row.available = trace.availability_fraction();
             RunningStat c;
@@ -66,32 +62,24 @@ CHURNSTORE_SCENARIO(storage, "E6: storage persistence traces (Theorem 3)") {
             row.lost_at = trace.first_unrecoverable();
             return row;
           });
-      RunningStat reco, avail, copies_mean, copies_min, gens;
+      // The last trial that lost its item names the round.
       std::int64_t lost_at = -1;
-      std::uint32_t horizon = 0;
       for (const StorageRow& row : rows) {
-        reco.add(row.recoverable);
-        avail.add(row.available);
-        copies_mean.add(row.copies_mean);
-        copies_min.add(row.copies_min);
-        gens.add(row.generations);
         if (row.lost_at >= 0) lost_at = row.lost_at;
-        horizon = row.horizon;
       }
       t.begin_row()
           .cell(static_cast<std::int64_t>(n))
           .cell(static_cast<std::int64_t>(cell.churn.per_round(n)))
-          .cell(static_cast<std::int64_t>(horizon))
-          .cell(reco.mean(), 3)
-          .cell(avail.mean(), 3)
-          .cell(copies_mean.mean(), 1)
-          .cell(copies_min.mean(), 1)
-          .cell(gens.mean(), 1)
+          .cell(static_cast<std::int64_t>(rows.back().horizon))
+          .cell(trial_mean(rows, &StorageRow::recoverable), 3)
+          .cell(trial_mean(rows, &StorageRow::available), 3)
+          .cell(trial_mean(rows, &StorageRow::copies_mean), 1)
+          .cell(trial_mean(rows, &StorageRow::copies_min), 1)
+          .cell(trial_mean(rows, &StorageRow::generations), 1)
           .cell(lost_at);
     }
   }
-  emit(t, base);
+  emit(t, spec);
 }
 
-}  // namespace
-}  // namespace churnstore
+}  // namespace churnstore::bench

@@ -10,10 +10,11 @@
 #                               # (build-asan/, leak/lifetime checks on the
 #                               # arena-backed containers: SmallVec spill,
 #                               # sample-store slots, token queues, lanes)
-#   scripts/check.sh --smoke    # run EVERY registered scenario once at tiny
-#                               # n (<= 2k, trials=1) so a scenario that
-#                               # crashes or rejects its own spec fails CI,
-#                               # not the next person's experiment sweep;
+#   scripts/check.sh --smoke    # run EVERY scenario in bench_driver's table
+#                               # once at tiny n (<= 2k, trials=1) so a
+#                               # scenario that crashes, rejects its own
+#                               # spec or carries a malformed default fails
+#                               # CI, not the next person's experiment sweep;
 #                               # then every example at n=256 (a nonzero
 #                               # exit fails); then the ledger's own smoke
 #                               # (its Release build, determinism and
@@ -59,10 +60,11 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 
 if [[ "$SMOKE" == "1" ]]; then
-  # Scenario smoke: every registered scenario once, tiny spec (n <= 2k,
-  # trials=1). Scenario-level regressions (a crash, a spec-validation
-  # failure, a scenario that stopped registering) fail here instead of in
-  # someone's experiment sweep. Per-scenario overrides keep the expensive
+  # Scenario smoke: every scenario in bench_driver's table once, tiny spec
+  # (n <= 2k, trials=1). Scenario-level regressions (a crash, a
+  # spec-validation failure, a malformed default in the table, a row missing
+  # from --list) fail here instead of in someone's experiment sweep.
+  # Per-scenario overrides keep the expensive
   # defaults (capacity n=100k, soup_step n=16k, storage 20-tau horizons)
   # down at smoke scale.
   BUILD_DIR="${BUILD_DIR:-build}"
@@ -76,7 +78,7 @@ if [[ "$SMOKE" == "1" ]]; then
   DRIVER="$BUILD_DIR/bench_driver"
   TINY="n=256 trials=1 items=1 searches=3 batches=1 age-taus=0.5"
   SCENARIOS="$("$DRIVER" --list | awk '/^  /{print $1}')"
-  [[ -n "$SCENARIOS" ]] || { echo "smoke: no scenarios registered"; exit 1; }
+  [[ -n "$SCENARIOS" ]] || { echo "smoke: --list printed no scenarios"; exit 1; }
   for sc in $SCENARIOS; do
     EXTRA=""
     case "$sc" in
@@ -144,6 +146,29 @@ PYEOF
     echo "smoke: landmark wrote an obs file"
     exit 1
   fi
+  # Values must parse whole: a prefix parse would run n=256x as n=256.
+  echo "== smoke: search $TINY n=256x must exit 1 naming n"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY n=256x \
+    >/dev/null 2>"$OBS_DIR/malformed.err" || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: n=256x exited $status, want 1"; exit 1; }
+  grep -q "'n'" "$OBS_DIR/malformed.err" || {
+    echo "smoke: the n=256x error does not name n"
+    exit 1
+  }
+  # The obs sub-keys need obs=: without it they write nothing, so they must
+  # not exit 0.
+  echo "== smoke: search $TINY obs-file=... without obs= must exit 1 and write no file"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY \
+    obs-file="$OBS_DIR/orphan.jsonl" >/dev/null 2>&1 || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: orphan obs-file exited $status, want 1"; exit 1; }
+  if compgen -G "$OBS_DIR/orphan*" >/dev/null; then
+    echo "smoke: obs-file without obs= wrote a file"
+    exit 1
+  fi
   # The command line is the only input: exported CHURNSTORE_<KEY>
   # variables must not change a run's bytes.
   echo "== smoke: search $TINY csv=true, with and without CHURNSTORE_* set"
@@ -165,7 +190,7 @@ PYEOF
   echo "== smoke: ledger"
   python3 ledger/run.py --smoke
   echo
-  echo "check.sh --smoke: every registered scenario, example and ledger workload ran at tiny n"
+  echo "check.sh --smoke: every scenario, example and ledger workload ran at tiny n"
   exit 0
 fi
 

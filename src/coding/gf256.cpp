@@ -57,22 +57,6 @@ std::uint8_t inv(std::uint8_t a) {
   return t.exp[255 - t.log[a]];
 }
 
-std::uint8_t div(std::uint8_t a, std::uint8_t b) {
-  if (b == 0) throw std::domain_error("gf256::div by zero");
-  if (a == 0) return 0;
-  const auto& t = tables();
-  const int d = static_cast<int>(t.log[a]) - static_cast<int>(t.log[b]);
-  return t.exp[static_cast<std::size_t>(d < 0 ? d + 255 : d)];
-}
-
-std::uint8_t pow(std::uint8_t a, unsigned e) noexcept {
-  if (e == 0) return 1;
-  if (a == 0) return 0;
-  const auto& t = tables();
-  const auto l = (static_cast<unsigned>(t.log[a]) * e) % 255u;
-  return t.exp[l];
-}
-
 void mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
              std::size_t len) noexcept {
   if (c == 0) return;

@@ -14,9 +14,7 @@ void ensure_tables() noexcept;
 [[nodiscard]] std::uint8_t add(std::uint8_t a, std::uint8_t b) noexcept;
 [[nodiscard]] std::uint8_t sub(std::uint8_t a, std::uint8_t b) noexcept;
 [[nodiscard]] std::uint8_t mul(std::uint8_t a, std::uint8_t b) noexcept;
-[[nodiscard]] std::uint8_t div(std::uint8_t a, std::uint8_t b);  // throws on b==0
-[[nodiscard]] std::uint8_t inv(std::uint8_t a);                  // throws on a==0
-[[nodiscard]] std::uint8_t pow(std::uint8_t a, unsigned e) noexcept;
+[[nodiscard]] std::uint8_t inv(std::uint8_t a);  // throws on a==0
 
 /// dst[i] ^= c * src[i] for i in [0, len) — the inner loop of encode/decode.
 void mul_acc(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,

@@ -20,12 +20,10 @@ void StoreSearchResult::merge(const StoreSearchResult& o) {
   fetched += o.fetched;
   censored += o.censored;
   locate_rounds.merge(o.locate_rounds);
-  fetch_rounds.merge(o.fetch_rounds);
   locate_hist.merge(o.locate_hist);
   availability.merge(o.availability);
   bits_node_round_max.merge(o.bits_node_round_max);
   bits_node_round_mean.merge(o.bits_node_round_mean);
-  trial_count += o.trial_count;
 }
 
 double StoreSearchResult::locate_rate() const {
@@ -104,11 +102,7 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
         res.locate_rounds.add(rounds);
         res.locate_hist.add(rounds);
       }
-      if (out.fetched) {
-        ++res.fetched;
-        res.fetch_rounds.add(
-            static_cast<double>(out.fetched_round - batch_start));
-      }
+      if (out.fetched) ++res.fetched;
     }
   }
 
@@ -121,10 +115,9 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
 namespace {
 
 /// Spec keys that set how a trial executes or reports, not what it
-/// simulates.
-constexpr std::string_view kExecutionKeys[] = {
-    "threads", "parallel", "shards",   "csv",         "json",
-    "obs",     "obs-file", "obs-host", "trace-sample"};
+/// simulates: these and the obs keys (kObsKeys).
+constexpr std::string_view kExecutionKeys[] = {"threads", "parallel",
+                                               "shards", "csv", "json"};
 
 /// The obs file label of one trial: stack, n and churn per round, then a
 /// digest of every other spec key that shapes the run (the trial seed, the
@@ -135,10 +128,10 @@ std::string obs_trial_label(const ScenarioSpec& spec) {
   std::uint64_t digest = 0;
   for (const std::string& kv : spec.to_key_values()) {
     const std::string_view key = std::string_view(kv).substr(0, kv.find('='));
-    if (std::find(std::begin(kExecutionKeys), std::end(kExecutionKeys), key) !=
-        std::end(kExecutionKeys)) {
-      continue;
-    }
+    const auto listed = [key](const auto& keys) {
+      return std::find(std::begin(keys), std::end(keys), key) != std::end(keys);
+    };
+    if (listed(kExecutionKeys) || listed(kObsKeys)) continue;
     digest = mix64(digest ^ content_hash(reinterpret_cast<const std::uint8_t*>(
                                              kv.data()),
                                          kv.size()));
@@ -187,8 +180,7 @@ Round AvailabilityTrace::first_unrecoverable() const {
 }
 
 AvailabilityTrace run_availability_trial(const SystemConfig& config,
-                                         double horizon_taus,
-                                         std::uint32_t sample_every) {
+                                         double horizon_taus) {
   P2PSystem sys(config);
   Rng workload(mix64(config.sim.seed ^ 0x61766169ULL));
   AvailabilityTrace trace;
@@ -208,10 +200,9 @@ AvailabilityTrace run_availability_trial(const SystemConfig& config,
       static_cast<std::uint32_t>(horizon_taus * sys.tau());
   for (std::uint32_t r = 0; r < horizon; ++r) {
     sys.run_round();
-    if (r % sample_every != 0) continue;
+    if (r % kAvailabilitySampleRounds != 0) continue;
     trace.rounds.push_back(sys.round());
     trace.copies.push_back(sys.store().copies_alive(item));
-    trace.landmarks.push_back(sys.store().landmarks_alive(item));
     trace.available.push_back(sys.store().is_available(item) ? 1 : 0);
     trace.recoverable.push_back(sys.store().is_recoverable(item) ? 1 : 0);
   }

@@ -28,7 +28,6 @@ struct StoreSearchResult {
   std::uint64_t fetched = 0;
   std::uint64_t censored = 0;  ///< initiator churned out mid-search
   RunningStat locate_rounds;   ///< rounds from start to locate, successes only
-  RunningStat fetch_rounds;
   /// Full locate-latency distribution (same observations as locate_rounds)
   /// so scenarios can print tail quantiles, not just the mean.
   Histogram locate_hist{0.0, 256.0, 256};
@@ -39,8 +38,6 @@ struct StoreSearchResult {
   RunningStat availability;         ///< fraction of item-checks available
   RunningStat bits_node_round_max;  ///< mean over rounds of per-round max
   RunningStat bits_node_round_mean;
-  /// Trials merged into this result.
-  std::uint64_t trial_count = 1;
 
   void merge(const StoreSearchResult& o);
   [[nodiscard]] double locate_rate() const;
@@ -67,13 +64,14 @@ struct StoreSearchResult {
 [[nodiscard]] StoreSearchResult run_store_search_trial(
     const ScenarioSpec& spec, ThreadPool* shard_pool = nullptr);
 
-/// Availability-over-time workload (experiment E6/E10): store one item and
-/// record copies/landmarks/availability every `sample_every` rounds for
-/// `horizon_taus` taus.
+/// Availability-over-time workload (experiments E6, E12 and E13): store one
+/// item and record copies and availability every
+/// kAvailabilitySampleRounds rounds for `horizon_taus` taus.
+inline constexpr std::uint32_t kAvailabilitySampleRounds = 4;
+
 struct AvailabilityTrace {
   std::vector<Round> rounds;
   std::vector<std::uint64_t> copies;
-  std::vector<std::uint64_t> landmarks;
   std::vector<std::uint8_t> available;
   std::vector<std::uint8_t> recoverable;
   std::uint64_t generations = 0;
@@ -84,7 +82,6 @@ struct AvailabilityTrace {
 };
 
 [[nodiscard]] AvailabilityTrace run_availability_trial(
-    const SystemConfig& config, double horizon_taus,
-    std::uint32_t sample_every = 4);
+    const SystemConfig& config, double horizon_taus);
 
 }  // namespace churnstore

@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <limits>
 #include <set>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -152,7 +151,6 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.protocol = cli.get("protocol", spec.protocol);
 
   spec.ns = cli_count_list(cli, "n", {1024});
-  if (spec.ns.empty()) spec.ns = {1024};
   spec.degree = get_count(cli, "degree", spec.degree);
   spec.seed = static_cast<std::uint64_t>(
       cli.get_int("seed", static_cast<std::int64_t>(spec.seed)));
@@ -282,13 +280,13 @@ std::string extras_string(const std::map<std::string, std::string>& extras,
 std::int64_t extras_int(const std::map<std::string, std::string>& extras,
                         const std::string& key, std::int64_t fallback) {
   const auto it = extras.find(key);
-  return it == extras.end() ? fallback : std::stoll(it->second);
+  return it == extras.end() ? fallback : parse_int(key, it->second);
 }
 
 double extras_double(const std::map<std::string, std::string>& extras,
                      const std::string& key, double fallback) {
   const auto it = extras.find(key);
-  return it == extras.end() ? fallback : std::stod(it->second);
+  return it == extras.end() ? fallback : parse_double(key, it->second);
 }
 
 std::uint32_t cli_count(const Cli& cli, const std::string& key,
@@ -334,40 +332,6 @@ std::string ScenarioSpec::extra(const std::string& key,
 std::int64_t ScenarioSpec::extra_int(const std::string& key,
                                      std::int64_t fallback) const {
   return extras_int(extras, key, fallback);
-}
-
-void emit_table(const Table& table, const ScenarioSpec& spec,
-                std::ostream& os) {
-  if (spec.json) {
-    table.print_json(os);
-  } else if (spec.csv) {
-    table.print_csv(os);
-  } else {
-    table.print(os);
-  }
-}
-
-ScenarioRegistry& ScenarioRegistry::instance() {
-  // shardcheck:ok(R4: Meyers singleton registry — populated by static initializers, read-only once trials start)
-  static ScenarioRegistry registry;
-  return registry;
-}
-
-void ScenarioRegistry::add(ScenarioDef def) {
-  const std::string name = def.name;
-  defs_[name] = std::move(def);
-}
-
-const ScenarioDef* ScenarioRegistry::find(std::string_view name) const {
-  const auto it = defs_.find(std::string(name));
-  return it == defs_.end() ? nullptr : &it->second;
-}
-
-std::vector<const ScenarioDef*> ScenarioRegistry::all() const {
-  std::vector<const ScenarioDef*> defs;
-  defs.reserve(defs_.size());
-  for (const auto& [name, def] : defs_) defs.push_back(&def);
-  return defs;
 }
 
 }  // namespace churnstore

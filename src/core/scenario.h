@@ -1,11 +1,11 @@
-// Declarative experiment scenarios.
+// Declarative experiment specs.
 //
 // A ScenarioSpec captures everything a workload run needs — network size(s),
 // degree, churn model, adversary kind, protocol stack, workload shape,
 // trial count, seeds, and execution options — as a flat set of key=value
-// pairs parsed through util/cli. Every former bench binary is a *registered
-// scenario*: a named function that receives the parsed spec and drives the
-// Runner, so adding a workload is a registration, not a new main():
+// pairs parsed through util/cli. bench_driver's scenario table
+// (bench/bench_driver.cpp) maps each scenario name to a function that
+// receives the parsed spec and drives the Runner:
 //
 //   bench_driver --list
 //   bench_driver --scenario=search n=256,512 trials=4 churn-mult=1.0
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -24,7 +23,6 @@
 
 #include "core/system.h"
 #include "util/cli.h"
-#include "util/table.h"
 
 namespace churnstore {
 
@@ -111,7 +109,8 @@ struct ScenarioSpec {
 };
 
 /// Lookup helpers for key=value extras maps (shared by ScenarioSpec and
-/// the stack builders).
+/// the stack builders). A present value goes through util/cli's strict
+/// parsers, so it must parse whole; the error names the key.
 [[nodiscard]] std::string extras_string(
     const std::map<std::string, std::string>& extras, const std::string& key,
     const std::string& fallback);
@@ -153,50 +152,5 @@ void require_exactly(const std::string& key, std::uint64_t value,
 [[nodiscard]] std::string_view to_name(EdgeDynamics dynamics) noexcept;
 [[nodiscard]] AdversaryKind adversary_from_name(std::string_view name);
 [[nodiscard]] EdgeDynamics edge_dynamics_from_name(std::string_view name);
-
-/// Print `table` in the spec's chosen format (aligned text, CSV, or JSON).
-void emit_table(const Table& table, const ScenarioSpec& spec,
-                std::ostream& os);
-
-/// --- scenario registry ----------------------------------------------------
-struct ScenarioDef {
-  std::string name;
-  std::string summary;
-  std::function<void(const ScenarioSpec&, const Cli&)> run;
-};
-
-class ScenarioRegistry {
- public:
-  [[nodiscard]] static ScenarioRegistry& instance();
-
-  void add(ScenarioDef def);
-  [[nodiscard]] const ScenarioDef* find(std::string_view name) const;
-  /// All scenarios, sorted by name.
-  [[nodiscard]] std::vector<const ScenarioDef*> all() const;
-
- private:
-  std::map<std::string, ScenarioDef> defs_;
-};
-
-struct ScenarioRegistrar {
-  ScenarioRegistrar(std::string name, std::string summary,
-                    std::function<void(const ScenarioSpec&, const Cli&)> run) {
-    ScenarioRegistry::instance().add(
-        ScenarioDef{std::move(name), std::move(summary), std::move(run)});
-  }
-};
-
-/// Defines and registers a scenario in one go:
-///   CHURNSTORE_SCENARIO(search, "E7: retrieval success and latency") {
-///     ... body with `spec` and `cli` in scope ...
-///   }
-#define CHURNSTORE_SCENARIO(ident, summary)                                  \
-  static void churnstore_scenario_##ident(const ::churnstore::ScenarioSpec&, \
-                                          const ::churnstore::Cli&);         \
-  static const ::churnstore::ScenarioRegistrar                               \
-      churnstore_scenario_registrar_##ident{#ident, summary,                 \
-                                            churnstore_scenario_##ident};    \
-  static void churnstore_scenario_##ident(                                   \
-      const ::churnstore::ScenarioSpec& spec, const ::churnstore::Cli& cli)
 
 }  // namespace churnstore

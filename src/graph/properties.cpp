@@ -7,43 +7,28 @@ namespace churnstore {
 
 namespace {
 
-/// BFS filling dist with levels; returns number of reached vertices and the
-/// farthest vertex found.
-struct BfsResult {
-  std::uint32_t reached = 0;
-  Vertex farthest = 0;
-  std::uint32_t depth = 0;
-};
-
+/// BFS filling dist with levels; returns the number of reached vertices.
 /// The FIFO is a plain vector with a read cursor: every vertex enters the
 /// queue at most once, so the backing store never exceeds n entries and a
 /// pop never needs to reclaim space. Unlike std::deque (which allocates its
 /// map + first chunk on every construction), both scratch buffers reach a
 /// steady capacity and make repeated calls allocation-free.
-BfsResult bfs(const RegularGraph& g, Vertex from,
-              std::vector<std::int32_t>& dist, std::vector<Vertex>& queue) {
+std::size_t bfs(const RegularGraph& g, Vertex from,
+                std::vector<std::int32_t>& dist, std::vector<Vertex>& queue) {
   dist.assign(g.n(), -1);
   queue.clear();
   dist[from] = 0;
   queue.push_back(from);
-  BfsResult res;
-  res.reached = 1;
-  res.farthest = from;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Vertex v = queue[head];
     for (std::uint32_t i = 0; i < g.degree(); ++i) {
       const Vertex u = g.neighbor(v, i);
       if (dist[u] >= 0) continue;
       dist[u] = dist[v] + 1;
-      ++res.reached;
-      if (static_cast<std::uint32_t>(dist[u]) > res.depth) {
-        res.depth = static_cast<std::uint32_t>(dist[u]);
-        res.farthest = u;
-      }
       queue.push_back(u);
     }
   }
-  return res;
+  return queue.size();
 }
 
 }  // namespace
@@ -57,7 +42,7 @@ bool is_connected(const RegularGraph& g) {
 bool is_connected(const RegularGraph& g, std::vector<std::int32_t>& dist_scratch,
                   std::vector<Vertex>& queue_scratch) {
   if (g.n() == 0) return true;
-  return bfs(g, 0, dist_scratch, queue_scratch).reached == g.n();
+  return bfs(g, 0, dist_scratch, queue_scratch) == g.n();
 }
 
 bool is_bipartite(const RegularGraph& g) {
@@ -83,21 +68,6 @@ bool is_bipartite(const RegularGraph& g) {
     }
   }
   return true;
-}
-
-std::uint32_t eccentricity(const RegularGraph& g, Vertex from) {
-  std::vector<std::int32_t> dist;
-  std::vector<Vertex> queue;
-  return bfs(g, from, dist, queue).depth;
-}
-
-std::uint32_t diameter_lower_bound(const RegularGraph& g) {
-  if (g.n() == 0) return 0;
-  std::vector<std::int32_t> dist;
-  std::vector<Vertex> queue;
-  const BfsResult first = bfs(g, 0, dist, queue);
-  const BfsResult second = bfs(g, first.farthest, dist, queue);
-  return second.depth;
 }
 
 }  // namespace churnstore

@@ -1,5 +1,5 @@
-// Structural predicates on RegularGraph: connectivity, bipartiteness,
-// diameter estimation. Used by the generator's guarantee loop and by tests.
+// Structural predicates on RegularGraph: connectivity and bipartiteness.
+// Used by the generator's guarantee loop, the rewirer's audit and tests.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,5 @@ namespace churnstore {
 /// True if the graph is 2-colorable. The paper requires non-bipartite
 /// expanders so lazy-free random walks still mix.
 [[nodiscard]] bool is_bipartite(const RegularGraph& g);
-
-/// Eccentricity of vertex `from` (longest BFS distance).
-[[nodiscard]] std::uint32_t eccentricity(const RegularGraph& g, Vertex from);
-
-/// Cheap diameter upper/lower estimate via double-sweep BFS.
-[[nodiscard]] std::uint32_t diameter_lower_bound(const RegularGraph& g);
 
 }  // namespace churnstore

@@ -51,20 +51,30 @@ bool is_host_metric(const std::string& name) {
   return name.rfind("secs.", 0) == 0 || name.rfind("heap.", 0) == 0;
 }
 
+ObsConfig::Mode obs_mode(const std::string& mode) {
+  if (mode == "jsonl") return ObsConfig::Mode::kJsonl;
+  if (mode == "chrome") return ObsConfig::Mode::kChrome;
+  if (mode == "off" || mode == "none" || mode.empty()) {
+    return ObsConfig::Mode::kNone;
+  }
+  throw std::invalid_argument("obs= must be jsonl|chrome|off, got " + mode);
+}
+
 }  // namespace
 
 ObsConfig obs_config_from_extras(
     const std::map<std::string, std::string>& extras) {
   ObsConfig cfg;
-  const std::string mode = extras_string(extras, "obs", "off");
-  if (mode == "jsonl") {
-    cfg.mode = ObsConfig::Mode::kJsonl;
-  } else if (mode == "chrome") {
-    cfg.mode = ObsConfig::Mode::kChrome;
-  } else if (mode == "off" || mode == "none" || mode.empty()) {
-    cfg.mode = ObsConfig::Mode::kNone;
-  } else {
-    throw std::invalid_argument("obs= must be jsonl|chrome|off, got " + mode);
+  cfg.mode = obs_mode(extras_string(extras, "obs", "off"));
+  if (cfg.mode == ObsConfig::Mode::kNone) {
+    for (const std::string_view key : kObsKeys) {
+      if (key != "obs" && extras.count(std::string(key))) {
+        throw std::invalid_argument(
+            "spec key '" + std::string(key) +
+            "' shapes observability output and needs obs=jsonl or "
+            "obs=chrome; without it nothing is written");
+      }
+    }
   }
   cfg.path = extras_string(extras, "obs-file", "");
   const std::int64_t k = extras_int(extras, "trace-sample", 1);
@@ -77,15 +87,14 @@ ObsConfig obs_config_from_extras(
 }
 
 void reject_obs_keys(const std::map<std::string, std::string>& extras) {
-  for (const std::string key :
-       {"obs", "obs-file", "obs-host", "trace-sample"}) {
-    if (extras.count(key) == 0) continue;
-    if (key == "obs" &&
-        obs_config_from_extras(extras).mode == ObsConfig::Mode::kNone) {
+  for (const std::string_view key : kObsKeys) {
+    const auto it = extras.find(std::string(key));
+    if (it == extras.end()) continue;
+    if (key == "obs" && obs_mode(it->second) == ObsConfig::Mode::kNone) {
       continue;
     }
     throw std::invalid_argument(
-        "spec key '" + key +
+        "spec key '" + std::string(key) +
         "' asks for observability output, but this scenario attaches no "
         "session; the scenarios that export are chord, search, baselines, "
         "message_complexity, ablation and adversary");

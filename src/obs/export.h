@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/system.h"
@@ -48,13 +49,20 @@ struct ObsConfig {
   bool host_metrics = true;  ///< include wall-clock/heap fields in jsonl
 };
 
+/// The obs spec keys: `obs` picks the exporter; the other three shape its
+/// output and so need obs=jsonl or obs=chrome.
+inline constexpr std::string_view kObsKeys[] = {"obs", "obs-file", "obs-host",
+                                                "trace-sample"};
+
 /// Parse the obs spec keys out of a scenario's extras map:
-///   obs=jsonl|chrome|off   obs-file=PATH   trace-sample=K
-/// Unknown obs= values throw (same contract as every other spec key).
+///   obs=jsonl|chrome|off   obs-file=PATH   obs-host=0|1   trace-sample=K
+/// Unknown obs= values throw (same contract as every other spec key), and
+/// so does obs-file=, obs-host= or trace-sample= while obs is absent or
+/// off: a sub-key that writes nothing would exit 0 with no file.
 [[nodiscard]] ObsConfig obs_config_from_extras(
     const std::map<std::string, std::string>& extras);
 
-/// Called first by every scenario that attaches no session: throws
+/// The check for every scenario that attaches no session: throws
 /// std::invalid_argument naming the key when `extras` asks for output
 /// (obs= other than off, obs-file=, obs-host= or trace-sample=). An
 /// accepted key that writes nothing would exit 0 with no file.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace churnstore {
@@ -59,24 +58,6 @@ double Histogram::quantile(double q) const noexcept {
 void Histogram::clear() noexcept {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;
-}
-
-std::string Histogram::render(std::size_t max_width) const {
-  std::uint64_t peak = 0;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar = peak ? static_cast<std::size_t>(
-                                static_cast<double>(counts_[i]) /
-                                static_cast<double>(peak) *
-                                static_cast<double>(max_width))
-                          : 0;
-    os << "[" << bin_lo(i) << ", " << bin_hi(i) << ") "
-       << std::string(std::max<std::size_t>(bar, 1), '#') << " " << counts_[i]
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace churnstore

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace churnstore {
@@ -27,9 +26,6 @@ class Histogram {
 
   /// Value v such that fraction q of the mass lies below v (bin midpoint).
   [[nodiscard]] double quantile(double q) const noexcept;
-
-  /// Compact ASCII rendering (one line per non-empty bin).
-  [[nodiscard]] std::string render(std::size_t max_width = 50) const;
 
  private:
   double lo_;

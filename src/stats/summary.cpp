@@ -46,17 +46,6 @@ double RunningStat::ci95_halfwidth() const noexcept {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 std::optional<double> linear_slope(const std::vector<double>& x,
                                    const std::vector<double>& y) {
   const std::size_t n = std::min(x.size(), y.size());

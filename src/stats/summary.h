@@ -1,6 +1,6 @@
-// Streaming and batch summary statistics used throughout benches and tests:
-// Welford mean/variance accumulation, percentiles, and normal-approximation
-// confidence intervals over Monte-Carlo trials.
+// Summary statistics used throughout benches and tests: Welford
+// mean/variance accumulation, normal-approximation confidence intervals over
+// Monte-Carlo trials, and scaling-exponent fits.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,6 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Batch percentile; q in [0,1]; linear interpolation; copies the data.
-[[nodiscard]] double percentile(std::vector<double> values, double q);
 
 /// Least-squares slope of log(y) against log(x) over the points with
 /// x, y > 0; used to estimate scaling exponents (e.g. "search time grows

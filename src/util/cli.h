@@ -5,6 +5,10 @@
 // bare --name sets a bool. Unknown flags are collected and can be rejected
 // by the caller. The command line is the only input: no environment
 // variable reaches a run.
+//
+// Every typed read goes through the strict parsers below, so a value must
+// parse whole: `n=256x`, `csv=ture` and `churn-mult=nan` are errors that
+// name the key, never a silent n=256, text table or NaN run.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,15 @@
 #include <vector>
 
 namespace churnstore {
+
+/// Strict value parsers, shared by Cli's getters and the spec's extras
+/// readers (core/scenario.h): the whole token must parse, an empty value is
+/// an error and a double must be finite. Each throws std::invalid_argument
+/// naming `key` and `value`.
+[[nodiscard]] std::int64_t parse_int(const std::string& key,
+                                     const std::string& value);
+[[nodiscard]] double parse_double(const std::string& key,
+                                  const std::string& value);
 
 class Cli {
  public:
@@ -28,9 +41,11 @@ class Cli {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+  /// true/false, 1/0, yes/no or on/off; any other value throws.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated integer list, e.g. --n=256,512,1024.
+  /// Comma-separated integer list, e.g. --n=256,512,1024; an empty element
+  /// throws.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& name, std::vector<std::int64_t> fallback) const;
 

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
 #include <unordered_set>
 
 namespace churnstore {
@@ -29,11 +28,6 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
@@ -43,27 +37,6 @@ double Rng::uniform(double lo, double hi) noexcept {
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform01() < p; }
-
-double Rng::exponential(double lambda) noexcept {
-  double u = uniform01();
-  // Avoid log(0).
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / lambda;
-}
-
-double Rng::normal() noexcept {
-  double u1 = uniform01();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = uniform01();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.28318530717958647692 * u2);
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  double u = uniform01();
-  if (u <= 0.0) u = 0x1.0p-53;
-  if (p >= 1.0) return 0;
-  return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log(1.0 - p)));
-}
 
 Rng Rng::fork(std::uint64_t salt) noexcept {
   return Rng(mix64(next() ^ mix64(salt)));

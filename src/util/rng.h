@@ -82,9 +82,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double uniform01() noexcept;
 
@@ -93,15 +90,6 @@ class Rng {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept;
-
-  /// Exponential variate with rate lambda (> 0).
-  double exponential(double lambda) noexcept;
-
-  /// Standard normal variate (Box-Muller, no caching).
-  double normal() noexcept;
-
-  /// Geometric: number of failures before first success, p in (0, 1].
-  std::uint64_t geometric(double p) noexcept;
 
   /// Derive an independent child stream; deterministic in (this state, salt).
   /// Advances this generator by one draw. For forking WITHOUT shared parent

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace churnstore {
 namespace {
@@ -48,6 +51,55 @@ TEST(Cli, IntListFallback) {
   Cli cli({});
   const auto v = cli.get_int_list("sizes", {1, 2});
   ASSERT_EQ(v.size(), 2u);
+}
+
+/// `fn` throws std::invalid_argument whose message names `key` and `value`.
+template <typename Fn>
+void expect_rejected(const std::string& key, const std::string& value, Fn fn) {
+  try {
+    fn();
+    FAIL() << key << "=" << value << " must not parse";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'" + value + "'"), std::string::npos) << msg;
+  }
+}
+
+TEST(Cli, ValuesMustParseWhole) {
+  // A prefix parse would run n=256x as n=256 and churn-mult=0.5.9 as 0.5.
+  for (const std::string v : {"256x", "abc", "", " 256", "+256", "2.5",
+                              "99999999999999999999"}) {
+    expect_rejected("n", v, [&v] { (void)Cli({"n=" + v}).get_int("n", 0); });
+  }
+  for (const std::string v : {"0.5.9", "1e", "", "nan", "inf", "-inf",
+                              "1e999", "0x1p3"}) {
+    expect_rejected("churn-mult", v, [&v] {
+      (void)Cli({"churn-mult=" + v}).get_double("churn-mult", 0.0);
+    });
+  }
+  // Any other spelling used to read false: csv=ture printed the text table.
+  for (const std::string v : {"ture", "", "TRUE", "2", "y"}) {
+    expect_rejected("csv", v, [&v] { (void)Cli({"csv=" + v}).get_bool("csv", false); });
+  }
+  for (const std::string v : {"", "256,,512", "256,", ",256", "256,5x"}) {
+    expect_rejected("n", v, [&v] {
+      (void)Cli({"n=" + v}).get_int_list("n", {1});
+    });
+  }
+  // The accepted spellings still parse.
+  EXPECT_EQ(Cli({"n=-7"}).get_int("n", 0), -7);
+  EXPECT_DOUBLE_EQ(Cli({"x=1e-3"}).get_double("x", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(Cli({"x=.5"}).get_double("x", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(Cli({"x=10"}).get_double("x", 0.0), 10.0);
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_TRUE(Cli({std::string("b=") + yes}).get_bool("b", false)) << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_FALSE(Cli({std::string("b=") + no}).get_bool("b", true)) << no;
+  }
+  EXPECT_EQ(Cli({"n=256"}).get_int_list("n", {}),
+            (std::vector<std::int64_t>{256}));
 }
 
 TEST(Cli, PositionalArguments) {

@@ -69,7 +69,6 @@ TEST(Experiment, AvailabilityTraceFieldsConsistent) {
   const auto trace = run_availability_trial(cfg, 4.0);
   ASSERT_FALSE(trace.rounds.empty());
   EXPECT_EQ(trace.rounds.size(), trace.copies.size());
-  EXPECT_EQ(trace.rounds.size(), trace.landmarks.size());
   EXPECT_EQ(trace.rounds.size(), trace.available.size());
   EXPECT_EQ(trace.rounds.size(), trace.recoverable.size());
   // Rounds strictly increase.

@@ -35,27 +35,6 @@ TEST(Gf256, EveryNonzeroElementHasInverse) {
   EXPECT_THROW((void)inv(0), std::domain_error);
 }
 
-TEST(Gf256, DivisionInvertsMultiplication) {
-  Rng rng(3);
-  for (int i = 0; i < 2000; ++i) {
-    const auto a = static_cast<std::uint8_t>(rng.next());
-    const auto b = static_cast<std::uint8_t>(rng.next() | 1);
-    EXPECT_EQ(div(mul(a, b), b), a);
-  }
-  EXPECT_THROW((void)div(1, 0), std::domain_error);
-}
-
-TEST(Gf256, PowMatchesRepeatedMul) {
-  for (int a = 0; a < 256; a += 7) {
-    std::uint8_t acc = 1;
-    for (unsigned e = 0; e < 12; ++e) {
-      EXPECT_EQ(pow(static_cast<std::uint8_t>(a), e), acc)
-          << "a=" << a << " e=" << e;
-      acc = mul(acc, static_cast<std::uint8_t>(a));
-    }
-  }
-}
-
 // Field-axiom property sweep over random triples.
 class Gf256Axioms : public ::testing::TestWithParam<std::uint64_t> {};
 

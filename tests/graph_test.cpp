@@ -23,8 +23,6 @@ TEST(RegularGraph, CycleInvariantsAndProperties) {
   EXPECT_TRUE(g.check_invariants());
   EXPECT_TRUE(is_connected(g));
   EXPECT_TRUE(is_bipartite(g));  // even cycle
-  EXPECT_EQ(eccentricity(g, 0), 5u);
-  EXPECT_EQ(diameter_lower_bound(g), 5u);
 
   const auto odd = make_cycle(9);
   EXPECT_FALSE(is_bipartite(odd));  // odd cycle

@@ -226,6 +226,38 @@ TEST(ObsConfig, ParsesSpecKeysAndRejectsUnknownModes) {
                std::invalid_argument);
 }
 
+TEST(ObsConfig, SubKeysWithoutObsErrorOutNamingTheKey) {
+  // obs-file=, obs-host= and trace-sample= shape an exporter's output; with
+  // obs absent or off nothing is written, so they must not exit 0.
+  using Extras = std::map<std::string, std::string>;
+  const Extras sub_keys = {
+      {"obs-file", "x.jsonl"}, {"obs-host", "0"}, {"trace-sample", "2"}};
+  for (const char* mode : {"", "off"}) {
+    for (const auto& [key, value] : sub_keys) {
+      Extras extras{{key, value}};
+      if (*mode) extras["obs"] = mode;
+      try {
+        (void)obs_config_from_extras(extras);
+        FAIL() << key << " without obs= must be rejected";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("obs="), std::string::npos) << msg;
+      }
+    }
+  }
+  // A malformed sub-key value names the key too: trace-sample=2x used to
+  // sample 1 in 2.
+  try {
+    (void)obs_config_from_extras(
+        Extras{{"obs", "jsonl"}, {"trace-sample", "2x"}});
+    FAIL() << "trace-sample=2x must not parse";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'trace-sample'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ObsConfig, RejectObsKeysNamesTheKeyAndTheScenariosThatExport) {
   using Extras = std::map<std::string, std::string>;
   EXPECT_NO_THROW(reject_obs_keys(Extras{}));

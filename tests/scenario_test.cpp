@@ -140,6 +140,35 @@ TEST(ScenarioSpec, CountReadersRejectNegativeScenarioKeys) {
             (std::vector<std::uint32_t>{1, 4}));
 }
 
+TEST(ScenarioSpec, MalformedValuesErrorOutNamingTheKey) {
+  // n=256x used to run n=256, csv=ture the text table, and n=abc failed
+  // with the bare message "stoll".
+  for (const char* token : {"n=256x", "n=abc", "csv=ture", "churn-mult=nan",
+                            "age-taus=0.5.9", "n=256,,512", "trials="}) {
+    const std::string kv = token;
+    const std::string key = kv.substr(0, kv.find('='));
+    try {
+      (void)ScenarioSpec::from_cli(Cli({kv}));
+      FAIL() << kv << " must not parse";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+    }
+  }
+  // The extras readers (stack knobs, scenario knobs, obs keys) share the
+  // strict parsers: walkers=8x used to read 8.
+  const std::map<std::string, std::string> extras = {
+      {"walkers", "8x"}, {"replication-mult", "1.5.0"}, {"probes", "-1"}};
+  EXPECT_THROW((void)extras_int(extras, "walkers", 16), std::invalid_argument);
+  EXPECT_THROW((void)extras_count(extras, "walkers", 16),
+               std::invalid_argument);
+  EXPECT_THROW((void)extras_double(extras, "replication-mult", 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)extras_count(extras, "probes", 24),
+               std::invalid_argument);
+  EXPECT_EQ(extras_int(extras, "absent", 16), 16);
+}
+
 TEST(ScenarioSpec, FixedKeysRejectEveryOtherValueNamingTheKey) {
   // The chord scenario runs one cell per (n, churn level) and checks
   // `trials` through require_exactly: any value but 1 would print the
@@ -210,23 +239,6 @@ TEST(ScenarioSpec, EnumNamesRoundTrip) {
   EXPECT_THROW((void)adversary_from_name("martian"), std::invalid_argument);
   EXPECT_THROW((void)edge_dynamics_from_name("wormhole"),
                std::invalid_argument);
-}
-
-TEST(ScenarioRegistry, RegistersAndFinds) {
-  ScenarioRegistry& reg = ScenarioRegistry::instance();
-  int runs = 0;
-  reg.add(ScenarioDef{"test-scenario", "registered from a test",
-                      [&runs](const ScenarioSpec&, const Cli&) { ++runs; }});
-  const ScenarioDef* def = reg.find("test-scenario");
-  ASSERT_NE(def, nullptr);
-  def->run(ScenarioSpec{}, Cli({}));
-  EXPECT_EQ(runs, 1);
-  EXPECT_EQ(reg.find("no-such-scenario"), nullptr);
-  // all() is sorted by name.
-  const auto all = reg.all();
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LT(all[i - 1]->name, all[i]->name);
-  }
 }
 
 TEST(Stacks, CatalogContainsBuiltins) {

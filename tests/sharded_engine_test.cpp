@@ -655,11 +655,6 @@ TEST(ShardedRunner, FullStackStoreSearchIsShardCountInvariant) {
   const StoreSearchResult b = nested.store_search(sharded_spec(16));
   EXPECT_GT(a.searches, 0u);
   EXPECT_GT(a.fetched, 0u) << "no search fetched its item";
-  // Fetch latency counts from the batch start: no fetch finishes before its
-  // search began or after the round the driver judges it.
-  const P2PSystem sys(sharded_spec(1).system_config());
-  EXPECT_GE(a.fetch_rounds.min(), 0.0);
-  EXPECT_LE(a.fetch_rounds.max(), sys.search_timeout() + 4.0);
   expect_identical_results(a, b);
 }
 

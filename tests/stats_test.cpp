@@ -36,7 +36,7 @@ TEST(RunningStat, MergeEqualsSequential) {
   Rng r(6);
   RunningStat whole, a, b;
   for (int i = 0; i < 300; ++i) {
-    const double x = r.normal();
+    const double x = r.uniform(-3.0, 3.0);
     whole.add(x);
     (i % 2 ? a : b).add(x);
   }
@@ -57,15 +57,6 @@ TEST(RunningStat, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(rs.mean(), 3.0);
   EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
   EXPECT_DOUBLE_EQ(rs.ci95_halfwidth(), 0.0);
-}
-
-TEST(Percentile, KnownValues) {
-  std::vector<double> v{1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
 }
 
 TEST(Slopes, LinearSlopeExact) {

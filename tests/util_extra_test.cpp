@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <vector>
 
 #include "graph/properties.h"
 #include "graph/regular_generator.h"
@@ -84,14 +86,35 @@ TEST(Item, MakePayloadDeterministicSizedAndSeeded) {
   EXPECT_TRUE(make_payload(1, 0).empty());
 }
 
+/// Longest BFS distance from `from` (BFS assigns distances in
+/// nondecreasing order, so the last one assigned is the largest).
+std::uint32_t eccentricity(const RegularGraph& g, Vertex from) {
+  std::vector<std::int32_t> dist(g.n(), -1);
+  std::vector<Vertex> queue{from};
+  dist[from] = 0;
+  std::uint32_t depth = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
+    for (std::uint32_t i = 0; i < g.degree(); ++i) {
+      const Vertex u = g.neighbor(v, i);
+      if (dist[u] >= 0) continue;
+      dist[u] = dist[v] + 1;
+      depth = static_cast<std::uint32_t>(dist[u]);
+      queue.push_back(u);
+    }
+  }
+  return depth;
+}
+
 TEST(GraphProperties, ExpanderDiameterIsLogarithmic) {
   Rng rng(3);
   const auto g = random_regular_graph(1024, 8, rng);
-  const auto diam = diameter_lower_bound(g);
+  ASSERT_TRUE(is_connected(g));
+  std::uint32_t diam = 0;
+  for (Vertex v = 0; v < g.n(); ++v) diam = std::max(diam, eccentricity(g, v));
   // Random 8-regular graphs on 1024 vertices have diameter ~4-6.
   EXPECT_GE(diam, 3u);
   EXPECT_LE(diam, 8u);
-  EXPECT_LE(eccentricity(g, 0), diam + 2);
 }
 
 }  // namespace
