@@ -1,7 +1,7 @@
 // The unified experiment driver. One table (kScenarios below) lists every
-// scenario: its name, summary, default keys, whether it exports
-// observability output, and the run function in bench/scenarios/. Adding a
-// scenario is a function plus a row.
+// scenario: its name, summary, default keys, the scenario-only keys it
+// reads, whether it exports observability output, and the run function in
+// bench/scenarios/. Adding a scenario is a function plus a row.
 //
 //   bench_driver --list
 //   bench_driver --stacks
@@ -11,7 +11,9 @@
 // All spec keys are bare key=value (or --key=value). The command line is
 // the only input: no environment variable changes a run. A row's defaults
 // are parsed ahead of the command line, so a key given there wins, and
-// every value must parse whole (n=256x exits 1 naming the key).
+// every value must parse whole (n=256x exits 1 naming the key). A
+// scenario-only key is accepted only by the row that reads it (periods=4
+// exits 1 for every scenario but committee).
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -38,6 +40,9 @@ struct Scenario {
   std::string_view summary;
   /// Spec keys the scenario runs at unless the command line sets them.
   std::string_view defaults;
+  /// The scenario-only keys its run function reads: registered for this
+  /// row alone, so any other scenario rejects them as unknown.
+  std::string_view knobs;
   /// kExports: the obs keys must form a valid ObsConfig. kRejects: any obs
   /// key that asks for output exits 1 (it would write nothing).
   Obs obs;
@@ -48,10 +53,11 @@ struct Scenario {
 constexpr Scenario kScenarios[] = {
     {"ablation",
      "E13: sweep each protocol constant around the paper's choice",
-     "n=512 items=1 searches=8 batches=1", Obs::kExports, bench::run_ablation},
+     "n=512 items=1 searches=8 batches=1", "", Obs::kExports,
+     bench::run_ablation},
     {"adversary",
      "E12: oblivious strategy ablation + the adaptive model-violation demo",
-     "n=512 items=2 searches=8 batches=1", Obs::kExports,
+     "n=512 items=2 searches=8 batches=1", "", Obs::kExports,
      bench::run_adversary},
     // age-taus: how long items sit under churn before anyone searches. The
     // maintained protocol is indifferent to it; the unmaintained baselines
@@ -59,42 +65,45 @@ constexpr Scenario kScenarios[] = {
     {"baselines",
      "E9: paper protocol vs chord/flooding/k-walker/sqrt baselines under "
      "churn",
-     "n=512 items=2 searches=10 batches=1 age-taus=10", Obs::kExports,
+     "n=512 items=2 searches=10 batches=1 age-taus=10", "", Obs::kExports,
      bench::run_baselines},
     {"capacity",
      "C1: large-n capacity — rounds/sec serial vs sharded, same seed, "
      "bit-identical results",
-     "n=100000 items=64 searches=128", Obs::kRejects, bench::run_capacity},
+     "n=100000 items=64 searches=128", "shard-sweep measure-rounds",
+     Obs::kRejects, bench::run_capacity},
     {"chord",
      "E14: message-accurate Chord — measured hops, bits, and ring health vs "
      "churn",
-     "n=1024,4096 items=8 searches=24 age-taus=0 batches=1", Obs::kExports,
-     bench::run_chord},
+     "n=1024,4096 items=8 searches=24 age-taus=0 batches=1", "",
+     Obs::kExports, bench::run_chord},
     {"churn_limit",
      "E11: the churn wall in both functional forms (section 5 conjecture)",
-     "n=512", Obs::kRejects, bench::run_churn_limit},
+     "n=512", "", Obs::kRejects, bench::run_churn_limit},
     {"committee", "E4: committee maintenance (Theorem 2)", "n=512 trials=3",
-     Obs::kRejects, bench::run_committee},
-    {"erasure", "E10: IDA pieces vs replication (section 4.4)", "n=512",
+     "periods", Obs::kRejects, bench::run_committee},
+    {"erasure", "E10: IDA pieces vs replication (section 4.4)", "n=512", "",
      Obs::kRejects, bench::run_erasure},
     {"landmark", "E5: landmark set size vs sqrt(n) (Lemma 8)",
-     "n=256,512,1024,2048,4096", Obs::kRejects, bench::run_landmark},
+     "n=256,512,1024,2048,4096", "", Obs::kRejects, bench::run_landmark},
     {"message_complexity", "E8: per-node traffic is polylog(n), not linear",
-     "n=128,256,512,1024,2048 trials=1 items=2 searches=6 batches=1",
+     "n=128,256,512,1024,2048 trials=1 items=2 searches=6 batches=1", "",
      Obs::kExports, bench::run_message_complexity},
     {"mixing", "E2: dynamic mixing time per edge mode (Lemma 1)",
-     "n=1024 trials=1", Obs::kRejects, bench::run_mixing},
+     "n=1024 trials=1", "probes", Obs::kRejects, bench::run_mixing},
     {"search", "E7: retrieval success and latency (Theorem 4)",
-     "n=256,512,1024 items=3 searches=12", Obs::kExports, bench::run_search},
+     "n=256,512,1024 items=3 searches=12", "", Obs::kExports,
+     bench::run_search},
     {"soup",
      "E1+E3: Soup Theorem probe uniformity and walk survival (Theorem 1, "
      "Lemma 2)",
-     "n=256,512,1024 trials=3", Obs::kRejects, bench::run_soup},
+     "n=256,512,1024 trials=3", "probes", Obs::kRejects, bench::run_soup},
     {"soup_step",
      "M2: sharded soup-step throughput (S sweep, ungated sizing tool)",
-     "n=4096,16384", Obs::kRejects, bench::run_soup_step},
+     "n=4096,16384", "steps shard-sweep counters", Obs::kRejects,
+     bench::run_soup_step},
     {"storage", "E6: storage persistence traces (Theorem 3)",
-     "n=512 trials=3", Obs::kRejects, bench::run_storage},
+     "n=512 trials=3", "horizon-taus", Obs::kRejects, bench::run_storage},
 };
 static_assert(std::is_sorted(std::begin(kScenarios), std::end(kScenarios),
                              [](const Scenario& a, const Scenario& b) {
@@ -110,6 +119,14 @@ const Scenario* find_scenario(std::string_view name) {
 
 int width(std::string_view s) { return static_cast<int>(s.size()); }
 
+/// The whitespace-separated words of a table cell.
+std::vector<std::string> words(std::string_view cell) {
+  std::vector<std::string> out;
+  std::istringstream in{std::string(cell)};
+  for (std::string word; in >> word;) out.push_back(word);
+  return out;
+}
+
 void print_usage() {
   std::printf(
       "usage: bench_driver --scenario=<name> [key=value ...]\n"
@@ -120,16 +137,21 @@ void print_usage() {
       "             csv json (an unknown key exits 1 listing them all)\n"
       "a scenario runs at its defaults (--list) unless the command line\n"
       "sets the key; every value must parse whole (n=256x exits 1)\n"
+      "a scenario-only key (--list) is accepted by its scenario alone\n"
       "the command line is the only input; no environment variable is read\n");
 }
 
 void print_catalog() {
   std::printf("scenarios (name, summary, [defaults the command line "
-              "overrides]):\n");
+              "overrides], scenario-only keys):\n");
   for (const Scenario& s : kScenarios) {
-    std::printf("  %-20.*s %.*s [%.*s]\n", width(s.name), s.name.data(),
+    std::printf("  %-20.*s %.*s [%.*s]", width(s.name), s.name.data(),
                 width(s.summary), s.summary.data(), width(s.defaults),
                 s.defaults.data());
+    if (!s.knobs.empty()) {
+      std::printf(" keys: %.*s", width(s.knobs), s.knobs.data());
+    }
+    std::printf("\n");
   }
 }
 
@@ -140,13 +162,14 @@ void print_stacks() {
   }
 }
 
-/// Parses the spec from the row's defaults followed by `args` (so the
-/// command line wins), checks the obs keys before any row prints, and runs
-/// the scenario.
+/// Registers the row's scenario-only keys, parses the spec from the row's
+/// defaults followed by `args` (so the command line wins), checks the obs
+/// keys before any row prints, and runs the scenario.
 void run(const Scenario& scenario, const std::vector<std::string>& args) {
-  std::vector<std::string> tokens;
-  std::istringstream defaults{std::string(scenario.defaults)};
-  for (std::string token; defaults >> token;) tokens.push_back(token);
+  for (const std::string& key : words(scenario.knobs)) {
+    ScenarioSpec::accept_extra_key(key);
+  }
+  std::vector<std::string> tokens = words(scenario.defaults);
   // The row must parse on its own too, where the command line overrides it.
   (void)ScenarioSpec::from_cli(Cli(tokens));
   tokens.insert(tokens.end(), args.begin(), args.end());

@@ -41,10 +41,10 @@ AblationResult run(Runner& runner, const ScenarioSpec& cell) {
 }  // namespace
 
 void run_ablation(const ScenarioSpec& spec, const Cli&) {
-  ScenarioSpec base = spec;
   // Every knob is a paper-stack constant: the cells store and search on
   // that stack, at the first n.
-  base.protocol = "churnstore";
+  require_paper_stack(spec);
+  ScenarioSpec base = spec;
   base.ns = {base.n()};
 
   banner(base, "E13 ablation — design-choice sweeps",

@@ -24,28 +24,27 @@ struct StrategyRow {
 }  // namespace
 
 void run_adversary(const ScenarioSpec& spec, const Cli&) {
-  ScenarioSpec base = spec;
   // Every panel stores and searches on the paper stack.
-  base.protocol = "churnstore";
+  require_paper_stack(spec);
 
-  banner(base, "E12 adversary — oblivious strategy ablation",
+  banner(spec, "E12 adversary — oblivious strategy ablation",
          "same churn volume, different victim-selection strategies: the "
          "random placement of committees/landmarks equalizes them all");
 
-  Runner runner(base);
+  Runner runner(spec);
   Table t({"adversary", "n", "churn/rd", "recoverable", "available",
            "locate rate", "fetch rate"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const double cm :
-         {0.5 * base.churn.multiplier, base.churn.multiplier}) {
+         {0.5 * spec.churn.multiplier, spec.churn.multiplier}) {
       for (const AdversaryKind kind :
            {AdversaryKind::kUniform, AdversaryKind::kBlockSweep,
             AdversaryKind::kRegionRepeat, AdversaryKind::kOldestFirst,
             AdversaryKind::kYoungestFirst}) {
-        ScenarioSpec cell = at_churn(base, n, cm);
+        ScenarioSpec cell = at_churn(spec, n, cm);
         cell.churn.kind = kind;
         const auto rows = runner.map_trials<StrategyRow>(
-            base.trials, [&cell, n](std::uint32_t trial) {
+            spec.trials, [&cell, n](std::uint32_t trial) {
               const ScenarioSpec trial_spec =
                   cell.with_seed(Runner::trial_seed(cell.seed + n, trial));
               StrategyRow row;
@@ -69,22 +68,22 @@ void run_adversary(const ScenarioSpec& spec, const Cli&) {
       }
     }
   }
-  emit(t, base);
+  emit(t, spec);
 
   // Second panel: what obliviousness buys. Same churn VOLUME, but the
   // adversary is allowed to see committee membership (model violation).
-  if (!base.csv && !base.json) {
+  if (!spec.csv && !spec.json) {
     std::printf(
         "\n-- adaptive (non-oblivious) adversary, same churn volume --\n");
   }
   Table t2({"adversary", "n", "churn/rd", "recoverable after 8 taus"});
-  for (const std::uint32_t n : base.ns) {
+  for (const std::uint32_t n : spec.ns) {
     for (const bool adaptive : {false, true}) {
       ScenarioSpec cell =
-          at_churn(base, n, 0.5 * base.churn.multiplier);
+          at_churn(spec, n, 0.5 * spec.churn.multiplier);
       if (adaptive) cell.churn.kind = AdversaryKind::kAdaptive;
       const auto rows = runner.map_trials<double>(
-          base.trials, [&cell, n, adaptive](std::uint32_t trial) {
+          spec.trials, [&cell, n, adaptive](std::uint32_t trial) {
             SystemConfig cfg = cell.system_config();
             cfg.sim.seed = Runner::trial_seed(cell.seed + n, trial);
             P2PSystem sys(cfg);
@@ -102,7 +101,7 @@ void run_adversary(const ScenarioSpec& spec, const Cli&) {
           .cell(trial_mean(rows), 2);
     }
   }
-  emit(t2, base);
+  emit(t2, spec);
 }
 
 }  // namespace churnstore::bench

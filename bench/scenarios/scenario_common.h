@@ -3,18 +3,20 @@
 //
 // Each scenario is a plain run_<name>(spec, cli) function, one per file,
 // listed in the scenario table in bench_driver.cpp. Before calling it the
-// driver parses the row's defaults ahead of the command line (so the
-// command line wins) and checks the obs keys. The function receives the
-// parsed ScenarioSpec (network sizes, churn, workload shape, trials, output
-// format) plus the Cli for scenario-specific knobs, runs its Monte-Carlo
-// trials through the Runner (all cores, deterministic), averages them with
-// trial_mean() and prints the table recorded in EXPERIMENTS.md through
-// emit().
+// driver registers the row's own knobs, parses the row's defaults ahead of
+// the command line (so the command line wins) and checks the obs keys. The
+// function receives the parsed ScenarioSpec (network sizes, churn,
+// workload shape, trials, output format) plus the Cli for the row's knobs
+// (a knob the row does not list is rejected before it runs), runs its
+// Monte-Carlo trials through the Runner (all cores, deterministic),
+// averages them with trial_mean() and prints the table recorded in
+// EXPERIMENTS.md through emit().
 #pragma once
 
 #include <cstdio>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,16 @@ inline std::string slope_text(const std::optional<double>& slope, int digits) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, *slope);
   return buf;
+}
+
+/// Rejects a `protocol=` other than the paper stack for a scenario whose
+/// every cell runs that stack: the table it prints would read as if the
+/// named stack had run. Throws std::invalid_argument naming the key.
+inline void require_paper_stack(const ScenarioSpec& spec) {
+  if (spec.protocol != "churnstore") {
+    throw std::invalid_argument("spec key 'protocol' must be churnstore, got " +
+                                spec.protocol);
+  }
 }
 
 /// Churn sweep helper: spec variant at multiplier `cm` (kNone at 0).

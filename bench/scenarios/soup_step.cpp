@@ -107,6 +107,10 @@ void run_soup_step(const ScenarioSpec& spec, const Cli& cli) {
       }
       const auto t1 = std::chrono::steady_clock::now();
       if (want_counters) counters.stop();
+      // Read both before the row's cells are appended: the table's own
+      // allocations are not soup-step work.
+      const HeapSentinel::Totals heap = heap_probe.delta();
+      const PerfCounters::Values v = counters.read();
       const double secs = std::chrono::duration<double>(t1 - t0).count();
       const double sps = secs > 0.0 ? steps / secs : 0.0;
       if (baseline_sps == 0.0) baseline_sps = sps;
@@ -128,7 +132,6 @@ void run_soup_step(const ScenarioSpec& spec, const Cli& cli) {
         // not open (denied/absent perf_event_open) print "n/a": the
         // degraded path is a supported, CI-exercised state, never a crash
         // and never silent zeros dressed up as measurements.
-        const PerfCounters::Values v = counters.read();
         const double toks = tokens_per_step * steps;
         const auto rate_cell = [&](bool ok, std::uint64_t count) {
           if (ok && toks > 0.0) {
@@ -146,9 +149,8 @@ void run_soup_step(const ScenarioSpec& spec, const Cli& cli) {
         // degradation contract as the perf counters when the sentinel is
         // compiled out or forced off.
         if (HeapSentinel::available() && steps > 0) {
-          const HeapSentinel::Totals d = heap_probe.delta();
-          row.cell(static_cast<double>(d.allocs) / steps, 3);
-          row.cell(static_cast<double>(d.bytes) / steps, 1);
+          row.cell(static_cast<double>(heap.allocs) / steps, 3);
+          row.cell(static_cast<double>(heap.bytes) / steps, 1);
         } else {
           row.cell("n/a");
           row.cell("n/a");

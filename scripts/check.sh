@@ -157,6 +157,31 @@ PYEOF
     echo "smoke: the n=256x error does not name n"
     exit 1
   }
+  # A scenario-only key is accepted by its scenario alone: committee reads
+  # periods but not probes, so probes=4 must exit 1 naming it instead of
+  # printing a table that reads as if it had been used.
+  echo "== smoke: committee $TINY periods=2 probes=4 must exit 1 naming probes"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=committee $TINY periods=2 probes=4 \
+    >/dev/null 2>"$OBS_DIR/foreign_key.err" || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: committee probes=4 exited $status, want 1"; exit 1; }
+  grep -q "'probes'" "$OBS_DIR/foreign_key.err" || {
+    echo "smoke: the probes=4 error does not name probes"
+    exit 1
+  }
+  # adversary runs only the paper stack: another protocol= must exit 1
+  # naming the key, never print churnstore's table under chord's name.
+  echo "== smoke: adversary $TINY protocol=chord must exit 1 naming protocol"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=adversary $TINY protocol=chord \
+    >/dev/null 2>"$OBS_DIR/protocol.err" || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: adversary protocol=chord exited $status, want 1"; exit 1; }
+  grep -q "'protocol'" "$OBS_DIR/protocol.err" || {
+    echo "smoke: the protocol=chord error does not name protocol"
+    exit 1
+  }
   # The obs sub-keys need obs=: without it they write nothing, so they must
   # not exit 0.
   echo "== smoke: search $TINY obs-file=... without obs= must exit 1 and write no file"

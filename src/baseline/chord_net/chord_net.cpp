@@ -38,6 +38,11 @@ namespace {
 constexpr std::uint64_t kJoinSalt = 0x63686a6eULL;   // "chjn"
 constexpr std::uint64_t kIdSalt = 0x63686f72644944ULL;
 constexpr Round kNever = -1;
+// Rounds without a reply before a lookup hop is presumed dead.
+constexpr std::uint32_t kLookupRetry = 3;
+// Search deadline = kTimeoutMult * (ceil(log2 n) + 8) rounds (semi-recursive
+// hops cost one round each).
+constexpr std::uint32_t kTimeoutMult = 3;
 
 }  // namespace
 
@@ -115,7 +120,7 @@ void ChordNetProtocol::on_attach(Network& net_ref) {
   finger_count_ = std::min<std::uint32_t>(64, log2n + 3);
   // Semi-recursive hops cost one round each; the slack covers a re-join of
   // the initiator plus a few dead-hop retries.
-  deadline_rounds_ = options_.timeout_mult * (log2n + 8);
+  deadline_rounds_ = kTimeoutMult * (log2n + 8);
   init_ring();
 }
 
@@ -512,7 +517,7 @@ void ChordNetProtocol::advance_lookups(Vertex v, Round now, ShardContext& ctx,
       }
       finished = true;
     } else if (lk.storing) {
-      if (now - lk.sent >= static_cast<Round>(2 * options_.lookup_retry)) {
+      if (now - lk.sent >= static_cast<Round>(2 * kLookupRetry)) {
         // No candidate acked the placement: the resolved successor set was
         // stale or died; re-resolve the key from scratch.
         lk.storing = false;
@@ -522,8 +527,7 @@ void ChordNetProtocol::advance_lookups(Vertex v, Round now, ShardContext& ctx,
     } else if (lk.hop == kNoPeer) {
       finished = lk.fetching ? advance_fetch(v, lk, now, ctx, st)
                              : issue_hop(v, lk, now, ctx, st);
-    } else if (now - lk.sent >=
-               static_cast<Round>(options_.lookup_retry)) {
+    } else if (now - lk.sent >= static_cast<Round>(kLookupRetry)) {
       // The outstanding hop never answered: presume it churned out, route
       // around it (and drop it from our own tables).
       // shardcheck:ok(R6: dead-hop list grows one entry per unanswered lookup retry — O(routing timeouts), chord routing control plane with no heap-quiet claim)

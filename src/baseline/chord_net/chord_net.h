@@ -53,11 +53,6 @@ class ChordNetProtocol final : public Protocol, public StorageService {
     std::uint32_t stabilize_period = 2;
     /// Rounds between replica pushes per primary holder (staggered).
     std::uint32_t replicate_period = 8;
-    /// Rounds without a reply before a lookup hop is presumed dead.
-    std::uint32_t lookup_retry = 3;
-    /// Search deadline = timeout_mult * (ceil(log2 n) + 8) rounds
-    /// (semi-recursive hops cost one round each).
-    std::uint32_t timeout_mult = 3;
     std::uint64_t item_bits = 1024;
   };
 

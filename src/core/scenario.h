@@ -83,9 +83,11 @@ struct ScenarioSpec {
   /// instead of being silently ignored.
   [[nodiscard]] static ScenarioSpec from_cli(const Cli& cli);
 
-  /// Registers an extra key (scenario- or stack-specific knob) as accepted
-  /// by from_cli. Built-in extras (chord-stabilize, walkers, shard-sweep,
-  /// ...) are pre-registered; out-of-tree scenarios call this for theirs.
+  /// Registers an extra key as accepted by from_cli. The stack knobs
+  /// (chord-stabilize, walkers, ...), the obs keys and measure-rounds are
+  /// pre-registered; a scenario's own knobs (periods, probes, shard-sweep,
+  /// ...) are registered by the program that runs it (bench_driver, for
+  /// the running scenario only).
   static void accept_extra_key(const std::string& key);
   /// All keys from_cli accepts (common spec keys + registered extras),
   /// sorted; the validation error lists these.

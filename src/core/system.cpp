@@ -42,13 +42,6 @@ P2PSystem::P2PSystem(const SystemConfig& config,
   searches_ = find_protocol<SearchManager>();
 }
 
-Protocol* P2PSystem::find_protocol(std::string_view name) const noexcept {
-  for (const auto& p : protocols_) {
-    if (p->name() == name) return p.get();
-  }
-  return nullptr;
-}
-
 void P2PSystem::enable_adaptive_adversary() {
   committees().expose_to_adaptive_adversary();
 }

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "committee/committee.h"
@@ -179,8 +178,6 @@ class P2PSystem {
     }
     return nullptr;
   }
-  /// First registered protocol with the given name(), or nullptr.
-  [[nodiscard]] Protocol* find_protocol(std::string_view name) const noexcept;
 
   [[nodiscard]] const std::vector<std::unique_ptr<Protocol>>& protocols()
       const noexcept {

@@ -10,6 +10,9 @@ namespace churnstore {
 
 namespace {
 
+// Safety valve on the repair/regenerate loop.
+constexpr int kMaxAttempts = 64;
+
 // Packs an undirected edge into a 64-bit key with min vertex first.
 std::uint64_t edge_key(Vertex a, Vertex b) noexcept {
   if (a > b) std::swap(a, b);
@@ -105,20 +108,19 @@ RegularGraph build_from_edges(
 
 }  // namespace
 
-RegularGraph random_regular_graph(Vertex n, std::uint32_t d, Rng& rng,
-                                  const RegularGraphOptions& opts) {
+RegularGraph random_regular_graph(Vertex n, std::uint32_t d, Rng& rng) {
   if (d == 0 || n < d + 1) {
     throw std::invalid_argument("random_regular_graph: need n >= d + 1, d >= 1");
   }
   if ((static_cast<std::uint64_t>(n) * d) % 2 != 0) {
     throw std::invalid_argument("random_regular_graph: n * d must be even");
   }
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     PairingResult pr = pair_stubs(n, d, rng);
     if (!pr.ok) continue;
     RegularGraph g = build_from_edges(n, d, pr.edges);
-    if (opts.require_connected && !is_connected(g)) continue;
-    if (opts.require_non_bipartite && is_bipartite(g)) continue;
+    // Paper assumptions: connected, and non-bipartite so walks mix.
+    if (!is_connected(g) || is_bipartite(g)) continue;
     return g;
   }
   throw std::runtime_error(

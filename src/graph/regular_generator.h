@@ -11,21 +11,11 @@
 
 namespace churnstore {
 
-struct RegularGraphOptions {
-  /// Require connectivity (always sensible for the P2P model).
-  bool require_connected = true;
-  /// Require non-bipartiteness (paper assumption; needed for mixing).
-  bool require_non_bipartite = true;
-  /// Safety valve on the repair/regenerate loop.
-  int max_attempts = 64;
-};
-
-/// Generates a uniform-ish random d-regular simple graph on n vertices.
-/// Requires n >= d + 1 and n * d even. Throws std::runtime_error if no valid
-/// graph is produced within max_attempts (practically unreachable for
-/// d >= 3 and n >= 8).
-[[nodiscard]] RegularGraph random_regular_graph(
-    Vertex n, std::uint32_t d, Rng& rng,
-    const RegularGraphOptions& opts = RegularGraphOptions{});
+/// Generates a uniform-ish random d-regular simple graph on n vertices that
+/// is connected and non-bipartite. Requires n >= d + 1 and n * d even.
+/// Throws std::runtime_error if no valid graph is produced within a bounded
+/// number of attempts (practically unreachable for d >= 3 and n >= 8).
+[[nodiscard]] RegularGraph random_regular_graph(Vertex n, std::uint32_t d,
+                                                Rng& rng);
 
 }  // namespace churnstore

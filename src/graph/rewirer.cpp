@@ -27,20 +27,18 @@ std::uint32_t Rewirer::do_swaps(RegularGraph& g, std::uint32_t count) {
 }
 
 std::uint32_t Rewirer::apply(RegularGraph& g) {
-  if (opts_.swaps_per_round == 0) return 0;
+  if (swaps_per_round_ == 0) return 0;
   // Provision the audit scratch on the first apply(), not on the first
   // audit: the audit can land arbitrarily deep into a run (check period),
   // and growing scratch there would break an established heap-quiet
   // steady state mid-measurement.
-  if (opts_.connectivity_check_period != 0 &&
-      dist_scratch_.capacity() < g.n()) {
+  if (dist_scratch_.capacity() < g.n()) {
     dist_scratch_.reserve(g.n());
     queue_scratch_.reserve(g.n());
   }
-  std::uint32_t done = do_swaps(g, opts_.swaps_per_round);
+  std::uint32_t done = do_swaps(g, swaps_per_round_);
   total_swaps_ += done;
-  if (opts_.connectivity_check_period != 0 &&
-      ++rounds_since_check_ >= opts_.connectivity_check_period) {
+  if (++rounds_since_check_ >= kConnectivityCheckPeriod) {
     rounds_since_check_ = 0;
     // Random 2-swaps disconnect a d-regular expander only with tiny
     // probability; when it happens, additional mixing swaps reconnect it
@@ -49,7 +47,7 @@ std::uint32_t Rewirer::apply(RegularGraph& g) {
     int guard = 0;
     while (!is_connected(g, dist_scratch_, queue_scratch_) && guard++ < 32) {
       ++repairs_;
-      total_swaps_ += do_swaps(g, opts_.swaps_per_round + g.n());
+      total_swaps_ += do_swaps(g, swaps_per_round_ + g.n());
     }
   }
   return done;

@@ -3,8 +3,9 @@
 // this with random degree-preserving double-edge swaps (the standard Markov
 // chain on d-regular simple graphs, whose stationary distribution is uniform
 // — so sustained rewiring keeps the graph a uniform random d-regular graph,
-// i.e. an expander w.h.p.). A connectivity guard re-checks periodically and
-// rolls forward with extra swaps in the (rare) disconnected case.
+// i.e. an expander w.h.p.). A connectivity guard re-checks every
+// kConnectivityCheckPeriod rounds and rolls forward with extra swaps in the
+// (rare) disconnected case.
 #pragma once
 
 #include <cstdint>
@@ -17,14 +18,13 @@ namespace churnstore {
 
 class Rewirer {
  public:
-  struct Options {
-    /// Swaps attempted per apply() call; 0 disables edge dynamics.
-    std::uint32_t swaps_per_round = 0;
-    /// Re-check connectivity every this many apply() calls (0 = never).
-    std::uint32_t connectivity_check_period = 64;
-  };
+  /// Connectivity is re-checked every this many apply() calls.
+  static constexpr std::uint32_t kConnectivityCheckPeriod = 64;
 
-  Rewirer(Options opts, Rng rng) : opts_(opts), rng_(rng) {}
+  /// `swaps_per_round` swaps are attempted per apply() call; 0 disables
+  /// edge dynamics.
+  Rewirer(std::uint32_t swaps_per_round, Rng rng)
+      : swaps_per_round_(swaps_per_round), rng_(rng) {}
 
   /// Applies one round of edge dynamics to g. Returns swaps performed.
   std::uint32_t apply(RegularGraph& g);
@@ -35,7 +35,7 @@ class Rewirer {
  private:
   std::uint32_t do_swaps(RegularGraph& g, std::uint32_t count);
 
-  Options opts_;
+  std::uint32_t swaps_per_round_;
   Rng rng_;
   std::uint64_t total_swaps_ = 0;
   std::uint64_t repairs_ = 0;

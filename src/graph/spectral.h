@@ -3,8 +3,8 @@
 // The paper assumes a fixed bound lambda < 1 on the second-largest
 // eigenvalue (in absolute value) of every round's graph. We estimate
 // max(|lambda_2|, |lambda_n|) by power iteration on P with deflation of the
-// principal (all-ones) eigenvector; tests and the topology-maintenance bench
-// use this to verify the rewired graphs remain expanders.
+// principal (all-ones) eigenvector; tests use this to verify the generated
+// and rewired graphs remain expanders.
 #pragma once
 
 #include "graph/graph.h"
@@ -14,7 +14,6 @@ namespace churnstore {
 
 struct SpectralOptions {
   int iterations = 120;
-  Vertex seed_vertex = 0;  ///< deterministic start vector perturbation
 };
 
 /// Estimated second-largest absolute eigenvalue of P = A/d, in [0, 1].

@@ -12,11 +12,9 @@ namespace churnstore {
 
 namespace {
 
-Rewirer::Options rewire_options(const SimConfig& c) {
-  Rewirer::Options o;
+std::uint32_t rewire_swaps(const SimConfig& c) {
   // kRewire touches a quarter of the edges each round.
-  o.swaps_per_round = c.edge_dynamics == EdgeDynamics::kRewire ? c.n / 8 : 0;
-  return o;
+  return c.edge_dynamics == EdgeDynamics::kRewire ? c.n / 8 : 0;
 }
 
 }  // namespace
@@ -27,7 +25,7 @@ Network::Network(const SimConfig& config)
       churn_rng_(mix64(config.seed ^ 0x63687572ULL)),
       protocol_rng_(mix64(config.seed ^ 0x70726f74ULL)),
       graph_(random_regular_graph(config.n, config.degree, topology_rng_)),
-      rewirer_(rewire_options(config), topology_rng_.fork(0x7265)),
+      rewirer_(rewire_swaps(config), topology_rng_.fork(0x7265)),
       adversary_(config.churn.kind, config.n, churn_rng_.fork(0x6164)),
       peer_at_(config.n, kNoPeer),
       birth_(config.n, 0),

@@ -31,6 +31,12 @@ std::int64_t parse_int(const std::string& key, const std::string& value) {
   return out;
 }
 
+std::uint64_t parse_u64(const std::string& key, const std::string& value) {
+  std::uint64_t out = 0;
+  if (parse_whole(value, out)) return out;
+  return static_cast<std::uint64_t>(parse_int(key, value));
+}
+
 double parse_double(const std::string& key, const std::string& value) {
   double out = 0.0;
   if (!parse_whole(value, out) || !std::isfinite(out)) {

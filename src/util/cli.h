@@ -26,6 +26,11 @@ namespace churnstore {
                                      const std::string& value);
 [[nodiscard]] double parse_double(const std::string& key,
                                   const std::string& value);
+/// A 64-bit value spelled unsigned (up to 2^64 - 1) or signed, which wraps
+/// (-1 is 2^64 - 1): the seed prints unsigned, and its signed spelling
+/// stays valid.
+[[nodiscard]] std::uint64_t parse_u64(const std::string& key,
+                                      const std::string& value);
 
 class Cli {
  public:

@@ -88,9 +88,9 @@ TEST(Generator, DifferentSeedsGiveDifferentGraphs) {
 TEST(Rewirer, PreservesInvariantsOverManyRounds) {
   Rng rng(42);
   auto g = random_regular_graph(256, 8, rng);
-  Rewirer rw(Rewirer::Options{.swaps_per_round = 64,
-                              .connectivity_check_period = 16},
-             rng.fork(1));
+  Rewirer rw(64, rng.fork(1));
+  // 200 rounds cross three connectivity audits (rounds 64, 128 and 192).
+  static_assert(3 * Rewirer::kConnectivityCheckPeriod <= 200);
   for (int round = 0; round < 200; ++round) {
     rw.apply(g);
   }
@@ -103,9 +103,7 @@ TEST(Rewirer, ActuallyChangesEdges) {
   Rng rng(43);
   const auto original = random_regular_graph(128, 8, rng);
   auto g = original;
-  Rewirer rw(Rewirer::Options{.swaps_per_round = 128,
-                              .connectivity_check_period = 0},
-             rng.fork(2));
+  Rewirer rw(128, rng.fork(2));
   for (int round = 0; round < 20; ++round) rw.apply(g);
   int changed = 0;
   for (Vertex v = 0; v < 128; ++v)
@@ -118,7 +116,7 @@ TEST(Rewirer, ZeroSwapsIsNoOp) {
   Rng rng(44);
   const auto original = random_regular_graph(64, 4, rng);
   auto g = original;
-  Rewirer rw(Rewirer::Options{.swaps_per_round = 0}, rng.fork(3));
+  Rewirer rw(0, rng.fork(3));
   EXPECT_EQ(rw.apply(g), 0u);
   for (Vertex v = 0; v < 64; ++v)
     for (std::uint32_t i = 0; i < 4; ++i)

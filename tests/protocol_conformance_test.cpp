@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "baseline/flooding.h"
 #include "core/experiment.h"
 #include "core/protocol.h"
 #include "core/runner.h"
@@ -202,11 +203,10 @@ TEST(Protocol, FindProtocolByTypeAndName) {
   SystemConfig cfg;
   cfg.sim.n = 64;
   P2PSystem sys(cfg);
-  EXPECT_NE(sys.find_protocol<TokenSoup>(), nullptr);
-  EXPECT_NE(sys.find_protocol("committee"), nullptr);
-  EXPECT_EQ(sys.find_protocol("no-such-module"), nullptr);
-  EXPECT_EQ(sys.find_protocol<TokenSoup>(),
-            sys.find_protocol("token-soup"));
+  ASSERT_NE(sys.find_protocol<TokenSoup>(), nullptr);
+  EXPECT_EQ(sys.find_protocol<TokenSoup>()->name(), "token-soup");
+  EXPECT_NE(sys.find_protocol<CommitteeManager>(), nullptr);
+  EXPECT_EQ(sys.find_protocol<FloodingStore>(), nullptr);
 }
 
 }  // namespace

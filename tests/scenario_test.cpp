@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/runner.h"
 #include "core/stacks.h"
 
 namespace churnstore {
@@ -53,6 +54,17 @@ TEST(ScenarioSpec, RoundTripsThroughKeyValues) {
   EXPECT_FALSE(reparsed.parallel);
   EXPECT_EQ(reparsed.threads, 2u);
   EXPECT_EQ(reparsed.extra_int("walkers", 0), 8);
+  // Seeds of 2^63 and more print unsigned and must parse back; about half
+  // of all trial seeds are in that range.
+  for (std::uint32_t trial = 0; trial < 16; ++trial) {
+    const ScenarioSpec seeded = spec.with_seed(Runner::trial_seed(1, trial));
+    EXPECT_EQ(ScenarioSpec::from_cli(Cli(seeded.to_key_values())).seed,
+              seeded.seed)
+        << trial;
+  }
+  EXPECT_EQ(
+      ScenarioSpec::from_cli(Cli({"seed=18446744073709551615"})).seed,
+      ScenarioSpec::from_cli(Cli({"seed=-1"})).seed);
 }
 
 TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
@@ -80,9 +92,12 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
   }
   const auto keys = ScenarioSpec::accepted_keys();
   EXPECT_EQ(std::find(keys.begin(), keys.end(), "workload"), keys.end());
-  // The knobs every run holds at one value are constants, not keys.
-  for (const char* removed : {"adaptive-pad", "churn-k", "delta", "h",
-                              "rewire-swaps", "timeout-taus", "walk-cap"}) {
+  // The knobs every run holds at one value are constants, not keys, and a
+  // scenario's own knobs are registered by the program that runs it.
+  for (const char* removed :
+       {"adaptive-pad", "churn-k", "delta", "h", "rewire-swaps",
+        "timeout-taus", "walk-cap", "counters", "horizon-taus", "periods",
+        "probes", "shard-sweep", "steps"}) {
     const std::string key = removed;
     EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
     try {
@@ -94,9 +109,9 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
           << e.what();
     }
   }
-  // Registered extras still parse (stack and scenario knobs).
+  // Registered extras still parse (stack knobs and measure-rounds).
   EXPECT_NO_THROW((void)ScenarioSpec::from_cli(
-      Cli({"walkers=8", "chord-stabilize=4", "shard-sweep=1,4"})));
+      Cli({"walkers=8", "chord-stabilize=4", "measure-rounds=8"})));
 }
 
 TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {

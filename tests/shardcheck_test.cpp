@@ -529,38 +529,6 @@ struct Deep : Mid {
   EXPECT_TRUE(has_rule_at(ds, "R7", 4)) << join(ds);
 }
 
-// --- Options: rule filtering -------------------------------------------------
-
-TEST(ShardcheckOptions, RulesFilterReportsOnlySelected) {
-  shardcheck::Options opts;
-  opts.rules = {"R6"};
-  const auto ds = check_source("src/p.cpp", R"fix(
-int g() { return rand(); }
-struct P {
-  void on_round_begin(std::uint32_t shard, ShardContext& ctx) {
-    auto* p = new int(3);
-  }
-};
-)fix",
-                               nullptr, opts);
-  EXPECT_EQ(count_rule(ds, "R6"), 1) << join(ds);
-  EXPECT_EQ(count_rule(ds, "R4"), 0) << join(ds);
-}
-
-TEST(ShardcheckOptions, SuppressionForDisabledRuleIsNotUnused) {
-  // The R4 diagnostic was filtered away, so its suppression cannot match —
-  // but flagging it unused would force editing suppressions whenever the
-  // rule set narrows, so disabled-rule suppressions are exempt.
-  shardcheck::Options opts;
-  opts.rules = {"R6"};
-  const auto ds = check_source(
-      "src/p.cpp",
-      "int f() { return rand(); }  // shardcheck:ok(R4: fixture)\n", nullptr,
-      opts);
-  EXPECT_EQ(count_rule(ds, "unused-suppression"), 0) << join(ds);
-  EXPECT_TRUE(ds.empty()) << join(ds);
-}
-
 // --- diagnostic formatting ---------------------------------------------------
 
 TEST(ShardcheckFormat, DiagnosticFormatIsFileLineRule) {
@@ -568,14 +536,6 @@ TEST(ShardcheckFormat, DiagnosticFormatIsFileLineRule) {
   ASSERT_EQ(ds.size(), 1u) << join(ds);
   const std::string s = ds[0].format();
   EXPECT_EQ(s.rfind("src/x.cpp:1: [shardcheck-R4] ", 0), 0u) << s;
-}
-
-TEST(ShardcheckFormat, GithubFormatIsWorkflowAnnotation) {
-  const auto ds = check_source("src/x.cpp", "int f() { return rand(); }\n");
-  ASSERT_EQ(ds.size(), 1u) << join(ds);
-  const std::string s = ds[0].format_github();
-  EXPECT_EQ(s.rfind("::error file=src/x.cpp,line=1::[shardcheck-R4] ", 0), 0u)
-      << s;
 }
 
 }  // namespace

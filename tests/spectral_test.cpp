@@ -68,7 +68,7 @@ TEST(Spectral, RewiringPreservesExpansion) {
   // Markov chain keeps lambda small across hundreds of rounds.
   Rng rng(77);
   auto g = random_regular_graph(512, 8, rng);
-  Rewirer rw(Rewirer::Options{.swaps_per_round = 64}, rng.fork(1));
+  Rewirer rw(64, rng.fork(1));
   double worst = 0.0;
   for (int round = 0; round < 120; ++round) {
     rw.apply(g);

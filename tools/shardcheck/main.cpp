@@ -1,21 +1,17 @@
 // shardcheck CLI: scan the repo's source roots and enforce the ShardContext
 // determinism contract (see shardcheck.h for the rule catalog).
 //
-//   shardcheck [--root=DIR] [--compile-commands=FILE] [--rules=R1,R6,...]
-//              [--format=human|github] [ROOT...]
+//   shardcheck [--root=DIR] [--compile-commands=FILE] [ROOT...]
 //
 // ROOTs default to `src bench tests` under --root (default: cwd). Every
 // .h/.cpp under the roots is scanned (two passes: cross-file symbols, then
-// rules). With --compile-commands, the scanned .cpp set is cross-checked
-// against what CMake actually compiles, so a glob/driver drift can never
-// silently leave new files unscanned — any mismatch is a hard error.
-// --rules limits reporting to the listed rule ids (meta diagnostics stay
-// on); --format=github emits `::error file=...` workflow annotations that
-// GitHub renders inline on the PR diff (the summary stays human-readable).
+// every rule within its scope). With --compile-commands, the scanned .cpp
+// set is cross-checked against what CMake actually compiles, so a
+// glob/driver drift can never silently leave new files unscanned — any
+// mismatch is a hard error.
 //
 // Exit codes: 0 clean; 1 unsuppressed diagnostics; 2 usage/IO/drift error.
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -118,55 +114,16 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string compile_commands;
   std::vector<std::string> roots;
-  shardcheck::Options options;
-  bool github_format = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--root=", 0) == 0) {
       root = fs::path(arg.substr(7));
     } else if (arg.rfind("--compile-commands=", 0) == 0) {
       compile_commands = arg.substr(19);
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      const std::string list = arg.substr(8);
-      for (std::size_t b = 0; b <= list.size();) {
-        std::size_t e = list.find(',', b);
-        if (e == std::string::npos) e = list.size();
-        const std::string rule = list.substr(b, e - b);
-        if (!rule.empty()) {
-          const bool ok = rule[0] == 'R' && rule.size() >= 2 &&
-                          std::all_of(rule.begin() + 1, rule.end(),
-                                      [](unsigned char c) {
-                                        return std::isdigit(c) != 0;
-                                      });
-          if (!ok) {
-            std::fprintf(stderr,
-                         "shardcheck: bad rule id '%s' in --rules (expected "
-                         "R1..R7)\n",
-                         rule.c_str());
-            return 2;
-          }
-          options.rules.insert(rule);
-        }
-        b = e + 1;
-      }
-      if (options.rules.empty()) {
-        std::fprintf(stderr, "shardcheck: --rules needs at least one rule\n");
-        return 2;
-      }
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string fmt = arg.substr(9);
-      if (fmt == "github") {
-        github_format = true;
-      } else if (fmt != "human") {
-        std::fprintf(stderr,
-                     "shardcheck: unknown --format '%s' (human|github)\n",
-                     fmt.c_str());
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
       std::fprintf(stderr,
                    "usage: shardcheck [--root=DIR] [--compile-commands=FILE] "
-                   "[--rules=R1,R6,...] [--format=human|github] [ROOT...]\n");
+                   "[ROOT...]\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "shardcheck: unknown option %s\n", arg.c_str());
@@ -264,15 +221,12 @@ int main(int argc, char** argv) {
   int suppressed_total = 0;
   for (const SourceFile& sf : files) {
     int suppressed = 0;
-    auto d = shardcheck::analyze(sf.rel, sf.lex, sym, &suppressed, options);
+    auto d = shardcheck::analyze(sf.rel, sf.lex, sym, &suppressed);
     suppressed_total += suppressed;
     diags.insert(diags.end(), d.begin(), d.end());
   }
 
-  for (const auto& d : diags) {
-    std::printf("%s\n",
-                (github_format ? d.format_github() : d.format()).c_str());
-  }
+  for (const auto& d : diags) std::printf("%s\n", d.format().c_str());
 
   std::map<std::string, int> by_rule;
   for (const auto& d : diags) ++by_rule[d.rule];

@@ -1130,8 +1130,7 @@ class Analysis {
 }  // namespace
 
 std::vector<Diagnostic> analyze(const std::string& path, const LexOutput& lx,
-                                const Symbols& sym, int* suppressed_count,
-                                const Options& options) {
+                                const Symbols& sym, int* suppressed_count) {
   const std::vector<int> code_lines = token_lines(lx);
   Directives dirs = parse_directives(path, lx, code_lines);
   std::vector<Region> regions = find_regions(lx, dirs);
@@ -1147,14 +1146,10 @@ std::vector<Diagnostic> analyze(const std::string& path, const LexOutput& lx,
   // used flags set (they may exist purely for R6 growth exemptions).
   a.check_r7(dirs);
 
-  std::vector<Diagnostic> raw;
-  for (Diagnostic& d : a.take()) {
-    if (d.rule == "R7" && !starts_with(path, "src/")) continue;
-    if (options.enabled(d.rule)) raw.push_back(std::move(d));
-  }
   std::vector<Diagnostic> out = std::move(dirs.malformed);
   int suppressed = 0;
-  for (Diagnostic& d : raw) {
+  for (Diagnostic& d : a.take()) {
+    if (d.rule == "R7" && !starts_with(path, "src/")) continue;
     bool hit = false;
     for (Suppression& s : dirs.suppressions) {
       if (s.target_line == d.line && s.rule == d.rule) {
@@ -1169,7 +1164,7 @@ std::vector<Diagnostic> analyze(const std::string& path, const LexOutput& lx,
     }
   }
   for (const Suppression& s : dirs.suppressions) {
-    if (!s.used && options.enabled(s.rule)) {
+    if (!s.used) {
       out.push_back({path, s.comment_line, "unused-suppression",
                      "suppression for " + s.rule +
                          " matches no diagnostic — delete it (stale "
@@ -1206,12 +1201,11 @@ std::vector<Diagnostic> analyze(const std::string& path, const LexOutput& lx,
 
 std::vector<Diagnostic> check_source(const std::string& path,
                                      std::string_view text,
-                                     int* suppressed_count,
-                                     const Options& options) {
+                                     int* suppressed_count) {
   const LexOutput lx = lex(text);
   Symbols sym;
   collect_symbols(lx, sym);
-  return analyze(path, lx, sym, suppressed_count, options);
+  return analyze(path, lx, sym, suppressed_count);
 }
 
 }  // namespace shardcheck

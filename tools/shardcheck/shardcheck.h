@@ -1,8 +1,8 @@
 // shardcheck — the repo's determinism and arena-discipline linter.
 //
 // Statically enforces the ShardContext contract documented in
-// src/core/protocol.h. Rules (see README "Static analysis" for the catalog
-// with rationale):
+// src/core/protocol.h. Every rule is always on, each within its scope
+// below (see README "Static analysis" for the catalog with rationale):
 //
 //   R1  no shared sequential Rng use (rng_ members, protocol_rng(), Rng&
 //       bindings/params) inside sharded hook bodies — per-(round,vertex)
@@ -80,12 +80,6 @@ struct Diagnostic {
     return file + ":" + std::to_string(line) + ": [shardcheck-" + rule + "] " +
            message;
   }
-  /// GitHub Actions workflow-annotation form: rendered inline on the PR
-  /// diff when printed from a CI step (shardcheck --format=github).
-  [[nodiscard]] std::string format_github() const {
-    return "::error file=" + file + ",line=" + std::to_string(line) +
-           "::[shardcheck-" + rule + "] " + message;
-  }
 };
 
 /// Cross-file facts gathered in pass 1 over every scanned file. Member
@@ -118,35 +112,21 @@ struct Symbols {
 /// Scan one lexed file into `sym` (pass 1).
 void collect_symbols(const LexOutput& lx, Symbols& sym);
 
-/// Analysis options. Default-constructed = every rule enabled.
-struct Options {
-  /// Rules to report, e.g. {"R1","R6"}; empty = all. Structural meta
-  /// diagnostics (bad-suppression, unused-suppression) are always on,
-  /// except that suppressions for disabled rules are exempt from the
-  /// unused-suppression check (their diagnostics were filtered away).
-  std::set<std::string, std::less<>> rules;
-
-  [[nodiscard]] bool enabled(std::string_view rule) const {
-    return rules.empty() || rules.count(rule) > 0;
-  }
-};
-
-/// Analyze one lexed file (pass 2). `path` is the repo-relative path with
-/// forward slashes; it selects the R4 scope (src/ outside src/util/) and
-/// the R6/R7 scope (src/). Returned diagnostics are post-suppression and
-/// include bad-suppression / unused-suppression meta findings;
-/// `suppressed_count`, when non-null, receives the number of diagnostics
-/// silenced by valid suppressions.
+/// Analyze one lexed file (pass 2) under every rule. `path` is the
+/// repo-relative path with forward slashes; it selects the R4 scope (src/
+/// outside src/util/) and the R6/R7 scope (src/). Returned diagnostics are
+/// post-suppression and include bad-suppression / unused-suppression meta
+/// findings; `suppressed_count`, when non-null, receives the number of
+/// diagnostics silenced by valid suppressions.
 [[nodiscard]] std::vector<Diagnostic> analyze(const std::string& path,
                                               const LexOutput& lx,
                                               const Symbols& sym,
-                                              int* suppressed_count = nullptr,
-                                              const Options& options = {});
+                                              int* suppressed_count = nullptr);
 
 /// Convenience for tests and single-file use: lex + collect + analyze one
 /// buffer as both pass-1 input and pass-2 subject.
 [[nodiscard]] std::vector<Diagnostic> check_source(
     const std::string& path, std::string_view text,
-    int* suppressed_count = nullptr, const Options& options = {});
+    int* suppressed_count = nullptr);
 
 }  // namespace shardcheck
