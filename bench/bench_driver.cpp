@@ -1,7 +1,8 @@
 // The unified experiment driver. One table (kScenarios below) lists every
 // scenario: its name, summary, default keys, the scenario-only keys it
-// reads, whether it exports observability output, and the run function in
-// bench/scenarios/. Adding a scenario is a function plus a row.
+// reads, the common keys it pins, whether it exports observability output,
+// and the run function in bench/scenarios/. Adding a scenario is a function
+// plus a row.
 //
 //   bench_driver --list
 //   bench_driver --stacks
@@ -13,11 +14,13 @@
 // are parsed ahead of the command line, so a key given there wins, and
 // every value must parse whole (n=256x exits 1 naming the key). A
 // scenario-only key is accepted only by the row that reads it (periods=4
-// exits 1 for every scenario but committee).
+// exits 1 for every scenario but committee), and a common key the row pins
+// or sweeps exits 1 naming it (mixing edge=static).
 #include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +46,11 @@ struct Scenario {
   /// The scenario-only keys its run function reads: registered for this
   /// row alone, so any other scenario rejects them as unknown.
   std::string_view knobs;
+  /// Common keys the scenario sets or sweeps itself, so its table reads the
+  /// same whatever the command line says: setting one exits 1 naming it.
+  /// `key=value` pins the key to that value, which the command line may
+  /// repeat.
+  std::string_view pinned;
   /// kExports: the obs keys must form a valid ObsConfig. kRejects: any obs
   /// key that asks for output exits 1 (it would write nothing).
   Obs obs;
@@ -51,59 +59,67 @@ struct Scenario {
 
 /// Every scenario, sorted by name (the catalog order).
 constexpr Scenario kScenarios[] = {
+    // Every knob is a paper-stack constant, and every panel of adversary
+    // stores and searches on that stack.
     {"ablation",
      "E13: sweep each protocol constant around the paper's choice",
-     "n=512 items=1 searches=8 batches=1", "", Obs::kExports,
-     bench::run_ablation},
+     "n=512 items=1 searches=8 batches=1", "", "protocol=churnstore",
+     Obs::kExports, bench::run_ablation},
     {"adversary",
      "E12: oblivious strategy ablation + the adaptive model-violation demo",
-     "n=512 items=2 searches=8 batches=1", "", Obs::kExports,
-     bench::run_adversary},
+     "n=512 items=2 searches=8 batches=1", "", "protocol=churnstore",
+     Obs::kExports, bench::run_adversary},
     // age-taus: how long items sit under churn before anyone searches. The
     // maintained protocol is indifferent to it; the unmaintained baselines
     // decay with it, which is the paper's whole point.
     {"baselines",
      "E9: paper protocol vs chord/flooding/k-walker/sqrt baselines under "
      "churn",
-     "n=512 items=2 searches=10 batches=1 age-taus=10", "", Obs::kExports,
-     bench::run_baselines},
+     "n=512 items=2 searches=10 batches=1 age-taus=10", "", "",
+     Obs::kExports, bench::run_baselines},
     {"capacity",
      "C1: large-n capacity — rounds/sec serial vs sharded, same seed, "
      "bit-identical results",
-     "n=100000 items=64 searches=128", "shard-sweep measure-rounds",
+     "n=100000 items=64 searches=128", "shard-sweep measure-rounds", "",
      Obs::kRejects, bench::run_capacity},
     {"chord",
      "E14: message-accurate Chord — measured hops, bits, and ring health vs "
      "churn",
      "n=1024,4096 items=8 searches=24 age-taus=0 batches=1", "",
-     Obs::kExports, bench::run_chord},
+     "protocol=chord", Obs::kExports, bench::run_chord},
+    // The churn sweep sets an absolute count per row, with the uniform
+    // adversary (none at zero).
     {"churn_limit",
      "E11: the churn wall in both functional forms (section 5 conjecture)",
-     "n=512", "", Obs::kRejects, bench::run_churn_limit},
+     "n=512", "", "churn churn-mult churn-absolute", Obs::kRejects,
+     bench::run_churn_limit},
     {"committee", "E4: committee maintenance (Theorem 2)", "n=512 trials=3",
-     "periods", Obs::kRejects, bench::run_committee},
+     "periods", "churn-mult", Obs::kRejects, bench::run_committee},
     {"erasure", "E10: IDA pieces vs replication (section 4.4)", "n=512", "",
-     Obs::kRejects, bench::run_erasure},
+     "", Obs::kRejects, bench::run_erasure},
     {"landmark", "E5: landmark set size vs sqrt(n) (Lemma 8)",
-     "n=256,512,1024,2048,4096", "", Obs::kRejects, bench::run_landmark},
+     "n=256,512,1024,2048,4096", "", "", Obs::kRejects, bench::run_landmark},
     {"message_complexity", "E8: per-node traffic is polylog(n), not linear",
-     "n=128,256,512,1024,2048 trials=1 items=2 searches=6 batches=1", "",
+     "n=128,256,512,1024,2048 trials=1 items=2 searches=6 batches=1", "", "",
      Obs::kExports, bench::run_message_complexity},
+    // Mixing runs without churn and sweeps the walk length per edge mode.
     {"mixing", "E2: dynamic mixing time per edge mode (Lemma 1)",
-     "n=1024 trials=1", "probes", Obs::kRejects, bench::run_mixing},
+     "n=1024 trials=1", "probes", "churn churn-mult churn-absolute edge walk-t",
+     Obs::kRejects, bench::run_mixing},
     {"search", "E7: retrieval success and latency (Theorem 4)",
-     "n=256,512,1024 items=3 searches=12", "", Obs::kExports,
+     "n=256,512,1024 items=3 searches=12", "", "", Obs::kExports,
      bench::run_search},
     {"soup",
      "E1+E3: Soup Theorem probe uniformity and walk survival (Theorem 1, "
      "Lemma 2)",
-     "n=256,512,1024 trials=3", "probes", Obs::kRejects, bench::run_soup},
+     "n=256,512,1024 trials=3", "probes", "", Obs::kRejects, bench::run_soup},
     {"soup_step",
      "M2: sharded soup-step throughput (S sweep, ungated sizing tool)",
-     "n=4096,16384", "steps shard-sweep counters", Obs::kRejects,
+     "n=4096,16384", "steps shard-sweep counters", "", Obs::kRejects,
      bench::run_soup_step},
     {"storage", "E6: storage persistence traces (Theorem 3)",
-     "n=512 trials=3", "horizon-taus", Obs::kRejects, bench::run_storage},
+     "n=512 trials=3", "horizon-taus", "churn-mult", Obs::kRejects,
+     bench::run_storage},
 };
 static_assert(std::is_sorted(std::begin(kScenarios), std::end(kScenarios),
                              [](const Scenario& a, const Scenario& b) {
@@ -143,13 +159,16 @@ void print_usage() {
 
 void print_catalog() {
   std::printf("scenarios (name, summary, [defaults the command line "
-              "overrides], scenario-only keys):\n");
+              "overrides], scenario-only keys, common keys it pins):\n");
   for (const Scenario& s : kScenarios) {
     std::printf("  %-20.*s %.*s [%.*s]", width(s.name), s.name.data(),
                 width(s.summary), s.summary.data(), width(s.defaults),
                 s.defaults.data());
     if (!s.knobs.empty()) {
       std::printf(" keys: %.*s", width(s.knobs), s.knobs.data());
+    }
+    if (!s.pinned.empty()) {
+      std::printf(" pins: %.*s", width(s.pinned), s.pinned.data());
     }
     std::printf("\n");
   }
@@ -162,9 +181,33 @@ void print_stacks() {
   }
 }
 
+/// Throws std::invalid_argument naming the first pinned key that `cli`
+/// sets (to another value than the pin's, for a `key=value` pin). The row
+/// defaults never set a pinned key, so `cli` setting one means the command
+/// line did.
+void reject_pinned(const Scenario& scenario, const Cli& cli) {
+  for (const std::string& pin : words(scenario.pinned)) {
+    const std::size_t eq = pin.find('=');
+    const std::string key = pin.substr(0, eq);
+    if (!cli.has(key)) continue;
+    const std::string value = cli.get(key, "");
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("spec key '" + key + "' is set by scenario " +
+                                  std::string(scenario.name) +
+                                  " itself; drop " + key + "=" + value);
+    }
+    if (value != pin.substr(eq + 1)) {
+      throw std::invalid_argument("spec key '" + key + "' must be " +
+                                  pin.substr(eq + 1) + " for scenario " +
+                                  std::string(scenario.name) + ", got " +
+                                  value);
+    }
+  }
+}
+
 /// Registers the row's scenario-only keys, parses the spec from the row's
-/// defaults followed by `args` (so the command line wins), checks the obs
-/// keys before any row prints, and runs the scenario.
+/// defaults followed by `args` (so the command line wins), checks the
+/// pinned and obs keys before any row prints, and runs the scenario.
 void run(const Scenario& scenario, const std::vector<std::string>& args) {
   for (const std::string& key : words(scenario.knobs)) {
     ScenarioSpec::accept_extra_key(key);
@@ -175,6 +218,7 @@ void run(const Scenario& scenario, const std::vector<std::string>& args) {
   tokens.insert(tokens.end(), args.begin(), args.end());
   const Cli cli(tokens);
   const ScenarioSpec spec = ScenarioSpec::from_cli(cli);
+  reject_pinned(scenario, cli);
   if (scenario.obs == Obs::kExports) {
     (void)obs_config_from_extras(spec.extras);
   } else {

@@ -41,9 +41,8 @@ AblationResult run(Runner& runner, const ScenarioSpec& cell) {
 }  // namespace
 
 void run_ablation(const ScenarioSpec& spec, const Cli&) {
-  // Every knob is a paper-stack constant: the cells store and search on
-  // that stack, at the first n.
-  require_paper_stack(spec);
+  // Every knob is a paper-stack constant (the driver pins protocol=): the
+  // cells store and search on that stack, at the first n.
   ScenarioSpec base = spec;
   base.ns = {base.n()};
 

@@ -24,9 +24,6 @@ struct StrategyRow {
 }  // namespace
 
 void run_adversary(const ScenarioSpec& spec, const Cli&) {
-  // Every panel stores and searches on the paper stack.
-  require_paper_stack(spec);
-
   banner(spec, "E12 adversary — oblivious strategy ablation",
          "same churn volume, different victim-selection strategies: the "
          "random placement of committees/landmarks equalizes them all");

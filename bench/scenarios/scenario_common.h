@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,16 +87,6 @@ inline std::string slope_text(const std::optional<double>& slope, int digits) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, *slope);
   return buf;
-}
-
-/// Rejects a `protocol=` other than the paper stack for a scenario whose
-/// every cell runs that stack: the table it prints would read as if the
-/// named stack had run. Throws std::invalid_argument naming the key.
-inline void require_paper_stack(const ScenarioSpec& spec) {
-  if (spec.protocol != "churnstore") {
-    throw std::invalid_argument("spec key 'protocol' must be churnstore, got " +
-                                spec.protocol);
-  }
 }
 
 /// Churn sweep helper: spec variant at multiplier `cm` (kNone at 0).

@@ -182,6 +182,35 @@ PYEOF
     echo "smoke: the protocol=chord error does not name protocol"
     exit 1
   }
+  # A walk length past a token's 15-bit step field must exit 1 naming
+  # walk-t, never run walks that silently stop short.
+  echo "== smoke: soup $TINY probes=2 walk-t=12000 must exit 1 naming walk-t"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=soup $TINY probes=2 walk-t=12000 \
+    >/dev/null 2>"$OBS_DIR/walk_t.err" || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: soup walk-t=12000 exited $status, want 1"; exit 1; }
+  grep -q "walk-t" "$OBS_DIR/walk_t.err" || {
+    echo "smoke: the walk-t=12000 error does not name walk-t"
+    exit 1
+  }
+  # A common key the scenario pins or sweeps itself must exit 1 naming it,
+  # never print the same table as the run without it.
+  for pinned in "mixing probes=2000 edge=static:edge" \
+                "committee periods=2 churn-mult=3.0:churn-mult"; do
+    run="${pinned%:*}"
+    key="${pinned##*:}"
+    echo "== smoke: $run (with $TINY) must exit 1 naming $key"
+    status=0
+    # shellcheck disable=SC2086
+    "$DRIVER" --scenario=$run $TINY \
+      >/dev/null 2>"$OBS_DIR/pinned.err" || status=$?
+    [[ "$status" == "1" ]] || { echo "smoke: $run exited $status, want 1"; exit 1; }
+    grep -q "'$key'" "$OBS_DIR/pinned.err" || {
+      echo "smoke: the $run error does not name $key"
+      exit 1
+    }
+  done
   # The obs sub-keys need obs=: without it they write nothing, so they must
   # not exit 0.
   echo "== smoke: search $TINY obs-file=... without obs= must exit 1 and write no file"

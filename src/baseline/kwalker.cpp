@@ -34,7 +34,8 @@ bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
           ? options_.replication
           : static_cast<std::uint32_t>(
                 std::ceil(std::sqrt(static_cast<double>(net().n()))));
-  const auto targets = soup_.samples(creator).recent_distinct(want);
+  PeerList targets;
+  soup_.samples(creator).recent_distinct(want, targets);
   if (targets.size() < std::max<std::size_t>(1, want / 2)) return false;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {
@@ -48,7 +49,7 @@ bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
     // Place synchronously for the god view (the message also charges cost).
     if (const auto tv = net().find_vertex(t)) held_[*tv].insert(item);
   }
-  placed_[item] = targets;
+  placed_[item] = targets.to_vector();
   return true;
 }
 

@@ -25,7 +25,8 @@ bool SqrtReplication::try_store(Vertex creator, ItemId item) {
   const double n = static_cast<double>(net().n());
   const auto want = static_cast<std::size_t>(
       std::ceil(options_.replication_mult * std::sqrt(n * std::log(n))));
-  const auto targets = soup_.samples(creator).recent_distinct(want);
+  PeerList targets;
+  soup_.samples(creator).recent_distinct(want, targets);
   if (targets.size() < want / 2 || targets.empty()) return false;
   const PeerId self = net().peer_at(creator);
   for (const PeerId t : targets) {
@@ -37,7 +38,7 @@ bool SqrtReplication::try_store(Vertex creator, ItemId item) {
     msg.payload_bits = options_.item_bits;
     net().send(creator, std::move(msg));
   }
-  placed_[item] = targets;
+  placed_[item] = targets.to_vector();
   return true;
 }
 

@@ -147,7 +147,8 @@ std::vector<PeerId> CommitteeManager::pick_sources(Vertex v, Round anchor,
     }
   }
   if (out.size() < want) {
-    const auto extra = soup_.samples(v).recent_distinct(want, out);
+    PeerList extra;
+    soup_.samples(v).recent_distinct(want, extra, out);
     for (const PeerId p : extra) {
       if (out.size() >= want) break;
       if (p != kNoPeer && p != self) out.push_back(p);

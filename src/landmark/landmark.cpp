@@ -73,8 +73,9 @@ std::size_t LandmarkManager::live_count(std::uint64_t kid) const {
 void LandmarkManager::grow_children(Vertex v, LandmarkState& st,
                                     ShardContext* ctx) {
   const PeerId self = net().peer_at(v);
-  const auto children = soup_.samples(v).recent_distinct(
-      config_.tree_fanout, std::span(&self, 1));
+  PeerList children;
+  soup_.samples(v).recent_distinct(config_.tree_fanout, children,
+                                   std::span(&self, 1));
   for (const PeerId child : children) {
     Message msg;
     msg.src = self;

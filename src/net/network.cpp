@@ -56,6 +56,10 @@ std::optional<Vertex> Network::find_vertex(PeerId p) const noexcept {
 }
 
 void Network::churn_vertex(Vertex v) {
+  if (next_peer_ > kMaxPeerId) {
+    throw std::overflow_error("peer ids exhausted: a walk token carries its "
+                              "source id in 48 bits");
+  }
   const PeerId old_peer = peer_at_[v];
   vertex_of_.erase(old_peer);
   const PeerId fresh = next_peer_++;

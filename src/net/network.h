@@ -151,6 +151,8 @@ class Network {
   /// Advances to the next round: adversary churn + edge dynamics. Returns
   /// the churned vertex set (fresh peers already installed). Destroys the
   /// messages the last deliver() handed out, so every inbox reads empty.
+  /// Throws std::overflow_error rather than mint a peer id above
+  /// kMaxPeerId.
   const std::vector<Vertex>& begin_round();
 
   /// Queue a direct message from the peer at vertex `from` (charged to it).

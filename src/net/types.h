@@ -11,6 +11,9 @@ namespace churnstore {
 /// abstraction of the paper: knowing a PeerId lets you message that peer).
 using PeerId = std::uint64_t;
 inline constexpr PeerId kNoPeer = 0;
+/// The largest id a peer can hold: a walk token carries its source id in
+/// the top 48 bits of one 64-bit word (walk/token_soup.h).
+inline constexpr PeerId kMaxPeerId = (PeerId{1} << 48) - 1;
 
 /// Unique identifier of a stored data item (e.g. its hash).
 using ItemId = std::uint64_t;

@@ -3,14 +3,15 @@
 // & Ross).
 //
 // The forward loop scatters tokens into hundreds of per-(src shard, dst
-// page) SoA buckets. Pushing directly means every token dirties three
-// far-apart cache lines (one per column tail), and with hundreds of open
-// write streams the hardware gives up: each push is a read-for-ownership
-// DRAM round-trip plus a dTLB walk. A WcScatter keeps one 64-byte staging
-// line per bucket column in a compact table that DOES fit in L1/L2; pushes
-// land in the staging line, and only a FULL line is written to the real
-// bucket tail — one line-sized burst per 8/16/32 tokens instead of three
-// touches per token.
+// page) buckets of two columns (the 64-bit token word and the u32 dst).
+// Pushing directly means every token dirties two far-apart cache lines
+// (one per column tail), and with hundreds of open write streams the
+// hardware gives up: each push is a read-for-ownership DRAM round-trip
+// plus a dTLB walk. A WcScatter keeps one 64-byte staging line per bucket
+// column in a compact table that DOES fit in L1/L2; pushes land in the
+// staging line, and only a FULL line is written to the real bucket tail —
+// one line-sized burst per 8 words / 16 dsts instead of two touches per
+// token.
 //
 // Full-line writes optionally use non-temporal stores (CHURNSTORE_NT_STORES,
 // on by default via CMake): the bucket tails are not re-read until a later
@@ -26,12 +27,12 @@
 // plumbing under the engine's S-invariance (golden baselines do not move).
 //
 // Bucket interface (see TokenSoup::HandoffBucket, tests/wc_buffer_test.cpp):
-//   std::uint64_t* src();  std::uint32_t* dst();  std::uint16_t* meta();
+//   std::uint64_t* words();  std::uint32_t* dst();
 //   void wc_reserve(n);   // cap >= n; growth may copy garbage tails
 //   void wc_commit(n);    // size = n (absolute), after tails are in place
 // Alignment contract: the bucket block is 64-byte aligned and its capacity
-// is a multiple of 16, so all three column bases are 64-byte aligned and
-// every full-line flush targets an aligned line.
+// is a multiple of 16, so both column bases are 64-byte aligned and every
+// full-line flush targets an aligned line.
 #pragma once
 
 #include <cassert>
@@ -72,9 +73,9 @@ inline void wc_stream_fence() noexcept {
 #endif
 }
 
-/// Write-combining front end for a contiguous array of SoA buckets with the
-/// engine's token record shape: (u64 src, u32 dst, u16 meta). Hard-coding
-/// the shape keeps push() at three masked stores — the hot loop runs this
+/// Write-combining front end for a contiguous array of buckets with the
+/// engine's handoff record shape: (u64 token word, u32 dst). Hard-coding
+/// the shape keeps push() at two masked stores — the hot loop runs this
 /// tens of millions of times per round. Full-line flushes stream
 /// (wc_stream_line): the buckets are read a phase later.
 ///
@@ -83,10 +84,9 @@ inline void wc_stream_fence() noexcept {
 template <class Bucket>
 class WcScatter {
  public:
-  /// Line quanta per column: 8 x u64 / 16 x u32 / 32 x u16 fill 64 bytes.
+  /// Line quanta per column: 8 x u64 / 16 x u32 fill 64 bytes.
   static constexpr std::uint32_t kLine0 = 8;
   static constexpr std::uint32_t kLine1 = 16;
-  static constexpr std::uint32_t kLine2 = 32;
 
   /// Point at `count` buckets (must outlive the scatter or be re-attached).
   /// Staging state is reset; bucket sizes are untouched.
@@ -102,13 +102,11 @@ class WcScatter {
     return counts_[b];
   }
 
-  void push(std::uint32_t b, std::uint64_t src, std::uint32_t dst,
-            std::uint16_t meta) {
+  void push(std::uint32_t b, std::uint64_t word, std::uint32_t dst) {
     Slot& sl = slots_[b];
     const std::uint32_t c = counts_[b];
-    reinterpret_cast<std::uint64_t*>(sl.line[0])[c & (kLine0 - 1)] = src;
+    reinterpret_cast<std::uint64_t*>(sl.line[0])[c & (kLine0 - 1)] = word;
     reinterpret_cast<std::uint32_t*>(sl.line[1])[c & (kLine1 - 1)] = dst;
-    reinterpret_cast<std::uint16_t*>(sl.line[2])[c & (kLine2 - 1)] = meta;
     const std::uint32_t n = c + 1;
     counts_[b] = n;
     if ((n & (kLine0 - 1)) == 0) spill(b, n);
@@ -129,9 +127,8 @@ class WcScatter {
       // quantum), destined for the last committed line boundary.
       const std::uint32_t t0 = n & (kLine0 - 1);
       const std::uint32_t t1 = n & (kLine1 - 1);
-      const std::uint32_t t2 = n & (kLine2 - 1);
       if (t0 != 0) {
-        std::memcpy(reinterpret_cast<std::byte*>(bk.src()) +
+        std::memcpy(reinterpret_cast<std::byte*>(bk.words()) +
                         std::size_t{n - t0} * 8,
                     sl.line[0], std::size_t{t0} * 8);
       }
@@ -139,11 +136,6 @@ class WcScatter {
         std::memcpy(reinterpret_cast<std::byte*>(bk.dst()) +
                         std::size_t{n - t1} * 4,
                     sl.line[1], std::size_t{t1} * 4);
-      }
-      if (t2 != 0) {
-        std::memcpy(reinterpret_cast<std::byte*>(bk.meta()) +
-                        std::size_t{n - t2} * 2,
-                    sl.line[2], std::size_t{t2} * 2);
       }
       bk.wc_commit(n);
       counts_[b] = 0;
@@ -153,29 +145,24 @@ class WcScatter {
 
  private:
   struct Slot {
-    alignas(64) std::byte line[3][64];
+    alignas(64) std::byte line[2][64];
   };
 
-  /// Write the just-completed col-0 line (and col-1/col-2 lines when their
-  /// larger quanta also completed) to the bucket tails. n is a multiple of 8.
+  /// Write the just-completed word line (and the dst line when its larger
+  /// quantum also completed) to the bucket tails. n is a multiple of 8.
   void spill(std::uint32_t b, std::uint32_t n) {
     Bucket& bk = buckets_[b];
     bk.wc_reserve(n);
-    assert((reinterpret_cast<std::uintptr_t>(bk.src()) & 63) == 0 &&
+    assert((reinterpret_cast<std::uintptr_t>(bk.words()) & 63) == 0 &&
            "WC bucket block must be 64-byte aligned");
     Slot& sl = slots_[b];
-    wc_stream_line(reinterpret_cast<std::byte*>(bk.src()) +
+    wc_stream_line(reinterpret_cast<std::byte*>(bk.words()) +
                        std::size_t{n - kLine0} * 8,
                    sl.line[0]);
     if ((n & (kLine1 - 1)) == 0) {
       wc_stream_line(reinterpret_cast<std::byte*>(bk.dst()) +
                          std::size_t{n - kLine1} * 4,
                      sl.line[1]);
-    }
-    if ((n & (kLine2 - 1)) == 0) {
-      wc_stream_line(reinterpret_cast<std::byte*>(bk.meta()) +
-                         std::size_t{n - kLine2} * 2,
-                     sl.line[2]);
     }
   }
 

@@ -26,9 +26,9 @@ SampleView VertexSamples::at(Round r) const noexcept {
   return SampleView{data + begin, ends[v_] - begin};
 }
 
-std::vector<PeerId> VertexSamples::recent_distinct(
-    std::size_t k, std::span<const PeerId> exclude) const {
-  std::vector<PeerId> out;
+void VertexSamples::recent_distinct(std::size_t k, PeerList& out,
+                                    std::span<const PeerId> exclude) const {
+  out.clear();
   for (Round r = hi_; r >= lo_; --r) {
     for (const PeerId p : at(r)) {
       if (std::find(out.begin(), out.end(), p) != out.end() ||
@@ -36,10 +36,9 @@ std::vector<PeerId> VertexSamples::recent_distinct(
         continue;
       }
       out.push_back(p);
-      if (k != 0 && out.size() >= k) return out;
+      if (k != 0 && out.size() >= k) return;
     }
   }
-  return out;
 }
 
 std::size_t VertexSamples::total() const noexcept {

@@ -30,11 +30,19 @@
 
 #include "net/types.h"
 #include "util/sharding.h"
+#include "util/small_vec.h"
 
 namespace churnstore {
 
 /// Non-owning view of one round's sources at one vertex.
 using SampleView = std::span<const PeerId>;
+
+/// Caller-provided storage for VertexSamples::recent_distinct. A tree
+/// fanout fits inline, and so does a committee invite list (3 round(ln n)
+/// sources) up to n ~ 14M; a longer request spills to the arena bound to
+/// the calling shard task (util/small_vec.h), so no call allocates a fresh
+/// vector.
+using PeerList = SmallVec<PeerId, 48>;
 
 class SampleStore;
 
@@ -51,12 +59,12 @@ class VertexSamples {
     return at(r).size();
   }
 
-  /// Up to `k` distinct most-recent sources (newest rounds first), skipping
-  /// ids in `exclude`. Pass k = 0 for "all distinct". Dedupes by a linear
-  /// scan of the output and the exclusions: k is a tree fanout or a
-  /// committee size, so no per-call hash set.
-  [[nodiscard]] std::vector<PeerId> recent_distinct(
-      std::size_t k, std::span<const PeerId> exclude = {}) const;
+  /// Replaces `out` with up to `k` distinct most-recent sources (newest
+  /// rounds first), skipping ids in `exclude`. Pass k = 0 for "all
+  /// distinct". Dedupes by a linear scan of the output and the exclusions:
+  /// k is a tree fanout or a committee size, so no per-call hash set.
+  void recent_distinct(std::size_t k, PeerList& out,
+                       std::span<const PeerId> exclude = {}) const;
 
   [[nodiscard]] std::size_t total() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return total() == 0; }

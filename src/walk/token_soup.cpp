@@ -1,63 +1,56 @@
 #include "walk/token_soup.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "util/prefetch.h"
 
 namespace churnstore {
 
 namespace {
-/// Bits a node processes to forward one token: source id + hop counter.
+/// Bits a node processes to forward one token: a 64-bit source id plus a
+/// 16-bit hop counter, the paper's accounting (the engine packs both into
+/// one 64-bit word, but the charge models the protocol, not the engine).
 constexpr std::uint64_t kTokenBits = 64 + 16;
 /// Scatter choice by destination page count, a pure function of n and the
 /// walk config — never of the shard count, so every shards=S run of the
 /// same workload takes the same path and stays bit-identical. With <=
 /// kDirectMaxPages the bucket tails fit in a handful of lines and staging
-/// is pure overhead; above it one WC table (3 lines + count per page,
-/// ~200 B each) fronts the buckets. Measured, not theoretical: WC with
-/// non-temporal flushes wins ~+20% at 64 pages (n=16k), ties direct at
-/// ~1000 pages (n=1M, 188 KB table), and beats a two-level run demux at
-/// ~2300 pages, so there is no third path (EXPERIMENTS.md, M2).
+/// is pure overhead; above it one WC table (2 lines + count per page,
+/// ~130 B each) fronts the buckets. Measured with the former 3-line table,
+/// not theoretical: WC with non-temporal flushes wins ~+20% at 64 pages
+/// (n=16k), ties direct at ~1000 pages (n=1M), and beats a two-level run
+/// demux at ~2300 pages, so there is no third path (EXPERIMENTS.md, M2).
 constexpr std::uint32_t kDirectMaxPages = 4;
 }  // namespace
 
-std::byte* TokenSoup::alloc_block(Arena* a, std::size_t bytes) {
-  return static_cast<std::byte*>(a->allocate(bytes));
-}
-
-void TokenSoup::free_block(Arena* a, std::byte* p, std::size_t bytes) noexcept {
-  if (p != nullptr) a->deallocate(p, bytes);
-}
-
-// Growth for the single-block SoA containers: capacity is whatever the
-// arena's size class actually holds (Arena::usable_size), so the class
-// round-up becomes extra tokens. The byte count handed back to
-// deallocate lands in the same size class the allocation came from
-// (cap * kTokenBytes > the previous class bound by construction), so the
-// block recycles into its own freelist.
+// Queue capacity is whatever the arena's size class actually holds
+// (Arena::usable_size), so the class round-up becomes extra tokens. The
+// byte count handed back to deallocate lands in the same size class the
+// allocation came from (cap * 8 > the previous class bound by
+// construction), so the block recycles into its own freelist.
 void TokenSoup::TokenQueue::grow(std::size_t min_cap) {
   std::size_t want = std::size_t{cap_} * 2;
   if (want < min_cap) want = min_cap;
-  const std::size_t new_cap = Arena::usable_size(want * kTokenBytes) / kTokenBytes;
-  std::byte* nb = alloc_block(arena_, new_cap * kTokenBytes);
-  if (size_ > 0) {
-    std::memcpy(nb, base_, std::size_t{size_} * 8);
-    std::memcpy(nb + new_cap * 8, meta(), std::size_t{size_} * 2);
-  }
-  free_block(arena_, base_, std::size_t{cap_} * kTokenBytes);
-  base_ = nb;
+  const std::size_t new_cap = Arena::usable_size(want * 8) / 8;
+  auto* nw = static_cast<std::uint64_t*>(arena_->allocate(new_cap * 8));
+  if (size_ > 0) std::memcpy(nw, words_, std::size_t{size_} * 8);
+  arena_->deallocate(words_, std::size_t{cap_} * 8);
+  words_ = nw;
   cap_ = static_cast<std::uint32_t>(new_cap);
 }
 
 // Handoff capacity keeps the WC alignment contract: a multiple of 16
-// tokens, so the dst column (cap * 8) and meta column (cap * 12) byte
-// offsets are multiples of 64 and every column base is line-aligned.
-// Growth copies whole old columns (cap_ elements, not size_): the WC
-// front end stages committed lines PAST size_ and only publishes the
-// count at wc_commit time, so everything up to the old capacity may be
-// live. Copying the garbage tail is in-bounds and harmless.
+// tokens, so the dst column's byte offset (cap * 8) is a multiple of 64
+// and both column bases are line-aligned. Growth copies whole old columns
+// (cap_ elements, not size_): the WC front end stages committed lines PAST
+// size_ and only publishes the count at wc_commit time, so everything up
+// to the old capacity may be live. Copying the garbage tail is in-bounds
+// and harmless.
 void TokenSoup::HandoffBucket::grow(std::size_t min_cap) {
   std::size_t want = std::size_t{cap_} * 2;
   if (want < min_cap) want = min_cap;
@@ -69,13 +62,12 @@ void TokenSoup::HandoffBucket::grow(std::size_t min_cap) {
     if (new_cap >= min_cap) break;
     want += 16;
   }
-  std::byte* nb = alloc_block(arena_, new_cap * kTokenBytes);
+  auto* nb = static_cast<std::byte*>(arena_->allocate(new_cap * kTokenBytes));
   if (cap_ > 0) {
     std::memcpy(nb, base_, std::size_t{cap_} * 8);
     std::memcpy(nb + new_cap * 8, dst(), std::size_t{cap_} * 4);
-    std::memcpy(nb + new_cap * 12, meta(), std::size_t{cap_} * 2);
   }
-  free_block(arena_, base_, std::size_t{cap_} * kTokenBytes);
+  arena_->deallocate(base_, std::size_t{cap_} * kTokenBytes);
   base_ = nb;
   cap_ = static_cast<std::uint32_t>(new_cap);
 }
@@ -95,22 +87,38 @@ void TokenSoup::on_attach(Network& net_ref) {
   length_ = churnstore::walk_length(n, config_);
   cap_ = churnstore::forward_cap(n, config_);
   tau_ = churnstore::tau_rounds(n, config_);
-  assert(length_ <= kMaxSteps && "walk length must fit the packed meta");
+  if (!(config_.t_mult >= 0) || length_ > kMaxSteps) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "walk-t=%g sets a walk length of %.0f steps at n=%u; a "
+                  "walk token's step field holds 1 to %u",
+                  config_.t_mult,
+                  std::round(config_.t_mult *
+                             std::log(std::max<std::uint32_t>(n, 3))),
+                  n, kMaxSteps);
+    throw std::invalid_argument(msg);
+  }
   const ShardPlan& plan = net().shards();
   const std::uint32_t shards = plan.count();
   // Token queues and handoff buckets are arena-backed: a queue draws from
   // the arena of the shard owning its vertex, a bucket from its SOURCE
   // shard's arena — always the task that grows it. Queues are pre-sized to
-  // the expected steady load (walks * length tokens in flight per vertex):
-  // without this, warm-up grows every queue through the same doubling
-  // chain in lockstep, stranding each abandoned size class in the
-  // freelists (~0.5 GB of dead blocks at n=1M).
+  // the steady load: without this, warm-up grows every queue through the
+  // same doubling chain in lockstep, stranding each abandoned size class
+  // in the freelists (~0.5 GB of dead blocks at n=1M). A vertex holds
+  // about walks * length tokens in flight, a near-Poisson count, so the
+  // reserve sits four standard deviations above it. A reserve at the mean
+  // let a queue's peaks regrow it, leaving its first block idle on a
+  // freelist but resident: that was +4% maxrss at n=4096.
+  const double load = static_cast<double>(walks_) * length_;
+  const auto queue_reserve =
+      static_cast<std::size_t>(std::ceil(load + 4 * std::sqrt(load)));
   cur_.clear();
   cur_.reserve(n);
   for (Vertex v = 0; v < n; ++v) {
     Arena* a = &net().shard_arena(plan.shard_of(v));
     cur_.emplace_back(a);
-    cur_.back().reserve(static_cast<std::size_t>(walks_) * length_);
+    cur_.back().reserve(queue_reserve);
   }
   // Destination pages: the merge refill is a data-dependent scatter into
   // the token queues, and at n=1M those queues span hundreds of MB — a
@@ -120,7 +128,7 @@ void TokenSoup::on_attach(Network& net_ref) {
   // dst page), and let the merge walk page by page so every queue touch
   // lands in a cache-resident window.
   const std::uint64_t per_vertex_bytes =
-      static_cast<std::uint64_t>(walks_) * length_ * TokenQueue::kTokenBytes +
+      static_cast<std::uint64_t>(walks_) * length_ * sizeof(std::uint64_t) +
       64;
   constexpr std::uint64_t kMergeWindowBytes = 3u << 19;  // ~1.5 MB of L2
   page_shift_ = 0;
@@ -185,8 +193,17 @@ void TokenSoup::on_churn(Vertex v, PeerId, PeerId) {
 }
 
 void TokenSoup::inject_probe(Vertex v, std::uint64_t tag, std::uint32_t steps) {
-  assert(steps >= 1 && steps <= kMaxSteps);
-  cur_[v].push_back(tag, pack_meta(steps, /*probe=*/true));
+  if (tag > kMaxPeerId) {
+    throw std::invalid_argument("probe tag " + std::to_string(tag) +
+                                " does not fit a walk token's 48-bit source "
+                                "field");
+  }
+  if (steps < 1 || steps > kMaxSteps) {
+    throw std::invalid_argument("probe of " + std::to_string(steps) +
+                                " steps; a walk token's step field holds 1 "
+                                "to " + std::to_string(kMaxSteps));
+  }
+  cur_[v].push_back(pack(tag, steps, /*probe=*/true));
   ++alive_[net().shards().shard_of(v)];
 }
 
@@ -215,9 +232,9 @@ void TokenSoup::on_round_begin() {
 // Hot-loop shape: the whole per-vertex draw batch is generated up front
 // (stream_fill_below — same stream, same draws as the former per-token
 // next_below loop, so trajectories are bit-identical), the neighbor row
-// base pointer and degree are hoisted, and the loop body reads the two
-// token columns as flat streams. The only branch that matters is the
-// completion check (taken once per walk_length forwards).
+// base pointer and degree are hoisted, and the loop body reads the token
+// words as one flat stream. A step is `word - 2`; the only branch that
+// matters is the completion check (taken once per walk_length forwards).
 // shardcheck:sharded-hook(phase-1 forward core; runs on shard s's task from on_round_begin(s))
 template <class EmitMove, class EmitDone>
 void TokenSoup::forward_range(std::uint32_t s, Vertex v0, Vertex v1,
@@ -226,39 +243,34 @@ void TokenSoup::forward_range(std::uint32_t s, Vertex v0, Vertex v1,
   const std::uint32_t d = g.degree();
   ShardCounters& counters = counters_[s];
   std::uint32_t* draws = draws_[s].data();
-  const std::uint16_t spawn_meta = pack_meta(length_, /*probe=*/false);
   for (Vertex v = v0; v < v1; ++v) {
     TokenQueue& q = cur_[v];
     if (v + 1 < v1) {
       // The next queue's block lives elsewhere in the arena; start its
-      // head lines early while this vertex's batch drains.
-      const TokenQueue& nq = cur_[v + 1];
-      prefetch_read(nq.src());
-      prefetch_read(nq.meta());
+      // head line early while this vertex's batch drains.
+      prefetch_read(cur_[v + 1].words());
     }
     if (spawning_) {
-      q.append_n(net().peer_at(v), spawn_meta, walks_);
+      q.append_n(pack(net().peer_at(v), length_, /*probe=*/false), walks_);
     }
     const std::size_t size = q.size();
     const std::size_t fwd = std::min<std::size_t>(size, cap_);
+    const std::uint64_t* words = q.words();
     if (fwd > 0) {
       stream_fill_below(round_key_, v, d, draws, fwd);
       const Vertex* row = g.row(v);
-      const std::uint64_t* srcs = q.src();
-      const std::uint16_t* metas = q.meta();
       for (std::size_t j = 0; j < fwd; ++j) {
-        const std::uint64_t src = srcs[j];
-        const std::uint32_t meta = static_cast<std::uint32_t>(metas[j]) - 2;
+        const std::uint64_t w = words[j] - 2;
         const Vertex u = row[draws[j]];
-        if (meta < 2) {  // steps_left hit zero: the token completes at u
+        if ((w & kStepMask) == 0) {  // steps_left hit zero: completes at u
           ++counters.completed;
-          if (meta & kProbeBit) {
-            probes_[s].push_back(ProbeDone{src, u});
+          if (w & kProbeBit) {
+            probes_[s].push_back(ProbeDone{w >> kSourceShift, u});
           } else {
-            emit_done(src, u);
+            emit_done(w >> kSourceShift, u);
           }
         } else {
-          emit_move(src, u, static_cast<std::uint16_t>(meta));
+          emit_move(w, u);
         }
       }
     }
@@ -266,13 +278,9 @@ void TokenSoup::forward_range(std::uint32_t s, Vertex v0, Vertex v1,
       // Cap-delayed tokens stay at v: route them through v's own page
       // bucket so the merge interleaves them at v's canonical source
       // position (identical queue order for every shard count). Their
-      // meta is undecremented, hence always >= 2.
+      // words are unstepped, so steps_left stays >= 1.
       counters.queued += size - fwd;
-      const std::uint64_t* srcs = q.src();
-      const std::uint16_t* metas = q.meta();
-      for (std::size_t j = fwd; j < size; ++j) {
-        emit_move(srcs[j], v, metas[j]);
-      }
+      for (std::size_t j = fwd; j < size; ++j) emit_move(words[j], v);
     }
     fwd_count_[v] = static_cast<std::uint32_t>(fwd);
     q.clear();
@@ -292,18 +300,14 @@ void TokenSoup::on_round_begin(std::uint32_t s, ShardContext& ctx) {
     auto& wc = wc_[s];
     forward_range(
         s, v0, v1,
-        [&](std::uint64_t src, Vertex u, std::uint16_t m) {
-          wc.push(u >> page_shift, src, u, m);
-        },
+        [&](std::uint64_t w, Vertex u) { wc.push(u >> page_shift, w, u); },
         emit_done);
     wc.flush_all();
   } else {
     HandoffBucket* mv = moves_.data() + static_cast<std::size_t>(s) * pages_;
     forward_range(
         s, v0, v1,
-        [&](std::uint64_t src, Vertex u, std::uint16_t m) {
-          mv[u >> page_shift].push_back(src, u, m);
-        },
+        [&](std::uint64_t w, Vertex u) { mv[u >> page_shift].push_back(w, u); },
         emit_done);
   }
 }
@@ -339,14 +343,10 @@ void TokenSoup::merge_shard(std::uint32_t dst, Round r) {
   // cursor scatter. That trades a second sequential read of the bucket for
   // dropping the per-token queue-header load, capacity branch, and size
   // writeback — the cursor array is a few KB and stays in L1 while the
-  // token columns stream through the page's L2 window. Order per queue is
-  // unchanged: buckets are visited src-shard-major exactly as before, and
-  // each cursor advances in bucket scan order.
+  // token words stream through the page's L2 window, one write stream per
+  // queue. Order per queue is unchanged: buckets are visited src-shard-major
+  // exactly as before, and each cursor advances in bucket scan order.
   const std::uint32_t span = std::uint32_t{1} << page_shift_;
-  struct Cursor {
-    std::uint64_t* s;
-    std::uint16_t* m;
-  };
   // Scratch draws from this shard's arena (alloc and free both happen on
   // this task): after the first round both pops come off the freelist, so
   // the refill stays heap-quiet instead of paying two mallocs per shard
@@ -354,8 +354,8 @@ void TokenSoup::merge_shard(std::uint32_t dst, Round r) {
   Arena* arena = &net().shard_arena(dst);
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> cnt(
       span, ArenaAllocator<std::uint32_t>(arena));
-  std::vector<Cursor, ArenaAllocator<Cursor>> cursor(
-      span, ArenaAllocator<Cursor>(arena));
+  std::vector<std::uint64_t*, ArenaAllocator<std::uint64_t*>> cursor(
+      span, ArenaAllocator<std::uint64_t*>(arena));
   for (std::uint32_t p = p0; p <= p1; ++p) {
     const std::uint64_t pstart = std::uint64_t{p} << page_shift_;
     const std::uint64_t pend = std::uint64_t{p + 1} << page_shift_;
@@ -380,19 +380,17 @@ void TokenSoup::merge_shard(std::uint32_t dst, Round r) {
         if (cnt[lv] == 0) continue;
         TokenQueue& q = cur_[static_cast<Vertex>(pstart) + lv];
         const std::uint32_t off = q.extend_for_refill(cnt[lv]);
-        cursor[lv] = Cursor{q.src() + off, q.meta() + off};
+        cursor[lv] = q.words() + off;  // after the extend: it may regrow
+
       }
       for (std::uint32_t src = 0; src < shards; ++src) {
         const HandoffBucket& bucket =
             moves_[static_cast<std::size_t>(src) * pages_ + p];
-        const std::uint64_t* hsrc = bucket.src();
+        const std::uint64_t* hwords = bucket.words();
         const Vertex* hdst = bucket.dst();
-        const std::uint16_t* hmeta = bucket.meta();
         const std::size_t m = bucket.size();
         for (std::size_t i = 0; i < m; ++i) {
-          Cursor& c = cursor[hdst[i] - static_cast<Vertex>(pstart)];
-          *c.s++ = hsrc[i];
-          *c.m++ = hmeta[i];
+          *cursor[hdst[i] - static_cast<Vertex>(pstart)]++ = hwords[i];
         }
       }
     } else {
@@ -400,13 +398,12 @@ void TokenSoup::merge_shard(std::uint32_t dst, Round r) {
         const HandoffBucket& bucket =
             moves_[static_cast<std::size_t>(src) * pages_ + p];
         const std::size_t m = bucket.size();
-        const std::uint64_t* hsrc = bucket.src();
+        const std::uint64_t* hwords = bucket.words();
         const Vertex* hdst = bucket.dst();
-        const std::uint16_t* hmeta = bucket.meta();
         for (std::size_t i = 0; i < m; ++i) {
           const Vertex w = hdst[i];
           if (w < vbegin || w >= vend) continue;
-          cur_[w].push_back(hsrc[i], hmeta[i]);
+          cur_[w].push_back(hwords[i]);
           ++alive;
         }
       }

@@ -19,6 +19,7 @@
 // read its tau() during their own on_attach).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,6 +44,8 @@ class TokenSoup final : public Protocol {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "token-soup";
   }
+  /// Throws std::invalid_argument when the walk length (walk-t x ln n)
+  /// does not fit a token's 15-bit step field.
   void on_attach(Network& net) override;
 
   /// One round (driven by Protocol::step()): spawn new walks, move tokens,
@@ -78,6 +81,9 @@ class TokenSoup final : public Protocol {
   /// --- probe interface ---------------------------------------------------
   /// Injects a tagged walk of `steps` steps starting at `v` (start counts as
   /// position before the first step). Completion calls the probe hook.
+  /// The tag rides in the token word's source field: a tag above
+  /// kMaxPeerId, or steps outside [1, 32767], throws
+  /// std::invalid_argument.
   void inject_probe(Vertex v, std::uint64_t tag, std::uint32_t steps);
 
   /// hook(tag, destination_vertex, completion_round)
@@ -99,77 +105,51 @@ class TokenSoup final : public Protocol {
   [[nodiscard]] const WalkConfig& config() const noexcept { return config_; }
 
  private:
-  /// --- structure-of-arrays token storage ----------------------------------
-  /// Tokens are stored as parallel columns, not structs: an 8-byte
-  /// src_or_tag column (source PeerId, or tag for probes) plus a 2-byte
-  /// packed meta column holding `steps_left:15 | probe:1`
-  /// (meta = steps_left << 1 | probe). Versus the former 16-byte
-  /// array-of-structs element (12 bytes + padding) that is 10 bytes per
-  /// queued token and 14 per staged handoff (which adds a 4-byte dst
-  /// column) — a 25-37% cut of the two buffers that transiently hold every
-  /// live token, and the phase-1 drain becomes pure streaming reads of
-  /// flat arrays.
-  ///
-  /// Both containers pack ALL their columns into a SINGLE arena block
-  /// (src first, then dst where present, then meta — alignment decreases,
-  /// so every column is naturally aligned). One block per container keeps
-  /// the bookkeeping at one size + one capacity branch per push (a
-  /// vector-per-column design pays that per column), and capacity is
-  /// derived from Arena::usable_size, so the size-class rounding slack
-  /// becomes extra token capacity instead of waste. Allocation goes
-  /// through the owning shard's arena exactly as before, preserving the
-  /// zero-heap-calls steady state.
-
-  /// meta packing: steps_left in the high 15 bits, probe flag in bit 0.
-  /// Decrementing a step is `meta - 2`; "just completed" is `meta < 2`.
-  static constexpr std::uint16_t kProbeBit = 1;
-  static constexpr std::uint16_t kMaxSteps = 0x7fff;
-  [[nodiscard]] static constexpr std::uint16_t pack_meta(
-      std::uint32_t steps_left, bool probe) noexcept {
-    return static_cast<std::uint16_t>((steps_left << 1) |
-                                      (probe ? kProbeBit : 0));
+  /// --- token words -------------------------------------------------------
+  /// A token is one 64-bit word wherever it sits (queue, handoff bucket, WC
+  /// staging line): `source << 16 | steps_left << 1 | probe`. The source is
+  /// the walk's origin PeerId, or the tag of a probe, and must fit 48 bits
+  /// (kMaxPeerId); steps_left:15 and the probe flag fill the low half-word.
+  /// Every queued token has steps_left >= 1, so a step is `word - 2` and
+  /// never borrows from the source; "just completed" is a zero step field.
+  /// Moving a token copies 8 bytes and unpacks nothing.
+  static constexpr std::uint64_t kProbeBit = 1;
+  static constexpr std::uint64_t kStepMask = 0xfffe;
+  static constexpr std::uint32_t kSourceShift = 16;
+  static constexpr std::uint32_t kMaxSteps = 0x7fff;
+  [[nodiscard]] static constexpr std::uint64_t pack(
+      std::uint64_t source, std::uint32_t steps_left, bool probe) noexcept {
+    return source << kSourceShift | std::uint64_t{steps_left} << 1 |
+           (probe ? kProbeBit : 0);
   }
 
-  /// Arena-backed queue: bound to the arena of the shard owning its vertex.
-  /// Columns: src (8 B), meta (2 B) — 10 bytes per token in one block.
+  /// Arena-backed queue of token words, bound to the arena of the shard
+  /// owning its vertex: one block, 8 bytes per token. Capacity is derived
+  /// from Arena::usable_size, so the size-class rounding slack becomes
+  /// extra token capacity instead of waste, and allocation goes through the
+  /// shard's arena, preserving the zero-heap-calls steady state.
   struct TokenQueue {
-    static constexpr std::size_t kTokenBytes =
-        sizeof(std::uint64_t) + sizeof(std::uint16_t);
-
     explicit TokenQueue(Arena* a) noexcept : arena_(a) {}
     TokenQueue(TokenQueue&& o) noexcept
-        : base_(o.base_), size_(o.size_), cap_(o.cap_), arena_(o.arena_) {
-      o.base_ = nullptr;
+        : words_(o.words_), size_(o.size_), cap_(o.cap_), arena_(o.arena_) {
+      o.words_ = nullptr;
       o.size_ = o.cap_ = 0;
     }
     TokenQueue(const TokenQueue&) = delete;
     TokenQueue& operator=(const TokenQueue&) = delete;
-    ~TokenQueue() { free_block(arena_, base_, cap_ * kTokenBytes); }
+    ~TokenQueue() { arena_->deallocate(words_, std::size_t{cap_} * 8); }
 
-    [[nodiscard]] std::uint64_t* src() const noexcept {
-      return reinterpret_cast<std::uint64_t*>(base_);
-    }
-    [[nodiscard]] std::uint16_t* meta() const noexcept {
-      return reinterpret_cast<std::uint16_t*>(base_ +
-                                              std::size_t{cap_} * 8);
-    }
+    [[nodiscard]] std::uint64_t* words() const noexcept { return words_; }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-    void push_back(std::uint64_t s, std::uint16_t m) {
+    void push_back(std::uint64_t w) {
       if (size_ == cap_) grow(size_ + 1);
-      src()[size_] = s;
-      meta()[size_] = m;
-      ++size_;
+      words_[size_++] = w;
     }
-    /// Append k copies of (s, m) — the per-round spawn burst.
-    void append_n(std::uint64_t s, std::uint16_t m, std::uint32_t k) {
+    /// Append k copies of w — the per-round spawn burst.
+    void append_n(std::uint64_t w, std::uint32_t k) {
       if (size_ + k > cap_) grow(size_ + k);
-      std::uint64_t* sp = src() + size_;
-      std::uint16_t* mp = meta() + size_;
-      for (std::uint32_t i = 0; i < k; ++i) {
-        sp[i] = s;
-        mp[i] = m;
-      }
+      std::fill_n(words_ + size_, k, w);
       size_ += k;
     }
     void reserve(std::size_t k) {
@@ -190,16 +170,11 @@ class TokenSoup final : public Protocol {
    private:
     void grow(std::size_t min_cap);
 
-    std::byte* base_ = nullptr;
+    std::uint64_t* words_ = nullptr;
     std::uint32_t size_ = 0;
     std::uint32_t cap_ = 0;
     Arena* arena_ = nullptr;
   };
-
-  /// Single-block alloc/free helpers shared by the SoA containers; every
-  /// queue and bucket gets its shard's arena at attach.
-  static std::byte* alloc_block(Arena* a, std::size_t bytes);
-  static void free_block(Arena* a, std::byte* p, std::size_t bytes) noexcept;
 
   WalkConfig config_;
   /// Salt of the per-(round, vertex) RNG streams; forked once at attach
@@ -227,17 +202,16 @@ class TokenSoup final : public Protocol {
   ProbeHook probe_hook_;
 
   /// --- per-round sharded staging (reused across rounds) -------------------
-  /// Handoff buckets are the same SoA columns as the queues plus a dst
-  /// column (14 bytes per staged token, was 16 packed / 24 padded): the
-  /// buckets transiently hold every moving token, so every byte here is
-  /// multiplied by the full in-flight population. Pre-sized at attach to
-  /// the expected steady split so steady-state rounds never reallocate
-  /// (the doubling of a hundreds-of-MB column kept old+new alive at once
-  /// and showed up as a maxrss spike at n=1M).
-  /// Columns: src (8 B), dst (4 B), meta (2 B) in one block.
+  /// Handoff buckets hold the token word plus a dst column (12 bytes per
+  /// staged token): the buckets transiently hold every moving token, so
+  /// every byte here is multiplied by the full in-flight population. Both
+  /// columns share one arena block (words first, then dst). Pre-sized at
+  /// attach to the expected steady split so steady-state rounds never
+  /// reallocate (the doubling of a hundreds-of-MB column kept old+new alive
+  /// at once and showed up as a maxrss spike at n=1M).
   struct HandoffBucket {
     static constexpr std::size_t kTokenBytes =
-        sizeof(std::uint64_t) + sizeof(Vertex) + sizeof(std::uint16_t);
+        sizeof(std::uint64_t) + sizeof(Vertex);
 
     explicit HandoffBucket(Arena* a) noexcept : arena_(a) {}
     HandoffBucket(HandoffBucket&& o) noexcept
@@ -247,25 +221,20 @@ class TokenSoup final : public Protocol {
     }
     HandoffBucket(const HandoffBucket&) = delete;
     HandoffBucket& operator=(const HandoffBucket&) = delete;
-    ~HandoffBucket() { free_block(arena_, base_, cap_ * kTokenBytes); }
+    ~HandoffBucket() { arena_->deallocate(base_, cap_ * kTokenBytes); }
 
-    [[nodiscard]] std::uint64_t* src() const noexcept {
+    [[nodiscard]] std::uint64_t* words() const noexcept {
       return reinterpret_cast<std::uint64_t*>(base_);
     }
     [[nodiscard]] Vertex* dst() const noexcept {
       return reinterpret_cast<Vertex*>(base_ + std::size_t{cap_} * 8);
     }
-    [[nodiscard]] std::uint16_t* meta() const noexcept {
-      return reinterpret_cast<std::uint16_t*>(base_ +
-                                              std::size_t{cap_} * 12);
-    }
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-    void push_back(std::uint64_t s, Vertex d, std::uint16_t m) {
+    void push_back(std::uint64_t w, Vertex d) {
       if (size_ == cap_) grow(size_ + 1);
-      src()[size_] = s;
+      words()[size_] = w;
       dst()[size_] = d;
-      meta()[size_] = m;
       ++size_;
     }
     void reserve(std::size_t k) {
@@ -277,7 +246,7 @@ class TokenSoup final : public Protocol {
     /// WcScatter writes committed lines PAST size_ into capacity space and
     /// only publishes the element count at epilogue time via wc_commit.
     /// The alignment contract (64-byte block base, capacity a multiple of
-    /// 16 so all three column bases are line-aligned) is upheld by grow().
+    /// 16 so both column bases are line-aligned) is upheld by grow().
     void wc_reserve(std::uint32_t min_cap) {
       if (min_cap > cap_) grow(min_cap);
     }
@@ -362,10 +331,10 @@ class TokenSoup final : public Protocol {
   std::vector<WcScatter<HandoffBucket>> wc_;
 
   /// Phase-1 forward core, shared by both scatter paths: spawns, draws,
-  /// and walks the vertex range [v0, v1), calling emit_move(src, u, meta)
-  /// for surviving handoffs (meta >= 2, already decremented; cap-delayed
-  /// leftovers keep their undecremented meta, also >= 2) and
-  /// emit_done(src, u) for non-probe completions. Probe completions and
+  /// and walks the vertex range [v0, v1), calling emit_move(word, u) for
+  /// surviving handoffs (already stepped; cap-delayed leftovers keep their
+  /// unstepped word, so every staged word has steps_left >= 1) and
+  /// emit_done(source, u) for non-probe completions. Probe completions and
   /// counters are handled inside. Hook-only helper: runs on shard s's task.
   template <class EmitMove, class EmitDone>
   void forward_range(std::uint32_t s, Vertex v0, Vertex v1,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "util/heap_sentinel.h"
 #include "walk/token_soup.h"
 
 namespace churnstore {
@@ -13,6 +14,14 @@ namespace {
 using Sources = std::vector<PeerId>;
 
 Sources sources(SampleView view) { return Sources(view.begin(), view.end()); }
+
+/// recent_distinct through a fresh PeerList, as a vector to compare.
+Sources distinct(const VertexSamples& samples, std::size_t k,
+                 std::span<const PeerId> exclude = {}) {
+  PeerList out;
+  samples.recent_distinct(k, out, exclude);
+  return out.to_vector();
+}
 
 /// A store over n vertices in `shards` shards, one page per
 /// 2^page_shift vertices.
@@ -155,7 +164,7 @@ TEST(SampleStore, BirthRoundHidesEarlierRounds) {
   EXPECT_TRUE(born4.at(3).empty());
   EXPECT_EQ(born4.count_at(4), 1u);
   EXPECT_EQ(born4.total(), 2u);
-  EXPECT_EQ(born4.recent_distinct(0), (Sources{5, 4}));
+  EXPECT_EQ(distinct(born4, 0), (Sources{5, 4}));
   EXPECT_TRUE(s.at(0, /*born=*/6).empty()) << "joined after the newest round";
   EXPECT_EQ(s.at(0, /*born=*/0).total(), 5u);
 }
@@ -184,7 +193,7 @@ TEST(SampleStore, ChurnedVertexSeesOnlyItsBirthRoundOnward) {
   for (const Vertex v : churned) {
     EXPECT_EQ(net.birth_round(v), born);
     EXPECT_TRUE(soup.samples(v).empty()) << "vertex " << v;
-    EXPECT_TRUE(soup.samples(v).recent_distinct(0).empty());
+    EXPECT_TRUE(distinct(soup.samples(v), 0).empty());
   }
   soup.step();
   std::size_t fresh = 0;
@@ -204,8 +213,8 @@ TEST(SampleStore, RecentDistinctNewestFirst) {
     s.store.stage(0, 0, static_cast<PeerId>(10 * r));
     s.file(r);
   }
-  EXPECT_EQ(s.at(0).recent_distinct(2), (Sources{30, 20}));
-  EXPECT_EQ(s.at(0).recent_distinct(0), (Sources{30, 20, 10}));
+  EXPECT_EQ(distinct(s.at(0), 2), (Sources{30, 20}));
+  EXPECT_EQ(distinct(s.at(0), 0), (Sources{30, 20, 10}));
 }
 
 TEST(SampleStore, RecentDistinctDeduplicates) {
@@ -217,8 +226,8 @@ TEST(SampleStore, RecentDistinctDeduplicates) {
   s.file(2);
   for (const PeerId p : {30, 7}) s.store.stage(0, 0, p);
   s.file(3);
-  EXPECT_EQ(s.at(0).recent_distinct(0), (Sources{30, 7, 20, 8, 10}));
-  EXPECT_EQ(s.at(0).recent_distinct(4), (Sources{30, 7, 20, 8}));
+  EXPECT_EQ(distinct(s.at(0), 0), (Sources{30, 7, 20, 8, 10}));
+  EXPECT_EQ(distinct(s.at(0), 4), (Sources{30, 7, 20, 8}));
 }
 
 TEST(SampleStore, RecentDistinctHonorsExclusions) {
@@ -228,11 +237,39 @@ TEST(SampleStore, RecentDistinctHonorsExclusions) {
   for (const PeerId p : {4, 1}) s.store.stage(0, 0, p);
   s.file(2);
   const Sources exclude{2, 4};
-  EXPECT_EQ(s.at(0).recent_distinct(0, exclude), (Sources{1, 3}));
+  EXPECT_EQ(distinct(s.at(0), 0, exclude), (Sources{1, 3}));
   const PeerId self = 1;
-  EXPECT_EQ(s.at(0).recent_distinct(2, std::span(&self, 1)),
-            (Sources{4, 2}));
-  EXPECT_TRUE(s.at(0).recent_distinct(0, Sources{1, 2, 3, 4}).empty());
+  EXPECT_EQ(distinct(s.at(0), 2, std::span(&self, 1)), (Sources{4, 2}));
+  EXPECT_TRUE(distinct(s.at(0), 0, Sources{1, 2, 3, 4}).empty());
+}
+
+TEST(SampleStore, RecentDistinctReusesCallerStorageAndNeverCapsK) {
+  // 100 distinct sources over two rounds: more than PeerList holds inline,
+  // so the request spills instead of stopping at the inline capacity.
+  Store s(1, 1, 16, /*window=*/8, /*per_vertex=*/64);
+  for (PeerId p = 1; p <= 60; ++p) s.store.stage(0, 0, p);
+  s.file(1);
+  for (PeerId p = 61; p <= 100; ++p) s.store.stage(0, 0, p);
+  s.file(2);
+  PeerList out;
+  s.at(0).recent_distinct(0, out);
+  ASSERT_EQ(out.size(), 100u);
+  EXPECT_EQ(out[0], 61u) << "newest round first";
+  EXPECT_EQ(out[40], 1u);
+  s.at(0).recent_distinct(70, out);
+  EXPECT_EQ(out.size(), 70u) << "a k past the inline capacity is honoured";
+  // A second call replaces the contents; a small request stays inline and
+  // so makes no heap call.
+  PeerList small;
+  const HeapSentinel::Totals before = HeapSentinel::thread_totals();
+  s.at(0).recent_distinct(2, small);
+  const HeapSentinel::Totals used = HeapSentinel::thread_totals() - before;
+  EXPECT_EQ(small.to_vector(), (Sources{61, 62}));
+  if (HeapSentinel::available()) {
+    EXPECT_EQ(used.allocs, 0u);
+  }
+  s.at(0).recent_distinct(1, small);
+  EXPECT_EQ(small.to_vector(), (Sources{61}));
 }
 
 TEST(SampleStore, RingWrapsAround500Rounds) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "stats/divergence.h"
 
@@ -109,6 +112,70 @@ TEST(TokenSoup, ProbesCompleteInExactlyTStepsWithoutCapPressure) {
   EXPECT_EQ(done_round, start + 9);
 }
 
+TEST(TokenSoup, ProbeWithTheLargestTagCompletesCarryingIt) {
+  // A token keeps its source (a probe's tag) in the top 48 bits of its
+  // word: the largest tag must come back whole, with nothing bled in from
+  // the step field or the probe flag.
+  Network net(net_config(64));
+  TokenSoup soup(net, WalkConfig{});
+  soup.set_spawning(false);
+  std::vector<std::uint64_t> tags;
+  soup.set_probe_hook(
+      [&](std::uint64_t tag, Vertex, Round) { tags.push_back(tag); });
+  net.begin_round();
+  soup.inject_probe(5, kMaxPeerId, 7);
+  soup.inject_probe(9, 1, 1);
+  for (int i = 0; i < 10 && tags.size() < 2; ++i) {
+    if (i > 0) net.begin_round();
+    soup.step();
+    net.deliver();
+  }
+  EXPECT_EQ(tags, (std::vector<std::uint64_t>{1, kMaxPeerId}));
+}
+
+TEST(TokenSoup, ProbeTagAbove48BitsIsRejected) {
+  Network net(net_config(64));
+  TokenSoup soup(net, WalkConfig{});
+  EXPECT_THROW(soup.inject_probe(0, kMaxPeerId + 1, 4), std::invalid_argument);
+  EXPECT_THROW(soup.inject_probe(0, ~std::uint64_t{0}, 4),
+               std::invalid_argument);
+  EXPECT_EQ(soup.tokens_alive(), 0u);
+}
+
+TEST(TokenSoup, ProbeStepsOutsideTheStepFieldAreRejected) {
+  Network net(net_config(64));
+  TokenSoup soup(net, WalkConfig{});
+  EXPECT_THROW(soup.inject_probe(0, 1, 0), std::invalid_argument);
+  EXPECT_THROW(soup.inject_probe(0, 1, 32768), std::invalid_argument);
+  EXPECT_EQ(soup.tokens_alive(), 0u);
+  soup.inject_probe(0, 1, 32767);  // the largest step count still fits
+  EXPECT_EQ(soup.tokens_alive(), 1u);
+}
+
+TEST(TokenSoup, WalkLengthOutsideTheStepFieldIsRejected) {
+  // n=16: walk-t=12000 asks for 33,271 steps, one past the 15-bit step
+  // field by far; a negative walk-t asks for a negative length. Both must
+  // fail at attach, naming walk-t, in every build.
+  for (const double t_mult : {12000.0, -1.0}) {
+    Network net(net_config(16));
+    WalkConfig wc;
+    wc.t_mult = t_mult;
+    try {
+      TokenSoup soup(net, wc);
+      ADD_FAILURE() << "walk-t=" << t_mult << " attached";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("walk-t"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest length that fits still attaches: lround(t * ln 16) = 32767.
+  Network net(net_config(16));
+  WalkConfig wc;
+  wc.t_mult = 32767.0 / std::log(16.0);
+  TokenSoup soup(net, wc);
+  EXPECT_EQ(soup.walk_length(), 32767u);
+}
+
 TEST(TokenSoup, SamplesAreRecordedWithSources) {
   Network net(net_config(64));
   TokenSoup soup(net, WalkConfig{});
@@ -121,7 +188,8 @@ TEST(TokenSoup, SamplesAreRecordedWithSources) {
   for (Vertex v = 0; v < 64; ++v) total += soup.samples(v).total();
   EXPECT_GT(total, 0u);
   // Every recorded source must be (or have been) a real peer id.
-  const auto recent = soup.samples(0).recent_distinct(0);
+  PeerList recent;
+  soup.samples(0).recent_distinct(0, recent);
   for (const PeerId p : recent) EXPECT_NE(p, kNoPeer);
 }
 

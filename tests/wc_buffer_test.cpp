@@ -18,8 +18,8 @@ namespace churnstore {
 namespace {
 
 /// Minimal bucket satisfying the WC contract with the engine's column
-/// layout (u64 src at 0, u32 dst at cap*8, u16 meta at cap*12 — one
-/// 64-byte-aligned block, capacity a multiple of 16).
+/// layout (u64 token word at 0, u32 dst at cap*8 — one 64-byte-aligned
+/// block, capacity a multiple of 16).
 class TestBucket {
  public:
   TestBucket() = default;
@@ -32,22 +32,18 @@ class TestBucket {
   TestBucket& operator=(const TestBucket&) = delete;
   ~TestBucket() { ::operator delete(base_, std::align_val_t{64}); }
 
-  std::uint64_t* src() const noexcept {
+  std::uint64_t* words() const noexcept {
     return reinterpret_cast<std::uint64_t*>(base_);
   }
   std::uint32_t* dst() const noexcept {
     return reinterpret_cast<std::uint32_t*>(base_ + std::size_t{cap_} * 8);
   }
-  std::uint16_t* meta() const noexcept {
-    return reinterpret_cast<std::uint16_t*>(base_ + std::size_t{cap_} * 12);
-  }
   std::size_t size() const noexcept { return size_; }
 
-  void push_back(std::uint64_t s, std::uint32_t d, std::uint16_t m) {
+  void push_back(std::uint64_t w, std::uint32_t d) {
     if (size_ == cap_) grow(size_ + 1);
-    src()[size_] = s;
+    words()[size_] = w;
     dst()[size_] = d;
-    meta()[size_] = m;
     ++size_;
   }
   void wc_reserve(std::uint32_t min_cap) {
@@ -62,14 +58,12 @@ class TestBucket {
     if (new_cap < min_cap) new_cap = min_cap;
     new_cap = (new_cap + 15u) & ~15u;
     auto* nb = static_cast<std::byte*>(
-        ::operator new(std::size_t{new_cap} * 14, std::align_val_t{64}));
+        ::operator new(std::size_t{new_cap} * 12, std::align_val_t{64}));
     if (cap_ > 0) {
       // Whole old columns, like the engine bucket: WC stages lines past
       // size_, so everything up to the old capacity may be live.
       std::memcpy(nb, base_, std::size_t{cap_} * 8);
       std::memcpy(nb + std::size_t{new_cap} * 8, dst(), std::size_t{cap_} * 4);
-      std::memcpy(nb + std::size_t{new_cap} * 12, meta(),
-                  std::size_t{cap_} * 2);
     }
     ::operator delete(base_, std::align_val_t{64});
     base_ = nb;
@@ -83,15 +77,14 @@ class TestBucket {
 
 struct Record {
   std::uint32_t bucket;
-  std::uint64_t src;
+  std::uint64_t word;
   std::uint32_t dst;
-  std::uint16_t meta;
 };
 
 /// Deterministic stream generator (no engine RNG: this test is about byte
 /// order, not distributions). The mix covers the adversarial shapes:
 /// all-to-one bursts, strict round-robin, skewed hot buckets, and runs
-/// whose per-bucket totals land on and around the 8/16/32 line quanta.
+/// whose per-bucket totals land on and around the 8/16 line quanta.
 std::vector<Record> adversarial_stream(std::uint32_t buckets,
                                        std::uint32_t count,
                                        std::uint64_t salt) {
@@ -123,8 +116,7 @@ std::vector<Record> adversarial_stream(std::uint32_t buckets,
           if (b % 3 != 0) b = hot;  // 2/3 of draws collapse onto hot
           break;
       }
-      out.push_back(Record{b, next(), static_cast<std::uint32_t>(next()),
-                           static_cast<std::uint16_t>(next() & 0xffff)});
+      out.push_back(Record{b, next(), static_cast<std::uint32_t>(next())});
     }
   }
   return out;
@@ -137,12 +129,10 @@ void expect_buckets_identical(const std::vector<TestBucket>& got,
     ASSERT_EQ(got[b].size(), want[b].size()) << "bucket " << b;
     const std::size_t m = got[b].size();
     if (m == 0) continue;  // empty buckets may have no block at all
-    EXPECT_EQ(std::memcmp(got[b].src(), want[b].src(), m * 8), 0)
-        << "src column diverged in bucket " << b;
+    EXPECT_EQ(std::memcmp(got[b].words(), want[b].words(), m * 8), 0)
+        << "word column diverged in bucket " << b;
     EXPECT_EQ(std::memcmp(got[b].dst(), want[b].dst(), m * 4), 0)
         << "dst column diverged in bucket " << b;
-    EXPECT_EQ(std::memcmp(got[b].meta(), want[b].meta(), m * 2), 0)
-        << "meta column diverged in bucket " << b;
   }
 }
 
@@ -154,8 +144,8 @@ void run_identity(std::uint32_t buckets, std::uint32_t count,
   WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), buckets);
   for (const Record& r : stream) {
-    direct[r.bucket].push_back(r.src, r.dst, r.meta);
-    scatter.push(r.bucket, r.src, r.dst, r.meta);
+    direct[r.bucket].push_back(r.word, r.dst);
+    scatter.push(r.bucket, r.word, r.dst);
   }
   scatter.flush_all();
   expect_buckets_identical(wc, direct);
@@ -168,12 +158,14 @@ TEST(WcScatter, ByteIdenticalToDirectPushesOverAdversarialStreams) {
 }
 
 TEST(WcScatter, PartialLinesAndEpilogueFlushEveryResidue) {
-  // One bucket per target count: every residue class of the 8/16/32 line
-  // quanta, so each epilogue shape (no tail, col0-only tail, col0+col1,
-  // all three) is hit exactly.
-  const std::uint32_t counts[] = {0,  1,  7,  8,  9,  15, 16, 17,
-                                  23, 24, 31, 32, 33, 63, 64, 100};
-  const std::uint32_t buckets = std::size(counts);
+  // One bucket per target count: every count from 0 to 48 (each residue of
+  // the 8-word and 16-dst line quanta, with zero, one and two full lines
+  // ahead of the tail), plus a few longer runs. Each epilogue shape (no
+  // tail, word-only tail, dst-only tail, both) is hit.
+  std::vector<std::uint32_t> counts;
+  for (std::uint32_t c = 0; c <= 48; ++c) counts.push_back(c);
+  for (const std::uint32_t c : {63u, 64u, 65u, 100u}) counts.push_back(c);
+  const auto buckets = static_cast<std::uint32_t>(counts.size());
   std::vector<TestBucket> direct(buckets);
   std::vector<TestBucket> wc(buckets);
   WcScatter<TestBucket> scatter;
@@ -181,10 +173,10 @@ TEST(WcScatter, PartialLinesAndEpilogueFlushEveryResidue) {
   std::uint64_t v = 0;
   for (std::uint32_t b = 0; b < buckets; ++b) {
     for (std::uint32_t i = 0; i < counts[b]; ++i, ++v) {
-      direct[b].push_back(v, static_cast<std::uint32_t>(v * 3),
-                          static_cast<std::uint16_t>(v * 7));
-      scatter.push(b, v, static_cast<std::uint32_t>(v * 3),
-                   static_cast<std::uint16_t>(v * 7));
+      // Words span all 64 bits, as packed tokens do (source in the top 48).
+      const std::uint64_t word = (v << 16 | v * 7) ^ (v << 47);
+      direct[b].push_back(word, static_cast<std::uint32_t>(v * 3));
+      scatter.push(b, word, static_cast<std::uint32_t>(v * 3));
     }
   }
   for (std::uint32_t b = 0; b < buckets; ++b) {
@@ -212,8 +204,8 @@ TEST(WcScatter, ReusableAcrossPhasesAfterClear) {
     const auto stream =
         adversarial_stream(buckets, 997 + 31 * phase, 100 + phase);
     for (const Record& r : stream) {
-      direct[r.bucket].push_back(r.src, r.dst, r.meta);
-      scatter.push(r.bucket, r.src, r.dst, r.meta);
+      direct[r.bucket].push_back(r.word, r.dst);
+      scatter.push(r.bucket, r.word, r.dst);
     }
     scatter.flush_all();
     expect_buckets_identical(wc, direct);
@@ -228,16 +220,13 @@ TEST(WcScatter, GrowthUnderStagingKeepsCommittedLines) {
   WcScatter<TestBucket> scatter;
   scatter.attach(wc.data(), 1);
   for (std::uint64_t v = 0; v < 5000; ++v) {
-    direct.push_back(v, static_cast<std::uint32_t>(v ^ 0xabcd),
-                     static_cast<std::uint16_t>(v));
-    scatter.push(0, v, static_cast<std::uint32_t>(v ^ 0xabcd),
-                 static_cast<std::uint16_t>(v));
+    direct.push_back(v << 16 | v, static_cast<std::uint32_t>(v ^ 0xabcd));
+    scatter.push(0, v << 16 | v, static_cast<std::uint32_t>(v ^ 0xabcd));
   }
   scatter.flush_all();
   ASSERT_EQ(wc[0].size(), direct.size());
-  EXPECT_EQ(std::memcmp(wc[0].src(), direct.src(), direct.size() * 8), 0);
+  EXPECT_EQ(std::memcmp(wc[0].words(), direct.words(), direct.size() * 8), 0);
   EXPECT_EQ(std::memcmp(wc[0].dst(), direct.dst(), direct.size() * 4), 0);
-  EXPECT_EQ(std::memcmp(wc[0].meta(), direct.meta(), direct.size() * 2), 0);
 }
 
 }  // namespace
