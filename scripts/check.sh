@@ -194,6 +194,24 @@ PYEOF
     echo "smoke: the walk-t=12000 error does not name walk-t"
     exit 1
   }
+  # A negative walk rate or window once wrapped an unsigned count into a
+  # multi-GB reserve and died with a bare std::bad_alloc; each must exit 1
+  # naming its key. The address-space cap keeps a regression from taking
+  # the host's memory with it.
+  for bad in "walk-rate=-1:walk-rate" "walk-window=-1:walk-window"; do
+    arg="${bad%:*}"
+    key="${bad##*:}"
+    echo "== smoke: soup $TINY probes=2 $arg must exit 1 naming $key"
+    status=0
+    # shellcheck disable=SC2086
+    (ulimit -v 4000000; "$DRIVER" --scenario=soup $TINY probes=2 "$arg") \
+      >/dev/null 2>"$OBS_DIR/walk_range.err" || status=$?
+    [[ "$status" == "1" ]] || { echo "smoke: soup $arg exited $status, want 1"; exit 1; }
+    grep -q "$key" "$OBS_DIR/walk_range.err" || {
+      echo "smoke: the $arg error does not name $key"
+      exit 1
+    }
+  done
   # A common key the scenario pins or sweeps itself must exit 1 naming it,
   # never print the same table as the run without it.
   for pinned in "mixing probes=2000 edge=static:edge" \

@@ -567,7 +567,7 @@ Message ChordNetProtocol::make_lookup(PeerId src, PeerId dst,
   for (std::size_t i = lk.dead.size() - n; i < lk.dead.size(); ++i) {
     m.words.push_back(lk.dead[i]);
   }
-  m.trace_id = lk.trace;  // 0 (untraced) costs nothing; see Message::size_bits
+  m.set_trace_id(lk.trace);  // 0 (untraced) costs nothing; see Message::size_bits
   return m;
 }
 
@@ -756,7 +756,7 @@ bool ChordNetProtocol::advance_fetch(Vertex v, Lookup& lk, Round now,
     m.dst = c.peer;
     m.type = MsgType::kChordFetch;
     m.words = {lk.key, lk.token};
-    m.trace_id = lk.trace;
+    m.set_trace_id(lk.trace);
     ctx.send(v, std::move(m));
     lk.hop = c.peer;
     lk.sent = now;
@@ -835,7 +835,7 @@ void ChordNetProtocol::send_transfer(Vertex v, PeerId to, ItemId item,
   m.dst = to;
   m.type = MsgType::kChordTransfer;
   m.words = {item, primary ? std::uint64_t{1} : 0, ack_token};
-  m.blob.assign(bytes.data(), bytes.data() + bytes.size());
+  m.set_blob(bytes);
   ctx.send(v, std::move(m));
   ++st.transfers;
 }
@@ -918,13 +918,13 @@ bool ChordNetProtocol::on_message(Vertex v, const Message& m,
           fwd.dst = next.peer;
           fwd.type = MsgType::kChordLookup;
           fwd.words = m.words;  // key/token/want/origin/dead ride along
-          fwd.trace_id = m.trace_id;
+          fwd.set_trace_id(m.trace_id());
           ctx.send(v, std::move(fwd));
           ++st.hop_messages;
-          if (m.trace_id != 0) {
+          if (m.trace_id() != 0) {
             // Router-side hop: the trace id rides the message, so forwards
             // made far from the initiator still land in its span.
-            ctx.trace(make_trace_event(m.trace_id, net().round(), v,
+            ctx.trace(make_trace_event(m.trace_id(), net().round(), v,
                                        kHopForward, 0,
                                        want_data ? RequestClass::kChordSearch
                                                  : RequestClass::kChordStore,
@@ -1079,8 +1079,7 @@ bool ChordNetProtocol::on_message(Vertex v, const Message& m,
       const bool found = it != keys_[v].end();
       reply.words = {item, m.words[1], found ? std::uint64_t{1} : 0};
       if (found) {
-        reply.blob.assign(it->second.bytes.data(),
-                          it->second.bytes.data() + it->second.bytes.size());
+        reply.set_blob(it->second.bytes);
       }
       ctx.send(v, std::move(reply));
       return true;
@@ -1093,11 +1092,11 @@ bool ChordNetProtocol::on_message(Vertex v, const Message& m,
         Lookup& lk = list[i];
         if (lk.token != token || !lk.fetching) continue;
         const bool found = m.words[2] != 0 &&
-                           verify_payload(lk.key, m.blob.data(),
-                                          m.blob.size());
+                           verify_payload(lk.key, m.blob().data(),
+                                          m.blob().size());
         bool finished;
         if (found) {
-          finish_search_success(v, lk, now, m.blob.data(), m.blob.size(),
+          finish_search_success(v, lk, now, m.blob().data(), m.blob().size(),
                                 ctx, st);
           finished = true;
         } else {
@@ -1116,7 +1115,7 @@ bool ChordNetProtocol::on_message(Vertex v, const Message& m,
       const ItemId item = m.words[0];
       Replica& rep = keys_[v][item];
       // shardcheck:ok(R6: replica payload copied once per transfer message, O(item bytes))
-      rep.bytes.assign(m.blob.data(), m.blob.data() + m.blob.size());
+      rep.bytes.assign(m.blob().begin(), m.blob().end());
       rep.refreshed = now;
       if (m.words[1] != 0 && s.joined &&
           (s.pred == kNoPeer || in_oc(s.pred_id, item, s.id))) {

@@ -100,7 +100,7 @@ void FloodingStore::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
       msg.dst = net().peer_at(g.neighbor(v, i));
       msg.type = MsgType::kFloodData;
       msg.words = {item};
-      msg.payload_bits = options_.item_bits;
+      msg.set_payload_bits(options_.item_bits);
       ctx.send(v, std::move(msg));
     }
   }

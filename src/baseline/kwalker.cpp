@@ -44,7 +44,7 @@ bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
     msg.dst = t;
     msg.type = MsgType::kFloodData;
     msg.words = {item};
-    msg.payload_bits = options_.item_bits;
+    msg.set_payload_bits(options_.item_bits);
     net().send(creator, std::move(msg));
     // Place synchronously for the god view (the message also charges cost).
     if (const auto tv = net().find_vertex(t)) held_[*tv].insert(item);

@@ -35,7 +35,7 @@ bool SqrtReplication::try_store(Vertex creator, ItemId item) {
     msg.dst = t;
     msg.type = MsgType::kFloodData;  // reuse: "store this replica"
     msg.words = {item};
-    msg.payload_bits = options_.item_bits;
+    msg.set_payload_bits(options_.item_bits);
     net().send(creator, std::move(msg));
   }
   placed_[item] = targets.to_vector();

@@ -52,7 +52,7 @@ Membership decode_membership(const Message& m) {
       m.words.begin() + kMembersAt,
       m.words.begin() + kMembersAt + static_cast<std::ptrdiff_t>(count));
   // shardcheck:ok(R6: payload decode from an invite/confirm message: O(item bytes) per event)
-  mem.payload.assign(m.blob.begin(), m.blob.end());
+  mem.payload.assign(m.blob().begin(), m.blob().end());
   return mem;
 }
 
@@ -192,6 +192,7 @@ bool CommitteeManager::create(Vertex creator, std::uint64_t kid,
     msg.src = net().peer_at(creator);
     msg.dst = members[i];
     msg.type = MsgType::kCommitteeInvite;
+    msg.words.reserve(12 + members.size());
     msg.words = {kid,
                  static_cast<std::uint64_t>(purpose),
                  item,
@@ -206,7 +207,7 @@ bool CommitteeManager::create(Vertex creator, std::uint64_t kid,
                  payload.size()};
     msg.words.push_back(members.size());
     msg.words.insert(msg.words.end(), members.begin(), members.end());
-    msg.blob = erasure ? pieces[i].bytes : payload;
+    msg.set_blob(erasure ? pieces[i].bytes : payload);
     net().send(creator, std::move(msg));
   }
   net().metrics().count_committee_formed();
@@ -293,6 +294,7 @@ void CommitteeManager::confirm_committee(Vertex v, Membership& m, Round now,
     msg.src = self;
     msg.dst = m.accepted[i];
     msg.type = MsgType::kCommitteeConfirm;
+    msg.words.reserve(12 + m.accepted.size());
     msg.words = {m.kid,
                  static_cast<std::uint64_t>(m.purpose),
                  m.item,
@@ -308,7 +310,8 @@ void CommitteeManager::confirm_committee(Vertex v, Membership& m, Round now,
                  erasure ? m.original_size : full_payload.size()};
     msg.words.push_back(m.accepted.size());
     msg.words.insert(msg.words.end(), m.accepted.begin(), m.accepted.end());
-    msg.blob = (erasure && i < pieces.size()) ? pieces[i].bytes : full_payload;
+    msg.set_blob((erasure && i < pieces.size()) ? pieces[i].bytes
+                                                   : full_payload);
     ctx.send(v, std::move(msg));
   }
 
@@ -363,7 +366,7 @@ void CommitteeManager::run_cycle_phase(Vertex v, Membership& m, Round now,
                      erasure ? static_cast<std::uint64_t>(m.piece_index)
                              : kNoPiece,
                      m.ida_k, m.original_size};
-        if (erasure && m.piece_index != kNoPiece) msg.blob = m.payload;
+        if (erasure && m.piece_index != kNoPiece) msg.set_blob(m.payload);
         ctx.send(v, std::move(msg));
       }
       break;
@@ -563,7 +566,8 @@ bool CommitteeManager::on_message(Vertex v, const Message& m,
       const auto piece_index = static_cast<std::uint32_t>(m.words[2]);
       if (piece_index != kNoPiece) {
         // shardcheck:ok(R6: erasure piece gather: O(committee) per formation event)
-        mem.gathered_pieces.push_back(IdaPiece{piece_index, m.blob.to_vector()});
+        mem.gathered_pieces.push_back(IdaPiece{
+            piece_index, {m.blob().begin(), m.blob().end()}});
       }
       return true;
     }

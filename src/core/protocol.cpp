@@ -11,6 +11,10 @@ void Protocol::on_attach(Network& net) {
 }
 
 void Protocol::step() {
+  // The serial hooks build messages too (the committee merge's landmark
+  // rebuilds, search fetches); their out-of-line blocks go to the serial
+  // lane's arena. The shard tasks bind their own arenas over this.
+  const ScopedArenaBind serial(&net().serial_arena());
   on_round_begin();
   net().run_sharded([this](std::uint32_t s) {
     ShardContext ctx(net(), s);

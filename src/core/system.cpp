@@ -115,6 +115,7 @@ void P2PSystem::dispatch_inboxes() {
       }
     }
   });
+  const ScopedArenaBind serial(&net_->serial_arena());
   for (const auto& p : protocols_) p->on_dispatch_merge();
   // Each inbox is a view into the send lanes the messages were built in;
   // the replies go into the lanes deliver() emptied. Flush them NOW so next

@@ -81,6 +81,7 @@ void LandmarkManager::grow_children(Vertex v, LandmarkState& st,
     msg.src = self;
     msg.dst = child;
     msg.type = MsgType::kLandmarkGrow;
+    msg.words.reserve(7 + st.committee.size());
     msg.words = {st.kid,
                  st.item,
                  static_cast<std::uint64_t>(st.purpose),

@@ -34,7 +34,7 @@ Network::Network(const SimConfig& config)
                             : std::max(1u, std::thread::hardware_concurrency())),
       inbox_ends_(config.n, 0),
       metrics_(config.n, shards_.count()) {
-  arenas_.reserve(shards_.count());
+  arenas_.reserve(shards_.count() + 1);
   out_lanes_.reserve(shards_.count() + 1);
   inboxes_.reserve(shards_.count());
   for (std::uint32_t s = 0; s < shards_.count(); ++s) {
@@ -43,7 +43,8 @@ Network::Network(const SimConfig& config)
                             shards_.end(s));
     inboxes_.emplace_back(arenas_.back().get());
   }
-  out_lanes_.emplace_back(nullptr, 0, 0);  // the serial lane
+  arenas_.push_back(std::make_unique<Arena>());  // the serial lane's
+  out_lanes_.emplace_back(arenas_.back().get(), 0, 0);
   vertex_of_.init(config.n);
   for (Vertex v = 0; v < config_.n; ++v) {
     peer_at_[v] = next_peer_++;
@@ -116,14 +117,39 @@ const std::vector<Vertex>& Network::begin_round() {
   }
 
   // (3) Release the last delivery: its messages die here, in serial context,
-  // so their spilled words/blobs return to the arenas they came from.
+  // so their out-of-line blocks return to the arenas they came from.
   release_delivered();
   return last_churned_;
 }
 
 void Network::release_delivered() {
-  for (OutLane& lane : out_lanes_) lane.held.clear();
+  for (OutLane& lane : out_lanes_) lane.held.release();
   for (InboxShard& box : inboxes_) box.filed.clear();
+}
+
+Network::MessageLane::~MessageLane() {
+  release();
+  if (slots_ != nullptr) arena_->deallocate(slots_, cap_ * sizeof(Message));
+}
+
+void Network::MessageLane::release() noexcept {
+  for (const std::uint32_t i : spilled_) slots_[i].~Message();
+  spilled_.clear();
+  size_ = 0;
+}
+
+void Network::MessageLane::grow() {
+  // Arena blocks of a cache line or more are line-aligned, so every slot
+  // is one line. Moving a message copies its line and leaves the source
+  // without a block, so the old slots need no destruction.
+  const std::uint32_t cap = cap_ == 0 ? 64 : 2 * cap_;
+  auto* slots = static_cast<Message*>(arena_->allocate(cap * sizeof(Message)));
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    new (slots + i) Message(std::move(slots_[i]));
+  }
+  if (slots_ != nullptr) arena_->deallocate(slots_, cap_ * sizeof(Message));
+  slots_ = slots;
+  cap_ = cap;
 }
 
 void Network::send(Vertex from, const Message& m) { send(from, Message(m)); }
@@ -137,7 +163,7 @@ void Network::send(Vertex from, Message&& m) {
     const auto at = static_cast<std::uint32_t>(msgs.size());
     runs_.push_back(Run{serial, at, at});
   }
-  msgs.push_back(std::move(m));
+  msgs.push(std::move(m));
   ++runs_.back().end;
 }
 
@@ -150,14 +176,14 @@ void Network::send_sharded(std::uint32_t shard, Vertex from, Message&& m) {
   const std::uint64_t bits = m.size_bits();
   metrics_.charge_bits_local(from, bits, shard);
   lane.bits += bits;
-  lane.msgs.push_back(std::move(m));
+  lane.msgs.push(std::move(m));
 }
 
 void Network::run_sharded(const std::function<void(std::uint32_t)>& fn) {
   const std::uint32_t count = shards_.count();
-  // Each task runs with its shard's arena bound as the thread's SmallVec
-  // spill target, so messages built inside the task (including their
-  // spilled word/blob tails) draw from the shard arena, not the heap.
+  // Each task runs with its shard's arena bound as the thread's spill
+  // target, so messages built inside the task (their out-of-line blocks
+  // included) draw from the shard arena, not the heap.
   auto task = [this, &fn](std::uint32_t s) {
     ScopedArenaBind bind(arenas_[s].get());
     fn(s);
@@ -210,8 +236,9 @@ void Network::deliver() {
         metrics_.count_dropped();
         continue;
       }
-      metrics_.add_total_bits(m.size_bits());
-      inboxes_[shards_.shard_of(*v)].filed.emplace_back(&m, *v);
+      const auto bits = static_cast<std::uint32_t>(m.size_bits());
+      metrics_.add_total_bits(bits);
+      inboxes_[shards_.shard_of(*v)].filed.push_back(Filed{&m, *v, bits});
     }
   }
   runs_.clear();
@@ -238,16 +265,16 @@ void Network::deliver() {
       if (box.filed.empty()) return;
       std::uint32_t* ends = inbox_ends_.data();
       std::fill(ends + shards_.begin(s), ends + shards_.end(s), 0u);
-      for (const auto& [m, v] : box.filed) ++ends[v];
+      for (const Filed& f : box.filed) ++ends[f.v];
       std::uint32_t at = box.base;
       for (Vertex v = shards_.begin(s); v < shards_.end(s); ++v) {
         const std::uint32_t count = ends[v];
         ends[v] = at;
         at += count;
       }
-      for (const auto& [m, v] : box.filed) {
-        inbox_ptrs_[ends[v]++] = m;
-        metrics_.charge_bits_local(v, m->size_bits(), s);
+      for (const Filed& f : box.filed) {
+        inbox_ptrs_[ends[f.v]++] = f.m;
+        metrics_.charge_bits_local(f.v, f.bits, s);
       }
     });
   }

@@ -17,19 +17,23 @@
 //   3. deliver(): messages sent this round reach live targets by the end of
 //      the round; messages to churned-out peers vanish.
 //
-// The message pipe. A message is built once and never copied on its way to
-// the receiver: it stays in the lane it was sent on (one per shard, plus
-// one serial lane) until the round after it is dispatched. The canonical
-// outbox order is a list of (lane, first, end) runs — a serial send opens
-// or extends a serial run, each lane flush appends one run per non-empty
-// shard lane in ascending shard order. deliver() walks the runs once,
-// buckets (message pointer, vertex) by destination shard, and each
-// destination shard counting-sorts its bucket into a flat pointer array
-// with per-vertex end offsets, so every inbox is a slice of pointers in
-// outbox order. The delivered lane buffers are then swapped into per-lane
-// "held" buffers (no element moves, so the pointers stay valid), dispatch
-// reads them in place while its replies fill the emptied lanes, and the
-// next begin_round() destroys them.
+// The message pipe. A message is built once and moved into the lane it is
+// sent on (one per shard, plus one serial lane), a run of 64-byte slots in
+// the lane's arena, one cache line per message; it stays there until the
+// round after it is dispatched. The canonical outbox order is a list of
+// (lane, first, end) runs — a serial send opens or extends a serial run,
+// each lane flush appends one run per non-empty shard lane in ascending
+// shard order. deliver() walks the runs once, reading each message's dst
+// and charge from its line, and files (message pointer, vertex, bits) by
+// destination shard; each destination shard counting-sorts its bucket into
+// a flat pointer array with per-vertex end offsets, so every inbox is a
+// slice of pointers in outbox order, and charges each receiver from the
+// filed bits without touching the message again. The delivered lane buffers
+// are then swapped into per-lane "held" buffers (no element moves, so the
+// pointers stay valid), dispatch reads them in place while its replies fill
+// the emptied lanes, and the next begin_round() releases them: it destroys
+// only the messages that own an out-of-line block (each lane lists them),
+// which returns the blocks to the arenas they came from.
 //
 // Two hooks couple the network to the layers above it:
 //   add_churn_hook        — called for every replaced vertex slot
@@ -43,6 +47,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <new>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -276,6 +281,14 @@ class Network {
   [[nodiscard]] Arena& shard_arena(std::uint32_t s) noexcept {
     return *arenas_[s];
   }
+  /// The serial lane's arena: it holds the serial lane's slots, and the
+  /// round's serial hooks (Protocol::step, the dispatch merges) bind it
+  /// (ScopedArenaBind) so the out-of-line blocks of the messages they build
+  /// land here instead of on the global heap. Request entry points, which
+  /// run between rounds, do not: a burst of requests (the ledger preloads
+  /// 512 stores at once) would leave its peak resident in the arena.
+  /// Serial context only.
+  [[nodiscard]] Arena& serial_arena() noexcept { return *arenas_.back(); }
 
  private:
   void churn_vertex(Vertex v);
@@ -307,16 +320,64 @@ class Network {
   std::function<void(AdaptiveTargetQuery&)> adaptive_targeter_;
 
   ShardPlan shards_;
-  /// One arena per shard. Declared before every arena-backed container so
-  /// the containers are destroyed first (they return blocks to the arenas).
+  /// One arena per shard, then the serial lane's. Declared before every
+  /// arena-backed container so the containers are destroyed first (they
+  /// return blocks to the arenas).
   std::vector<std::unique_ptr<Arena>> arenas_;
 
-  using MessageLane = std::vector<Message, ArenaAllocator<Message>>;
-  /// One send lane: shard lanes draw from their shard's arena, the serial
-  /// lane (the last one) from the global heap. `msgs` holds what was sent
-  /// since the last deliver(); `held` holds what that deliver() filed, read
-  /// in place by dispatch until begin_round() destroys it. deliver() swaps
-  /// the two buffers, which moves no element.
+  /// A lane's messages: one 64-byte slot each, in line-aligned blocks of
+  /// the lane's arena. Slots are filled by moving a message in; release()
+  /// destroys only the messages listed in `spilled_` (those that own an
+  /// out-of-line block) and overwrites the rest in place next round.
+  class MessageLane {
+   public:
+    explicit MessageLane(Arena* a) noexcept
+        : arena_(a), spilled_(ArenaAllocator<std::uint32_t>(a)) {}
+    MessageLane(MessageLane&& o) noexcept
+        : arena_(o.arena_),
+          slots_(std::exchange(o.slots_, nullptr)),
+          size_(std::exchange(o.size_, 0)),
+          cap_(std::exchange(o.cap_, 0)),
+          spilled_(std::move(o.spilled_)) {}
+    MessageLane(const MessageLane&) = delete;
+    MessageLane& operator=(const MessageLane&) = delete;
+    MessageLane& operator=(MessageLane&&) = delete;
+    ~MessageLane();
+
+    [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+    [[nodiscard]] const Message& operator[](std::uint32_t i) const noexcept {
+      return slots_[i];
+    }
+    void push(Message&& m) {
+      if (size_ == cap_) grow();
+      const Message* at = new (slots_ + size_) Message(std::move(m));
+      if (at->words.spilled()) spilled_.push_back(size_);
+      ++size_;
+    }
+    /// Destroy the messages that own a block; empty the lane.
+    void release() noexcept;
+    void swap(MessageLane& o) noexcept {
+      std::swap(arena_, o.arena_);
+      std::swap(slots_, o.slots_);
+      std::swap(size_, o.size_);
+      std::swap(cap_, o.cap_);
+      spilled_.swap(o.spilled_);
+    }
+
+   private:
+    void grow();
+
+    Arena* arena_;
+    Message* slots_ = nullptr;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = 0;
+    std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> spilled_;
+  };
+  /// One send lane, drawing from its shard's arena (the serial lane, the
+  /// last one, from the serial arena). `msgs` holds what was sent since the
+  /// last deliver(); `held` holds what that deliver() filed, read in place
+  /// by dispatch until begin_round() releases it. deliver() swaps the two
+  /// buffers, which moves no element.
   struct OutLane {
     MessageLane msgs;
     MessageLane held;
@@ -329,8 +390,8 @@ class Network {
     Vertex hi = 0;              ///< send_sharded check (empty for serial)
 
     OutLane(Arena* a, Vertex begin, Vertex end)
-        : msgs(ArenaAllocator<Message>(a)),
-          held(ArenaAllocator<Message>(a)),
+        : msgs(a),
+          held(a),
           charges(ArenaAllocator<std::pair<Vertex, std::uint64_t>>(a)),
           lo(begin),
           hi(end) {}
@@ -341,16 +402,21 @@ class Network {
     std::uint32_t first = 0;
     std::uint32_t end = 0;
   };
-  /// Per destination shard: the delivered (message, vertex) pairs in outbox
-  /// order, and where the shard's slice of inbox_ptrs_ starts.
+  /// One delivered message: where it is, who receives it, and its charge
+  /// (below 2^32 bits, see WordList), so the receiver charge never reads
+  /// the message again.
+  struct Filed {
+    const Message* m;
+    Vertex v;
+    std::uint32_t bits;
+  };
+  /// Per destination shard: the delivered messages in outbox order, and
+  /// where the shard's slice of inbox_ptrs_ starts.
   struct InboxShard {
-    std::vector<std::pair<const Message*, Vertex>,
-                ArenaAllocator<std::pair<const Message*, Vertex>>>
-        filed;
+    std::vector<Filed, ArenaAllocator<Filed>> filed;
     std::uint32_t base = 0;  ///< first slot in inbox_ptrs_
 
-    explicit InboxShard(Arena* a)
-        : filed(ArenaAllocator<std::pair<const Message*, Vertex>>(a)) {}
+    explicit InboxShard(Arena* a) : filed(ArenaAllocator<Filed>(a)) {}
   };
 
   /// shards_.count() shard lanes, then the serial lane.

@@ -101,6 +101,7 @@ void SearchManager::reply_if_holder(Vertex v, ItemId item, std::uint64_t sid,
   msg.src = net().peer_at(v);
   msg.dst = to;
   msg.type = MsgType::kInquiryHit;
+  msg.words.reserve(3 + holders.size());
   msg.words = {item, sid, holders.size()};
   msg.words.insert(msg.words.end(), holders.begin(), holders.end());
   ctx.send(v, std::move(msg));
@@ -270,6 +271,7 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       reply.src = net().peer_at(v);
       reply.dst = m.src;
       reply.type = MsgType::kFetchReply;
+      reply.words.reserve(6 + mem->members.size());
       reply.words = {item,
                      m.words[1],
                      mem->piece_index,
@@ -278,7 +280,7 @@ bool SearchManager::on_message(Vertex v, const Message& m,
                      mem->members.size()};
       reply.words.insert(reply.words.end(), mem->members.begin(),
                          mem->members.end());
-      reply.blob = mem->payload;
+      reply.set_blob(mem->payload);
       ctx.send(v, std::move(reply));
       return true;
     }
@@ -297,9 +299,9 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       if (piece_index == kNoPiece) {
         status.fetched = net().round();
         status.fetch_ok =
-            rec && content_hash(m.blob.data(), m.blob.size()) == rec->hash;
+            rec && content_hash(m.blob().data(), m.blob().size()) == rec->hash;
         // shardcheck:ok(R6: fetched item payload copy: O(item bytes) per completed fetch)
-        status.fetched_data.assign(m.blob.begin(), m.blob.end());
+        status.fetched_data.assign(m.blob().begin(), m.blob().end());
         return true;
       }
       // Erasure mode: gather distinct pieces; holders list in the reply
@@ -316,7 +318,8 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       // shardcheck:ok(R6: distinct-piece tracking: O(ida_k) per active erasure fetch)
       if (st.piece_indices.insert(piece_index).second) {
         // shardcheck:ok(R6: gathered erasure pieces: O(ida_k x piece bytes) per active fetch)
-        st.pieces.push_back(IdaPiece{piece_index, m.blob.to_vector()});
+        st.pieces.push_back(
+            IdaPiece{piece_index, {m.blob().begin(), m.blob().end()}});
       }
       const auto ida_k = static_cast<std::uint32_t>(m.words[3]);
       const auto original_size = static_cast<std::size_t>(m.words[4]);

@@ -105,12 +105,13 @@ class Arena {
   }
 
   /// --- thread-bound spill target ----------------------------------------
-  /// SmallVec (inline-word messages, util/small_vec.h) spills into the
-  /// arena bound to the current thread, so message building inside a shard
-  /// task draws from that shard's arena without threading an allocator
-  /// through every protocol signature. Network::run_sharded binds each
-  /// task's shard arena for the task's duration (ScopedArenaBind below);
-  /// unbound contexts (serial prologues, tests) spill to the global heap.
+  /// Message blocks (net/message.h) and SmallVec spills (util/small_vec.h)
+  /// go to the arena bound to the current thread, so message building
+  /// inside a shard task draws from that shard's arena without threading
+  /// an allocator through every protocol signature. Network::run_sharded
+  /// binds each task's shard arena for the task's duration
+  /// (ScopedArenaBind below), serial protocol code binds the serial lane's
+  /// arena, and unbound contexts (tests, examples) spill to the global heap.
   [[nodiscard]] static Arena* current() noexcept { return current_; }
   /// Installs `a` as the current thread's spill arena; returns the previous
   /// binding so scopes nest.

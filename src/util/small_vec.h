@@ -1,22 +1,21 @@
 // Small-vector with N inline slots spilling to a per-shard Arena.
 //
-// Wire messages are the last hot-path allocator customers: every
-// invite/count/inquiry/probe used to carry its scalar words in a heap
-// std::vector even though almost all of them hold a handful of values. A
-// SmallVec stores up to N elements inside the object itself — the common
-// messages perform ZERO allocator calls end to end — and spills larger
-// payloads (member lists, item blobs) into the Arena bound to the current
-// shard task (Arena::current(), bound by Network::run_sharded), falling
-// back to the global heap in unbound serial contexts.
+// Per-call scratch lists on the round's hot paths (PeerList, the walk
+// samples a landmark or committee draws) usually hold a handful of values.
+// A SmallVec stores up to N elements inside the object itself — the common
+// case performs ZERO allocator calls — and spills larger lists into the
+// Arena bound to the current thread (Arena::current(): the shard arena
+// inside a task of Network::run_sharded, the serial lane's arena where
+// serial protocol code binds it), falling back to the global heap in
+// unbound contexts. Wire messages do not use it: a Message packs its words
+// and its out-of-line block into one 64-byte line (net/message.h), with the
+// same spill rule.
 //
 // Ownership/concurrency contract (same staging discipline as util/arena.h):
 // a spilled SmallVec remembers the arena its block came from and returns it
 // there on growth/destruction. Growth and destruction must therefore happen
 // either on the task that owns that arena or in serial context between
-// phases. The round engine satisfies this naturally: messages are built and
-// grown on one shard task, stay in that shard's send lane while they are
-// delivered and dispatched, and are destroyed serially when
-// Network::begin_round releases the held lanes.
+// phases.
 //
 // Only trivially copyable element types are supported: growth is memcpy,
 // destruction frees the block without element teardown, and moved-from
@@ -132,7 +131,7 @@ class SmallVec {
     size_ = static_cast<std::uint32_t>(n);
   }
 
-  /// End-insertion only (the one form wire-format builders use); keeps the
+  /// End-insertion only (the one form list builders use); keeps the
   /// growth path trivial. Forward iterators only: the range is measured
   /// first, then copied.
   template <std::forward_iterator It>

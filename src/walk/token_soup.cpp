@@ -87,15 +87,35 @@ void TokenSoup::on_attach(Network& net_ref) {
   length_ = churnstore::walk_length(n, config_);
   cap_ = churnstore::forward_cap(n, config_);
   tau_ = churnstore::tau_rounds(n, config_);
+  // The keys checked here feed unsigned casts (walks_per_round, the sample
+  // ring's slot count), so an out-of-range value must fail before it wraps
+  // into a multi-GB reserve.
+  const double ln_n = std::log(std::max<std::uint32_t>(n, 3));
+  char msg[200];
   if (!(config_.t_mult >= 0) || length_ > kMaxSteps) {
-    char msg[160];
     std::snprintf(msg, sizeof(msg),
                   "walk-t=%g sets a walk length of %.0f steps at n=%u; a "
                   "walk token's step field holds 1 to %u",
-                  config_.t_mult,
-                  std::round(config_.t_mult *
-                             std::log(std::max<std::uint32_t>(n, 3))),
-                  n, kMaxSteps);
+                  config_.t_mult, std::round(config_.t_mult * ln_n), n,
+                  kMaxSteps);
+    throw std::invalid_argument(msg);
+  }
+  if (!(config_.rate_mult >= 0) ||
+      std::round(config_.rate_mult * ln_n) > kMaxWalksPerRound) {
+    std::snprintf(msg, sizeof(msg),
+                  "walk-rate=%g sets %.0f walks per node per round at n=%u; "
+                  "a node starts 1 to %u walks a round (walk-rate 0 to %g "
+                  "at this n)",
+                  config_.rate_mult, std::round(config_.rate_mult * ln_n), n,
+                  kMaxWalksPerRound, kMaxWalksPerRound / ln_n);
+    throw std::invalid_argument(msg);
+  }
+  if (!(config_.window_mult >= 0) || config_.window_mult > kMaxWindowTaus) {
+    std::snprintf(msg, sizeof(msg),
+                  "walk-window=%g sets a sample window of %.0f rounds at "
+                  "n=%u; the window holds 0 to %g tau (walk-window 0 to %g)",
+                  config_.window_mult, config_.window_mult * tau_, n,
+                  kMaxWindowTaus, kMaxWindowTaus);
     throw std::invalid_argument(msg);
   }
   const ShardPlan& plan = net().shards();

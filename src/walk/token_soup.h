@@ -117,6 +117,15 @@ class TokenSoup final : public Protocol {
   static constexpr std::uint64_t kStepMask = 0xfffe;
   static constexpr std::uint32_t kSourceShift = 16;
   static constexpr std::uint32_t kMaxSteps = 0x7fff;
+  /// Walks a node starts per round: at most 65,535, so the forward cap
+  /// 2 * walks * length stays within 32 bits at any length the step field
+  /// allows.
+  static constexpr std::uint32_t kMaxWalksPerRound = 0xffff;
+  /// The sample retention window, in units of tau: at most 64, far past
+  /// the age at which a sample's source is likely still present, and few
+  /// enough rounds (64 * (32767 + 2) at the longest walk) for the sample
+  /// ring's 32-bit slot count.
+  static constexpr double kMaxWindowTaus = 64;
   [[nodiscard]] static constexpr std::uint64_t pack(
       std::uint64_t source, std::uint32_t steps_left, bool probe) noexcept {
     return source << kSourceShift | std::uint64_t{steps_left} << 1 |

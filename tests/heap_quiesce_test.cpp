@@ -11,10 +11,13 @@
 // full-stack test records the traffic instead of asserting silence.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -277,6 +280,60 @@ TEST(HeapQuiesceTracing, InstalledAndSampledTracingStaysHeapQuiet) {
     }
     net.set_trace_collector(nullptr);
   }
+}
+
+/// Sends, from its serial merge hook, one landmark grow per sixteenth vertex
+/// the way the committee merge's landmark rebuild does
+/// (LandmarkManager::start_tree): seven header words, then the committee's
+/// member list, so the words spill past the message's line.
+class SerialGrowProbe final : public Protocol {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "serial-grow";
+  }
+  void on_round_merge() override {
+    using churnstore::Message;
+    using churnstore::MsgType;
+    using churnstore::PeerId;
+    std::array<PeerId, 16> committee{};
+    for (std::size_t i = 0; i < committee.size(); ++i) committee[i] = i + 1;
+    for (churnstore::Vertex v = 0; v < net().n(); v += 16) {
+      Message msg;
+      msg.src = net().peer_at(v);
+      msg.dst = net().peer_at((v + 1) % net().n());
+      msg.type = MsgType::kLandmarkGrow;
+      msg.words = {v, 2, 3, 4, 5, 6, committee.size()};
+      msg.words.insert(msg.words.end(), committee.begin(), committee.end());
+      net().send(v, std::move(msg));
+    }
+  }
+};
+
+TEST(HeapQuiesceSerialSpill, SerialSendsPastTheInlineWordsAreHeapQuiet) {
+  // The round's serial hooks (Protocol::step's prologue and merge, the
+  // dispatch merges) spill message words into the serial lane's arena, not
+  // the global heap, so a steady stream of long serial sends allocates
+  // nothing.
+  if (!HeapQuiesceScope::supported()) {
+    GTEST_SKIP() << "sentinel unavailable: heap_stats() would read zero";
+  }
+  SystemConfig cfg;
+  cfg.sim.n = 256;
+  cfg.sim.seed = 5;
+  cfg.sim.shards = 4;
+  std::vector<std::unique_ptr<Protocol>> mods;
+  mods.push_back(std::make_unique<SerialGrowProbe>());
+  P2PSystem sys(cfg, std::move(mods));
+  sys.run_rounds(4);
+  ASSERT_GT(sys.network().metrics().total_messages(), 0u);
+
+  sys.reset_heap_stats();
+  constexpr std::uint32_t kRounds = 8;
+  sys.run_rounds(kRounds);
+  const churnstore::RoundHeapStats& hs = sys.heap_stats();
+  EXPECT_EQ(hs.rounds, kRounds);
+  EXPECT_EQ(hs.allocs, 0u) << "serial sends allocated " << hs.allocs
+                           << " times over " << kRounds << " rounds";
 }
 
 TEST(HeapQuiesceStack, FullStackTrafficIsMeasuredNotAsserted) {

@@ -6,6 +6,7 @@
 // from pooled shard tasks, drops, empty inboxes, and the send_sharded check.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -187,15 +188,41 @@ TEST(MessagePipe, DispatchReplyArrivesNextRoundAheadOfItsSendsAndIsChargedThere)
   }
 }
 
-/// Every fifth vertex sends, from its shard task, a 20-word message with a
-/// 40-byte blob (both past the inline capacity, so both spill to the shard
-/// arena); the receiver checks every word and byte.
+/// One message shape SpillProbe sends: its word count, blob bytes, opaque
+/// payload bits and whether it carries a trace id.
+struct Shape {
+  std::size_t words;
+  std::size_t blob;
+  std::uint64_t payload_bits;
+  bool traced;
+};
+
+/// A long list with a blob, the inline limit, one word past it, and each
+/// extra on its own: everything but the inline-limit shape spills.
+constexpr std::array<Shape, 6> kShapes = {{
+    {20, 40, 0, false},
+    {kInlineWords, 0, 0, false},
+    {kInlineWords + 1, 0, 0, false},
+    {2, 24, 0, false},
+    {2, 0, 777, false},
+    {2, 0, 0, true},
+}};
+
+/// The paper's charge for a shape, computed apart from Message::size_bits.
+std::uint64_t shape_bits(const Shape& sh) {
+  return 3 * 64 + 64 * sh.words + 8 * sh.blob + sh.payload_bits +
+         (sh.traced ? 64 : 0);
+}
+
+/// Every fifth vertex sends each shape from its shard task, and the vertex
+/// after it sends each shape from serial context (on_round_merge), so
+/// blocks spill into the shard arenas and the serial lane's arena alike.
+/// The receiver checks every word, byte, extra and the charge. The serial
+/// prologue, the first hook after begin_round released the last round,
+/// records every arena's bytes in use; on_dispatch_merge records them
+/// while the round's messages are alive.
 class SpillProbe final : public Protocol {
  public:
-  static constexpr std::size_t kWords = 20;
-  static constexpr std::size_t kBlob = 40;
-  static_assert(kWords > kInlineWords && kBlob > kInlineBlobBytes);
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "spill-probe";
   }
@@ -208,21 +235,49 @@ class SpillProbe final : public Protocol {
     return (std::uint64_t{from} << 32) ^
            (static_cast<std::uint64_t>(r) << 8) ^ i;
   }
+  static std::uint8_t byte(Vertex from, Round r, std::size_t i) {
+    return static_cast<std::uint8_t>(from + i + static_cast<std::size_t>(r));
+  }
+  Message build(Vertex v, std::size_t kind) const {
+    const Shape& sh = kShapes[kind];
+    const Round r = net().round();
+    Message m;
+    m.src = net().peer_at(v);
+    m.dst = net().peer_at((v * 7 + 3) % net().n());
+    m.type = MsgType::kProbe;
+    m.words.push_back(kind);
+    for (std::size_t i = 1; i < sh.words; ++i) m.words.push_back(word(v, r, i));
+    std::vector<std::uint8_t> bytes(sh.blob);
+    for (std::size_t i = 0; i < sh.blob; ++i) bytes[i] = byte(v, r, i);
+    m.set_blob(bytes);
+    m.set_payload_bits(sh.payload_bits);
+    if (sh.traced) m.set_trace_id(word(v, r, 99) | 1);
+    sent_bits_ += shape_bits(sh);
+    ++sent_;
+    return m;
+  }
+  /// Bytes in use in every shard arena, then the serial arena's.
+  std::vector<std::size_t> arena_bytes() const {
+    std::vector<std::size_t> out;
+    for (std::uint32_t s = 0; s < net().shards().count(); ++s) {
+      out.push_back(net().shard_arena(s).bytes_in_use());
+    }
+    out.push_back(net().serial_arena().bytes_in_use());
+    return out;
+  }
+  void on_round_begin() override { before_.push_back(arena_bytes()); }
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override {
     (void)shard;
-    const Round r = net().round();
     for (Vertex v = ctx.begin(); v < ctx.end(); ++v) {
       if (v % 5 != 0) continue;
-      Message m;
-      m.src = net().peer_at(v);
-      m.dst = net().peer_at((v * 7 + 3) % net().n());
-      m.type = MsgType::kProbe;
-      for (std::size_t i = 0; i < kWords; ++i) m.words.push_back(word(v, r, i));
-      for (std::size_t i = 0; i < kBlob; ++i) {
-        m.blob.push_back(static_cast<std::uint8_t>(v + i + r));
+      for (std::size_t k = 0; k < kShapes.size(); ++k) ctx.send(v, build(v, k));
+    }
+  }
+  void on_round_merge() override {
+    for (Vertex v = 1; v < net().n(); v += 5) {
+      for (std::size_t k = 0; k < kShapes.size(); ++k) {
+        net().send(v, build(v, k));
       }
-      ctx.send(v, std::move(m));
-      ++sent_;
     }
   }
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override {
@@ -231,16 +286,27 @@ class SpillProbe final : public Protocol {
     ++got_[s];
     const Vertex from = *net().find_vertex(m.src);
     const Round r = net().round();
-    bool ok = m.words.size() == kWords && m.blob.size() == kBlob;
-    for (std::size_t i = 0; ok && i < kWords; ++i) {
-      ok = m.words[i] == word(from, r, i);
-    }
-    for (std::size_t i = 0; ok && i < kBlob; ++i) {
-      ok = m.blob[i] == static_cast<std::uint8_t>(from + i + r);
+    const std::size_t kind = m.words.empty() ? kShapes.size() : m.words[0];
+    bool ok = kind < kShapes.size();
+    if (ok) {
+      const Shape& sh = kShapes[kind];
+      ok = m.words.size() == sh.words && m.blob().size() == sh.blob &&
+           m.payload_bits() == sh.payload_bits &&
+           m.trace_id() == (sh.traced ? word(from, r, 99) | 1 : 0) &&
+           m.size_bits() == shape_bits(sh) &&
+           m.words.spilled() == (kind != 1);
+      for (std::size_t i = 1; ok && i < sh.words; ++i) {
+        ok = m.words[i] == word(from, r, i);
+      }
+      for (std::size_t i = 0; ok && i < sh.blob; ++i) {
+        ok = m.blob()[i] == byte(from, r, i);
+      }
     }
     if (!ok) ++bad_[s];
     return true;
   }
+  void on_dispatch_merge() override { during_.push_back(arena_bytes()); }
+
   [[nodiscard]] std::uint64_t got() const {
     std::uint64_t sum = 0;
     for (const std::uint64_t g : got_) sum += g;
@@ -251,7 +317,11 @@ class SpillProbe final : public Protocol {
     for (const std::uint64_t b : bad_) sum += b;
     return sum;
   }
-  std::atomic<std::uint64_t> sent_{0};
+  mutable std::atomic<std::uint64_t> sent_{0};
+  mutable std::atomic<std::uint64_t> sent_bits_{0};
+  /// arena_bytes() per round: at the serial prologue, and after dispatch.
+  std::vector<std::vector<std::size_t>> before_;
+  std::vector<std::vector<std::size_t>> during_;
 
  private:
   std::vector<std::uint64_t> got_;  ///< per destination shard
@@ -260,9 +330,10 @@ class SpillProbe final : public Protocol {
 
 TEST(MessagePipe, SpilledWordsAndBlobsFromPooledShardTasksArriveIntact) {
   constexpr std::uint32_t kShards = 4;
+  constexpr std::uint32_t kN = 256;
   ThreadPool pool(kShards);
   SystemConfig cfg;
-  cfg.sim = pipe_config(256, kShards);
+  cfg.sim = pipe_config(kN, kShards);
   std::vector<std::unique_ptr<Protocol>> mods;
   auto probe_mod = std::make_unique<SpillProbe>();
   SpillProbe* raw = probe_mod.get();
@@ -271,21 +342,44 @@ TEST(MessagePipe, SpilledWordsAndBlobsFromPooledShardTasksArriveIntact) {
   sys.set_shard_pool(&pool);
   Network& net = sys.network();
 
-  sys.run_rounds(3);
+  constexpr std::uint32_t kWarm = 3;
+  constexpr std::uint32_t kRounds = 20;
+  sys.run_rounds(kWarm);
   std::vector<std::uint64_t> fresh;
   for (std::uint32_t s = 0; s < kShards; ++s) {
     fresh.push_back(net.shard_arena(s).fresh_blocks());
   }
-  sys.run_rounds(20);
+  fresh.push_back(net.serial_arena().fresh_blocks());
+  const std::uint64_t bits0 = net.metrics().total_bits();
+  const std::uint64_t sent_bits0 = raw->sent_bits_.load();
+  sys.run_rounds(kRounds);
+  sys.run_round();  // its begin_round releases the last measured round
   EXPECT_EQ(raw->bad(), 0u);
   // A round's sends are dispatched in the same round and nobody churns, so
-  // every message sent so far has arrived.
-  const std::uint64_t per_round = (256 + 4) / 5;
-  EXPECT_EQ(raw->sent_.load(), 23 * per_round);
-  EXPECT_EQ(raw->got(), 23 * per_round);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(net.shard_arena(s).fresh_blocks(), fresh[s])
-        << "shard " << s << " arena kept carving blocks: spills leak";
+  // every message sent so far has arrived, and each was charged its shape's
+  // bits once to the sender and once to the receiver.
+  const std::uint64_t senders = (kN + 4) / 5 + (kN + 3) / 5;  // v%5 = 0, 1
+  const std::uint64_t per_round = senders * kShapes.size();
+  EXPECT_EQ(raw->sent_.load(), (kWarm + kRounds + 1) * per_round);
+  EXPECT_EQ(raw->got(), (kWarm + kRounds + 1) * per_round);
+  EXPECT_EQ(net.metrics().total_bits() - bits0,
+            2 * (raw->sent_bits_.load() - sent_bits0));
+  for (std::uint32_t s = 0; s <= kShards; ++s) {
+    const std::uint64_t now = s < kShards ? net.shard_arena(s).fresh_blocks()
+                                          : net.serial_arena().fresh_blocks();
+    EXPECT_EQ(now, fresh[s]) << "arena " << s << " kept carving blocks";
+  }
+  // Once the lanes have their steady capacity, every arena holds spilled
+  // blocks while a round's messages are alive, and begin_round returns it
+  // to the bytes it had before that round sent anything.
+  ASSERT_EQ(raw->before_.size(), kWarm + kRounds + 1);
+  for (std::uint32_t r = kWarm; r < kWarm + kRounds; ++r) {
+    for (std::uint32_t a = 0; a <= kShards; ++a) {
+      EXPECT_GT(raw->during_[r][a], raw->before_[r][a])
+          << "round " << r << " arena " << a << " held no spilled block";
+      EXPECT_EQ(raw->before_[r + 1][a], raw->before_[r][a])
+          << "round " << r << " arena " << a << " kept bytes after release";
+    }
   }
 }
 

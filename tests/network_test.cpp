@@ -123,8 +123,9 @@ TEST(Network, BitAccountingChargesBothEnds) {
 
 TEST(Network, BlobCountsTowardSize) {
   Message m;
-  m.blob.assign(16, 0xFF);
-  m.payload_bits = 100;
+  const std::vector<std::uint8_t> bytes(16, 0xFF);
+  m.set_blob(bytes);
+  m.set_payload_bits(100);
   EXPECT_EQ(m.size_bits(), 3 * 64 + 16 * 8 + 100u);
 }
 

@@ -121,12 +121,12 @@ TEST(MessageTraceId, IsChargedSixtyFourBitsWhenSet) {
   m.dst = 2;
   m.type = MsgType::kProbe;
   m.words = {7, 8};
-  m.payload_bits = 100;
+  m.set_payload_bits(100);
   const std::uint64_t untraced = m.size_bits();
-  m.trace_id = 0xdeadbeefULL;
+  m.set_trace_id(0xdeadbeefULL);
   EXPECT_EQ(m.size_bits(), untraced + 64)
       << "a carried trace id must be paid for, not smuggled";
-  m.trace_id = 0;
+  m.set_trace_id(0);
   EXPECT_EQ(m.size_bits(), untraced);
 }
 

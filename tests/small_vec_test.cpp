@@ -1,11 +1,9 @@
-// SmallVec: inline storage for the common case, arena spill for the rest,
-// and bit-exact message size accounting on top of it.
+// SmallVec: inline storage for the common case, arena spill for the rest.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
-#include "net/message.h"
 #include "util/arena.h"
 #include "util/small_vec.h"
 
@@ -111,42 +109,6 @@ TEST(SmallVec, ScopedBindNestsAndRestores) {
     EXPECT_EQ(Arena::current(), &a);
   }
   EXPECT_EQ(Arena::current(), nullptr);
-}
-
-TEST(MessageSizeBits, AccountingIsIdenticalForInlineAndSpilledStorage) {
-  // The paper's charge model: header (src+dst+type) + 64 bits per word +
-  // 8 per blob byte + opaque payload bits — regardless of where the words
-  // physically live.
-  Message small;
-  small.words = {1, 2, 3};
-  small.payload_bits = 17;
-  EXPECT_FALSE(small.words.spilled());
-  EXPECT_EQ(small.size_bits(), 3 * 64 + 3 * 64 + 17u);
-
-  Message big;
-  for (std::uint64_t i = 0; i < 50; ++i) big.words.push_back(i);
-  big.blob.assign(100, std::uint8_t{0xAB});
-  EXPECT_TRUE(big.words.spilled());
-  EXPECT_TRUE(big.blob.spilled());
-  EXPECT_EQ(big.size_bits(), 3 * 64 + 50 * 64 + 100 * 8u);
-
-  // Copies and moves never change the charge.
-  const Message copy = big;
-  EXPECT_EQ(copy.size_bits(), big.size_bits());
-  const Message moved = std::move(big);
-  EXPECT_EQ(moved.size_bits(), copy.size_bits());
-}
-
-TEST(MessageSizeBits, CommonProtocolShapesStayInline) {
-  // Re-formation invites are the largest fixed-layout message (12 words);
-  // everything smaller — counts, accepts, inquiries, probes — must not
-  // touch an allocator at all.
-  Message invite;
-  invite.words = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  EXPECT_FALSE(invite.words.spilled());
-  Message inquiry;
-  inquiry.words = {42, 77};
-  EXPECT_FALSE(inquiry.words.spilled());
 }
 
 }  // namespace

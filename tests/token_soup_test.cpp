@@ -176,6 +176,52 @@ TEST(TokenSoup, WalkLengthOutsideTheStepFieldIsRejected) {
   EXPECT_EQ(soup.walk_length(), 32767u);
 }
 
+TEST(TokenSoup, WalkRateOutsideItsRangeIsRejected) {
+  // A negative walk-rate used to wrap walks_per_round's uint32 cast to
+  // ~4.29e9 walks per node, and 1e12 asks for trillions: both must fail at
+  // attach, naming walk-rate, before any queue is reserved.
+  for (const double rate : {-1.0, 1e12}) {
+    Network net(net_config(16));
+    WalkConfig wc;
+    wc.rate_mult = rate;
+    try {
+      TokenSoup soup(net, wc);
+      ADD_FAILURE() << "walk-rate=" << rate << " attached";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("walk-rate"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Zero still starts one walk per node per round.
+  Network net(net_config(16));
+  WalkConfig wc;
+  wc.rate_mult = 0;
+  TokenSoup soup(net, wc);
+  EXPECT_EQ(soup.walks_per_round(), 1u);
+}
+
+TEST(TokenSoup, WalkWindowOutsideItsRangeIsRejected) {
+  // A negative walk-window used to wrap the sample ring's slot count; a
+  // window past 64 tau is rejected too. Both name walk-window.
+  for (const double window : {-1.0, 65.0}) {
+    Network net(net_config(16));
+    WalkConfig wc;
+    wc.window_mult = window;
+    try {
+      TokenSoup soup(net, wc);
+      ADD_FAILURE() << "walk-window=" << window << " attached";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("walk-window"), std::string::npos)
+          << e.what();
+    }
+  }
+  Network net(net_config(16));
+  WalkConfig wc;
+  wc.window_mult = 0;
+  TokenSoup soup(net, wc);
+  EXPECT_GT(soup.tau(), 0u);
+}
+
 TEST(TokenSoup, SamplesAreRecordedWithSources) {
   Network net(net_config(64));
   TokenSoup soup(net, WalkConfig{});
