@@ -11,10 +11,10 @@
 //   bench_driver --scenario=chord                      # n=1024,4096
 //   bench_driver --scenario=chord n=10000,100000 json=true   # BENCH_chord
 //
-// Keys: chord-replication, chord-stabilize, chord-replicate, items,
-// searches, age-taus (taus of aging beyond the driver's fixed 2 tau) and
-// batches, at the defaults `bench_driver --list` shows. trials must be 1:
-// each cell is one run.
+// Keys: items, searches, age-taus (taus of aging beyond the driver's fixed
+// 2 tau) and batches, at the defaults `bench_driver --list` shows; Chord
+// itself runs at the stack builder's constants. trials must be 1: each
+// cell is one run.
 #include <cmath>
 #include <optional>
 

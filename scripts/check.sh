@@ -170,6 +170,23 @@ PYEOF
     echo "smoke: the probes=4 error does not name probes"
     exit 1
   }
+  # The stack knobs are constants of the stack builders, not keys: setting
+  # one must exit 1 naming it, never run the builder's value under its name.
+  for knob in "baselines walkers=8:walkers" \
+              "search chord-stabilize=4:chord-stabilize"; do
+    run="${knob%:*}"
+    key="${knob##*:}"
+    echo "== smoke: $run (with $TINY) must exit 1 naming $key"
+    status=0
+    # shellcheck disable=SC2086
+    "$DRIVER" --scenario=$run $TINY \
+      >/dev/null 2>"$OBS_DIR/stack_knob.err" || status=$?
+    [[ "$status" == "1" ]] || { echo "smoke: $run exited $status, want 1"; exit 1; }
+    grep -q "'$key'" "$OBS_DIR/stack_knob.err" || {
+      echo "smoke: the $run error does not name $key"
+      exit 1
+    }
+  done
   # adversary runs only the paper stack: another protocol= must exit 1
   # naming the key, never print churnstore's table under chord's name.
   echo "== smoke: adversary $TINY protocol=chord must exit 1 naming protocol"

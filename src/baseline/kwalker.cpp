@@ -116,6 +116,7 @@ void KWalkerSearch::on_round_begin() {
 }
 
 void KWalkerSearch::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
+  (void)ctx;  // walkers send nothing; their charges stage per shard
   if (walkers_.empty() || shard >= walker_plan_.count()) return;
   const RegularGraph& g = net().graph();
   const std::uint32_t d = g.degree();
@@ -132,7 +133,10 @@ void KWalkerSearch::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
     Rng rng = stream_rng(round_key, i);
     w.at = g.neighbor(w.at, static_cast<std::uint32_t>(rng.next_below(d)));
     --w.ttl;
-    ctx.charge(w.at, 64 + 64 + 16);  // item id + sid + ttl
+    // Processing charge (item id + sid + ttl), applied at the merge: w.at
+    // may be another shard's vertex.
+    // shardcheck:ok(R6: staged walker charges: O(active walkers) per round, amortized by vector capacity reuse)
+    stage.charges.emplace_back(w.at, 64 + 64 + 16);
     if (held_[w.at].count(w.item)) {
       // Same-round sibling hits resolve at the merge (first in canonical
       // walker order wins); the walker retires either way.
@@ -160,6 +164,10 @@ void KWalkerSearch::on_round_merge() {
     walkers_.insert(walkers_.end(), stage.survivors.begin(),
                     stage.survivors.end());
     stage.survivors.clear();
+    for (const auto& [v, bits] : stage.charges) {
+      net().charge_processing(v, bits);
+    }
+    stage.charges.clear();
   }
 
   // Resolve sampled probes (serial; traced_ is empty unless sampling hit):

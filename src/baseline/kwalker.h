@@ -40,9 +40,10 @@ class KWalkerSearch final : public Protocol, public StorageService {
   /// Sharded round: the serial prologue censors searches whose initiator
   /// churned out; walkers are global agents, so the round partitions the
   /// WALKER index range (not the vertex range) across the same shard count;
-  /// every walker draws from its own per-(round, index) stream, processing
-  /// charges stage through ctx, and hits/survivors merge in canonical
-  /// walker-index order. Walkers at churned vertices die (on_churn).
+  /// every walker draws from its own per-(round, index) stream, and its
+  /// processing charge, hit or survival stages per shard; the merge applies
+  /// them in canonical walker-index order. Walkers at churned vertices die
+  /// (on_churn).
   void on_round_begin() override;
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
   void on_round_merge() override;
@@ -117,11 +118,13 @@ class KWalkerSearch final : public Protocol, public StorageService {
   std::vector<TracedProbe> traced_;
   /// Walker-index partition for the current round (set in the prologue).
   ShardPlan walker_plan_;
-  /// Per-shard staging: surviving walkers and this round's hits, merged in
-  /// ascending shard (= walker index) order.
+  /// Per-shard staging: surviving walkers, this round's hits and the
+  /// walkers' (vertex, bits) processing charges, merged in ascending shard
+  /// (= walker index) order.
   struct ShardStage {
     std::vector<Walker> survivors;
     std::vector<std::uint64_t> hit_sids;
+    std::vector<std::pair<Vertex, std::uint64_t>> charges;
   };
   // shardcheck:cold-state(outer vector sized to the shard count at attach; inner staging vectors carry reasoned R6 suppressions at their growth sites)
   std::vector<ShardStage> stage_;

@@ -261,29 +261,29 @@ void CommitteeManager::confirm_committee(Vertex v, Membership& m, Round now,
                                          ShardStage& stage) {
   const bool erasure =
       config_.use_erasure_coding && m.purpose == Purpose::kStorage;
+  // Erasure mode: the pieces that came with the count messages, then my
+  // own, rebuild the item, which is re-encoded for the new members.
+  std::optional<std::vector<std::uint8_t>> rebuilt;
   // shardcheck:ok(R6: erasure scratch on committee confirmation: O(committee) bytes per formation event)
   std::vector<IdaPiece> pieces;
-  // shardcheck:ok(R6: payload copy on committee confirmation: O(item bytes) per formation event)
-  std::vector<std::uint8_t> full_payload = m.payload;
   if (erasure) {
-    // Gather pieces: my own plus the ones attached to count messages.
-    // shardcheck:ok(R6: piece gather for reconstruct: O(committee) per formation event)
-    std::vector<IdaPiece> gathered = m.gathered_pieces;
     if (m.piece_index != kNoPiece) {
-      gathered.push_back(IdaPiece{m.piece_index, m.payload});
+      // shardcheck:ok(R6: own piece joins the gathered pieces: O(item bytes) per formation event)
+      m.gathered_pieces.push_back(IdaPiece{m.piece_index, m.payload});
     }
-    const auto rebuilt = erasure_.reconstruct(
-        gathered, m.ida_k, static_cast<std::size_t>(m.original_size));
+    rebuilt = erasure_.reconstruct(m.gathered_pieces, m.ida_k,
+                                   static_cast<std::size_t>(m.original_size));
     if (!rebuilt) {
       // Too many pieces lost to churn within one refresh period: the item
       // cannot be re-dispersed. The committee (and the item) dies here.
       ++stage.lost;
       return;
     }
-    full_payload = *rebuilt;
-    pieces = erasure_.encode(full_payload, m.ida_k,
+    pieces = erasure_.encode(*rebuilt, m.ida_k,
                              static_cast<std::uint32_t>(m.accepted.size()));
   }
+  const std::vector<std::uint8_t>& full_payload =
+      rebuilt ? *rebuilt : m.payload;
 
   std::sort(m.accepted.begin(), m.accepted.end());
   m.accepted.erase(std::unique(m.accepted.begin(), m.accepted.end()),
@@ -346,7 +346,7 @@ void CommitteeManager::run_cycle_phase(Vertex v, Membership& m, Round now,
     case 1: {
       // Reset the cycle scratch and exchange walk counts (plus IDA pieces,
       // so a future leader can reconstruct the item).
-      m.counts.clear();
+      m.better = 0;
       m.gathered_pieces.clear();
       m.candidate = false;
       m.dissolved = false;
@@ -372,27 +372,11 @@ void CommitteeManager::run_cycle_phase(Vertex v, Membership& m, Round now,
       break;
     }
     case 2: {
-      // Ranking is common knowledge: everyone received the same counts.
-      // shardcheck:ok(R6: handover ranking: O(committee size) per cycle event)
-      std::vector<std::pair<std::uint64_t, PeerId>> ranking;
-      ranking.reserve(m.counts.size() + 1);
-      ranking.emplace_back(m.my_count, self);
-      for (const auto& [p, c] : m.counts) ranking.emplace_back(c, p);
-      std::sort(ranking.begin(), ranking.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second > b.second;
-                });
-      std::uint32_t rank = 0xffffffffu;
-      for (std::size_t i = 0; i < ranking.size(); ++i) {
-        if (ranking[i].second == self) {
-          rank = static_cast<std::uint32_t>(i);
-          break;
-        }
-      }
-      if (rank < kLeaderRedundancy) {
+      // Ranking is common knowledge: everyone received the same counts,
+      // and the rank is the number of them that beat mine.
+      if (m.better < kLeaderRedundancy) {
         m.candidate = true;
-        m.my_rank = rank;
+        m.my_rank = m.better;
         send_invites(v, m, now, anchor, ctx);
       }
       break;
@@ -431,8 +415,6 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   const std::uint32_t rebuild = std::max<std::uint32_t>(4, tau_);
   ShardStage& stage = stage_[shard];
 
-  // shardcheck:ok(R6: expiry sweep scratch: O(expiring committees per cycle))
-  std::vector<std::uint64_t> to_erase;
   for (Vertex v = ctx.begin(); v < ctx.end(); ++v) {
     if (!active_flag_[v]) continue;
     auto& st = state_[v];
@@ -458,18 +440,18 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
       }
     }
 
-    to_erase.clear();
     // shardcheck:ok(R2: same as above — insertion history of state_[v] is S-invariant, so the emission order this loop produces is too)
     for (auto& [kid, m] : st) {
       if (m.expire >= 0 && now >= m.expire) {
-        to_erase.push_back(kid);
+        // shardcheck:ok(R6: staged membership erase: O(committees expiring or resigning per cycle))
+        stage.erases.emplace_back(v, kid);
         continue;
       }
       // First landmark wave right after creation (members install at the end
       // of epoch_base + 1, so their first active round is t == 2), then one
       // wave per rebuild period aligned after each handover window. The
       // landmark layer is shared across shards, so the rebuild is staged
-      // (with a copy of the membership fields) and handed over at the merge.
+      // and handed over at the merge.
       const std::int64_t t = now - m.epoch_base;
       if (t == 2 || (t >= 6 && (t - 6) % rebuild == 0)) {
         // shardcheck:ok(R6: staged landmark rebuild: O(committees per rebuild wave))
@@ -486,7 +468,8 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
           // permits postponing resignation. Confirmed successors have
           // epoch_base == anchor, so t == 5 < period_ leaves them alone.
           if (m.handover_seen) {
-            to_erase.push_back(kid);
+            // shardcheck:ok(R6: staged membership erase: O(committees expiring or resigning per cycle))
+            stage.erases.emplace_back(v, kid);
           } else {
             ++stage.lost;  // failed re-formation
           }
@@ -498,8 +481,6 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
         }
       }
     }
-    for (const std::uint64_t kid : to_erase) st.erase(kid);
-
     if (st.empty() && pn.empty()) {
       active_flag_[v] = 0;
       --active_count_[shard];
@@ -510,10 +491,11 @@ void CommitteeManager::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
 void CommitteeManager::on_round_merge() {
   // Canonical order: ascending shard, staging order within a shard (which
   // is ascending vertex) — the same stream a serial run produces.
-  for (ShardStage& stage : stage_) {
-    for (ShardStage::Confirm& c : stage.confirms) {
+  for (std::uint32_t s = 0; s < stage_.size(); ++s) {
+    ShardStage& stage = stage_[s];
+    for (const ShardStage::Confirm& c : stage.confirms) {
       Info& inf = registry_[c.kid];
-      inf.last_members = std::move(c.members);
+      inf.last_members.assign(c.members.begin(), c.members.end());
       ++inf.generations;
     }
     stage.confirms.clear();
@@ -521,6 +503,15 @@ void CommitteeManager::on_round_merge() {
       for (const LandmarkRebuild& r : stage.rebuilds) on_landmark_rebuild_(r);
     }
     stage.rebuilds.clear();
+    // The spans above are read; now the staged memberships can go.
+    for (const auto& [v, kid] : stage.erases) {
+      state_[v].erase(kid);
+      if (active_flag_[v] && state_[v].empty() && pending_[v].empty()) {
+        active_flag_[v] = 0;
+        --active_count_[s];
+      }
+    }
+    stage.erases.clear();
     net().metrics().count_committee_formed(stage.formed);
     net().metrics().count_committee_lost(stage.lost);
     stage.formed = stage.lost = 0;
@@ -560,9 +551,13 @@ bool CommitteeManager::on_message(Vertex v, const Message& m,
       const auto it = state_[v].find(m.words[0]);
       if (it == state_[v].end()) return true;
       Membership& mem = it->second;
-      // shardcheck:ok(R6: count-message aggregation: O(committee size) per formation event)
-      mem.counts.emplace_back(m.src,
-                              static_cast<std::uint32_t>(m.words[1]));
+      // A sender ranks above me with a higher count, or an equal count and
+      // a higher peer id.
+      const auto count = static_cast<std::uint32_t>(m.words[1]);
+      if (count > mem.my_count ||
+          (count == mem.my_count && m.src > net().peer_at(v))) {
+        ++mem.better;
+      }
       const auto piece_index = static_cast<std::uint32_t>(m.words[2]);
       if (piece_index != kNoPiece) {
         // shardcheck:ok(R6: erasure piece gather: O(committee) per formation event)

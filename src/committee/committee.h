@@ -22,11 +22,24 @@
 //   t=3  invitees send kCommitteeAccept; outranked candidates send dissolve
 //   t=4  surviving best candidate sends kCommitteeConfirm (with payload)
 //   t=5  old members resign
+//
+// Ranking: a member keeps no list of its peers' counts. It counts the
+// count messages that beat its own (count, peer id), a higher count or an
+// equal count and a higher id; that number is its rank at t=2 (0 = best).
+//
+// Staging: the round phase touches only its shard's vertices. What it owes
+// the shared layers (the god-view registry, the landmark-rebuild hook, the
+// committee counters) it stages per shard, and the staged confirms and
+// rebuilds are spans into the memberships themselves. So the memberships
+// that resign or expire this round are staged as (vertex, kid) too, and the
+// merge erases them after the hook and the registry have read the spans.
+// No protocol runs between a round phase and its merge.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -59,7 +72,8 @@ struct Membership {
 
   // --- per-cycle scratch, reset each refresh ---------------------------
   std::uint32_t my_count = 0;
-  std::vector<std::pair<PeerId, std::uint32_t>> counts;
+  /// Count messages this cycle that beat (my_count, self): the rank.
+  std::uint32_t better = 0;
   std::vector<IdaPiece> gathered_pieces;
   bool candidate = false;
   std::uint32_t my_rank = 0;
@@ -74,16 +88,16 @@ struct Membership {
 };
 
 /// One landmark tree (re)build a confirmed member owes this round: at
-/// creation and every rebuild period. The round phase stages it per shard
-/// with a copy of the membership fields (the phase may already have erased
-/// the membership), and the merge hands it to the landmark-rebuild hook.
+/// creation and every rebuild period. The round phase stages it per shard,
+/// and the merge hands it to the landmark-rebuild hook before it erases
+/// any membership, so `members` still points into the member's clique.
 struct LandmarkRebuild {
   Vertex vertex = 0;
   std::uint64_t kid = 0;
   ItemId item = 0;
   Purpose purpose = Purpose::kStorage;
   PeerId search_root = kNoPeer;
-  std::vector<PeerId> members;
+  std::span<const PeerId> members;
 };
 
 class CommitteeManager final : public Protocol {
@@ -171,15 +185,17 @@ class CommitteeManager final : public Protocol {
 
   /// Per-shard staging for cross-shard state the round phase may not touch
   /// directly: the god-view registry, the landmark-rebuild hook, and the
-  /// global committee counters. Applied in on_round_merge, scanning shards
-  /// in ascending order.
+  /// global committee counters, plus the memberships to erase once those
+  /// have read them. Applied in on_round_merge, scanning shards in
+  /// ascending order.
   struct ShardStage {
     struct Confirm {
       std::uint64_t kid;
-      std::vector<PeerId> members;
+      std::span<const PeerId> members;  ///< the confirmer's accepted list
     };
     std::vector<Confirm> confirms;
     std::vector<LandmarkRebuild> rebuilds;
+    std::vector<std::pair<Vertex, std::uint64_t>> erases;  ///< (vertex, kid)
     std::uint64_t formed = 0;
     std::uint64_t lost = 0;
   };

@@ -28,10 +28,12 @@
 //     [shardcheck-R2];
 //   - read any state that no protocol mutates during the current phase
 //     (the graph, peer table, sibling protocols' per-vertex state);
-//   - send through ctx.send and charge through ctx.charge — both stage
-//     into the shard's lane and merge in canonical (shard, vertex) order,
-//     so the observable stream is independent of the shard count; direct
-//     net().send / un-deferred charges are banned [shardcheck-R3];
+//   - send through ctx.send, which stages into the shard's lane and merges
+//     in canonical (shard, vertex) order, so the observable stream is
+//     independent of the shard count; a processing charge to a vertex
+//     stages per shard too, and the merge applies it
+//     (Network::charge_processing) in ascending shard order. Direct
+//     net().send and metrics charges are banned [shardcheck-R3];
 //   - stage every cross-shard mutation (global registries, index maps,
 //     global counters) per shard and apply it in on_round_merge /
 //     on_dispatch_merge, scanning shards in ascending order (merge bodies
@@ -82,7 +84,7 @@
 namespace churnstore {
 
 /// Handle a sharded hook receives: identifies the shard, exposes its vertex
-/// range, and routes sends/charges through the shard's staging lane.
+/// range, and routes sends through the shard's staging lane.
 class ShardContext {
  public:
   ShardContext(Network& net, std::uint32_t shard) noexcept
@@ -101,10 +103,6 @@ class ShardContext {
   /// `from` now and merged canonically at the next lane flush.
   void send(Vertex from, Message&& m) {
     net_.send_sharded(shard_, from, std::move(m));
-  }
-  /// Charge processing bits to any vertex (deferred; cross-shard safe).
-  void charge(Vertex v, std::uint64_t bits) {
-    net_.charge_sharded(shard_, v, bits);
   }
   /// True when a TraceCollector is installed (span events will be kept).
   [[nodiscard]] bool tracing() const noexcept {

@@ -53,10 +53,6 @@ std::set<std::string>& extra_key_registry() {
       "measure-rounds",
       // observability (obs/export.h)
       "obs", "obs-file", "obs-host", "trace-sample",
-      // stack knobs (core/stacks.cpp builders)
-      "chord-replicate", "chord-replication", "chord-stabilize",
-      "flood-refresh", "probes-per-round", "replication", "replication-mult",
-      "walkers",
   };
   return keys;
 }
@@ -283,12 +279,6 @@ std::int64_t extras_int(const std::map<std::string, std::string>& extras,
   return it == extras.end() ? fallback : parse_int(key, it->second);
 }
 
-double extras_double(const std::map<std::string, std::string>& extras,
-                     const std::string& key, double fallback) {
-  const auto it = extras.find(key);
-  return it == extras.end() ? fallback : parse_double(key, it->second);
-}
-
 std::uint32_t cli_count(const Cli& cli, const std::string& key,
                         std::uint32_t fallback) {
   return get_count(cli, key, fallback);
@@ -302,11 +292,6 @@ std::vector<std::uint32_t> cli_count_list(
     out.push_back(non_negative<std::uint32_t>(key, v));
   }
   return out;
-}
-
-std::uint32_t extras_count(const std::map<std::string, std::string>& extras,
-                           const std::string& key, std::uint32_t fallback) {
-  return non_negative<std::uint32_t>(key, extras_int(extras, key, fallback));
 }
 
 void require_nonzero(const std::string& key, std::uint64_t value) {

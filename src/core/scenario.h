@@ -73,21 +73,20 @@ struct ScenarioSpec {
   bool csv = false;
   bool json = false;
 
-  /// Scenario- or stack-specific keys that the common spec does not model
-  /// (e.g. chord-stabilize=8, flood-refresh=8, walkers=16).
+  /// Registered keys that the common spec does not model: the obs keys,
+  /// measure-rounds and the running scenario's own knobs (e.g. periods=4).
   std::map<std::string, std::string> extras;
 
   /// Parses a spec from key=value flags. Every key must be either a common
-  /// spec key or a registered scenario/stack extra: an unknown key (e.g. the
-  /// typo `shard=4`) throws std::invalid_argument listing the accepted keys
+  /// spec key or a registered extra: an unknown key (e.g. the typo
+  /// `shard=4`) throws std::invalid_argument listing the accepted keys
   /// instead of being silently ignored.
   [[nodiscard]] static ScenarioSpec from_cli(const Cli& cli);
 
-  /// Registers an extra key as accepted by from_cli. The stack knobs
-  /// (chord-stabilize, walkers, ...), the obs keys and measure-rounds are
-  /// pre-registered; a scenario's own knobs (periods, probes, shard-sweep,
-  /// ...) are registered by the program that runs it (bench_driver, for
-  /// the running scenario only).
+  /// Registers an extra key as accepted by from_cli. The obs keys and
+  /// measure-rounds are pre-registered; a scenario's own knobs (periods,
+  /// probes, shard-sweep, ...) are registered by the program that runs it
+  /// (bench_driver, for the running scenario only).
   static void accept_extra_key(const std::string& key);
   /// All keys from_cli accepts (common spec keys + registered extras),
   /// sorted; the validation error lists these.
@@ -111,7 +110,7 @@ struct ScenarioSpec {
 };
 
 /// Lookup helpers for key=value extras maps (shared by ScenarioSpec and
-/// the stack builders). A present value goes through util/cli's strict
+/// the obs config). A present value goes through util/cli's strict
 /// parsers, so it must parse whole; the error names the key.
 [[nodiscard]] std::string extras_string(
     const std::map<std::string, std::string>& extras, const std::string& key,
@@ -119,24 +118,17 @@ struct ScenarioSpec {
 [[nodiscard]] std::int64_t extras_int(
     const std::map<std::string, std::string>& extras, const std::string& key,
     std::int64_t fallback);
-[[nodiscard]] double extras_double(
-    const std::map<std::string, std::string>& extras, const std::string& key,
-    double fallback);
 
 /// Count readers: the value of `key` (or `fallback` when it is absent) as
 /// an unsigned count. A negative or oversized value throws
 /// std::invalid_argument naming the key, where a cast would wrap -1 to
-/// 4294967295. from_cli, the stack builders and the scenarios read every
-/// count through these.
+/// 4294967295. from_cli and the scenarios read every count through these.
 [[nodiscard]] std::uint32_t cli_count(const Cli& cli, const std::string& key,
                                       std::uint32_t fallback);
 /// A comma-separated list of counts, e.g. shard-sweep=1,4,16.
 [[nodiscard]] std::vector<std::uint32_t> cli_count_list(
     const Cli& cli, const std::string& key,
     const std::vector<std::int64_t>& fallback);
-[[nodiscard]] std::uint32_t extras_count(
-    const std::map<std::string, std::string>& extras, const std::string& key,
-    std::uint32_t fallback);
 /// Rejects a zero count for a key that sizes the measured work itself
 /// (trials, timed steps): zero runs nothing, and the all-zero rows it would
 /// print read as a measurement. Throws std::invalid_argument naming the key.

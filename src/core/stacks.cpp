@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "baseline/chord_net/chord_net.h"
-#include "core/scenario.h"
 #include "baseline/flooding.h"
 #include "baseline/kwalker.h"
 #include "baseline/sqrt_replication.h"
@@ -27,7 +26,10 @@ WorkloadOutcome ChurnstoreService::search_outcome(std::uint64_t sid) const {
 
 namespace {
 
-BuiltSystem build_churnstore(const SystemConfig& config, const StackExtras&) {
+// Each builder runs its stack at fixed constants: the baselines' Options
+// defaults, except flooding's refresh period of 8 rounds.
+
+BuiltSystem build_churnstore(const SystemConfig& config) {
   BuiltSystem built;
   built.system = std::make_unique<P2PSystem>(config);
   built.owned_service = std::make_unique<ChurnstoreService>(*built.system);
@@ -35,16 +37,11 @@ BuiltSystem build_churnstore(const SystemConfig& config, const StackExtras&) {
   return built;
 }
 
-BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
+BuiltSystem build_chord(const SystemConfig& config) {
   // Message-accurate Chord on the Network layer: every lookup,
   // stabilization, and transfer is a charged Message, so hop and bit
   // columns are measured, not estimated.
   ChordNetProtocol::Options opts;
-  opts.successors = extras_count(extras, "chord-replication", opts.successors);
-  opts.stabilize_period =
-      extras_count(extras, "chord-stabilize", opts.stabilize_period);
-  opts.replicate_period =
-      extras_count(extras, "chord-replicate", opts.replicate_period);
   opts.item_bits = config.protocol.item_bits;
 
   auto chord = std::make_unique<ChordNetProtocol>(opts);
@@ -57,10 +54,9 @@ BuiltSystem build_chord(const SystemConfig& config, const StackExtras& extras) {
   return built;
 }
 
-BuiltSystem build_flooding(const SystemConfig& config,
-                           const StackExtras& extras) {
+BuiltSystem build_flooding(const SystemConfig& config) {
   FloodingStore::Options opts;
-  opts.refresh_period = extras_count(extras, "flood-refresh", 8);
+  opts.refresh_period = 8;
   opts.item_bits = config.protocol.item_bits;
 
   auto flood = std::make_unique<FloodingStore>(opts);
@@ -74,11 +70,8 @@ BuiltSystem build_flooding(const SystemConfig& config,
   return built;
 }
 
-BuiltSystem build_kwalker(const SystemConfig& config,
-                          const StackExtras& extras) {
+BuiltSystem build_kwalker(const SystemConfig& config) {
   KWalkerSearch::Options opts;
-  opts.walkers = extras_count(extras, "walkers", 16);
-  opts.replication = extras_count(extras, "replication", opts.replication);
   opts.item_bits = config.protocol.item_bits;
 
   auto soup = std::make_unique<TokenSoup>(config.walk);
@@ -94,12 +87,8 @@ BuiltSystem build_kwalker(const SystemConfig& config,
   return built;
 }
 
-BuiltSystem build_sqrt(const SystemConfig& config, const StackExtras& extras) {
+BuiltSystem build_sqrt(const SystemConfig& config) {
   SqrtReplication::Options opts;
-  opts.replication_mult =
-      extras_double(extras, "replication-mult", opts.replication_mult);
-  opts.probes_per_round =
-      extras_count(extras, "probes-per-round", opts.probes_per_round);
   opts.item_bits = config.protocol.item_bits;
 
   auto soup = std::make_unique<TokenSoup>(config.walk);
@@ -118,26 +107,20 @@ BuiltSystem build_sqrt(const SystemConfig& config, const StackExtras& extras) {
 struct StackDef {
   std::string_view name;
   std::string_view summary;
-  BuiltSystem (*build)(const SystemConfig&, const StackExtras&);
+  BuiltSystem (*build)(const SystemConfig&);
 };
 
 /// Every stack, sorted by name (the catalog order).
 constexpr StackDef kStacks[] = {
     {"chord",
      "structured DHT with message-accurate lookups and periodic "
-     "stabilization on the Network layer; knobs: "
-     "chord-replication, chord-stabilize, chord-replicate",
+     "stabilization on the Network layer",
      build_chord},
     {"churnstore", "paper stack: soup + committees + landmarks + store/search",
      build_churnstore},
-    {"flooding", "flood every node, retrieve locally; knob: flood-refresh",
-     build_flooding},
-    {"k-walker",
-     "unmaintained replicas + k walker agents; knobs: walkers, replication",
-     build_kwalker},
-    {"sqrt-replication",
-     "birthday-paradox placement, probe own samples; knobs: "
-     "replication-mult, probes-per-round",
+    {"flooding", "flood every node, retrieve locally", build_flooding},
+    {"k-walker", "unmaintained replicas + k walker agents", build_kwalker},
+    {"sqrt-replication", "birthday-paradox placement, probe own samples",
      build_sqrt},
 };
 static_assert(std::is_sorted(std::begin(kStacks), std::end(kStacks),
@@ -148,9 +131,9 @@ static_assert(std::is_sorted(std::begin(kStacks), std::end(kStacks),
 }  // namespace
 
 BuiltSystem build_stack(std::string_view name, const SystemConfig& config,
-                        const StackExtras& extras) {
+                        const StackExtras& /*extras: unread*/) {
   for (const StackDef& def : kStacks) {
-    if (def.name == name) return def.build(config, extras);
+    if (def.name == name) return def.build(config);
   }
   throw std::invalid_argument("unknown protocol stack: " + std::string(name));
 }

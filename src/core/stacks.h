@@ -26,12 +26,12 @@ struct BuiltSystem {
   StorageService* service = nullptr;
 };
 
-/// Stack-specific knobs come from the spec's `extras` key=value map (e.g.
-/// chord-stabilize=8, flood-refresh=8, walkers=16, replication-mult=1.0).
+/// A spec's extra key=value map. Every stack runs at fixed constants, so
+/// build_stack reads none of it; the parameter stays for the callers that
+/// pass `spec.extras`.
 using StackExtras = std::map<std::string, std::string>;
 
-/// Builds the named stack; throws std::invalid_argument for unknown names
-/// and for a negative or oversized count knob.
+/// Builds the named stack; throws std::invalid_argument for unknown names.
 [[nodiscard]] BuiltSystem build_stack(std::string_view name,
                                       const SystemConfig& config,
                                       const StackExtras& extras = {});

@@ -211,8 +211,6 @@ void Network::flush_shard_lanes() {
       lane.flushed = end;
       lane.bits = 0;
     }
-    for (const auto& [v, bits] : lane.charges) metrics_.charge_bits(v, bits);
-    lane.charges.clear();
   }
   // Trace lanes merge at exactly the message-lane merge points, so the
   // trace stream inherits the same canonical (phase, shard, vertex) order

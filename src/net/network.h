@@ -177,20 +177,12 @@ class Network {
   /// vertex of `shard`: charging it from this task would race.
   void send_sharded(std::uint32_t shard, Vertex from, Message&& m);
 
-  /// Charge processing bits to `v` from shard task `shard`. Deferred (the
-  /// per-vertex counters are not safe to touch for vertices outside the
-  /// calling shard); settled at the next lane flush.
-  void charge_sharded(std::uint32_t shard, Vertex v, std::uint64_t bits) {
-    out_lanes_[shard].charges.emplace_back(v, bits);
-  }
-
   /// Append each shard lane's new messages to the outbox order as one run,
-  /// in ascending shard order, and settle the lanes' deferred charges. The
-  /// round driver calls this after EACH protocol's sharded phase: flushing
-  /// per phase keeps the outbox ordered [protocol A in vertex order,
-  /// protocol B in vertex order, ...] for every shard count — lanes never
-  /// interleave two protocols' sends. deliver() flushes once more for
-  /// stragglers.
+  /// in ascending shard order. The round driver calls this after EACH
+  /// protocol's sharded phase: flushing per phase keeps the outbox ordered
+  /// [protocol A in vertex order, protocol B in vertex order, ...] for
+  /// every shard count — lanes never interleave two protocols' sends.
+  /// deliver() flushes once more for stragglers.
   void flush_shard_lanes();
 
   /// Deliver all queued messages; drops messages whose destination peer is
@@ -381,9 +373,6 @@ class Network {
   struct OutLane {
     MessageLane msgs;
     MessageLane held;
-    std::vector<std::pair<Vertex, std::uint64_t>,
-                ArenaAllocator<std::pair<Vertex, std::uint64_t>>>
-        charges;
     std::uint64_t bits = 0;     ///< size_bits() sum of msgs[flushed, end)
     std::uint32_t flushed = 0;  ///< msgs[0, flushed) already sit in runs_
     Vertex lo = 0;              ///< the shard's vertex range, [lo, hi): the
@@ -392,7 +381,6 @@ class Network {
     OutLane(Arena* a, Vertex begin, Vertex end)
         : msgs(a),
           held(a),
-          charges(ArenaAllocator<std::pair<Vertex, std::uint64_t>>(a)),
           lo(begin),
           hi(end) {}
   };

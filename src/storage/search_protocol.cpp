@@ -33,21 +33,16 @@ void SearchManager::on_attach(Network& net_ref) {
   Protocol::on_attach(net_ref);
   timeout_ = std::max<std::uint32_t>(
       8, static_cast<std::uint32_t>(kSearchTimeoutTaus * committees_.tau()));
-  initiator_.assign(net().n(), {});
-}
-
-void SearchManager::on_churn(Vertex v, PeerId, PeerId) {
-  initiator_[v].clear();
 }
 
 const SearchStatus* SearchManager::status(std::uint64_t sid) const {
-  const auto it = status_.find(sid);
-  return it == status_.end() ? nullptr : &it->second;
+  const auto it = searches_.find(sid);
+  return it == searches_.end() ? nullptr : &it->second.status;
 }
 
 std::uint64_t SearchManager::start_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x73696400ULL) | 1;
-  SearchStatus st;
+  SearchStatus& st = searches_[sid].status;
   st.sid = sid;
   st.item = item;
   st.initiator = net().peer_at(initiator);
@@ -59,21 +54,15 @@ std::uint64_t SearchManager::start_search(Vertex initiator, ItemId item) {
     tc->record(make_trace_event(sid, st.start, initiator, 0, 0,
                                 RequestClass::kSearch, TraceEv::kBegin));
   }
-  status_[sid] = st;
   active_.push_back(sid);
-
-  InitiatorState is;
-  is.sid = sid;
-  is.item = item;
-  initiator_[initiator][sid] = std::move(is);
   return sid;
 }
 
-void SearchManager::finish(std::uint64_t sid) {
-  auto& st = status_[sid];
+void SearchManager::finish(Search& s) {
+  SearchStatus& st = s.status;
   st.finished = true;
+  s.release();
   const auto v = net().find_vertex(st.initiator);
-  if (v) initiator_[*v].erase(sid);
   if (st.trace != 0) {
     // Span payload: detail = end-to-end latency in rounds; hop = rounds to
     // locate a holder (the locate/fetch phase breakdown of the span).
@@ -107,17 +96,28 @@ void SearchManager::reply_if_holder(Vertex v, ItemId item, std::uint64_t sid,
   ctx.send(v, std::move(msg));
 }
 
-void SearchManager::issue_fetches(Vertex v, InitiatorState& st) {
-  if (st.holders.empty()) return;
+// shardcheck:sharded-hook(called from the kReport and kFetchReply handlers)
+void SearchManager::add_holders(Search& s, std::span<const PeerId> ids) {
+  for (const PeerId h : ids) {
+    if (h != kNoPeer && std::find(s.holders.begin(), s.holders.end(), h) ==
+                            s.holders.end()) {
+      // shardcheck:ok(R6: holder list of an active search: O(distinct holders reported), tens of ids)
+      s.holders.push_back(h);
+    }
+  }
+}
+
+void SearchManager::issue_fetches(Vertex v, Search& s) {
+  if (s.holders.empty()) return;
   const PeerId self = net().peer_at(v);
   for (std::size_t i = 0; i < kFetchParallelism; ++i) {
-    const PeerId holder = st.holders[st.next_fetch % st.holders.size()];
-    ++st.next_fetch;
+    const PeerId holder = s.holders[s.next_fetch % s.holders.size()];
+    ++s.next_fetch;
     Message msg;
     msg.src = self;
     msg.dst = holder;
     msg.type = MsgType::kFetchRequest;
-    msg.words = {st.item, st.sid};
+    msg.words = {s.status.item, s.status.sid};
     net().send(v, std::move(msg));
   }
 }
@@ -128,7 +128,8 @@ void SearchManager::on_round_begin() {
   std::size_t write = 0;
   for (std::size_t read = 0; read < active_.size(); ++read) {
     const std::uint64_t sid = active_[read];
-    SearchStatus& st = status_[sid];
+    Search& s = searches_.find(sid)->second;
+    SearchStatus& st = s.status;
     if (st.finished) continue;
 
     const std::optional<Vertex> iv_slot = net().find_vertex(st.initiator);
@@ -137,6 +138,7 @@ void SearchManager::on_round_begin() {
       // nodes that stay long enough, so this is a censored trial.
       st.initiator_churned = true;
       st.finished = true;
+      s.release();
       if (st.trace != 0) {
         net().trace_serial(make_trace_event(st.trace, now, 0, now - st.start,
                                             0, RequestClass::kSearch,
@@ -145,12 +147,8 @@ void SearchManager::on_round_begin() {
       continue;
     }
     const Vertex iv = *iv_slot;
-    if (now > st.deadline) {
-      finish(sid);
-      continue;
-    }
-    if (st.fetch_ok) {
-      finish(sid);
+    if (now > st.deadline || st.fetch_ok) {
+      finish(s);
       continue;
     }
 
@@ -171,10 +169,7 @@ void SearchManager::on_round_begin() {
     });
 
     // Fetch from reported holders once located.
-    if (st.located >= 0 && st.fetched < 0) {
-      const auto it = initiator_[iv].find(sid);
-      if (it != initiator_[iv].end()) issue_fetches(iv, it->second);
-    }
+    if (st.located >= 0 && st.fetched < 0) issue_fetches(iv, s);
 
     active_[write++] = sid;
   }
@@ -240,24 +235,12 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       return true;
     }
     case MsgType::kReport: {
-      const std::uint64_t sid = m.words[1];
-      const auto sit = initiator_[v].find(sid);
-      if (sit == initiator_[v].end()) return true;
-      InitiatorState& st = sit->second;
-      const auto stat_it = status_.find(sid);
-      if (stat_it == status_.end()) return true;
-      SearchStatus& status = stat_it->second;
-      const std::uint64_t count = m.words[2];
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const PeerId h = m.words[kHoldersAt + i];
-        // shardcheck:ok(R6: holder dedup on a search reply: O(holders in the reply) per active search, not per token)
-        if (h != kNoPeer && st.holder_set.insert(h).second) {
-          // shardcheck:ok(R6: holder list on a search reply: O(holders) per active search)
-          st.holders.push_back(h);
-        }
-      }
-      if (status.located < 0 && !st.holders.empty()) {
-        status.located = net().round();
+      const auto it = searches_.find(m.words[1]);
+      if (it == searches_.end() || it->second.status.finished) return true;
+      Search& s = it->second;
+      add_holders(s, {m.words.data() + kHoldersAt, m.words[2]});
+      if (s.status.located < 0 && !s.holders.empty()) {
+        s.status.located = net().round();
       }
       return true;
     }
@@ -285,17 +268,14 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       return true;
     }
     case MsgType::kFetchReply: {
-      const std::uint64_t sid = m.words[1];
-      const auto sit = initiator_[v].find(sid);
-      if (sit == initiator_[v].end()) return true;
-      InitiatorState& st = sit->second;
-      const auto stat_it = status_.find(sid);
-      if (stat_it == status_.end()) return true;
-      SearchStatus& status = stat_it->second;
+      const auto it = searches_.find(m.words[1]);
+      if (it == searches_.end() || it->second.status.finished) return true;
+      Search& s = it->second;
+      SearchStatus& status = s.status;
       if (status.fetched >= 0) return true;
 
       const auto piece_index = static_cast<std::uint32_t>(m.words[2]);
-      const ItemRecord* rec = store_.record(st.item);
+      const ItemRecord* rec = store_.record(status.item);
       if (piece_index == kNoPiece) {
         status.fetched = net().round();
         status.fetch_ok =
@@ -306,26 +286,20 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       }
       // Erasure mode: gather distinct pieces; holders list in the reply
       // extends the fetch candidates.
-      const std::uint64_t count = m.words[5];
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const PeerId h = m.words[kReplyMembersAt + i];
-        // shardcheck:ok(R6: holder dedup on a fetch reply: O(holders) per active search)
-        if (h != kNoPeer && st.holder_set.insert(h).second) {
-          // shardcheck:ok(R6: holder list on a fetch reply: O(holders) per active search)
-          st.holders.push_back(h);
-        }
-      }
-      // shardcheck:ok(R6: distinct-piece tracking: O(ida_k) per active erasure fetch)
-      if (st.piece_indices.insert(piece_index).second) {
+      add_holders(s, {m.words.data() + kReplyMembersAt, m.words[5]});
+      if (std::none_of(s.pieces.begin(), s.pieces.end(),
+                       [piece_index](const IdaPiece& p) {
+                         return p.index == piece_index;
+                       })) {
         // shardcheck:ok(R6: gathered erasure pieces: O(ida_k x piece bytes) per active fetch)
-        st.pieces.push_back(
+        s.pieces.push_back(
             IdaPiece{piece_index, {m.blob().begin(), m.blob().end()}});
       }
       const auto ida_k = static_cast<std::uint32_t>(m.words[3]);
       const auto original_size = static_cast<std::size_t>(m.words[4]);
-      if (ida_k > 0 && st.pieces.size() >= ida_k) {
+      if (ida_k > 0 && s.pieces.size() >= ida_k) {
         const ErasurePolicy policy(config_.ida_surplus);
-        const auto data = policy.reconstruct(st.pieces, ida_k, original_size);
+        const auto data = policy.reconstruct(s.pieces, ida_k, original_size);
         if (data) {
           status.fetched = net().round();
           status.fetch_ok = rec && content_hash(*data) == rec->hash;

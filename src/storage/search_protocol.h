@@ -9,15 +9,20 @@
 // (one replica, or K IDA pieces in erasure mode). Searches also succeed
 // trivially when a search landmark itself already knows about I.
 //
-// The manager keeps a god-view SearchStatus per search for the benches:
-// locate round (u learns a holder id — the paper's success criterion),
-// fetch round (payload reconstructed and integrity-checked), or failure
-// (deadline passed / initiator churned out).
+// The manager keeps one record per search id: the god-view SearchStatus
+// the benches read (locate round: u learns a holder id, the paper's
+// success criterion; fetch round: payload reconstructed and
+// integrity-checked; or failure: deadline passed / initiator churned out),
+// plus what u itself knows: the distinct holder ids reported so far, the
+// fetch cursor and, in erasure mode, the distinct pieces fetched. Reports
+// and fetch replies are addressed to u's peer id, so delivery drops those
+// of a churned initiator; the handlers ignore a finished search, and
+// finishing or censoring a search releases its lists.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "committee/committee.h"
@@ -73,10 +78,10 @@ class SearchManager final : public Protocol {
   void on_round_begin(std::uint32_t shard, ShardContext& ctx) override;
 
   /// Routes kInquiry / kInquiryHit / kReport / kFetch*; true if consumed.
-  /// Handlers touch the receiving vertex's state and the per-search status
-  /// record (owned by the initiator's vertex), and reply through ctx.
+  /// Handlers touch the receiving vertex's state and the per-search record
+  /// (only its initiator's vertex receives the search's reports and fetch
+  /// replies), and reply through ctx.
   bool on_message(Vertex v, const Message& m, ShardContext& ctx) override;
-  void on_churn(Vertex v, PeerId old_peer, PeerId new_peer) override;
 
   [[nodiscard]] const SearchStatus* status(std::uint64_t sid) const;
   [[nodiscard]] std::size_t active_searches() const noexcept {
@@ -85,20 +90,25 @@ class SearchManager final : public Protocol {
   [[nodiscard]] std::uint32_t timeout_rounds() const noexcept { return timeout_; }
 
  private:
-  struct InitiatorState {
-    std::uint64_t sid = 0;
-    ItemId item = 0;
-    std::vector<PeerId> holders;           ///< reported, in arrival order
-    std::unordered_set<PeerId> holder_set;
-    std::size_t next_fetch = 0;            ///< round-robin fetch cursor
-    std::vector<IdaPiece> pieces;          ///< gathered pieces (erasure)
-    std::unordered_set<std::uint32_t> piece_indices;
+  struct Search {
+    SearchStatus status;
+    std::vector<PeerId> holders;   ///< distinct, in arrival order
+    std::size_t next_fetch = 0;    ///< round-robin fetch cursor
+    std::vector<IdaPiece> pieces;  ///< distinct pieces fetched (erasure)
+
+    /// A finished search keeps only its status.
+    void release() {
+      holders = std::vector<PeerId>();
+      pieces = std::vector<IdaPiece>();
+    }
   };
 
-  void finish(std::uint64_t sid);
+  void finish(Search& s);
+  /// Appends the ids in `ids` that `s` has not heard of yet.
+  static void add_holders(Search& s, std::span<const PeerId> ids);
   void reply_if_holder(Vertex v, ItemId item, std::uint64_t sid, PeerId to,
                        ShardContext& ctx);
-  void issue_fetches(Vertex v, InitiatorState& st);
+  void issue_fetches(Vertex v, Search& s);
 
   TokenSoup& soup_;
   CommitteeManager& committees_;
@@ -108,8 +118,8 @@ class SearchManager final : public Protocol {
   std::uint32_t timeout_ = 0;
   std::uint64_t next_sid_ = 1;
 
-  // shardcheck:cold-state(search bookkeeping mutated only from the serial begin_search/prologue path and serial merges)
-  std::unordered_map<std::uint64_t, SearchStatus> status_;
+  // shardcheck:cold-state(records inserted only from the serial start_search path; handlers mutate found records in place)
+  std::unordered_map<std::uint64_t, Search> searches_;
   // shardcheck:cold-state(active-search id list maintained in serial prologue/epilogue context)
   std::vector<std::uint64_t> active_;
   /// This round's (landmark vertex, sid) inquiry jobs, collected by the
@@ -118,9 +128,6 @@ class SearchManager final : public Protocol {
   /// and the merged inquiry stream is identical for every shard count.
   // shardcheck:cold-state(rebuilt by the serial on_round_begin prologue each round)
   std::vector<std::pair<Vertex, std::uint64_t>> inquiry_jobs_;
-  /// Initiator-side state, held at the initiator's vertex.
-  // shardcheck:cold-state(map nodes inserted/erased only from the serial begin_search/expiry paths; hooks mutate found elements in place)
-  std::vector<std::unordered_map<std::uint64_t, InitiatorState>> initiator_;
 };
 
 }  // namespace churnstore

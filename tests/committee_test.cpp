@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "core/system.h"
 
 namespace churnstore {
@@ -88,6 +94,78 @@ TEST(Committee, SurvivesManyRefreshCyclesWithoutChurn) {
     if (const Membership* m = sys.committees().membership_at(v, 1)) {
       EXPECT_EQ(m->payload, (std::vector<std::uint8_t>{1}));
     }
+  }
+}
+
+/// Records the re-formation invites (kCommitteeInvite without the creation
+/// flag) of one committee. Registered ahead of the committee, it sees each
+/// invite before the committee consumes it.
+class InviteTap final : public Protocol {
+ public:
+  struct Invite {
+    PeerId src;
+    std::uint64_t rank;
+  };
+  explicit InviteTap(std::uint64_t kid) : kid_(kid) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "invite-tap";
+  }
+  bool on_message(Vertex, const Message& m, ShardContext&) override {
+    if (m.type == MsgType::kCommitteeInvite && m.words[0] == kid_ &&
+        (m.words[7] & 1) == 0) {
+      seen.push_back(Invite{m.src, m.words[4]});
+    }
+    return false;
+  }
+  std::vector<Invite> seen;
+
+ private:
+  std::uint64_t kid_;
+};
+
+TEST(Committee, ReformationCandidatesAreTheTopTwoByAnchorCount) {
+  // Algorithm 1's ranking: members order by their walk count at the anchor
+  // round, descending, ties broken by the higher peer id; the top two
+  // (kLeaderRedundancy) invite the next generation, each with its rank.
+  const SystemConfig cfg = make_config(128, 0);
+  auto mods = P2PSystem::paper_protocols(cfg);
+  auto tap = std::make_unique<InviteTap>(1);
+  InviteTap& invites = *tap;
+  mods.insert(mods.begin() + 1, std::move(tap));  // after the soup
+  P2PSystem sys(cfg, std::move(mods));
+  sys.run_rounds(sys.warmup_rounds());
+  const Round base = sys.network().round();  // the committee's epoch base
+  ASSERT_TRUE(
+      sys.committees().create(0, 1, Purpose::kStorage, 1, kNoPeer, {1}, -1));
+  // The first cycle anchors at base + period and invites two rounds later.
+  const Round anchor = base + sys.committees().refresh_period();
+  while (sys.network().round() < anchor + 2) sys.run_round();
+
+  std::vector<std::pair<std::size_t, PeerId>> ranking;  // (count, peer)
+  std::vector<PeerId> members;
+  for (Vertex v = 0; v < sys.n(); ++v) {
+    if (const Membership* m = sys.committees().membership_at(v, 1)) {
+      members = m->members;
+    }
+  }
+  ASSERT_GE(members.size(), 3u);
+  for (const PeerId p : members) {
+    const auto v = sys.network().find_vertex(p);
+    ASSERT_TRUE(v.has_value());
+    ranking.emplace_back(sys.soup().samples(*v).count_at(anchor), p);
+  }
+  std::sort(ranking.begin(), ranking.end(), std::greater<>());
+
+  ASSERT_FALSE(invites.seen.empty());
+  for (const InviteTap::Invite& inv : invites.seen) {
+    ASSERT_LT(inv.rank, 2u);
+    EXPECT_EQ(inv.src, ranking[inv.rank].second) << "rank " << inv.rank;
+  }
+  for (const std::uint64_t rank : {0u, 1u}) {
+    EXPECT_TRUE(std::any_of(
+        invites.seen.begin(), invites.seen.end(),
+        [rank](const InviteTap::Invite& inv) { return inv.rank == rank; }))
+        << "no invites with rank " << rank;
   }
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "committee/committee.h"
 #include "core/system.h"
 #include "net/network.h"
 #include "obs/trace.h"
@@ -335,6 +336,62 @@ TEST(HeapQuiesceSerialSpill, SerialSendsPastTheInlineWordsAreHeapQuiet) {
   EXPECT_EQ(hs.allocs, 0u) << "serial sends allocated " << hs.allocs
                            << " times over " << kRounds << " rounds";
 }
+
+class HeapQuiesceCommittee : public ::testing::TestWithParam<std::uint32_t> {
+};
+
+TEST_P(HeapQuiesceCommittee, CountExchangeRoundIsHeapQuiet) {
+  // One storage committee, no churn. In a count-exchange round (t = 1 of a
+  // refresh cycle) every member sends its anchor-round walk count to the
+  // clique and tallies the counts that beat its own. Once earlier cycles
+  // carried the same traffic through the pipe, the round allocates nothing:
+  // a member keeps a counter, not a list of its peers' counts, so even a
+  // generation's first exchange does not grow anything.
+  if (!HeapQuiesceScope::supported()) {
+    GTEST_SKIP() << "sentinel unavailable: heap_stats() would read zero";
+  }
+  using churnstore::CommitteeManager;
+  const std::uint32_t shards = GetParam();
+  SystemConfig cfg;
+  cfg.sim.n = 512;
+  cfg.sim.seed = 11;
+  cfg.sim.shards = shards;
+  cfg.sim.churn.kind = churnstore::AdversaryKind::kNone;
+
+  ThreadPool pool(0);
+  auto soup = std::make_unique<TokenSoup>(cfg.walk);
+  auto committees = std::make_unique<CommitteeManager>(*soup, cfg.protocol);
+  CommitteeManager& cm = *committees;
+  std::vector<std::unique_ptr<Protocol>> mods;
+  mods.push_back(std::move(soup));
+  mods.push_back(std::move(committees));
+  P2PSystem sys(cfg, std::move(mods));
+  if (shards != 1) sys.set_shard_pool(&pool);
+
+  sys.run_rounds(sys.warmup_rounds());
+  // The creation round is the committee's epoch base; its count exchanges
+  // run at base + k * period + 1 for k >= 1.
+  const churnstore::Round base = sys.network().round();
+  ASSERT_TRUE(cm.create(0, 1, churnstore::Purpose::kStorage, 1,
+                        churnstore::kNoPeer, {1, 2, 3}, -1));
+  const churnstore::Round exchange = base + 3 * cm.refresh_period() + 1;
+  while (sys.network().round() + 1 < exchange) sys.run_round();
+  ASSERT_GE(cm.info(1)->generations, 2u) << "the committee must re-form";
+
+  const std::uint64_t sent = sys.network().metrics().total_messages();
+  sys.reset_heap_stats();
+  sys.run_round();
+  const churnstore::RoundHeapStats& hs = sys.heap_stats();
+  EXPECT_EQ(hs.rounds, 1u);
+  EXPECT_GT(sys.network().metrics().total_messages(), sent)
+      << "the round must carry the count exchange";
+  EXPECT_EQ(hs.allocs, 0u) << "the count exchange allocated " << hs.allocs
+                           << " times (" << hs.bytes << " bytes) at S="
+                           << shards;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, HeapQuiesceCommittee,
+                         ::testing::Values(1u, 16u), shard_count_name);
 
 TEST(HeapQuiesceStack, FullStackTrafficIsMeasuredNotAsserted) {
   // The paper stack's control plane (committee elections, landmark tree

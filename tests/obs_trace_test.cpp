@@ -262,7 +262,7 @@ TEST(ObsConfig, RejectObsKeysNamesTheKeyAndTheScenariosThatExport) {
   using Extras = std::map<std::string, std::string>;
   EXPECT_NO_THROW(reject_obs_keys(Extras{}));
   EXPECT_NO_THROW(reject_obs_keys(Extras{{"obs", "off"}}));
-  EXPECT_NO_THROW(reject_obs_keys(Extras{{"walkers", "8"}}));
+  EXPECT_NO_THROW(reject_obs_keys(Extras{{"measure-rounds", "8"}}));
   for (const Extras& extras :
        {Extras{{"obs", "jsonl"}}, Extras{{"obs", "chrome"}},
         Extras{{"obs-file", "x.jsonl"}}, Extras{{"obs-host", "0"}},

@@ -19,7 +19,7 @@ TEST(ScenarioSpec, DefaultsMatchEmptyCli) {
 TEST(ScenarioSpec, ParsesBareKeyValueTokens) {
   const Cli cli({"n=256,512", "protocol=chord", "churn-mult=1.25",
                  "churn=block-sweep", "trials=7", "erasure=true",
-                 "chord-stabilize=4"});
+                 "measure-rounds=4"});
   const ScenarioSpec spec = ScenarioSpec::from_cli(cli);
   EXPECT_EQ(spec.ns, (std::vector<std::uint32_t>{256, 512}));
   EXPECT_EQ(spec.protocol, "chord");
@@ -27,8 +27,8 @@ TEST(ScenarioSpec, ParsesBareKeyValueTokens) {
   EXPECT_EQ(spec.churn.kind, AdversaryKind::kBlockSweep);
   EXPECT_EQ(spec.trials, 7u);
   EXPECT_TRUE(spec.protocol_config.use_erasure_coding);
-  // Unknown keys land in extras for stack-/scenario-specific knobs.
-  EXPECT_EQ(spec.extra_int("chord-stabilize", 0), 4);
+  // Registered keys the common spec does not model land in extras.
+  EXPECT_EQ(spec.extra_int("measure-rounds", 0), 4);
 }
 
 TEST(ScenarioSpec, DashDashFlagsAndBareTokensAreEquivalent) {
@@ -43,7 +43,7 @@ TEST(ScenarioSpec, RoundTripsThroughKeyValues) {
                  "churn=oldest-first", "churn-mult=0.75",
                  "edge=regenerate", "walk-t=3.5", "items=7",
                  "searches=9", "batches=3", "age-taus=4.5", "threads=2",
-                 "parallel=false", "json=true", "walkers=8",
+                 "parallel=false", "json=true", "trace-sample=8",
                  "protocol=k-walker"});
   const ScenarioSpec spec = ScenarioSpec::from_cli(cli);
   const ScenarioSpec reparsed =
@@ -53,7 +53,7 @@ TEST(ScenarioSpec, RoundTripsThroughKeyValues) {
   EXPECT_EQ(reparsed.edge_dynamics, EdgeDynamics::kRegenerate);
   EXPECT_FALSE(reparsed.parallel);
   EXPECT_EQ(reparsed.threads, 2u);
-  EXPECT_EQ(reparsed.extra_int("walkers", 0), 8);
+  EXPECT_EQ(reparsed.extra_int("trace-sample", 0), 8);
   // Seeds of 2^63 and more print unsigned and must parse back; about half
   // of all trial seeds are in that range.
   for (std::uint32_t trial = 0; trial < 16; ++trial) {
@@ -97,7 +97,9 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
   for (const char* removed :
        {"adaptive-pad", "churn-k", "delta", "h", "rewire-swaps",
         "timeout-taus", "walk-cap", "counters", "horizon-taus", "periods",
-        "probes", "shard-sweep", "steps"}) {
+        "probes", "shard-sweep", "steps", "chord-replicate",
+        "chord-replication", "chord-stabilize", "flood-refresh",
+        "probes-per-round", "replication", "replication-mult", "walkers"}) {
     const std::string key = removed;
     EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
     try {
@@ -109,9 +111,9 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
           << e.what();
     }
   }
-  // Registered extras still parse (stack knobs and measure-rounds).
+  // Registered extras still parse (obs keys and measure-rounds).
   EXPECT_NO_THROW((void)ScenarioSpec::from_cli(
-      Cli({"walkers=8", "chord-stabilize=4", "measure-rounds=8"})));
+      Cli({"obs-host=0", "trace-sample=4", "measure-rounds=8"})));
 }
 
 TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {
@@ -170,17 +172,13 @@ TEST(ScenarioSpec, MalformedValuesErrorOutNamingTheKey) {
       EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
     }
   }
-  // The extras readers (stack knobs, scenario knobs, obs keys) share the
-  // strict parsers: walkers=8x used to read 8.
+  // The extras readers (scenario knobs, obs keys) share the strict
+  // parsers: a prefix parse would read trace-sample=8x as 8.
   const std::map<std::string, std::string> extras = {
-      {"walkers", "8x"}, {"replication-mult", "1.5.0"}, {"probes", "-1"}};
-  EXPECT_THROW((void)extras_int(extras, "walkers", 16), std::invalid_argument);
-  EXPECT_THROW((void)extras_count(extras, "walkers", 16),
+      {"trace-sample", "8x"}, {"obs-host", "1.5.0"}};
+  EXPECT_THROW((void)extras_int(extras, "trace-sample", 1),
                std::invalid_argument);
-  EXPECT_THROW((void)extras_double(extras, "replication-mult", 1.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)extras_count(extras, "probes", 24),
-               std::invalid_argument);
+  EXPECT_THROW((void)extras_int(extras, "obs-host", 1), std::invalid_argument);
   EXPECT_EQ(extras_int(extras, "absent", 16), 16);
 }
 
@@ -271,26 +269,6 @@ TEST(Stacks, CatalogContainsBuiltins) {
   EXPECT_TRUE(has("sqrt-replication"));
   EXPECT_THROW((void)build_stack("no-such-stack", SystemConfig{}),
                std::invalid_argument);
-}
-
-TEST(Stacks, NegativeCountKnobsErrorOutNamingTheKey) {
-  // A cast would wrap these: walkers=-1 asks k-walker for 4,294,967,295
-  // walkers on the first search, chord-stabilize=-1 silently switches
-  // stabilization off.
-  SystemConfig cfg;
-  cfg.sim.n = 64;
-  for (const auto& [stack, key] :
-       {std::pair<std::string, std::string>{"k-walker", "walkers"},
-        {"chord", "chord-stabilize"}}) {
-    try {
-      (void)build_stack(stack, cfg, {{key, "-1"}});
-      FAIL() << stack << " " << key << "=-1 must not build";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
-                std::string::npos)
-          << e.what();
-    }
-  }
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ struct Q {
   EXPECT_EQ(count_rule(ds, "R2"), 0) << join(ds);
 }
 
-// --- R3: direct sends / un-deferred charges in sharded hooks ----------------
+// --- R3: direct sends / metrics charges in sharded hooks --------------------
 
 TEST(ShardcheckR3, DirectSendAndChargeInShardedDispatchFire) {
   const auto ds = check_source("src/s.cpp", R"fix(
@@ -153,7 +153,7 @@ struct S {
     net().send(v, m);
     ctx.send(v, m);
     charge_bits(10);
-    ctx.charge(v, 10);
+    stage_[ctx.shard()].charges.emplace_back(v, 10);
     return true;
   }
 };

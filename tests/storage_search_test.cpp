@@ -85,6 +85,33 @@ TEST(Search, MissingItemTimesOut) {
   EXPECT_FALSE(st->succeeded_fetch());
 }
 
+TEST(Search, ReportAfterTimeoutLeavesSearchUnlocated) {
+  // A holder report that reaches the initiator after its search timed out
+  // is ignored. The same report for a live search locates it.
+  P2PSystem sys(make_config(128, 0));
+  sys.run_rounds(sys.warmup_rounds());
+  constexpr Vertex kInitiator = 7;
+  const auto expired = sys.search(kInitiator, /*item=*/0xBEEF);  // not stored
+  sys.run_rounds(sys.search_timeout() + 4);
+  ASSERT_TRUE(sys.search_status(expired)->finished);
+  ASSERT_FALSE(sys.search_status(expired)->succeeded_locate());
+  const auto live = sys.search(kInitiator, /*item=*/0xF00D);
+
+  Network& net = sys.network();
+  for (const auto& [sid, item] :
+       {std::pair{expired, ItemId{0xBEEF}}, std::pair{live, ItemId{0xF00D}}}) {
+    Message report;
+    report.src = net.peer_at(8);
+    report.dst = net.peer_at(kInitiator);
+    report.type = MsgType::kReport;
+    report.words = {item, sid, 1, net.peer_at(9)};
+    net.send(8, std::move(report));
+  }
+  sys.run_round();
+  EXPECT_FALSE(sys.search_status(expired)->succeeded_locate());
+  EXPECT_TRUE(sys.search_status(live)->succeeded_locate());
+}
+
 TEST(Search, WorksUnderChurn) {
   SystemConfig cfg = make_config(256, 0, /*seed=*/31);
   cfg.sim.churn.kind = AdversaryKind::kUniform;

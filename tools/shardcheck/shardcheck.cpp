@@ -838,9 +838,9 @@ class Analysis {
     } else if (t.text == "charge_bits" || t.text == "charge_bits_local" ||
                t.text == "add_total_bits" || t.text == "charge_processing") {
       diag(t.line, "R3",
-           "un-deferred metrics charge '" + std::string(t.text) +
-               "' in a sharded hook — use ctx.charge so charges merge in "
-               "canonical (shard, vertex) order");
+           "metrics charge '" + std::string(t.text) +
+               "' in a sharded hook — stage it per shard and apply it in "
+               "the merge (charge_processing, ascending shard order)");
     }
   }
 

@@ -9,9 +9,9 @@
 //       stream_rng only.
 //   R2  no iteration over std::unordered_map / std::unordered_set state
 //       inside sharded hooks or on_*_merge() bodies.
-//   R3  no direct net().send / net_.send and no un-deferred metrics charges
-//       inside sharded hooks — sends/charges route through ctx.send /
-//       ctx.charge.
+//   R3  no direct net().send / net_.send and no metrics charges inside
+//       sharded hooks — sends route through ctx.send; a charge is staged
+//       per shard and applied in the merge.
 //   R4  global ban (src/ outside util/) on wall-clock and ambient
 //       randomness — rand(), std::random_device, time(), *_clock::now —
 //       and on mutable static / thread_local state.
