@@ -77,11 +77,6 @@ constexpr Scenario kScenarios[] = {
      "churn",
      "n=512 items=2 searches=10 batches=1 age-taus=10", "", "",
      Obs::kExports, bench::run_baselines},
-    {"capacity",
-     "C1: large-n capacity — rounds/sec serial vs sharded, same seed, "
-     "bit-identical results",
-     "n=100000 items=64 searches=128", "shard-sweep measure-rounds", "",
-     Obs::kRejects, bench::run_capacity},
     {"chord",
      "E14: message-accurate Chord — measured hops, bits, and ring health vs "
      "churn",
@@ -113,10 +108,6 @@ constexpr Scenario kScenarios[] = {
      "E1+E3: Soup Theorem probe uniformity and walk survival (Theorem 1, "
      "Lemma 2)",
      "n=256,512,1024 trials=3", "probes", "", Obs::kRejects, bench::run_soup},
-    {"soup_step",
-     "M2: sharded soup-step throughput (S sweep, ungated sizing tool)",
-     "n=4096,16384", "steps shard-sweep counters", "", Obs::kRejects,
-     bench::run_soup_step},
     {"storage", "E6: storage persistence traces (Theorem 3)",
      "n=512 trials=3", "horizon-taus", "churn-mult", Obs::kRejects,
      bench::run_storage},
@@ -219,6 +210,14 @@ void run(const Scenario& scenario, const std::vector<std::string>& args) {
   const Cli cli(tokens);
   const ScenarioSpec spec = ScenarioSpec::from_cli(cli);
   reject_pinned(scenario, cli);
+  // The library registers measure-rounds for the ledger binary, which reads
+  // it without registering it; a scenario would print the table of a run
+  // without it.
+  if (cli.has("measure-rounds")) {
+    throw std::invalid_argument(
+        "spec key 'measure-rounds' is read only by the ledger binary "
+        "(ledger/ledger.cpp); no scenario reads it");
+  }
   if (scenario.obs == Obs::kExports) {
     (void)obs_config_from_extras(spec.extras);
   } else {

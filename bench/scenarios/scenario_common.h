@@ -1,5 +1,6 @@
-// Shared plumbing for the scenarios (README's scenario catalog: E1-E14,
-// C1, M2).
+// Shared plumbing for the scenarios (README's scenario catalog: E1-E14).
+// The engine's timing at any n and shard count is the ledger binary's job
+// (ledger/ledger.cpp), not a scenario's.
 //
 // Each scenario is a plain run_<name>(spec, cli) function, one per file,
 // listed in the scenario table in bench_driver.cpp. Before calling it the
@@ -34,7 +35,6 @@ namespace churnstore::bench {
 void run_ablation(const ScenarioSpec& spec, const Cli& cli);
 void run_adversary(const ScenarioSpec& spec, const Cli& cli);
 void run_baselines(const ScenarioSpec& spec, const Cli& cli);
-void run_capacity(const ScenarioSpec& spec, const Cli& cli);
 void run_chord(const ScenarioSpec& spec, const Cli& cli);
 void run_churn_limit(const ScenarioSpec& spec, const Cli& cli);
 void run_committee(const ScenarioSpec& spec, const Cli& cli);
@@ -44,7 +44,6 @@ void run_message_complexity(const ScenarioSpec& spec, const Cli& cli);
 void run_mixing(const ScenarioSpec& spec, const Cli& cli);
 void run_search(const ScenarioSpec& spec, const Cli& cli);
 void run_soup(const ScenarioSpec& spec, const Cli& cli);
-void run_soup_step(const ScenarioSpec& spec, const Cli& cli);
 void run_storage(const ScenarioSpec& spec, const Cli& cli);
 
 /// Print `table` in the spec's chosen format (aligned text, CSV, or JSON).

@@ -8,7 +8,8 @@
 #                               # concurrent round path)
 #   scripts/check.sh --asan     # ASan+UBSan build of the whole test suite
 #                               # (build-asan/, leak/lifetime checks on the
-#                               # arena-backed containers: SmallVec spill,
+#                               # arena-backed containers: messages'
+#                               # WordList blocks, SmallVec spill,
 #                               # sample-store slots, token queues, lanes)
 #   scripts/check.sh --smoke    # run EVERY scenario in bench_driver's table
 #                               # once at tiny n (<= 2k, trials=1) so a
@@ -65,8 +66,8 @@ if [[ "$SMOKE" == "1" ]]; then
   # spec-validation failure, a malformed default in the table, a row missing
   # from --list) fail here instead of in someone's experiment sweep.
   # Per-scenario overrides keep the expensive
-  # defaults (capacity n=100k, soup_step n=16k, storage 20-tau horizons)
-  # down at smoke scale.
+  # defaults (storage 20-tau horizons, mixing's 40k probes) down at smoke
+  # scale.
   BUILD_DIR="${BUILD_DIR:-build}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON
@@ -82,11 +83,9 @@ if [[ "$SMOKE" == "1" ]]; then
   for sc in $SCENARIOS; do
     EXTRA=""
     case "$sc" in
-      capacity)  EXTRA="shard-sweep=1,2 measure-rounds=8" ;;
       committee) EXTRA="periods=2" ;;
       mixing)    EXTRA="probes=2000" ;;
       soup)      EXTRA="probes=4" ;;
-      soup_step) EXTRA="steps=8 shard-sweep=1,2 counters=true" ;;
       storage)   EXTRA="horizon-taus=2" ;;
     esac
     echo "== smoke: $sc $TINY $EXTRA"
@@ -124,6 +123,13 @@ for path in jsonl + search:
         for i, line in enumerate(f):
             obj = json.loads(line)  # every line must be valid JSON
             summaries += 1 if obj.get("summary") else 0
+            if path in search and "round" in obj:
+                # The session times the round phases: no secs.* is null.
+                secs = {k: v for k, v in obj.items() if k.startswith("secs.")}
+                assert secs, f"{path} line {i + 1}: no secs.* key"
+                bad = [k for k, v in secs.items()
+                       if not isinstance(v, (int, float)) or isinstance(v, bool)]
+                assert not bad, f"{path} line {i + 1}: {bad} are not numbers"
     assert summaries == 1, f"{path}: expected exactly one summary line"
 for path in chrome:
     with open(path) as f:
@@ -155,6 +161,18 @@ PYEOF
   [[ "$status" == "1" ]] || { echo "smoke: n=256x exited $status, want 1"; exit 1; }
   grep -q "'n'" "$OBS_DIR/malformed.err" || {
     echo "smoke: the n=256x error does not name n"
+    exit 1
+  }
+  # measure-rounds is the ledger binary's key: every scenario must exit 1
+  # naming it, never print the table of a run without it.
+  echo "== smoke: search $TINY measure-rounds=8 must exit 1 naming measure-rounds"
+  status=0
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY measure-rounds=8 \
+    >/dev/null 2>"$OBS_DIR/measure_rounds.err" || status=$?
+  [[ "$status" == "1" ]] || { echo "smoke: search measure-rounds=8 exited $status, want 1"; exit 1; }
+  grep -q "'measure-rounds'" "$OBS_DIR/measure_rounds.err" || {
+    echo "smoke: the measure-rounds=8 error does not name measure-rounds"
     exit 1
   }
   # A scenario-only key is accepted by its scenario alone: committee reads
@@ -302,10 +320,11 @@ fi
 
 if [[ "$ASAN" == "1" ]]; then
   # ASan+UBSan build of the whole suite: every arena-backed container
-  # (SmallVec message words/blobs, sample-store slot arrays, token queues,
-  # send lanes and the held lanes inboxes point into) is exercised; leaks
-  # (blocks that never return to their arena), inbox pointers that outlive
-  # their held lane, and other lifetime/UB bugs fail the run.
+  # (messages' WordList blocks, SmallVec spills, sample-store slot arrays,
+  # token queues, send lanes and the held lanes inboxes point into) is
+  # exercised; leaks (blocks that never return to their arena), inbox
+  # pointers that outlive their held lane, and other lifetime/UB bugs fail
+  # the run.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   cmake -B "$BUILD_DIR" -S . "${GENERATOR_ARGS[@]}" \
     -DCHURNSTORE_WARNINGS_AS_ERRORS=ON -DCHURNSTORE_ASAN=ON

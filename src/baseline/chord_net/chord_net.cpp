@@ -43,6 +43,12 @@ constexpr std::uint32_t kLookupRetry = 3;
 // Search deadline = kTimeoutMult * (ceil(log2 n) + 8) rounds (semi-recursive
 // hops cost one round each).
 constexpr std::uint32_t kTimeoutMult = 3;
+// Successor-list length r; doubles as the replica set size.
+constexpr std::uint32_t kSuccessors = 8;
+// Rounds between stabilize/fix-fingers ticks per vertex (staggered).
+constexpr std::uint32_t kStabilizePeriod = 2;
+// Rounds between replica pushes per primary holder (staggered).
+constexpr std::uint32_t kReplicatePeriod = 8;
 
 }  // namespace
 
@@ -76,10 +82,8 @@ void ChordNetProtocol::LookupStats::reset() noexcept {
 
 ChordNetProtocol::ChordNetProtocol(Options options)
     : options_(options),
-      stabilize_(options.stabilize_period),
-      replicate_(options.replicate_period) {
-  if (options_.successors == 0) options_.successors = 1;
-}
+      stabilize_(kStabilizePeriod),
+      replicate_(kReplicatePeriod) {}
 
 ChordNetProtocol::ChordId ChordNetProtocol::chord_id(PeerId p) noexcept {
   return mix64(p ^ kIdSalt);
@@ -138,7 +142,7 @@ void ChordNetProtocol::init_ring() {
   std::sort(ring.begin(), ring.end());
 
   const std::uint32_t r =
-      std::min<std::uint32_t>(options_.successors, n > 1 ? n - 1 : 1);
+      std::min<std::uint32_t>(kSuccessors, n > 1 ? n - 1 : 1);
   for (std::uint32_t i = 0; i < n; ++i) {
     NodeState& s = nodes_[ring[i].second];
     s.joined = true;
@@ -213,7 +217,7 @@ void ChordNetProtocol::adopt_successors(NodeState& s, const Entry& head,
   s.succ.clear();
   const auto push = [&](const Entry& e) {
     if (e.peer == kNoPeer || e.peer == self) return;
-    if (s.succ.size() >= options_.successors) return;
+    if (s.succ.size() >= kSuccessors) return;
     for (const Entry& have : s.succ) {
       if (have.peer == e.peer) return;
     }
@@ -691,7 +695,7 @@ bool ChordNetProtocol::complete_resolution(Vertex v, Lookup& lk,
       // copy acks the placement; until an ack lands the lookup stays alive
       // and re-resolves (the whole chain may have died under churn).
       const std::uint32_t copies = std::min<std::uint32_t>(
-          options_.successors, static_cast<std::uint32_t>(candidates.size()));
+          kSuccessors, static_cast<std::uint32_t>(candidates.size()));
       bool local = false;
       for (std::uint32_t i = 0; i < copies; ++i) {
         const Entry& e = candidates[i];

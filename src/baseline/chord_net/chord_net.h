@@ -46,13 +46,9 @@ class ChordNetProtocol final : public Protocol, public StorageService {
  public:
   using ChordId = std::uint64_t;
 
+  /// The successor-list length r (8, also the replica set size) and the
+  /// stabilize (2) and replicate (8) periods are constants of chord_net.cpp.
   struct Options {
-    /// Successor-list length r; doubles as the replica set size.
-    std::uint32_t successors = 8;
-    /// Rounds between stabilize/fix-fingers ticks per vertex (staggered).
-    std::uint32_t stabilize_period = 2;
-    /// Rounds between replica pushes per primary holder (staggered).
-    std::uint32_t replicate_period = 8;
     std::uint64_t item_bits = 1024;
   };
 

@@ -29,11 +29,8 @@ void KWalkerSearch::on_churn(Vertex v, PeerId, PeerId) {
 }
 
 bool KWalkerSearch::try_store(Vertex creator, ItemId item) {
-  const auto want =
-      options_.replication != 0
-          ? options_.replication
-          : static_cast<std::uint32_t>(
-                std::ceil(std::sqrt(static_cast<double>(net().n()))));
+  const auto want = static_cast<std::uint32_t>(
+      std::ceil(std::sqrt(static_cast<double>(net().n()))));
   PeerList targets;
   soup_.samples(creator).recent_distinct(want, targets);
   if (targets.size() < std::max<std::size_t>(1, want / 2)) return false;

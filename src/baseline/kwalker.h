@@ -25,9 +25,9 @@ namespace churnstore {
 
 class KWalkerSearch final : public Protocol, public StorageService {
  public:
+  /// An item gets ceil(sqrt(n)) holders.
   struct Options {
-    std::uint32_t walkers = 16;       ///< k
-    std::uint32_t replication = 0;    ///< holders; 0 = sqrt(n)
+    std::uint32_t walkers = 16;  ///< k
     std::uint64_t item_bits = 1024;
   };
 

@@ -23,8 +23,8 @@ void SqrtReplication::on_churn(Vertex v, PeerId, PeerId) { held_[v].clear(); }
 
 bool SqrtReplication::try_store(Vertex creator, ItemId item) {
   const double n = static_cast<double>(net().n());
-  const auto want = static_cast<std::size_t>(
-      std::ceil(options_.replication_mult * std::sqrt(n * std::log(n))));
+  const auto want =
+      static_cast<std::size_t>(std::ceil(std::sqrt(n * std::log(n))));
   PeerList targets;
   soup_.samples(creator).recent_distinct(want, targets);
   if (targets.size() < want / 2 || targets.empty()) return false;
@@ -106,16 +106,11 @@ void SqrtReplication::on_round_begin(std::uint32_t shard, ShardContext& ctx) {
   const ShardPlan& plan = net().shards();
   for (const ProbeJob& job : probe_jobs_) {
     if (plan.shard_of(job.initiator) != shard) continue;
-    const auto& sources = soup_.samples(job.initiator).at(now - 1);
-    const std::size_t cap =
-        options_.probes_per_round == 0
-            ? sources.size()
-            : std::min<std::size_t>(options_.probes_per_round, sources.size());
     const PeerId self = net().peer_at(job.initiator);
-    for (std::size_t i = 0; i < cap; ++i) {
+    for (const PeerId source : soup_.samples(job.initiator).at(now - 1)) {
       Message msg;
       msg.src = self;
-      msg.dst = sources[i];
+      msg.dst = source;
       msg.type = MsgType::kProbe;
       msg.words = {job.item, job.sid};
       ctx.send(job.initiator, std::move(msg));

@@ -24,10 +24,10 @@ namespace churnstore {
 
 class SqrtReplication final : public Protocol, public StorageService {
  public:
+  /// An item gets ceil(sqrt(n ln n)) copies, and a searcher probes every
+  /// fresh sample each round.
   struct Options {
-    double replication_mult = 1.0;  ///< copies = mult * sqrt(n * ln n)
     std::uint64_t item_bits = 1024;
-    std::uint32_t probes_per_round = 0;  ///< 0 = all fresh samples
   };
 
   SqrtReplication(TokenSoup& soup, Options options);

@@ -75,11 +75,11 @@ class Runner {
     return options_;
   }
 
-  /// The runner's pool (created on first use). Exposed so scenarios can
-  /// lend it to standalone systems (P2PSystem::set_shard_pool).
+ private:
+  /// The runner's pool (created on first use), shared by the trials and
+  /// their systems' shard tasks.
   [[nodiscard]] ThreadPool& pool();
 
- private:
   RunnerOptions options_;
   std::unique_ptr<ThreadPool> pool_;
 };

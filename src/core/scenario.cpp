@@ -49,7 +49,8 @@ const char* const kKnownKeys[] = {
 std::set<std::string>& extra_key_registry() {
   // shardcheck:ok(R4: Meyers registry mutated only during static init and CLI parsing, before any round runs)
   static std::set<std::string> keys = {
-      // read by ledger/ledger.cpp and the capacity scenario
+      // read by ledger/ledger.cpp alone; bench_driver rejects it for
+      // every scenario
       "measure-rounds",
       // observability (obs/export.h)
       "obs", "obs-file", "obs-host", "trace-sample",
@@ -178,6 +179,12 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.workload.age_taus = cli.get_double("age-taus", spec.workload.age_taus);
 
   spec.threads = get_count<std::size_t>(cli, "threads", 0);
+  if (spec.threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "spec key 'threads' must be in [0, " + std::to_string(kMaxThreads) +
+        "] (0 = the hardware thread count), got " +
+        std::to_string(spec.threads));
+  }
   spec.parallel = cli.get_bool("parallel", spec.parallel);
   spec.shards = get_count(cli, "shards", spec.shards);
   spec.csv = cli.get_bool("csv", spec.csv);

@@ -37,6 +37,10 @@ struct StoreSearchOptions {
   double age_taus = 2.0;
 };
 
+/// The most worker threads a spec may ask for. A pool starts every thread
+/// it is given, so from_cli rejects a larger `threads=` naming the key.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 struct ScenarioSpec {
   /// Protocol stack name (see core/stacks.h): churnstore, chord, flooding,
   /// k-walker, sqrt-replication.
@@ -62,7 +66,8 @@ struct ScenarioSpec {
 
   StoreSearchOptions workload{};
 
-  /// Runner execution: worker threads (0 = hardware) and parallel on/off.
+  /// Runner execution: worker threads (0 = hardware, at most kMaxThreads)
+  /// and parallel on/off.
   std::size_t threads = 0;
   bool parallel = true;
   /// Intra-round shards per trial system (1 = unsharded, 0 = hardware).
@@ -74,7 +79,8 @@ struct ScenarioSpec {
   bool json = false;
 
   /// Registered keys that the common spec does not model: the obs keys,
-  /// measure-rounds and the running scenario's own knobs (e.g. periods=4).
+  /// measure-rounds (the ledger binary's) and the running scenario's own
+  /// knobs (e.g. periods=4).
   std::map<std::string, std::string> extras;
 
   /// Parses a spec from key=value flags. Every key must be either a common
@@ -85,7 +91,7 @@ struct ScenarioSpec {
 
   /// Registers an extra key as accepted by from_cli. The obs keys and
   /// measure-rounds are pre-registered; a scenario's own knobs (periods,
-  /// probes, shard-sweep, ...) are registered by the program that runs it
+  /// probes, horizon-taus) are registered by the program that runs it
   /// (bench_driver, for the running scenario only).
   static void accept_extra_key(const std::string& key);
   /// All keys from_cli accepts (common spec keys + registered extras),
@@ -125,13 +131,13 @@ struct ScenarioSpec {
 /// 4294967295. from_cli and the scenarios read every count through these.
 [[nodiscard]] std::uint32_t cli_count(const Cli& cli, const std::string& key,
                                       std::uint32_t fallback);
-/// A comma-separated list of counts, e.g. shard-sweep=1,4,16.
+/// A comma-separated list of counts, e.g. n=256,512,1024.
 [[nodiscard]] std::vector<std::uint32_t> cli_count_list(
     const Cli& cli, const std::string& key,
     const std::vector<std::int64_t>& fallback);
 /// Rejects a zero count for a key that sizes the measured work itself
-/// (trials, timed steps): zero runs nothing, and the all-zero rows it would
-/// print read as a measurement. Throws std::invalid_argument naming the key.
+/// (trials): zero runs nothing, and the all-zero rows it would print read
+/// as a measurement. Throws std::invalid_argument naming the key.
 void require_nonzero(const std::string& key, std::uint64_t value);
 /// Rejects any value but `only` for a key a scenario cannot vary (chord
 /// runs one cell per n and churn level, so its `trials` must be 1): an

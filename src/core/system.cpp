@@ -62,17 +62,10 @@ void P2PSystem::run_round() {
   net_->begin_round();  // adversary: churn + edge dynamics
   lap(&RoundPhaseTimers::churn_secs);
   for (std::size_t pi = 0; pi < protocols_.size(); ++pi) {
-    const auto& p = protocols_[pi];
-    p->step();
+    protocols_[pi]->step();
     if (timed) {
-      // Same clock reads feed the phase bucket and the per-protocol
-      // breakdown the chrome-trace exporter renders.
       const auto t1 = clock::now();
-      const double dt = std::chrono::duration<double>(t1 - t0).count();
-      protocol_secs_[pi] += dt;
-      (p.get() == static_cast<Protocol*>(soup_)
-           ? phase_timers_.soup_secs
-           : phase_timers_.handler_secs) += dt;
+      protocol_secs_[pi] += std::chrono::duration<double>(t1 - t0).count();
       t0 = t1;
     }
   }

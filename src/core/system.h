@@ -44,14 +44,13 @@ struct SystemConfig {
   ProtocolConfig protocol{};
 };
 
-/// Cumulative wall-clock seconds per round phase (capacity scenario: where
-/// does a round actually go — soup vs protocol handlers vs delivery?).
-/// Zero-cost unless enabled via P2PSystem::enable_phase_timing.
+/// Cumulative wall-clock seconds per round phase outside the protocols'
+/// round hooks (P2PSystem::protocol_secs() holds each protocol's own).
+/// The ledger binary and the obs exporters read them. Zero-cost unless
+/// enabled via P2PSystem::enable_phase_timing.
 struct RoundPhaseTimers {
   bool enabled = false;
   double churn_secs = 0;     ///< begin_round: adversary churn + edges
-  double soup_secs = 0;      ///< TokenSoup round work (sharded token moves)
-  double handler_secs = 0;   ///< every other protocol's round hooks
   double deliver_secs = 0;   ///< lane flush + inbox filing
   double dispatch_secs = 0;  ///< on_message dispatch over all inboxes
 
@@ -118,9 +117,9 @@ class P2PSystem {
     net_->set_worker_pool(pool);
   }
 
-  /// Per-phase round timing (off by default; ~2 clock reads per phase when
-  /// on). The capacity scenario uses this to report soup vs handler vs
-  /// delivery rounds/sec in isolation.
+  /// Per-phase round timing (off by default; one clock read per phase and
+  /// per protocol when on). The ledger binary's traced runs and the obs
+  /// sessions turn it on.
   void enable_phase_timing(bool on) noexcept { phase_timers_.enabled = on; }
   [[nodiscard]] const RoundPhaseTimers& phase_timers() const noexcept {
     return phase_timers_;
@@ -131,7 +130,8 @@ class P2PSystem {
   }
   /// Cumulative round-hook seconds per registered protocol (index-aligned
   /// with protocols()); accumulated only while phase timing is enabled.
-  /// The chrome-trace exporter renders these as per-protocol segments.
+  /// The registry exports each as secs.<protocol name>, and the
+  /// chrome-trace exporter renders them as per-protocol segments.
   [[nodiscard]] const std::vector<double>& protocol_secs() const noexcept {
     return protocol_secs_;
   }

@@ -138,9 +138,11 @@ ObsSession::ObsSession(P2PSystem& sys, ObsConfig config,
                              std::size_t n) { consume_spans(round, ev, n); });
   register_standard_metrics(registry_, sys_);
   sys_.set_round_observer(this);
+  // Both exporters read the phase timers: jsonl through the registry's
+  // secs.* entries, chrome as its wall-clock track.
+  sys_.enable_phase_timing(true);
 
   if (config_.mode == ObsConfig::Mode::kChrome) {
-    sys_.enable_phase_timing(true);
     prev_timers_ = sys_.phase_timers();
     prev_protocol_secs_ = sys_.protocol_secs();
     out_ << "{\"traceEvents\":[";
@@ -355,16 +357,14 @@ void ObsSession::write_round_chrome(P2PSystem& sys) {
   const auto us = [](double secs) { return secs * 1e6; };
 
   const double churn = us(t.churn_secs - prev_timers_.churn_secs);
-  const double soup = us(t.soup_secs - prev_timers_.soup_secs);
-  const double handlers = us(t.handler_secs - prev_timers_.handler_secs);
   const double deliver = us(t.deliver_secs - prev_timers_.deliver_secs);
   const double dispatch = us(t.dispatch_secs - prev_timers_.dispatch_secs);
 
   double cursor = ts_cursor_us_;
   slice("churn", 0, 0, cursor, churn);
   cursor += churn;
-  // Per-protocol breakdown of the soup+handler window, each protocol on
-  // its own tid, laid out sequentially (they really do run sequentially).
+  // Per-protocol breakdown of the protocols window, each protocol on its
+  // own tid, laid out sequentially (they really do run sequentially).
   double proto_cursor = cursor;
   for (std::size_t pi = 0; pi < proto.size(); ++pi) {
     const double prev =
@@ -374,8 +374,8 @@ void ObsSession::write_round_chrome(P2PSystem& sys) {
           static_cast<double>(pi + 1), proto_cursor, dur);
     proto_cursor += dur;
   }
-  slice("protocols", 0, 0, cursor, soup + handlers);
-  cursor += soup + handlers;
+  slice("protocols", 0, 0, cursor, proto_cursor - cursor);
+  cursor = proto_cursor;
   slice("deliver", 0, 0, cursor, deliver);
   cursor += deliver;
   slice("dispatch", 0, 0, cursor, dispatch);

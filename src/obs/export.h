@@ -2,13 +2,15 @@
 // and the ObsSession round observer that writes them.
 //
 //   obs=jsonl   one flat JSON object per round (unified-registry snapshot:
-//               deterministic engine counters first, then gated host
-//               metrics) plus one "span" object per completed sampled
+//               deterministic engine counters first, then the host metrics:
+//               the secs.* phase and per-protocol timers and the heap.*
+//               round stats) plus one "span" object per completed sampled
 //               request, and a final "summary" object with the per-class
-//               latency/hop quantiles.
+//               latency/hop quantiles. Both modes turn on the system's
+//               phase timing, so every secs.* value is a number.
 //   obs=chrome  chrome://tracing / Perfetto-loadable JSON. Two process
 //               tracks: pid 0 renders measured wall-clock round phases
-//               (churn/soup/handlers/deliver/dispatch and the per-protocol
+//               (churn/protocols/deliver/dispatch and the per-protocol
 //               breakdown) on a cumulative-microsecond timeline built from
 //               the phase timers (no new clock reads — shardcheck-R4 keeps
 //               ambient clocks out of src/); pid 1 renders sampled request
@@ -37,7 +39,6 @@
 #include "core/system.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "util/perf_counters.h"
 
 namespace churnstore {
 

@@ -54,16 +54,20 @@ void register_standard_metrics(MetricsRegistry& reg, P2PSystem& sys) {
   reg.add("bits.node_round.last_mean",
           [&m] { return m.last_round_mean_bits(); });
 
-  // Wall-clock phase timers: valid only while phase timing is enabled.
-  const auto phase = [&reg, &sys](const char* name,
-                                  double RoundPhaseTimers::*field) {
+  // Wall-clock phase timers, in round order with one secs.<protocol name>
+  // per registered protocol: valid only while phase timing is enabled.
+  const auto timing = [&sys] { return sys.phase_timers().enabled; };
+  const auto phase = [&reg, &sys, &timing](const char* name,
+                                           double RoundPhaseTimers::*field) {
     reg.add_gated(
-        name, [&sys, field] { return sys.phase_timers().*field; },
-        [&sys] { return sys.phase_timers().enabled; });
+        name, [&sys, field] { return sys.phase_timers().*field; }, timing);
   };
   phase("secs.churn", &RoundPhaseTimers::churn_secs);
-  phase("secs.soup", &RoundPhaseTimers::soup_secs);
-  phase("secs.handlers", &RoundPhaseTimers::handler_secs);
+  for (std::size_t pi = 0; pi < sys.protocols().size(); ++pi) {
+    reg.add_gated(
+        "secs." + std::string(sys.protocols()[pi]->name()),
+        [&sys, pi] { return sys.protocol_secs()[pi]; }, timing);
+  }
   phase("secs.deliver", &RoundPhaseTimers::deliver_secs);
   phase("secs.dispatch", &RoundPhaseTimers::dispatch_secs);
 

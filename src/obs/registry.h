@@ -1,13 +1,13 @@
 // Unified metrics registry: one named counter/gauge surface over the repo's
-// scattered instruments — Metrics counters, P2PSystem phase timers,
-// heap-sentinel round stats, perf-counter readings — so exporters
+// scattered instruments — Metrics counters, P2PSystem phase and
+// per-protocol timers, heap-sentinel round stats — so exporters
 // (obs/export.h) snapshot everything through one API instead of growing a
 // bespoke column per instrument.
 //
-// Degradation contract (matches the perf-counter/heap-sentinel precedent):
-// every entry carries an ok flag; a gauge whose source is unavailable
-// (perf_event_open denied, sentinel compiled out) snapshots ok=false and
-// exporters print null/n/a — never silent zeros dressed up as measurements.
+// Degradation contract (matches the heap-sentinel precedent): every entry
+// carries an ok flag; a gauge whose source is unavailable (phase timing
+// off, sentinel compiled out) snapshots ok=false and exporters print
+// null/n/a — never silent zeros dressed up as measurements.
 //
 // The registry is cold-path by design: it is built once per session and
 // read once per round by exporters. Nothing here runs inside sharded hooks.
@@ -31,7 +31,7 @@ class MetricsRegistry {
 
   /// Register an always-valid scalar.
   void add(std::string name, Read read);
-  /// Register a scalar whose validity is gated (perf counters, heap stats).
+  /// Register a scalar whose validity is gated (phase timers, heap stats).
   void add_gated(std::string name, Read read, Ok ok);
 
   struct Sample {
@@ -53,9 +53,10 @@ class MetricsRegistry {
 };
 
 /// Adopt the standard instruments of a P2PSystem run: Metrics counters,
-/// round/phase timers (gated on phase timing being enabled), heap-sentinel
-/// round stats (gated on HeapSentinel::available). Borrow-only: `sys` must
-/// outlive the registry.
+/// round-phase timers and one secs.<protocol name> per registered protocol
+/// (gated on phase timing being enabled), heap-sentinel round stats (gated
+/// on HeapSentinel::available). Borrow-only: `sys` must outlive the
+/// registry.
 void register_standard_metrics(MetricsRegistry& reg, P2PSystem& sys);
 
 }  // namespace churnstore

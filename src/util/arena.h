@@ -121,7 +121,7 @@ class Arena {
     return prev;
   }
 
-  /// --- stats (the arena unit test and capacity bench read these) --------
+  /// --- stats (the arena unit test and the ledger binary read these) -----
   [[nodiscard]] std::size_t bytes_reserved() const noexcept {
     return reserved_bytes_;
   }

@@ -14,7 +14,7 @@
 // process_totals() sums the slots; concurrent reads are racy-but-monotonic
 // snapshots, which is exactly what a before/after delta needs.
 //
-// Graceful degradation mirrors util/perf_counters.h: when the replacements
+// Graceful degradation, like util/perf_counters.h: when the replacements
 // are compiled out (-DCHURNSTORE_HEAP_SENTINEL absent — e.g. a host
 // allocator that must not be shadowed) every total reads as zero, and when
 // force_unavailable_for_testing() is set the counters keep running but the

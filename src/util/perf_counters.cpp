@@ -2,22 +2,14 @@
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
-#include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 #endif
 
 namespace churnstore {
-
-namespace {
-bool g_force_unavailable = false;
-}  // namespace
-
-void PerfCounters::force_unavailable_for_testing(bool on) noexcept {
-  g_force_unavailable = on;
-}
 
 #if defined(__linux__)
 
@@ -45,7 +37,6 @@ constexpr std::uint64_t cache_config(std::uint64_t cache, std::uint64_t op,
 }  // namespace
 
 PerfCounters::PerfCounters() {
-  if (g_force_unavailable) return;
   fds_[0] = open_event(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES);
   fds_[1] = open_event(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS);
   fds_[2] = open_event(PERF_TYPE_HW_CACHE,
@@ -71,46 +62,11 @@ bool PerfCounters::available() const noexcept {
   return false;
 }
 
-void PerfCounters::start() noexcept {
-  for (int fd : fds_) {
-    if (fd < 0) continue;
-    ioctl(fd, PERF_EVENT_IOC_RESET, 0);
-    ioctl(fd, PERF_EVENT_IOC_ENABLE, 0);
-  }
-}
-
-void PerfCounters::stop() noexcept {
-  for (int fd : fds_) {
-    if (fd >= 0) ioctl(fd, PERF_EVENT_IOC_DISABLE, 0);
-  }
-}
-
-PerfCounters::Values PerfCounters::read() const noexcept {
-  Values out;
-  std::uint64_t* vals[kEvents] = {&out.cycles, &out.instructions,
-                                  &out.llc_misses, &out.dtlb_misses};
-  bool* oks[kEvents] = {&out.cycles_ok, &out.instructions_ok,
-                        &out.llc_misses_ok, &out.dtlb_misses_ok};
-  for (int i = 0; i < kEvents; ++i) {
-    if (fds_[i] < 0) continue;
-    std::uint64_t v = 0;
-    const ssize_t got = ::read(fds_[i], &v, sizeof(v));
-    if (got == static_cast<ssize_t>(sizeof(v))) {
-      *vals[i] = v;
-      *oks[i] = true;
-    }
-  }
-  return out;
-}
-
 #else  // !__linux__
 
-PerfCounters::PerfCounters() { (void)g_force_unavailable; }
+PerfCounters::PerfCounters() = default;
 PerfCounters::~PerfCounters() = default;
 bool PerfCounters::available() const noexcept { return false; }
-void PerfCounters::start() noexcept {}
-void PerfCounters::stop() noexcept {}
-PerfCounters::Values PerfCounters::read() const noexcept { return Values{}; }
 
 #endif
 

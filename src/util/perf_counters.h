@@ -1,67 +1,34 @@
-// Hardware counter proof for hot-loop claims (perf_event_open wrapper).
+// Whether this host exposes hardware counters (perf_event_open probe).
 //
-// "The WC scatter removed the DRAM round-trips" is a falsifiable statement:
-// cycles, LLC misses, and dTLB misses per token either drop or they don't.
-// This wrapper counts exactly those three (plus instructions) around a
-// measured region so soup_step can print counter-backed columns next to
-// Mtokens/sec.
+// The ledger prints available() as its `pmu` host fact, so a reader of a
+// recorded number knows whether counter-backed claims (cycles, LLC and
+// dTLB misses) could have been checked on that host.
 //
-// Graceful degradation is a hard requirement, not an afterthought: CI
-// containers and many VMs deny perf_event_open (EPERM under seccomp,
-// ENOENT when no PMU is exposed, or the syscall is absent off Linux). In
-// every such case the wrapper reports available() == false and read()
-// returns values with per-counter ok flags cleared — never a crash, never
-// garbage. Callers print "n/a" and move on.
+// Graceful degradation is a hard requirement: CI containers and many VMs
+// deny perf_event_open (EPERM under seccomp, ENOENT when no PMU is exposed,
+// or the syscall is absent off Linux). In every such case available() is
+// false — never a crash.
 //
-// Each event gets its own fd (no group leader): on hosts where some events
-// exist and others don't, we keep what we can instead of losing the group.
-// Counting mode only (no sampling, no mmap), exclude_kernel+exclude_hv so
+// Each event gets its own fd (no group leader), so a host where some events
+// exist and others don't still reports the ones it has. Counting mode only
+// (no sampling, no mmap), exclude_kernel+exclude_hv so
 // perf_event_paranoid=2 hosts still permit it.
 #pragma once
-
-#include <cstdint>
 
 namespace churnstore {
 
 class PerfCounters {
  public:
-  struct Values {
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t llc_misses = 0;
-    std::uint64_t dtlb_misses = 0;
-    bool cycles_ok = false;
-    bool instructions_ok = false;
-    bool llc_misses_ok = false;
-    bool dtlb_misses_ok = false;
-    /// True when at least one counter produced a real reading.
-    [[nodiscard]] bool any() const noexcept {
-      return cycles_ok || instructions_ok || llc_misses_ok || dtlb_misses_ok;
-    }
-  };
-
+  /// Opens cycles, instructions, LLC read misses and dTLB read misses,
+  /// each disabled; the destructor closes what opened.
   PerfCounters();
   ~PerfCounters();
   PerfCounters(const PerfCounters&) = delete;
   PerfCounters& operator=(const PerfCounters&) = delete;
 
   /// True when at least one event opened. False on denial, absent PMU, or
-  /// non-Linux — callers must treat the readings as absent, not zero.
+  /// non-Linux.
   [[nodiscard]] bool available() const noexcept;
-
-  /// Reset and enable every opened counter (no-op when unavailable).
-  void start() noexcept;
-  /// Disable counting (readings freeze; no-op when unavailable).
-  void stop() noexcept;
-  /// Current readings with per-counter validity flags. Safe to call in any
-  /// state; unavailable counters come back with ok = false and value 0.
-  [[nodiscard]] Values read() const noexcept;
-
-  /// Test hook: forces every subsequently-constructed PerfCounters to
-  /// behave as if perf_event_open failed, so the degraded path is testable
-  /// on hosts where the syscall happens to work. (util/ static-state
-  /// exemption: test-only, never touched from shard tasks.)
-  static void force_unavailable_for_testing(bool on) noexcept;
 
  private:
   static constexpr int kEvents = 4;

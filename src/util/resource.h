@@ -1,14 +1,14 @@
 // Process resource introspection for the bench layer.
 //
-// The n=1M memory work (ROADMAP) was measured by hand with /usr/bin/time;
-// that made regressions invisible to the recorded BENCH_*.json baselines.
-// peak_rss_bytes() puts the number in the tables themselves: capacity and
-// soup_step emit a "maxrss MB" column, so a memory regression shows up in
+// peak_rss_bytes() puts the process's peak resident set in the outputs
+// themselves: the ledger binary prints it as `maxrss_mb` and the chord
+// scenario as its "maxrss MB" column, so a memory regression shows up in
 // the same diff as a throughput regression.
 //
 // Note the value is the PROCESS peak (getrusage ru_maxrss), so within one
 // table it is monotone across rows — read the last row of a sweep as "the
-// whole sweep fit in this much".
+// whole sweep fit in this much". The ledger runs one process per
+// repetition, so its number belongs to that repetition alone.
 #pragma once
 
 #include <cstdint>

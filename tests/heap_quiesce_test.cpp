@@ -1,14 +1,15 @@
 // The heap-quiet steady state, proven end to end: after warm-up, the
-// soup_step kernel (begin_round / TokenSoup::step / deliver — exactly the
-// loop the M2 bench times) performs ZERO global-heap allocations per
-// round, at S=1 and S=16 alike, and so does P2PSystem::run_round driving
-// the same soup (the driver's step / deliver / dispatch plumbing adds
-// nothing). This is the runtime cross-check of shardcheck R6/R7: the linter
-// says hot regions *lexically* cannot allocate, the HeapQuiesceScope says
-// the executed rounds *actually* didn't. The full paper stack is measured
-// honestly too — its committee / landmark / search control planes allocate
-// by design (every such site carries a reasoned R6 suppression), so the
-// full-stack test records the traffic instead of asserting silence.
+// soup-step kernel (begin_round / TokenSoup::step / deliver — exactly the
+// loop the ledger's soup workload times) performs ZERO global-heap
+// allocations per round, at S=1 and S=16 alike, and so does
+// P2PSystem::run_round driving the same soup (the driver's step / deliver
+// / dispatch plumbing adds nothing). This is the runtime cross-check of
+// shardcheck R6/R7: the linter says hot regions *lexically* cannot
+// allocate, the HeapQuiesceScope says the executed rounds *actually*
+// didn't. The full paper stack is measured honestly too — its committee /
+// landmark / search control planes allocate by design (every such site
+// carries a reasoned R6 suppression), so the full-stack test records the
+// traffic instead of asserting silence.
 #include <gtest/gtest.h>
 
 #include <array>

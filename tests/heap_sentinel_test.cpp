@@ -130,7 +130,7 @@ TEST(HeapSentinel, ForcedUnavailableDegradesGracefully) {
   EXPECT_FALSE(HeapQuiesceScope::supported());
   // Everything stays safe to call in the degraded state; readings mean
   // "unknown" and callers must not assert quiet — exactly what the
-  // steady-state test and the soup_step "n/a" column do.
+  // steady-state test and the registry's gated heap.* entries do.
   const HeapQuiesceScope probe;
   auto* p = new std::uint64_t(7);
   escape(p);

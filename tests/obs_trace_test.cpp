@@ -429,8 +429,32 @@ std::vector<std::filesystem::path> jsonl_files(
   return out;
 }
 
+/// The number of secs.* keys in a jsonl round line, each of whose values
+/// must be a number: the session times the round phases, so none may read
+/// null.
+std::size_t expect_numeric_secs(const std::string& line) {
+  std::size_t keys = 0;
+  for (std::size_t at = line.find(R"("secs.)"); at != std::string::npos;
+       at = line.find(R"("secs.)", at + 1)) {
+    const std::size_t close = line.find('"', at + 1);
+    if (close == std::string::npos) {
+      ADD_FAILURE() << "unterminated key in " << line;
+      break;
+    }
+    EXPECT_EQ(line.substr(close, 2), "\":") << line;
+    const char first = line[close + 2];
+    EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(first)) != 0 ||
+                first == '-')
+        << line.substr(at + 1, close - at - 1) << " is not a number in "
+        << line;
+    ++keys;
+  }
+  return keys;
+}
+
 /// Every line of an obs=jsonl file is JSON, exactly one (the last) is the
-/// summary, and at least one is a request span.
+/// summary, at least one is a request span, and every round line's secs.*
+/// values are numbers.
 void expect_well_formed_jsonl(const std::filesystem::path& path) {
   std::ifstream in(path);
   std::string line;
@@ -443,6 +467,10 @@ void expect_well_formed_jsonl(const std::filesystem::path& path) {
     summary_last = line.rfind(R"({"summary":true)", 0) == 0;
     summaries += summary_last;
     spans += line.rfind(R"({"span":)", 0) == 0;
+    if (line.rfind(R"({"round":)", 0) == 0) {
+      EXPECT_GT(expect_numeric_secs(line), 0u)
+          << path << " line " << lines << " has no secs.* key";
+    }
   }
   EXPECT_GT(lines, 1u) << path;
   EXPECT_EQ(summaries, 1u) << path;

@@ -118,9 +118,10 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
 
 TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {
   // The unsigned cast would wrap these: items=-1 would run 4,294,967,295
-  // stores, trials=-1 would die in a bare std::bad_alloc.
-  for (const char* token :
-       {"n=-5", "trials=-1", "items=-1", "shards=-1", "items=4294967296"}) {
+  // stores, trials=-1 would die in a bare std::bad_alloc. threads= is
+  // capped at kMaxThreads, since a pool starts every thread it is given.
+  for (const char* token : {"n=-5", "trials=-1", "items=-1", "shards=-1",
+                            "items=4294967296", "threads=1025"}) {
     const std::string kv = token;
     const std::string key = kv.substr(0, kv.find('='));
     try {
@@ -138,23 +139,26 @@ TEST(ScenarioSpec, NegativeCountsErrorOutNamingTheKey) {
                       Cli({"seed=-1", "churn-absolute=-1"})));
   EXPECT_EQ(spec.seed, static_cast<std::uint64_t>(-1));
   EXPECT_EQ(spec.churn.absolute, -1);
+  // The cap itself parses (from_cli builds no pool), and 0 still means
+  // the hardware thread count.
+  EXPECT_EQ(ScenarioSpec::from_cli(Cli({"threads=1024"})).threads, 1024u);
+  EXPECT_EQ(ScenarioSpec::from_cli(Cli({"threads=0"})).threads, 0u);
 }
 
 TEST(ScenarioSpec, CountReadersRejectNegativeScenarioKeys) {
-  // Scenario keys are read through these readers: steps=-1 would
-  // otherwise run soup_step for 4,294,967,295 rounds.
+  // Scenario keys are read through these readers: periods=-1 would
+  // otherwise run committee for 4,294,967,295 refresh periods.
   try {
-    (void)cli_count(Cli({"steps=-1"}), "steps", 128);
-    FAIL() << "steps=-1 must not parse";
+    (void)cli_count(Cli({"periods=-1"}), "periods", 24);
+    FAIL() << "periods=-1 must not parse";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("'steps'"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'periods'"), std::string::npos);
   }
-  EXPECT_THROW((void)cli_count_list(Cli({"shard-sweep=1,-4"}), "shard-sweep",
-                                    {1}),
+  EXPECT_THROW((void)cli_count_list(Cli({"n=256,-4"}), "n", {1024}),
                std::invalid_argument);
-  EXPECT_EQ(cli_count(Cli({"steps=8"}), "steps", 128), 8u);
-  EXPECT_EQ(cli_count_list(Cli({}), "shard-sweep", {1, 4}),
-            (std::vector<std::uint32_t>{1, 4}));
+  EXPECT_EQ(cli_count(Cli({"periods=8"}), "periods", 24), 8u);
+  EXPECT_EQ(cli_count_list(Cli({}), "n", {256, 512}),
+            (std::vector<std::uint32_t>{256, 512}));
 }
 
 TEST(ScenarioSpec, MalformedValuesErrorOutNamingTheKey) {
