@@ -90,8 +90,9 @@ constexpr Scenario kScenarios[] = {
      bench::run_churn_limit},
     {"committee", "E4: committee maintenance (Theorem 2)", "n=512 trials=3",
      "periods", "churn-mult", Obs::kRejects, bench::run_committee},
+    // Every row sets its own storage mode, IDA surplus and item size.
     {"erasure", "E10: IDA pieces vs replication (section 4.4)", "n=512", "",
-     "", Obs::kRejects, bench::run_erasure},
+     "erasure", Obs::kRejects, bench::run_erasure},
     {"landmark", "E5: landmark set size vs sqrt(n) (Lemma 8)",
      "n=256,512,1024,2048,4096", "", "", Obs::kRejects, bench::run_landmark},
     {"message_complexity", "E8: per-node traffic is polylog(n), not linear",
@@ -139,9 +140,11 @@ void print_usage() {
       "usage: bench_driver --scenario=<name> [key=value ...]\n"
       "       bench_driver --list      (scenario catalog and defaults)\n"
       "       bench_driver --stacks    (protocol stack catalog)\n"
-      "\ncommon keys: protocol n degree seed trials churn churn-mult edge\n"
-      "             items searches batches age-taus threads parallel shards\n"
-      "             csv json (an unknown key exits 1 listing them all)\n"
+      "\ncommon keys: protocol n seed trials churn churn-mult edge items\n"
+      "             searches batches age-taus threads shards csv json\n"
+      "             (an unknown key exits 1 listing them all)\n"
+      "threads=N runs trials on N threads, this one included (0 = all\n"
+      "cores, 1 = this thread alone); the output does not depend on it\n"
       "a scenario runs at its defaults (--list) unless the command line\n"
       "sets the key; every value must parse whole (n=256x exits 1)\n"
       "a scenario-only key (--list) is accepted by its scenario alone\n"

@@ -188,10 +188,14 @@ PYEOF
     echo "smoke: the probes=4 error does not name probes"
     exit 1
   }
-  # The stack knobs are constants of the stack builders, not keys: setting
-  # one must exit 1 naming it, never run the builder's value under its name.
+  # The stack knobs are constants of the stack builders, and the graph
+  # degree and protocol constants are set in code, not keys; `parallel` is
+  # gone (threads=1 runs everything inline). Setting one must exit 1 naming
+  # it, never run the constant under its name.
   for knob in "baselines walkers=8:walkers" \
-              "search chord-stabilize=4:chord-stabilize"; do
+              "search chord-stabilize=4:chord-stabilize" \
+              "search parallel=false:parallel" "search degree=6:degree" \
+              "soup probes=4 oversample=2:oversample"; do
     run="${knob%:*}"
     key="${knob##*:}"
     echo "== smoke: $run (with $TINY) must exit 1 naming $key"
@@ -250,7 +254,8 @@ PYEOF
   # A common key the scenario pins or sweeps itself must exit 1 naming it,
   # never print the same table as the run without it.
   for pinned in "mixing probes=2000 edge=static:edge" \
-                "committee periods=2 churn-mult=3.0:churn-mult"; do
+                "committee periods=2 churn-mult=3.0:churn-mult" \
+                "erasure erasure=true:erasure"; do
     run="${pinned%:*}"
     key="${pinned##*:}"
     echo "== smoke: $run (with $TINY) must exit 1 naming $key"
@@ -285,6 +290,16 @@ PYEOF
   CHURNSTORE_N=512 CHURNSTORE_CHURN_MULT=3.0 \
     "$DRIVER" --scenario=search $TINY csv=true >"$OBS_DIR/search_env.csv"
   cmp "$OBS_DIR/search_plain.csv" "$OBS_DIR/search_env.csv"
+  # threads= only sets how many threads run the trials: three trials on one
+  # thread and on four must print the same bytes.
+  echo "== smoke: search $TINY trials=3 csv=true, threads=1 and threads=4"
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY trials=3 csv=true threads=1 \
+    >"$OBS_DIR/search_t1.csv"
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=search $TINY trials=3 csv=true threads=4 \
+    >"$OBS_DIR/search_t4.csv"
+  cmp "$OBS_DIR/search_t1.csv" "$OBS_DIR/search_t4.csv"
   # Example smoke: every program under examples/ end to end at n=256; a
   # nonzero exit fails.
   for ex in "${EXAMPLES[@]}"; do

@@ -116,8 +116,8 @@ namespace {
 
 /// Spec keys that set how a trial executes or reports, not what it
 /// simulates: these and the obs keys (kObsKeys).
-constexpr std::string_view kExecutionKeys[] = {"threads", "parallel",
-                                               "shards", "csv", "json"};
+constexpr std::string_view kExecutionKeys[] = {"threads", "shards", "csv",
+                                               "json"};
 
 /// The obs file label of one trial: stack, n and churn per round, then a
 /// digest of every other spec key that shapes the run (the trial seed, the

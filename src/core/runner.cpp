@@ -1,24 +1,27 @@
 #include "core/runner.h"
 
+#include <algorithm>
+#include <thread>
+
 #include "core/experiment.h"
 
 namespace churnstore {
 
-Runner::Runner(RunnerOptions options) : options_(options) {}
-
-Runner::Runner(const ScenarioSpec& spec)
-    : options_(RunnerOptions{spec.threads, spec.parallel}) {}
-
-ThreadPool& Runner::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.threads);
-  return *pool_;
+Runner::Runner(RunnerOptions options) : options_(options) {
+  const std::size_t threads =
+      options_.threads != 0
+          ? options_.threads
+          : std::max(1u, std::thread::hardware_concurrency());
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
 }
 
+Runner::Runner(const ScenarioSpec& spec)
+    : Runner(RunnerOptions{spec.threads}) {}
+
 StoreSearchResult Runner::store_search(const ScenarioSpec& spec) {
-  // Lend the trial pool to each trial's sharded round engine. Serial mode
-  // keeps the engine serial too, preserving the bit-identity contract.
-  ThreadPool* shard_pool =
-      (options_.parallel && spec.shards != 1) ? &pool() : nullptr;
+  // Lend the trial pool to each trial's sharded round engine; at one
+  // thread the engine runs serially too. Either way the result is the same.
+  ThreadPool* shard_pool = spec.shards != 1 ? pool_.get() : nullptr;
   const auto results = map_trials<StoreSearchResult>(
       spec.trials, [&spec, shard_pool](std::uint32_t t) {
         return run_store_search_trial(

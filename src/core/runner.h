@@ -1,13 +1,13 @@
 // Deterministic Monte-Carlo trial runner.
 //
-// Runs N independent trials of a workload across the ThreadPool. Every
-// trial owns its own seed (a pure function of the base seed and the trial
-// index) and its own simulator, and results land in a vector indexed by
-// trial — so the SAME SEED produces BIT-IDENTICAL results whether the
-// trials execute serially or across all cores (tested). Aggregation happens
-// after the barrier, in trial order.
+// Runs N independent trials of a workload on `threads` threads, the
+// calling thread included (ThreadPool::for_each_helping). Every trial owns
+// its own seed (a pure function of the base seed and the trial index) and
+// its own simulator, and results land in a vector indexed by trial — so
+// the SAME SEED produces BIT-IDENTICAL results on one thread or on all
+// cores (tested). Aggregation happens after the barrier, in trial order.
 //
-//   Runner runner({.threads = 0, .parallel = true});
+//   Runner runner({.threads = 0});   // 0 = the hardware thread count
 //   StoreSearchResult merged = runner.store_search(spec);   // spec.trials
 //
 //   auto results = runner.map_trials<double>(16, [&](std::uint32_t t) {
@@ -28,14 +28,15 @@ namespace churnstore {
 struct StoreSearchResult;
 
 struct RunnerOptions {
-  std::size_t threads = 0;  ///< worker threads; 0 = hardware concurrency
-  bool parallel = true;     ///< false = run trials inline on this thread
+  /// Threads that run trials, the calling thread included; 0 = the hardware
+  /// thread count. At 1 every trial runs inline on the calling thread.
+  std::size_t threads = 0;
 };
 
 class Runner {
  public:
   explicit Runner(RunnerOptions options = {});
-  /// Execution options from the spec (threads / parallel keys).
+  /// Execution options from the spec (the threads key).
   explicit Runner(const ScenarioSpec& spec);
 
   /// Deterministic per-trial seed: a pure function of (base, trial).
@@ -47,28 +48,32 @@ class Runner {
   /// Runs fn(trial) for trial in [0, trials); returns results in trial
   /// order. fn must not touch shared mutable state (each trial builds its
   /// own simulator). Every trial path goes through here, so here is where
-  /// trials=0 is rejected (std::invalid_argument naming the key).
+  /// trials=0 is rejected (std::invalid_argument naming the key). If a
+  /// trial throws, the lowest failing trial's exception is rethrown, and
+  /// only once no other trial is running (on the pool every trial runs to
+  /// its end first; at one thread the later trials never start).
   template <typename R, typename Fn>
   std::vector<R> map_trials(std::uint32_t trials, Fn&& fn) {
     require_nonzero("trials", trials);
     std::vector<R> out(trials);
-    if (!options_.parallel || trials <= 1) {
-      for (std::uint32_t t = 0; t < trials; ++t) out[t] = fn(t);
+    const auto run = [&out, &fn](std::size_t t) {
+      out[t] = fn(static_cast<std::uint32_t>(t));
+    };
+    if (pool_) {
+      pool_->for_each_helping(trials, run);
     } else {
-      pool().parallel_for(trials, [&](std::size_t t) {
-        out[t] = fn(static_cast<std::uint32_t>(t));
-      });
+      for (std::uint32_t t = 0; t < trials; ++t) run(t);
     }
     return out;
   }
 
   /// spec.trials store-then-search trials of spec's protocol stack, merged
   /// in trial order. Deterministic in (spec, trials) — independent of
-  /// thread count, parallel/serial mode, and spec.shards. When the spec
-  /// asks for intra-round sharding (shards != 1), every trial's system runs
-  /// its shard tasks on the SAME pool as the trials (nested, caller-helping
-  /// — see ThreadPool::for_each_helping), so one pool saturates the cores
-  /// whether the parallelism comes from many trials or one big network.
+  /// thread count and spec.shards. When the runner has a pool and the spec
+  /// asks for intra-round sharding (shards != 1), every trial's system
+  /// runs its shard phases on that pool. With two or more trials the trial
+  /// loop holds the pool's one slot, so those phases run inline in their
+  /// trial; a single trial's phases spread over the pool.
   [[nodiscard]] StoreSearchResult store_search(const ScenarioSpec& spec);
 
   [[nodiscard]] const RunnerOptions& options() const noexcept {
@@ -76,11 +81,9 @@ class Runner {
   }
 
  private:
-  /// The runner's pool (created on first use), shared by the trials and
-  /// their systems' shard tasks.
-  [[nodiscard]] ThreadPool& pool();
-
   RunnerOptions options_;
+  /// threads - 1 workers (the calling thread is the last); null at one
+  /// thread.
   std::unique_ptr<ThreadPool> pool_;
 };
 

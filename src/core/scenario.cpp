@@ -31,15 +31,12 @@ std::string fmt_n_list(const std::vector<std::uint32_t>& ns) {
 /// The driver's own switches (scenario, list, stacks, help) count as known
 /// so a spec parsed from the driver's argv validates cleanly.
 const char* const kKnownKeys[] = {
-    "protocol",   "n",          "degree",        "seed",
-    "trials",     "churn",      "churn-mult",    "churn-absolute",
-    "edge",       "walk-rate",  "walk-t",        "walk-window",
-    "oversample", "fanout",     "landmark-ttl-taus",
-    "refresh-taus",             "item-bits",     "erasure",
-    "ida-surplus",              "items",         "searches",
-    "batches",    "age-taus",   "threads",       "parallel",
-    "shards",     "csv",        "json",          "scenario",
-    "list",       "stacks",     "help",
+    "protocol",  "n",          "seed",           "trials",
+    "churn",     "churn-mult", "churn-absolute", "edge",
+    "walk-rate", "walk-t",     "walk-window",    "erasure",
+    "items",     "searches",   "batches",        "age-taus",
+    "threads",   "shards",     "csv",            "json",
+    "scenario",  "list",       "stacks",         "help",
 };
 
 /// Extra keys every spec accepts. A scenario-only knob is not listed here:
@@ -149,7 +146,6 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.protocol = cli.get("protocol", spec.protocol);
 
   spec.ns = cli_count_list(cli, "n", {1024});
-  spec.degree = get_count(cli, "degree", spec.degree);
   if (cli.has("seed")) spec.seed = parse_u64("seed", cli.get("seed", ""));
   spec.trials = get_count(cli, "trials", spec.trials);
 
@@ -163,14 +159,7 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
   spec.walk.window_mult = cli.get_double("walk-window", spec.walk.window_mult);
 
   ProtocolConfig& pc = spec.protocol_config;
-  pc.invite_oversample = cli.get_double("oversample", pc.invite_oversample);
-  pc.tree_fanout = get_count(cli, "fanout", pc.tree_fanout);
-  pc.landmark_ttl_taus =
-      cli.get_double("landmark-ttl-taus", pc.landmark_ttl_taus);
-  pc.refresh_taus = cli.get_double("refresh-taus", pc.refresh_taus);
-  pc.item_bits = get_count(cli, "item-bits", pc.item_bits);
   pc.use_erasure_coding = cli.get_bool("erasure", pc.use_erasure_coding);
-  pc.ida_surplus = get_count(cli, "ida-surplus", pc.ida_surplus);
 
   spec.workload.items = get_count(cli, "items", spec.workload.items);
   spec.workload.searchers_per_batch =
@@ -185,7 +174,6 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
         "] (0 = the hardware thread count), got " +
         std::to_string(spec.threads));
   }
-  spec.parallel = cli.get_bool("parallel", spec.parallel);
   spec.shards = get_count(cli, "shards", spec.shards);
   spec.csv = cli.get_bool("csv", spec.csv);
   spec.json = cli.get_bool("json", spec.json);
@@ -209,7 +197,6 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
   };
   kv("protocol", protocol);
   kv("n", fmt_n_list(ns));
-  kv("degree", std::to_string(degree));
   kv("seed", std::to_string(seed));
   kv("trials", std::to_string(trials));
   kv("churn", std::string(to_name(churn.kind)));
@@ -219,19 +206,12 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
   kv("walk-rate", fmt_double(walk.rate_mult));
   kv("walk-t", fmt_double(walk.t_mult));
   kv("walk-window", fmt_double(walk.window_mult));
-  kv("oversample", fmt_double(protocol_config.invite_oversample));
-  kv("fanout", std::to_string(protocol_config.tree_fanout));
-  kv("landmark-ttl-taus", fmt_double(protocol_config.landmark_ttl_taus));
-  kv("refresh-taus", fmt_double(protocol_config.refresh_taus));
-  kv("item-bits", std::to_string(protocol_config.item_bits));
   kv("erasure", protocol_config.use_erasure_coding ? "true" : "false");
-  kv("ida-surplus", std::to_string(protocol_config.ida_surplus));
   kv("items", std::to_string(workload.items));
   kv("searches", std::to_string(workload.searchers_per_batch));
   kv("batches", std::to_string(workload.batches));
   kv("age-taus", fmt_double(workload.age_taus));
   kv("threads", std::to_string(threads));
-  kv("parallel", parallel ? "true" : "false");
   kv("shards", std::to_string(shards));
   kv("csv", csv ? "true" : "false");
   kv("json", json ? "true" : "false");
@@ -242,7 +222,6 @@ std::vector<std::string> ScenarioSpec::to_key_values() const {
 SystemConfig ScenarioSpec::system_config(std::uint32_t n_override) const {
   SystemConfig cfg;
   cfg.sim.n = n_override;
-  cfg.sim.degree = degree;
   cfg.sim.seed = seed;
   cfg.sim.churn = churn;
   cfg.sim.edge_dynamics = edge_dynamics;

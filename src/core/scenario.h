@@ -1,8 +1,8 @@
 // Declarative experiment specs.
 //
 // A ScenarioSpec captures everything a workload run needs — network size(s),
-// degree, churn model, adversary kind, protocol stack, workload shape,
-// trial count, seeds, and execution options — as a flat set of key=value
+// churn model, adversary kind, protocol stack, workload shape, trial
+// count, seeds, and execution options — as a flat set of key=value
 // pairs parsed through util/cli. bench_driver's scenario table
 // (bench/bench_driver.cpp) maps each scenario name to a function that
 // receives the parsed spec and drives the Runner:
@@ -49,7 +49,6 @@ struct ScenarioSpec {
   /// Network sizes; scenarios sweep the list, single-system helpers use the
   /// first entry.
   std::vector<std::uint32_t> ns = {1024};
-  std::uint32_t degree = 8;
   std::uint64_t seed = 1;
   std::uint32_t trials = 2;
 
@@ -62,14 +61,14 @@ struct ScenarioSpec {
   EdgeDynamics edge_dynamics = EdgeDynamics::kRewire;
 
   WalkConfig walk{};
+  /// Set in code (the ablation scenario, tests); only `erasure` is a key.
   ProtocolConfig protocol_config{};
 
   StoreSearchOptions workload{};
 
-  /// Runner execution: worker threads (0 = hardware, at most kMaxThreads)
-  /// and parallel on/off.
+  /// Runner execution: threads that run trials, the calling thread
+  /// included (0 = hardware, at most kMaxThreads; 1 = all inline).
   std::size_t threads = 0;
-  bool parallel = true;
   /// Intra-round shards per trial system (1 = unsharded, 0 = hardware).
   /// Any value yields bit-identical results; see util/sharding.h.
   std::uint32_t shards = 1;

@@ -11,19 +11,6 @@
 
 namespace churnstore {
 
-WorkloadOutcome ChurnstoreService::search_outcome(std::uint64_t sid) const {
-  const SearchStatus* st = sys_.search_status(sid);
-  WorkloadOutcome out;
-  if (!st) return out;
-  out.done = st->finished;
-  out.located = st->succeeded_locate();
-  out.fetched = st->succeeded_fetch();
-  out.censored = st->initiator_churned && !st->succeeded_locate();
-  out.located_round = st->located;
-  out.fetched_round = st->fetched;
-  return out;
-}
-
 namespace {
 
 // Each builder runs its stack at fixed constants: the baselines' Options
@@ -32,8 +19,7 @@ namespace {
 BuiltSystem build_churnstore(const SystemConfig& config) {
   BuiltSystem built;
   built.system = std::make_unique<P2PSystem>(config);
-  built.owned_service = std::make_unique<ChurnstoreService>(*built.system);
-  built.service = built.owned_service.get();
+  built.service = &built.system->searches();
   return built;
 }
 

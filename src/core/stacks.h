@@ -20,9 +20,8 @@ namespace churnstore {
 
 struct BuiltSystem {
   std::unique_ptr<P2PSystem> system;
-  /// Set when the service is a standalone adapter; when the service IS one
-  /// of the stack's protocols, the system owns it and this stays null.
-  std::unique_ptr<StorageService> owned_service;
+  /// One of the stack's own protocols (the paper stack's SearchManager,
+  /// each baseline's module); the system owns it.
   StorageService* service = nullptr;
 };
 
@@ -38,33 +37,5 @@ using StackExtras = std::map<std::string, std::string>;
 
 /// (name, summary) for every stack, sorted by name.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> stack_catalog();
-
-/// StorageService over the paper stack (wraps Store/Search managers).
-class ChurnstoreService final : public StorageService {
- public:
-  explicit ChurnstoreService(P2PSystem& sys) : sys_(sys) {}
-
-  bool try_store(Vertex creator, ItemId item) override {
-    return sys_.store_item(creator, item);
-  }
-  [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
-                                           ItemId item) override {
-    return sys_.search(initiator, item);
-  }
-  [[nodiscard]] WorkloadOutcome search_outcome(
-      std::uint64_t sid) const override;
-  [[nodiscard]] std::uint32_t search_timeout() const override {
-    return sys_.search_timeout();
-  }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return sys_.store().copies_alive(item);
-  }
-  [[nodiscard]] bool is_available(ItemId item) const override {
-    return sys_.store().is_available(item);
-  }
-
- private:
-  P2PSystem& sys_;
-};
 
 }  // namespace churnstore

@@ -209,7 +209,7 @@ class P2PSystem {
     return tau_rounds(config_.sim.n, config_.walk);
   }
   [[nodiscard]] std::uint32_t search_timeout() const noexcept {
-    return searches().timeout_rounds();
+    return searches().search_timeout();
   }
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
 

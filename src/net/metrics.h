@@ -14,29 +14,17 @@ namespace churnstore {
 
 class Metrics {
  public:
-  explicit Metrics(std::uint32_t n, std::uint32_t shards = 1)
-      : bits_this_round_(n, 0),
-        touched_shard_(shards == 0 ? 1 : shards) {}
+  explicit Metrics(std::uint32_t n) : bits_this_round_(n, 0) {}
 
   /// --- per-round accounting -------------------------------------------
-  /// First-toucher bookkeeping: a vertex whose counter goes 0 -> nonzero is
-  /// appended to exactly one touched list (the serial list here, the charging
-  /// shard's list in charge_bits_local — during the sharded phase only v's
-  /// owner charges it, so the 0-test never races). end_round then sweeps
-  /// only touched vertices instead of all n, which is the difference between
-  /// O(active) and O(n) per round at n = 1M with sparse traffic.
   void charge_bits(Vertex v, std::uint64_t bits) noexcept {
-    if (bits != 0 && bits_this_round_[v] == 0) touched_serial_.push_back(v);
     bits_this_round_[v] += bits;
     total_bits_ += bits;
   }
-  /// Shard-task variant: touches only v's per-round counter and the calling
-  /// shard's touched list (safe when the caller owns v's shard). The caller
-  /// accounts the global total separately via add_total_bits from serial
-  /// context.
-  void charge_bits_local(Vertex v, std::uint64_t bits,
-                         std::uint32_t shard) noexcept {
-    if (bits != 0 && bits_this_round_[v] == 0) touched_shard_[shard].push_back(v);
+  /// Shard-task variant: touches only v's per-round counter (safe when the
+  /// caller owns v's shard). The caller accounts the global total
+  /// separately via add_total_bits from serial context.
+  void charge_bits_local(Vertex v, std::uint64_t bits) noexcept {
     bits_this_round_[v] += bits;
   }
   void add_total_bits(std::uint64_t bits) noexcept { total_bits_ += bits; }
@@ -61,24 +49,16 @@ class Metrics {
   }
 
   /// Finalize per-round counters; call once per round after delivery.
-  /// Sweeps only the touched-vertex lists: max and sum over the touched set
-  /// equal max and sum over all n vertices exactly (untouched counters are
-  /// zero and contribute nothing to either), so the published stats are
-  /// bit-identical to the old full sweep (pinned in tests/obs_trace_test).
+  /// Sweeps all n counters: with the walk soup in a stack every vertex
+  /// sends each round, so a list of the charged vertices would hold all n.
   void end_round() noexcept {
     std::uint64_t mx = 0;
     std::uint64_t sum = 0;
-    const auto drain = [&](std::vector<Vertex>& touched) {
-      for (const Vertex v : touched) {
-        const std::uint64_t b = bits_this_round_[v];
-        mx = b > mx ? b : mx;
-        sum += b;
-        bits_this_round_[v] = 0;
-      }
-      touched.clear();  // capacity kept for next round
-    };
-    drain(touched_serial_);
-    for (auto& list : touched_shard_) drain(list);
+    for (std::uint64_t& b : bits_this_round_) {
+      mx = b > mx ? b : mx;
+      sum += b;
+      b = 0;
+    }
     last_round_max_bits_ = mx;
     last_round_mean_bits_ = static_cast<double>(sum) /
                             static_cast<double>(bits_this_round_.size());
@@ -119,11 +99,6 @@ class Metrics {
 
  private:
   std::vector<std::uint64_t> bits_this_round_;
-  /// Vertices whose round counter went 0 -> nonzero via serial charge_bits /
-  /// via each shard's charge_bits_local; cleared (capacity kept) every
-  /// end_round.
-  std::vector<Vertex> touched_serial_;
-  std::vector<std::vector<Vertex>> touched_shard_;
   std::uint64_t last_round_max_bits_ = 0;
   double last_round_mean_bits_ = 0.0;
   RunningStat max_bits_per_node_round_;

@@ -33,7 +33,7 @@ Network::Network(const SimConfig& config)
                             ? config.shards
                             : std::max(1u, std::thread::hardware_concurrency())),
       inbox_ends_(config.n, 0),
-      metrics_(config.n, shards_.count()) {
+      metrics_(config.n) {
   arenas_.reserve(shards_.count() + 1);
   out_lanes_.reserve(shards_.count() + 1);
   inboxes_.reserve(shards_.count());
@@ -174,7 +174,7 @@ void Network::send_sharded(std::uint32_t shard, Vertex from, Message&& m) {
                            " is not in shard " + std::to_string(shard));
   }
   const std::uint64_t bits = m.size_bits();
-  metrics_.charge_bits_local(from, bits, shard);
+  metrics_.charge_bits_local(from, bits);
   lane.bits += bits;
   lane.msgs.push(std::move(m));
 }
@@ -272,7 +272,7 @@ void Network::deliver() {
       }
       for (const Filed& f : box.filed) {
         inbox_ptrs_[ends[f.v]++] = f.m;
-        metrics_.charge_bits_local(f.v, f.bits, s);
+        metrics_.charge_bits_local(f.v, f.bits);
       }
     });
   }

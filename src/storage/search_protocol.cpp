@@ -40,6 +40,23 @@ const SearchStatus* SearchManager::status(std::uint64_t sid) const {
   return it == searches_.end() ? nullptr : &it->second.status;
 }
 
+bool SearchManager::try_store(Vertex creator, ItemId item) {
+  return store_.store(creator, item, make_payload(item, config_.item_bits));
+}
+
+WorkloadOutcome SearchManager::search_outcome(std::uint64_t sid) const {
+  const SearchStatus* st = status(sid);
+  WorkloadOutcome out;
+  if (!st) return out;
+  out.done = st->finished;
+  out.located = st->succeeded_locate();
+  out.fetched = st->succeeded_fetch();
+  out.censored = st->initiator_churned && !st->succeeded_locate();
+  out.located_round = st->located;
+  out.fetched_round = st->fetched;
+  return out;
+}
+
 std::uint64_t SearchManager::start_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x73696400ULL) | 1;
   SearchStatus& st = searches_[sid].status;

@@ -18,6 +18,10 @@
 // and fetch replies are addressed to u's peer id, so delivery drops those
 // of a churned initiator; the handlers ignore a finished search, and
 // finishing or censoring a search releases its lists.
+//
+// The manager is also the paper stack's StorageService (core/service.h),
+// as each baseline protocol is its own stack's: stores go through the
+// StoreManager it searches.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,7 @@
 
 #include "committee/committee.h"
 #include "core/protocol.h"
+#include "core/service.h"
 #include "landmark/landmark.h"
 #include "net/network.h"
 #include "storage/item.h"
@@ -54,7 +59,7 @@ struct SearchStatus {
   [[nodiscard]] bool succeeded_fetch() const noexcept { return fetch_ok; }
 };
 
-class SearchManager final : public Protocol {
+class SearchManager final : public Protocol, public StorageService {
  public:
   SearchManager(TokenSoup& soup, CommitteeManager& committees,
                 LandmarkManager& landmarks, StoreManager& store,
@@ -87,7 +92,26 @@ class SearchManager final : public Protocol {
   [[nodiscard]] std::size_t active_searches() const noexcept {
     return active_.size();
   }
-  [[nodiscard]] std::uint32_t timeout_rounds() const noexcept { return timeout_; }
+
+  /// --- StorageService -----------------------------------------------------
+  /// Stores the item's deterministic payload (config item_bits) from
+  /// `creator`; false while the creator's walk samples are still cold.
+  bool try_store(Vertex creator, ItemId item) override;
+  [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
+                                           ItemId item) override {
+    return start_search(initiator, item);
+  }
+  [[nodiscard]] WorkloadOutcome search_outcome(
+      std::uint64_t sid) const override;
+  [[nodiscard]] std::uint32_t search_timeout() const override {
+    return timeout_;
+  }
+  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
+    return store_.copies_alive(item);
+  }
+  [[nodiscard]] bool is_available(ItemId item) const override {
+    return store_.is_available(item);
+  }
 
  private:
   struct Search {

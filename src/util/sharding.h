@@ -20,10 +20,11 @@ namespace churnstore {
 /// with L = ceil(log2 d) and m = ceil(2^(32+L) / d), m*d lands in
 /// [2^(32+L), 2^(32+L) + d - 1] and d - 1 <= 2^L, which is exactly the
 /// condition under which floor((v * m) >> (32+L)) == v / d for EVERY
-/// 32-bit v. The walk engine calls shard_of once per moving token, and a
-/// hardware 32-bit divide (~20+ cycles, unpipelined) was a measurable
-/// slice of the forwarding loop; the multiply-shift is ~3 cycles and
-/// pipelines. Exactness is pinned by the ShardPlan fast-division test.
+/// 32-bit v. shard_of runs on the per-message and per-vertex paths:
+/// Network::deliver files each message by its destination's shard, and
+/// Network::inbox(v) runs once per vertex each dispatch. A hardware 32-bit
+/// divide is ~20+ cycles and unpipelined; the multiply-shift is ~3 cycles
+/// and pipelines. Exactness is pinned by the ShardPlan fast-division test.
 class FastDiv32 {
  public:
   FastDiv32() = default;

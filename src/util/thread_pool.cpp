@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <memory>
 
 namespace churnstore {
 
@@ -26,33 +25,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push(std::move(pt));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futs;
-  futs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futs.push_back(submit([&fn, i] { fn(i); }));
-  }
-  for (auto& f : futs) f.get();
-}
-
 void ThreadPool::drain_help(std::uint64_t epoch, std::size_t count,
                             const std::function<void(std::size_t)>& fn) {
   // Exceptions from fn must neither hang the barrier (a drainer that died
   // without bumping job_done_) nor unwind the caller's frame while other
-  // drainers still hold `fn`: every drain catches, records the first error,
-  // keeps counting, and the posting caller rethrows after the barrier.
+  // drainers still hold `fn`: every drain catches, keeps the error of the
+  // lowest failing index, keeps counting, and the posting caller rethrows
+  // after the barrier.
   const std::uint64_t goal = (epoch << 32) | static_cast<std::uint64_t>(count);
   std::uint64_t cur = job_claim_.load(std::memory_order_acquire);
   // job_claim_ is monotonic and was set to (epoch << 32) before this job's
@@ -68,7 +47,10 @@ void ThreadPool::drain_help(std::uint64_t epoch, std::size_t count,
       fn(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!job_error_) job_error_ = std::current_exception();
+      if (!job_error_ || i < job_error_index_) {
+        job_error_ = std::current_exception();
+        job_error_index_ = i;
+      }
     }
     if (job_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -92,7 +74,7 @@ void ThreadPool::for_each_helping(std::size_t count,
       // The single job slot is taken: either fn of the active job called
       // back in (nesting), or another thread is mid-job. Run serially
       // inline — no lock held, so the active job keeps draining — with the
-      // same run-everything-then-rethrow-first contract.
+      // same run-everything-then-rethrow-the-lowest contract.
       lock.unlock();
       std::exception_ptr err;
       for (std::size_t i = 0; i < count; ++i) {
@@ -133,41 +115,27 @@ void ThreadPool::for_each_helping(std::size_t count,
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::packaged_task<void()> task;
-    bool help = false;
     std::uint64_t epoch = 0;
     std::size_t count = 0;
     const std::function<void(std::size_t)>* fn = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] {
-        // Wake for the fork-join slot only while it still has unclaimed
-        // indices — once they are all claimed the comparison goes false and
-        // workers stop spinning even though job_active_ stays set until the
+        // Wake for the slot only while it still has unclaimed indices —
+        // once they are all claimed the comparison goes false and workers
+        // stop spinning even though job_active_ stays set until the
         // caller's barrier clears it.
-        return stopping_ || !queue_.empty() ||
+        return stopping_ ||
                (job_active_ &&
                 job_claim_.load(std::memory_order_relaxed) <
                     ((job_epoch_ << 32) | static_cast<std::uint64_t>(job_count_)));
       });
-      if (stopping_ && queue_.empty()) return;
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else if (job_active_) {
-        help = true;
-        epoch = job_epoch_;
-        count = job_count_;
-        fn = job_fn_;
-      } else {
-        continue;
-      }
+      if (stopping_) return;
+      epoch = job_epoch_;
+      count = job_count_;
+      fn = job_fn_;
     }
-    if (help) {
-      drain_help(epoch, count, *fn);
-    } else {
-      task();
-    }
+    drain_help(epoch, count, *fn);
   }
 }
 

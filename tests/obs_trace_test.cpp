@@ -1,5 +1,5 @@
-// Observability layer unit tests: the Metrics touched-vertex sweep is
-// exactly the old O(n) full sweep, trace sampling is a deterministic
+// Observability layer unit tests: the Metrics per-round sweep gives the
+// exact max and mean of every vertex's bits, trace sampling is a deterministic
 // function of (seed, id), the message-carried trace id is charged honestly,
 // TraceCollector drains spans into the right counters/histograms, and the
 // registry/exporter plumbing (snapshot order, ok gating, spec-key parsing,
@@ -34,12 +34,11 @@ namespace churnstore {
 namespace {
 
 TEST(MetricsTouchedSweep, ExactlyMatchesBruteForceFullSweep) {
-  // end_round sweeps only first-touched vertices; max and mean must equal
-  // the brute-force sweep over all n counters, bit for bit, across rounds
-  // with repeat charges, zero-bit charges, and sharded-local charging.
+  // end_round's max and mean must equal a shadow sweep over all n
+  // counters, bit for bit, across rounds with repeat charges, zero-bit
+  // charges, and sharded-local charging.
   constexpr std::uint32_t kN = 257;
-  constexpr std::uint32_t kShards = 4;
-  Metrics m(kN, kShards);
+  Metrics m(kN);
   Rng rng(99);
   for (std::uint32_t round = 0; round < 20; ++round) {
     std::vector<std::uint64_t> shadow(kN, 0);
@@ -50,12 +49,11 @@ TEST(MetricsTouchedSweep, ExactlyMatchesBruteForceFullSweep) {
       m.charge_bits(v, bits);
       shadow[v] += bits;
     }
-    // Sharded-local charges: each vertex charged only by its owning shard
-    // (contiguous partition), mirroring the engine's contract.
+    // Shard-task charges, which leave the run total to the caller.
     for (int i = 0; i < 40; ++i) {
       const auto v = static_cast<Vertex>(rng.next_below(kN));
       const std::uint64_t bits = rng.next_below(256);
-      m.charge_bits_local(v, bits, v % kShards);
+      m.charge_bits_local(v, bits);
       shadow[v] += bits;
     }
     std::uint64_t want_max = 0;
@@ -74,9 +72,9 @@ TEST(MetricsTouchedSweep, ExactlyMatchesBruteForceFullSweep) {
 }
 
 TEST(MetricsTouchedSweep, CountersAreFullyResetBetweenRounds) {
-  // A vertex touched in round 1 but not round 2 must contribute zero in
-  // round 2 — the drain really zeroed its counter.
-  Metrics m(8, 2);
+  // A vertex charged in round 1 but not round 2 must contribute zero in
+  // round 2 — the sweep really zeroed its counter.
+  Metrics m(8);
   m.charge_bits(3, 100);
   m.end_round();
   EXPECT_EQ(m.last_round_max_bits(), 100u);
@@ -518,7 +516,7 @@ TEST(ObsExport, TracedStoreSearchTrialWritesOneParsableJsonlFile) {
 
   ScenarioSpec two = traced_spec(dir / "two" / "trial.jsonl");
   two.trials = 2;
-  Runner parallel(RunnerOptions{.threads = 2, .parallel = true});
+  Runner parallel(RunnerOptions{.threads = 2});
   (void)parallel.store_search(two);
   const auto files = jsonl_files(dir / "two");
   ASSERT_EQ(files.size(), 2u) << "each trial seed labels its own file";

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/experiment.h"
 
@@ -42,7 +45,7 @@ TEST(Runner, TrialSeedIsPureAndDiverse) {
 }
 
 TEST(Runner, MapTrialsPreservesTrialOrder) {
-  Runner parallel(RunnerOptions{.threads = 4, .parallel = true});
+  Runner parallel(RunnerOptions{.threads = 4});
   const auto out = parallel.map_trials<std::uint32_t>(
       64, [](std::uint32_t t) { return t * t; });
   ASSERT_EQ(out.size(), 64u);
@@ -50,7 +53,7 @@ TEST(Runner, MapTrialsPreservesTrialOrder) {
 }
 
 TEST(Runner, MapTrialsActuallyRunsConcurrently) {
-  Runner runner(RunnerOptions{.threads = 4, .parallel = true});
+  Runner runner(RunnerOptions{.threads = 4});
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
   runner.map_trials<int>(8, [&](std::uint32_t) {
@@ -65,10 +68,41 @@ TEST(Runner, MapTrialsActuallyRunsConcurrently) {
   EXPECT_GT(peak.load(), 1) << "trials never overlapped";
 }
 
+TEST(Runner, MapTrialsRunsEveryTrialBeforeRethrowing) {
+  // Trial 0 throws at once while its siblings are still running: map_trials
+  // must not return (and free the results they write) before every one of
+  // them has finished, and then it reports trial 0's error.
+  Runner runner(RunnerOptions{.threads = 4});
+  std::atomic<int> finished{0};
+  try {
+    (void)runner.map_trials<int>(8, [&finished](std::uint32_t t) {
+      if (t == 0) throw std::runtime_error("trial 0 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ++finished;
+      return static_cast<int>(t);
+    });
+    FAIL() << "trial 0's exception must reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "trial 0 failed");
+  }
+  EXPECT_EQ(finished.load(), 7);
+}
+
+TEST(Runner, OneThreadRunsTrialsOnTheCallingThread) {
+  // threads=1 counts the calling thread: no worker exists, and every trial
+  // runs right here.
+  Runner runner(RunnerOptions{.threads = 1});
+  const auto ids = runner.map_trials<std::thread::id>(
+      4, [](std::uint32_t) { return std::this_thread::get_id(); });
+  for (const std::thread::id id : ids) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(Runner, SerialAndParallelStoreSearchAreBitIdentical) {
   const ScenarioSpec spec = small_spec("churnstore");
-  Runner serial(RunnerOptions{.threads = 1, .parallel = false});
-  Runner parallel(RunnerOptions{.threads = 4, .parallel = true});
+  Runner serial(RunnerOptions{.threads = 1});
+  Runner parallel(RunnerOptions{.threads = 4});
   const StoreSearchResult a = serial.store_search(spec);
   const StoreSearchResult b = parallel.store_search(spec);
   EXPECT_GT(a.searches, 0u);
@@ -77,8 +111,8 @@ TEST(Runner, SerialAndParallelStoreSearchAreBitIdentical) {
 
 TEST(Runner, SerialAndParallelAgreeForBaselineStack) {
   const ScenarioSpec spec = small_spec("sqrt-replication");
-  Runner serial(RunnerOptions{.threads = 1, .parallel = false});
-  Runner parallel(RunnerOptions{.threads = 4, .parallel = true});
+  Runner serial(RunnerOptions{.threads = 1});
+  Runner parallel(RunnerOptions{.threads = 4});
   expect_identical(serial.store_search(spec), parallel.store_search(spec));
 }
 
@@ -97,7 +131,7 @@ TEST(Runner, ZeroTrialsErrorOutNamingTheKey) {
   // trials=0 would run nothing and print all-zero rows as a measurement.
   ScenarioSpec spec = small_spec("churnstore");
   spec.trials = 0;
-  Runner runner(RunnerOptions{.threads = 1, .parallel = false});
+  Runner runner(RunnerOptions{.threads = 1});
   try {
     (void)runner.store_search(spec);
     FAIL() << "trials=0 must not run";
@@ -117,10 +151,8 @@ TEST(Runner, ZeroTrialsErrorOutNamingTheKey) {
 TEST(Runner, OptionsComeFromSpec) {
   ScenarioSpec spec;
   spec.threads = 3;
-  spec.parallel = false;
   const Runner runner(spec);
   EXPECT_EQ(runner.options().threads, 3u);
-  EXPECT_FALSE(runner.options().parallel);
 }
 
 }  // namespace

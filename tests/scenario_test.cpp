@@ -39,19 +39,17 @@ TEST(ScenarioSpec, DashDashFlagsAndBareTokensAreEquivalent) {
 }
 
 TEST(ScenarioSpec, RoundTripsThroughKeyValues) {
-  const Cli cli({"n=128,256", "degree=6", "seed=99", "trials=5",
+  const Cli cli({"n=128,256", "seed=99", "trials=5",
                  "churn=oldest-first", "churn-mult=0.75",
                  "edge=regenerate", "walk-t=3.5", "items=7",
                  "searches=9", "batches=3", "age-taus=4.5", "threads=2",
-                 "parallel=false", "json=true", "trace-sample=8",
-                 "protocol=k-walker"});
+                 "json=true", "trace-sample=8", "protocol=k-walker"});
   const ScenarioSpec spec = ScenarioSpec::from_cli(cli);
   const ScenarioSpec reparsed =
       ScenarioSpec::from_cli(Cli(spec.to_key_values()));
   EXPECT_EQ(spec.to_key_values(), reparsed.to_key_values());
   EXPECT_EQ(reparsed.churn.kind, AdversaryKind::kOldestFirst);
   EXPECT_EQ(reparsed.edge_dynamics, EdgeDynamics::kRegenerate);
-  EXPECT_FALSE(reparsed.parallel);
   EXPECT_EQ(reparsed.threads, 2u);
   EXPECT_EQ(reparsed.extra_int("trace-sample", 0), 8);
   // Seeds of 2^63 and more print unsigned and must parse back; about half
@@ -94,12 +92,16 @@ TEST(ScenarioSpec, UnknownKeysErrorOutWithAcceptedList) {
   EXPECT_EQ(std::find(keys.begin(), keys.end(), "workload"), keys.end());
   // The knobs every run holds at one value are constants, not keys, and a
   // scenario's own knobs are registered by the program that runs it.
+  // `parallel` is gone because threads=1 runs everything inline; the
+  // graph degree and the protocol constants are set in code.
   for (const char* removed :
        {"adaptive-pad", "churn-k", "delta", "h", "rewire-swaps",
         "timeout-taus", "walk-cap", "counters", "horizon-taus", "periods",
         "probes", "shard-sweep", "steps", "chord-replicate",
         "chord-replication", "chord-stabilize", "flood-refresh",
-        "probes-per-round", "replication", "replication-mult", "walkers"}) {
+        "probes-per-round", "replication", "replication-mult", "walkers",
+        "parallel", "degree", "oversample", "fanout", "landmark-ttl-taus",
+        "refresh-taus", "item-bits", "ida-surplus"}) {
     const std::string key = removed;
     EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
     try {
@@ -218,15 +220,14 @@ TEST(ScenarioSpec, AcceptExtraKeyRegistersNewKnobs) {
 
 TEST(ScenarioSpec, SystemConfigReflectsSpec) {
   ScenarioSpec spec = ScenarioSpec::from_cli(
-      Cli({"n=512", "degree=12", "seed=4", "churn-mult=0.25",
-           "edge=static", "item-bits=2048"}));
+      Cli({"n=512", "seed=4", "churn-mult=0.25", "edge=static",
+           "erasure=true"}));
   const SystemConfig cfg = spec.system_config();
   EXPECT_EQ(cfg.sim.n, 512u);
-  EXPECT_EQ(cfg.sim.degree, 12u);
   EXPECT_EQ(cfg.sim.seed, 4u);
   EXPECT_DOUBLE_EQ(cfg.sim.churn.multiplier, 0.25);
   EXPECT_EQ(cfg.sim.edge_dynamics, EdgeDynamics::kStatic);
-  EXPECT_EQ(cfg.protocol.item_bits, 2048u);
+  EXPECT_TRUE(cfg.protocol.use_erasure_coding);
   EXPECT_EQ(spec.system_config(64).sim.n, 64u);
 }
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -102,13 +105,32 @@ TEST(ThreadPoolHelping, RethrowsTaskExceptionsInsteadOfHanging) {
   EXPECT_EQ(ran.load(), 16);
 }
 
+TEST(ThreadPoolHelping, RethrowsTheLowestFailingIndex) {
+  // Index 9 throws at once, index 3 only after 30 ms: the rethrown error is
+  // index 3's, so a failing run reports the same error whatever the timing.
+  ThreadPool pool(4);
+  try {
+    pool.for_each_helping(16, [](std::size_t i) {
+      if (i == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        throw std::runtime_error("index 3");
+      }
+      if (i == 9) throw std::runtime_error("index 9");
+    });
+    FAIL() << "an index threw, so for_each_helping must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+}
+
 TEST(ThreadPoolHelping, NestsInsideTheSamePoolWithoutDeadlock) {
-  // Outer tasks saturate a tiny pool; each runs an inner for_each_helping
-  // on the SAME pool. The caller-helps design means the inner loops finish
-  // even though no worker is ever free to pick up their helper tasks.
+  // The outer loop holds the pool's one slot; each of its indices runs an
+  // inner for_each_helping on the SAME pool, which finds the slot taken and
+  // runs its indices inline, so the inner loops finish without a free
+  // worker.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.parallel_for(8, [&pool, &total](std::size_t) {
+  pool.for_each_helping(8, [&pool, &total](std::size_t) {
     pool.for_each_helping(16, [&total](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 8 * 16);
@@ -626,7 +648,7 @@ void expect_identical_results(const StoreSearchResult& a,
 TEST(ShardedBaselines, EveryStackIsShardCountInvariantThroughTheRunner) {
   // flooding / k-walker / sqrt-replication / chord all run their round
   // work and message handlers on the shard lanes. All must be S-invariant
-  // end to end through the nested Runner.
+  // end to end through the Runner.
   for (const char* protocol :
        {"flooding", "k-walker", "sqrt-replication", "chord"}) {
     ScenarioSpec base = ScenarioSpec::from_cli(
@@ -635,8 +657,8 @@ TEST(ShardedBaselines, EveryStackIsShardCountInvariantThroughTheRunner) {
     base.protocol = protocol;
     ScenarioSpec s16 = base;
     s16.shards = 16;
-    Runner serial(RunnerOptions{.threads = 1, .parallel = false});
-    Runner nested(RunnerOptions{.threads = 4, .parallel = true});
+    Runner serial(RunnerOptions{.threads = 1});
+    Runner nested(RunnerOptions{.threads = 4});
     const StoreSearchResult a = serial.store_search(base);
     const StoreSearchResult b = nested.store_search(s16);
     EXPECT_GT(a.searches, 0u) << protocol;
@@ -645,17 +667,25 @@ TEST(ShardedBaselines, EveryStackIsShardCountInvariantThroughTheRunner) {
 }
 
 TEST(ShardedRunner, FullStackStoreSearchIsShardCountInvariant) {
-  // End to end through Runner: serial unsharded vs 16 shards nested on the
-  // trial pool. The paper stack's behavior (committees, landmarks, search)
+  // End to end through Runner: one thread unsharded vs 16 shards on four
+  // threads. The paper stack's behavior (committees, landmarks, search)
   // all sits downstream of the soup's samples, so bit-identity here means
   // the whole round path is shard-invariant.
-  Runner serial(RunnerOptions{.threads = 1, .parallel = false});
-  Runner nested(RunnerOptions{.threads = 4, .parallel = true});
+  Runner serial(RunnerOptions{.threads = 1});
+  Runner nested(RunnerOptions{.threads = 4});
   const StoreSearchResult a = serial.store_search(sharded_spec(1));
   const StoreSearchResult b = nested.store_search(sharded_spec(16));
   EXPECT_GT(a.searches, 0u);
   EXPECT_GT(a.fetched, 0u) << "no search fetched its item";
   expect_identical_results(a, b);
+  // Two trials hold the pool's slot, so their shard phases ran inline; one
+  // trial leaves it free, and its shard phases spread over the pool.
+  ScenarioSpec one = sharded_spec(1);
+  one.trials = 1;
+  ScenarioSpec one16 = sharded_spec(16);
+  one16.trials = 1;
+  expect_identical_results(serial.store_search(one),
+                           nested.store_search(one16));
 }
 
 /// Run a traced mixed stack (paper protocols + chord) and return the

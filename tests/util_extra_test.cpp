@@ -50,22 +50,14 @@ TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
-  pool.parallel_for(100, [&](std::size_t) { ++counter; });
+  pool.for_each_helping(100, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SubmitReturnsUsableFuture) {
-  ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  auto fut = pool.submit([&] { ran = true; });
-  fut.get();
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(ThreadPool, ParallelForIndicesAreDistinct) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(32);
-  pool.parallel_for(32, [&](std::size_t i) { ++hits[i]; });
+  pool.for_each_helping(32, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
