@@ -37,8 +37,8 @@ struct StoreSearchOptions {
   double age_taus = 2.0;
 };
 
-/// The most worker threads a spec may ask for. A pool starts every thread
-/// it is given, so from_cli rejects a larger `threads=` naming the key.
+/// The largest `threads=` a spec may ask for. A pool starts every thread it
+/// is given, so from_cli rejects a larger value naming the key.
 inline constexpr std::size_t kMaxThreads = 1024;
 
 struct ScenarioSpec {
@@ -67,7 +67,9 @@ struct ScenarioSpec {
   StoreSearchOptions workload{};
 
   /// Runner execution: threads that run trials, the calling thread
-  /// included (0 = hardware, at most kMaxThreads; 1 = all inline).
+  /// included (0 = hardware, at most kMaxThreads; 1 = all inline). The
+  /// ledger binary reads the same key as its pool's worker count, so its
+  /// helping caller makes threads+1.
   std::size_t threads = 0;
   /// Intra-round shards per trial system (1 = unsharded, 0 = hardware).
   /// Any value yields bit-identical results; see util/sharding.h.

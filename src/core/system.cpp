@@ -120,8 +120,7 @@ void P2PSystem::dispatch_inboxes() {
 }
 
 bool P2PSystem::store_item(Vertex creator, ItemId item) {
-  return store_item(creator, item,
-                    make_payload(item, config_.protocol.item_bits));
+  return searches().try_store(creator, item);
 }
 
 bool P2PSystem::store_item(Vertex creator, ItemId item,

@@ -663,6 +663,14 @@ TEST(ShardedBaselines, EveryStackIsShardCountInvariantThroughTheRunner) {
     const StoreSearchResult b = nested.store_search(s16);
     EXPECT_GT(a.searches, 0u) << protocol;
     expect_identical_results(a, b);
+    // Two trials hold the pool's slot, so their shard phases ran inline; one
+    // trial leaves it free, and its round work and handlers spread over the
+    // pool's threads.
+    base.trials = 1;
+    s16.trials = 1;
+    const StoreSearchResult one = serial.store_search(base);
+    EXPECT_GT(one.searches, 0u) << protocol;
+    expect_identical_results(one, nested.store_search(s16));
   }
 }
 
