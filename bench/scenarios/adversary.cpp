@@ -89,7 +89,7 @@ void run_adversary(const ScenarioSpec& spec, const Cli&) {
             for (int i = 0; i < 20 && !sys.store_item(0, 1); ++i)
               sys.run_round();
             sys.run_rounds(8 * sys.tau());
-            return sys.store().is_recoverable(1) ? 1.0 : 0.0;
+            return sys.searches().is_recoverable(1) ? 1.0 : 0.0;
           });
       t2.begin_row()
           .cell(adaptive ? "ADAPTIVE (sees committees)" : "oblivious uniform")

@@ -41,7 +41,7 @@ LimitRow run_once(const ScenarioSpec& spec, std::int64_t churn_abs,
   const ItemId item = 0x117;
   for (int i = 0; i < 20 && !sys.store_item(3, item); ++i) sys.run_round();
   sys.run_rounds(4 * sys.committees().refresh_period());
-  row.persist = sys.store().is_recoverable(item) ? 1.0 : 0.0;
+  row.persist = sys.searches().is_recoverable(item) ? 1.0 : 0.0;
 
   Rng rng(seed ^ 9);
   std::uint32_t ok = 0, eligible = 0;
@@ -52,10 +52,10 @@ LimitRow run_once(const ScenarioSpec& spec, std::int64_t churn_abs,
   }
   sys.run_rounds(sys.search_timeout() + 2);
   for (const auto sid : sids) {
-    const SearchStatus* st = sys.search_status(sid);
-    if (!st || (st->initiator_churned && !st->succeeded_locate())) continue;
+    const WorkloadOutcome out = sys.searches().search_outcome(sid);
+    if (out.censored) continue;
     ++eligible;
-    ok += st->succeeded_locate();
+    ok += out.located;
   }
   row.locate_rate = eligible ? static_cast<double>(ok) / eligible : 0.0;
   return row;

@@ -41,7 +41,7 @@ ErasureRow run_once(const ScenarioSpec& spec, bool erasure,
   sys.run_rounds(6 * sys.committees().refresh_period());
   ErasureRow row;
   row.stored_bytes = static_cast<double>(bytes);
-  row.persist = sys.store().is_recoverable(item) ? 1.0 : 0.0;
+  row.persist = sys.searches().is_recoverable(item) ? 1.0 : 0.0;
 
   Rng rng(seed ^ 5);
   std::uint32_t ok = 0, eligible = 0;
@@ -52,10 +52,10 @@ ErasureRow run_once(const ScenarioSpec& spec, bool erasure,
   }
   sys.run_rounds(sys.search_timeout() + 4);
   for (const auto sid : sids) {
-    const SearchStatus* st = sys.search_status(sid);
-    if (!st || (st->initiator_churned && !st->succeeded_locate())) continue;
+    const WorkloadOutcome out = sys.searches().search_outcome(sid);
+    if (out.censored) continue;
     ++eligible;
-    ok += st->succeeded_fetch();
+    ok += out.fetched;
   }
   row.fetch_rate = eligible ? static_cast<double>(ok) / eligible : 0.0;
   return row;

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     ok += epoch_ok;
 
     std::size_t avail = 0;
-    for (const auto id : stored) avail += sys.store().is_available(id);
+    for (const auto id : stored) avail += sys.searches().is_available(id);
     std::printf(
         "epoch %u | round %5lld | peers replaced so far %8llu | "
         "files available %zu/%zu | restores %llu/%zu\n",

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     sys.run_rounds(3 * sys.tau());
 
     const std::size_t bytes = stored_bytes(sys, item);
-    const std::size_t copies = sys.store().copies_alive(item);
+    const std::size_t copies = sys.searches().copies_alive(item);
     std::printf("%-12s: %3zu holders, %6zu bytes stored network-wide "
                 "(%.2fx the item)\n",
                 erasure ? "IDA pieces" : "replication", copies, bytes,

@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
   sys.run_rounds(3 * sys.tau());
   std::printf("after %u rounds of churn: %zu replicas, %zu landmarks, "
               "available=%s\n",
-              3 * sys.tau(), sys.store().copies_alive(item),
-              sys.store().landmarks_alive(item),
-              sys.store().is_available(item) ? "yes" : "no");
+              3 * sys.tau(), sys.searches().copies_alive(item),
+              sys.searches().landmarks_alive(item),
+              sys.searches().is_available(item) ? "yes" : "no");
 
   // 4. A node on the other side of the id space searches for the item.
   //    (If the searcher itself is churned out mid-search — a real

@@ -140,6 +140,20 @@ for path in chrome:
 print(f"obs smoke: {len(jsonl)} chord + {len(search)} search jsonl and "
       f"{len(chrome)} chrome files parse")
 PYEOF
+  # A trial's obs file is named by what it simulates. Each ablation sweep
+  # runs at one seed, so a name that left out the protocol constants would
+  # let the sweep's trials overwrite one file: its 19 table rows (one
+  # trial each) must leave 19 files.
+  echo "== smoke: ablation $TINY obs=jsonl obs-host=0 must write one file per table row"
+  # shellcheck disable=SC2086
+  "$DRIVER" --scenario=ablation $TINY obs=jsonl obs-host=0 \
+    obs-file="$OBS_DIR/ablation.jsonl" csv=true >"$OBS_DIR/ablation.csv"
+  rows=$(($(wc -l <"$OBS_DIR/ablation.csv") - 1))
+  files=$(compgen -G "$OBS_DIR/ablation.*.jsonl" | wc -l)
+  if [[ "$rows" != "19" || "$files" != "$rows" ]]; then
+    echo "smoke: ablation wrote $files obs files for $rows table rows, want 19 and 19"
+    exit 1
+  fi
   # A scenario that attaches no session rejects the obs keys: exit 1 and no
   # file, never exit 0 with nothing written.
   echo "== smoke: landmark $TINY obs=jsonl must exit 1 and write no file"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/item.h"
+
 namespace churnstore {
 
 namespace {
@@ -186,6 +188,7 @@ bool CommitteeManager::create(Vertex creator, std::uint64_t kid,
   inf.search_root = search_root;
   inf.created = now;
   inf.last_members = members;
+  inf.hash = content_hash(payload);
 
   for (std::size_t i = 0; i < members.size(); ++i) {
     Message msg;

@@ -158,6 +158,9 @@ class CommitteeManager final : public Protocol {
     Round created = 0;
     std::uint32_t generations = 0;  ///< successful re-formations
     std::vector<PeerId> last_members;
+    /// content_hash of the payload given to create(); a fetched item must
+    /// match it.
+    std::uint64_t hash = 0;
   };
   [[nodiscard]] const Info* info(std::uint64_t kid) const;
   /// Number of peers of the last confirmed generation still in the network.

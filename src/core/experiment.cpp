@@ -1,15 +1,13 @@
 #include "core/experiment.h"
 
-#include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <iterator>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <type_traits>
 
 #include "core/stacks.h"
 #include "obs/export.h"
-#include "storage/item.h"
 #include "util/rng.h"
 
 namespace churnstore {
@@ -114,28 +112,38 @@ StoreSearchResult drive_store_search(P2PSystem& sys, StorageService& svc,
 
 namespace {
 
-/// Spec keys that set how a trial executes or reports, not what it
-/// simulates: these and the obs keys (kObsKeys).
-constexpr std::string_view kExecutionKeys[] = {"threads", "shards", "csv",
-                                               "json"};
+/// One config field as the 64 bits the obs label digest folds in.
+template <typename T>
+std::uint64_t field_bits(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+  } else {
+    return static_cast<std::uint64_t>(v);
+  }
+}
 
 /// The obs file label of one trial: stack, n and churn per round, then a
-/// digest of every other spec key that shapes the run (the trial seed, the
-/// churn kind, the protocol and workload knobs), so no two trials of one
-/// invocation share a file. Execution keys stay out of the digest: a trial
-/// names the same file at every shard count.
+/// digest of what the trial simulates: its system config (seed, churn,
+/// edge dynamics, walk and protocol constants) and its workload, so no two
+/// trials of one invocation share a file. The shard count and the spec's
+/// other execution settings and extras stay out: a trial names the same
+/// file at every shard count and whatever other keys its spec carries.
 std::string obs_trial_label(const ScenarioSpec& spec) {
+  const SystemConfig c = spec.system_config();
+  const StoreSearchOptions& w = spec.workload;
   std::uint64_t digest = 0;
-  for (const std::string& kv : spec.to_key_values()) {
-    const std::string_view key = std::string_view(kv).substr(0, kv.find('='));
-    const auto listed = [key](const auto& keys) {
-      return std::find(std::begin(keys), std::end(keys), key) != std::end(keys);
-    };
-    if (listed(kExecutionKeys) || listed(kObsKeys)) continue;
-    digest = mix64(digest ^ content_hash(reinterpret_cast<const std::uint8_t*>(
-                                             kv.data()),
-                                         kv.size()));
-  }
+  const auto fold = [&digest](auto... fields) {
+    ((digest = mix64(digest ^ field_bits(fields))), ...);
+  };
+  fold(c.sim.n, c.sim.degree, c.sim.seed, c.sim.churn.kind,
+       c.sim.churn.multiplier, c.sim.churn.absolute,
+       c.sim.churn.adaptive_pad_uniform, c.sim.edge_dynamics);
+  fold(c.walk.rate_mult, c.walk.t_mult, c.walk.window_mult);
+  fold(c.protocol.invite_oversample, c.protocol.tree_fanout,
+       c.protocol.landmark_ttl_taus, c.protocol.refresh_taus,
+       c.protocol.item_bits, c.protocol.use_erasure_coding,
+       c.protocol.ida_surplus);
+  fold(w.items, w.searchers_per_batch, w.batches, w.age_taus);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(digest));
@@ -202,9 +210,9 @@ AvailabilityTrace run_availability_trial(const SystemConfig& config,
     sys.run_round();
     if (r % kAvailabilitySampleRounds != 0) continue;
     trace.rounds.push_back(sys.round());
-    trace.copies.push_back(sys.store().copies_alive(item));
-    trace.available.push_back(sys.store().is_available(item) ? 1 : 0);
-    trace.recoverable.push_back(sys.store().is_recoverable(item) ? 1 : 0);
+    trace.copies.push_back(sys.searches().copies_alive(item));
+    trace.available.push_back(sys.searches().is_available(item) ? 1 : 0);
+    trace.recoverable.push_back(sys.searches().is_recoverable(item) ? 1 : 0);
   }
   if (const auto* inf = sys.committees().info(item)) {
     trace.generations = inf->generations;

@@ -59,8 +59,9 @@ struct StoreSearchResult {
 /// stack at spec.seed. `shard_pool` (borrowed, may be null) is lent to the
 /// trial system's sharded round engine (sim.shards from the spec). With the
 /// obs= spec keys set, the trial exports to its own file, labelled by
-/// protocol, n, churn per round and a digest of the trial's spec (seed
-/// included). Multi-trial runs go through Runner::store_search.
+/// protocol, n, churn per round and a digest of what the trial simulates:
+/// its system config (seed included, shard count left out) and workload.
+/// Multi-trial runs go through Runner::store_search.
 [[nodiscard]] StoreSearchResult run_store_search_trial(
     const ScenarioSpec& spec, ThreadPool* shard_pool = nullptr);
 

@@ -41,7 +41,7 @@ std::optional<KvStore::GetResult> KvStore::result(std::uint64_t handle) const {
 bool KvStore::contains(std::string_view key) const {
   const auto it = key_index_.find(std::string(key));
   if (it == key_index_.end()) return false;
-  return sys_.store().is_recoverable(it->second);
+  return sys_.searches().is_recoverable(it->second);
 }
 
 }  // namespace churnstore

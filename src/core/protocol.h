@@ -1,9 +1,10 @@
 // The pluggable protocol-module interface.
 //
 // Every distributed algorithm in the repository — the paper's random-walk
-// soup, committee, landmark, storage and search layers, and each baseline
-// (flooding, sqrt-replication, k-walker, Chord) — implements Protocol and
-// plugs into the one simulation driver (P2PSystem). The driver runs the
+// soup, committee, landmark and search layers (the search layer also
+// starts stores), and each baseline (flooding, sqrt-replication, k-walker,
+// Chord) — implements Protocol and plugs into the one simulation driver
+// (P2PSystem). The driver runs the
 // paper's synchronous round structure, sharded end to end:
 //
 //   net.begin_round()                  adversary fixes churn + G^r

@@ -1,31 +1,13 @@
 #include "core/scenario.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace churnstore {
 
 namespace {
-
-/// Exact double round-trip (17 significant digits).
-std::string fmt_double(double v) {
-  std::ostringstream ss;
-  ss << std::setprecision(17) << v;
-  return ss.str();
-}
-
-std::string fmt_n_list(const std::vector<std::uint32_t>& ns) {
-  std::string out;
-  for (std::size_t i = 0; i < ns.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(ns[i]);
-  }
-  return out;
-}
 
 /// Keys the common spec models; everything else must be a registered extra.
 /// The driver's own switches (scenario, list, stacks, help) count as known
@@ -188,35 +170,6 @@ ScenarioSpec ScenarioSpec::from_cli(const Cli& cli) {
     if (extra_key_registry().count(key)) spec.extras[key] = value;
   }
   return spec;
-}
-
-std::vector<std::string> ScenarioSpec::to_key_values() const {
-  std::vector<std::string> out;
-  auto kv = [&out](const std::string& k, const std::string& v) {
-    out.push_back(k + "=" + v);
-  };
-  kv("protocol", protocol);
-  kv("n", fmt_n_list(ns));
-  kv("seed", std::to_string(seed));
-  kv("trials", std::to_string(trials));
-  kv("churn", std::string(to_name(churn.kind)));
-  kv("churn-mult", fmt_double(churn.multiplier));
-  kv("churn-absolute", std::to_string(churn.absolute));
-  kv("edge", std::string(to_name(edge_dynamics)));
-  kv("walk-rate", fmt_double(walk.rate_mult));
-  kv("walk-t", fmt_double(walk.t_mult));
-  kv("walk-window", fmt_double(walk.window_mult));
-  kv("erasure", protocol_config.use_erasure_coding ? "true" : "false");
-  kv("items", std::to_string(workload.items));
-  kv("searches", std::to_string(workload.searchers_per_batch));
-  kv("batches", std::to_string(workload.batches));
-  kv("age-taus", fmt_double(workload.age_taus));
-  kv("threads", std::to_string(threads));
-  kv("shards", std::to_string(shards));
-  kv("csv", csv ? "true" : "false");
-  kv("json", json ? "true" : "false");
-  for (const auto& [key, value] : extras) kv(key, value);
-  return out;
 }
 
 SystemConfig ScenarioSpec::system_config(std::uint32_t n_override) const {

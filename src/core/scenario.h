@@ -10,9 +10,6 @@
 //   bench_driver --list
 //   bench_driver --scenario=search n=256,512 trials=4 churn-mult=1.0
 //   bench_driver --scenario=baselines protocol=chord n=512 json=true
-//
-// Spec round-trips: ScenarioSpec::from_cli(Cli(spec.to_key_values()))
-// reproduces the spec (tested).
 #pragma once
 
 #include <cstdint>
@@ -98,9 +95,6 @@ struct ScenarioSpec {
   /// All keys from_cli accepts (common spec keys + registered extras),
   /// sorted; the validation error lists these.
   [[nodiscard]] static std::vector<std::string> accepted_keys();
-
-  /// Canonical key=value form; from_cli(Cli(to_key_values())) round-trips.
-  [[nodiscard]] std::vector<std::string> to_key_values() const;
 
   [[nodiscard]] std::uint32_t n() const noexcept { return ns.front(); }
   [[nodiscard]] SystemConfig system_config() const { return system_config(n()); }

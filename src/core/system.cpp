@@ -11,16 +11,13 @@ std::vector<std::unique_ptr<Protocol>> P2PSystem::paper_protocols(
       std::make_unique<CommitteeManager>(*soup, config.protocol);
   auto landmarks = std::make_unique<LandmarkManager>(*soup, *committees,
                                                      config.protocol);
-  auto store = std::make_unique<StoreManager>(*committees, *landmarks,
-                                              config.protocol);
-  auto searches = std::make_unique<SearchManager>(
-      *soup, *committees, *landmarks, *store, config.protocol);
+  auto searches = std::make_unique<SearchManager>(*soup, *committees,
+                                                 *landmarks, config.protocol);
 
   std::vector<std::unique_ptr<Protocol>> mods;
   mods.push_back(std::move(soup));
   mods.push_back(std::move(committees));
   mods.push_back(std::move(landmarks));
-  mods.push_back(std::move(store));
   mods.push_back(std::move(searches));
   return mods;
 }
@@ -38,7 +35,6 @@ P2PSystem::P2PSystem(const SystemConfig& config,
   soup_ = find_protocol<TokenSoup>();
   committees_ = find_protocol<CommitteeManager>();
   landmarks_ = find_protocol<LandmarkManager>();
-  store_ = find_protocol<StoreManager>();
   searches_ = find_protocol<SearchManager>();
 }
 
@@ -125,11 +121,11 @@ bool P2PSystem::store_item(Vertex creator, ItemId item) {
 
 bool P2PSystem::store_item(Vertex creator, ItemId item,
                            std::vector<std::uint8_t> payload) {
-  return store().store(creator, item, std::move(payload));
+  return searches().store(creator, item, std::move(payload));
 }
 
 std::uint64_t P2PSystem::search(Vertex initiator, ItemId item) {
-  return searches().start_search(initiator, item);
+  return searches().begin_search(initiator, item);
 }
 
 }  // namespace churnstore

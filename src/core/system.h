@@ -2,10 +2,10 @@
 //
 // P2PSystem owns a dynamic Network and an ordered list of Protocol modules
 // and drives the paper's synchronous round structure over them. The default
-// constructor wires the paper's stack (soup, committees, landmarks, store,
-// search); the two-argument constructor builds a system around ANY protocol
-// list, which is how the baselines (flooding, sqrt-replication, k-walker,
-// Chord) run on the same driver:
+// constructor wires the paper's stack (soup, committees, landmarks, and the
+// search layer, which also starts stores); the two-argument constructor
+// builds a system around ANY protocol list, which is how the baselines
+// (flooding, sqrt-replication, k-walker, Chord) run on the same driver:
 //
 //   P2PSystem sys({.sim = {.n = 1024, .seed = 7}});
 //   sys.run_rounds(sys.warmup_rounds());              // fill sample buffers
@@ -33,7 +33,6 @@
 #include "net/config.h"
 #include "net/network.h"
 #include "storage/search_protocol.h"
-#include "storage/store_protocol.h"
 #include "walk/token_soup.h"
 
 namespace churnstore {
@@ -95,7 +94,7 @@ class P2PSystem {
             std::vector<std::unique_ptr<Protocol>> protocols);
 
   /// The paper stack as a protocol list (soup, committees, landmarks,
-  /// store, search) for callers that want to extend it before building.
+  /// search) for callers that want to extend it before building.
   [[nodiscard]] static std::vector<std::unique_ptr<Protocol>> paper_protocols(
       const SystemConfig& config);
 
@@ -194,7 +193,6 @@ class P2PSystem {
   [[nodiscard]] LandmarkManager& landmarks() const noexcept {
     return *checked(landmarks_);
   }
-  [[nodiscard]] StoreManager& store() const noexcept { return *checked(store_); }
   [[nodiscard]] SearchManager& searches() const noexcept {
     return *checked(searches_);
   }
@@ -235,7 +233,6 @@ class P2PSystem {
   TokenSoup* soup_ = nullptr;
   CommitteeManager* committees_ = nullptr;
   LandmarkManager* landmarks_ = nullptr;
-  StoreManager* store_ = nullptr;
   SearchManager* searches_ = nullptr;
 };
 

@@ -47,7 +47,7 @@ enum class RequestClass : std::uint8_t {
   kChordSearch = 0,  ///< chord_net get(): find_successor + fetch
   kChordStore = 1,   ///< chord_net put(): find_successor + store ack
   kSearch = 2,       ///< churnstore SearchManager locate + fetch
-  kStore = 3,        ///< churnstore StoreManager (begin-only: no ack exists)
+  kStore = 3,        ///< churnstore SearchManager::store (begin-only: no ack)
   kWalkerProbe = 4,  ///< k-walker baseline probe
 };
 inline constexpr std::size_t kRequestClassCount = 5;

@@ -17,13 +17,4 @@ namespace churnstore {
 /// Deterministic pseudo-random payload of `bits` bits for item `id`.
 [[nodiscard]] std::vector<std::uint8_t> make_payload(ItemId id, std::uint64_t bits);
 
-/// God-view record of a stored item (measurement bookkeeping only).
-struct ItemRecord {
-  ItemId id = 0;
-  std::uint64_t hash = 0;       ///< content hash of the original payload
-  std::uint64_t size_bytes = 0;
-  Round stored_round = 0;
-  PeerId creator = kNoPeer;
-};
-
 }  // namespace churnstore

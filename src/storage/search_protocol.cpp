@@ -1,6 +1,7 @@
 #include "storage/search_protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 
 namespace churnstore {
@@ -21,12 +22,11 @@ constexpr double kSearchTimeoutTaus = 4.0;
 }  // namespace
 
 SearchManager::SearchManager(TokenSoup& soup, CommitteeManager& committees,
-                             LandmarkManager& landmarks, StoreManager& store,
+                             LandmarkManager& landmarks,
                              const ProtocolConfig& config)
     : soup_(soup),
       committees_(committees),
       landmarks_(landmarks),
-      store_(store),
       config_(config) {}
 
 void SearchManager::on_attach(Network& net_ref) {
@@ -40,8 +40,50 @@ const SearchStatus* SearchManager::status(std::uint64_t sid) const {
   return it == searches_.end() ? nullptr : &it->second.status;
 }
 
+bool SearchManager::store(Vertex creator, ItemId item,
+                          std::vector<std::uint8_t> payload) {
+  if (!committees_.create(creator, /*kid=*/item, Purpose::kStorage, item,
+                          kNoPeer, payload, /*expire=*/-1)) {
+    return false;
+  }
+  // Begin-only span: paper-stack stores have no acknowledgement to the
+  // creator (the committee owns the item from here), so the trace marks
+  // the request without a completion event.
+  const std::uint64_t tid = mix64(item ^ 0x73746f7265ULL) | 1;  // "store"
+  if (TraceCollector* tc = net().trace_collector();
+      tc != nullptr && tc->sampled(tid)) {
+    tc->record(make_trace_event(tid, net().round(), creator, 0, 0,
+                                RequestClass::kStore, TraceEv::kBegin));
+  }
+  return true;
+}
+
 bool SearchManager::try_store(Vertex creator, ItemId item) {
-  return store_.store(creator, item, make_payload(item, config_.item_bits));
+  return store(creator, item, make_payload(item, config_.item_bits));
+}
+
+std::size_t SearchManager::copies_alive(ItemId item) const {
+  return committees_.alive_members(item);
+}
+
+std::size_t SearchManager::landmarks_alive(ItemId item) const {
+  return landmarks_.live_count(item);
+}
+
+bool SearchManager::is_recoverable(ItemId item) const {
+  const std::size_t alive = copies_alive(item);
+  if (alive == 0) return false;
+  if (!config_.use_erasure_coding) return true;
+  // Erasure mode: the last generation's member count determines the L in
+  // play; K was fixed at store time from the protocol config.
+  const ErasurePolicy policy(config_.ida_surplus);
+  return alive >= policy.pieces_needed(committees_.target_size());
+}
+
+bool SearchManager::is_available(ItemId item) const {
+  if (!is_recoverable(item)) return false;
+  const double threshold = std::sqrt(static_cast<double>(net().n())) / 4.0;
+  return static_cast<double>(landmarks_alive(item)) >= threshold;
 }
 
 WorkloadOutcome SearchManager::search_outcome(std::uint64_t sid) const {
@@ -57,7 +99,7 @@ WorkloadOutcome SearchManager::search_outcome(std::uint64_t sid) const {
   return out;
 }
 
-std::uint64_t SearchManager::start_search(Vertex initiator, ItemId item) {
+std::uint64_t SearchManager::begin_search(Vertex initiator, ItemId item) {
   const std::uint64_t sid = mix64(next_sid_++ ^ 0x73696400ULL) | 1;
   SearchStatus& st = searches_[sid].status;
   st.sid = sid;
@@ -292,11 +334,12 @@ bool SearchManager::on_message(Vertex v, const Message& m,
       if (status.fetched >= 0) return true;
 
       const auto piece_index = static_cast<std::uint32_t>(m.words[2]);
-      const ItemRecord* rec = store_.record(status.item);
+      const CommitteeManager::Info* stored = committees_.info(status.item);
       if (piece_index == kNoPiece) {
         status.fetched = net().round();
         status.fetch_ok =
-            rec && content_hash(m.blob().data(), m.blob().size()) == rec->hash;
+            stored && content_hash(m.blob().data(), m.blob().size()) ==
+                          stored->hash;
         // shardcheck:ok(R6: fetched item payload copy: O(item bytes) per completed fetch)
         status.fetched_data.assign(m.blob().begin(), m.blob().end());
         return true;
@@ -319,7 +362,7 @@ bool SearchManager::on_message(Vertex v, const Message& m,
         const auto data = policy.reconstruct(s.pieces, ida_k, original_size);
         if (data) {
           status.fetched = net().round();
-          status.fetch_ok = rec && content_hash(*data) == rec->hash;
+          status.fetch_ok = stored && content_hash(*data) == stored->hash;
           status.fetched_data = *data;
         }
       }

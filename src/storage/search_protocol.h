@@ -1,4 +1,12 @@
-// Data retrieval (paper Algorithm 4).
+// Persistent storage and data retrieval (paper Algorithms 3 and 4).
+//
+// Storing item I: the creator elects a committee entrusted with I (every
+// member stores a replica, or one IDA piece in erasure mode), and the
+// committee keeps rebuilding landmark trees so that Omega(sqrt(n)) random
+// nodes can point searchers at the members. CommitteeManager and
+// LandmarkManager do all of that round work; store() only starts the
+// committee. Its instance id is the item id, which is how inquiry
+// handlers look up "do I hold I?".
 //
 // A node u searching for item I elects a *search committee* (with a
 // dissolve deadline), which builds Omega(sqrt(n)) *search landmarks*. Every
@@ -11,8 +19,9 @@
 //
 // The manager keeps one record per search id: the god-view SearchStatus
 // the benches read (locate round: u learns a holder id, the paper's
-// success criterion; fetch round: payload reconstructed and
-// integrity-checked; or failure: deadline passed / initiator churned out),
+// success criterion; fetch round: payload reconstructed and checked
+// against the content hash the committee registry keeps for I; or
+// failure: deadline passed / initiator churned out),
 // plus what u itself knows: the distinct holder ids reported so far, the
 // fetch cursor and, in erasure mode, the distinct pieces fetched. Reports
 // and fetch replies are addressed to u's peer id, so delivery drops those
@@ -20,8 +29,7 @@
 // finishing or censoring a search releases its lists.
 //
 // The manager is also the paper stack's StorageService (core/service.h),
-// as each baseline protocol is its own stack's: stores go through the
-// StoreManager it searches.
+// as each baseline protocol is its own stack's.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +43,6 @@
 #include "landmark/landmark.h"
 #include "net/network.h"
 #include "storage/item.h"
-#include "storage/store_protocol.h"
 #include "walk/token_soup.h"
 
 namespace churnstore {
@@ -62,17 +69,16 @@ struct SearchStatus {
 class SearchManager final : public Protocol, public StorageService {
  public:
   SearchManager(TokenSoup& soup, CommitteeManager& committees,
-                LandmarkManager& landmarks, StoreManager& store,
-                const ProtocolConfig& config);
+                LandmarkManager& landmarks, const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "search";
   }
   void on_attach(Network& net) override;
 
-  /// Start a search for `item` from the peer at `initiator`. Returns the
-  /// search id (always succeeds; committee creation retries internally).
-  std::uint64_t start_search(Vertex initiator, ItemId item);
+  /// Issue a store of `payload` under id `item` from the peer at `creator`.
+  /// Returns false if the creator lacks walk samples (retry next round).
+  bool store(Vertex creator, ItemId item, std::vector<std::uint8_t> payload);
 
   /// Sharded round. Serial prologue: per-search bookkeeping (deadlines,
   /// censoring, committee creation, fetch issuance) — O(active searches).
@@ -97,21 +103,27 @@ class SearchManager final : public Protocol, public StorageService {
   /// Stores the item's deterministic payload (config item_bits) from
   /// `creator`; false while the creator's walk samples are still cold.
   bool try_store(Vertex creator, ItemId item) override;
+  /// Start a search for `item` from the peer at `initiator`. Returns the
+  /// search id (always succeeds; committee creation retries internally).
   [[nodiscard]] std::uint64_t begin_search(Vertex initiator,
-                                           ItemId item) override {
-    return start_search(initiator, item);
-  }
+                                           ItemId item) override;
   [[nodiscard]] WorkloadOutcome search_outcome(
       std::uint64_t sid) const override;
   [[nodiscard]] std::uint32_t search_timeout() const override {
     return timeout_;
   }
-  [[nodiscard]] std::size_t copies_alive(ItemId item) const override {
-    return store_.copies_alive(item);
-  }
-  [[nodiscard]] bool is_available(ItemId item) const override {
-    return store_.is_available(item);
-  }
+
+  /// --- god-view measurements (experiments E6/E10) ------------------------
+  /// Members of the item's current committee generation still alive.
+  [[nodiscard]] std::size_t copies_alive(ItemId item) const override;
+  /// Live (unexpired) landmarks pointing at the item's committee.
+  [[nodiscard]] std::size_t landmarks_alive(ItemId item) const;
+  /// Definition 1 availability proxy: enough live copies to recover the
+  /// item (1 replica, or ida_k pieces) AND a landmark set of size at least
+  /// sqrt(n)/4 so searches can find them quickly.
+  [[nodiscard]] bool is_available(ItemId item) const override;
+  /// Weaker predicate: the item content is still recoverable at all.
+  [[nodiscard]] bool is_recoverable(ItemId item) const;
 
  private:
   struct Search {
@@ -137,12 +149,11 @@ class SearchManager final : public Protocol, public StorageService {
   TokenSoup& soup_;
   CommitteeManager& committees_;
   LandmarkManager& landmarks_;
-  StoreManager& store_;
   ProtocolConfig config_;
   std::uint32_t timeout_ = 0;
   std::uint64_t next_sid_ = 1;
 
-  // shardcheck:cold-state(records inserted only from the serial start_search path; handlers mutate found records in place)
+  // shardcheck:cold-state(records inserted only from the serial begin_search path; handlers mutate found records in place)
   std::unordered_map<std::uint64_t, Search> searches_;
   // shardcheck:cold-state(active-search id list maintained in serial prologue/epilogue context)
   std::vector<std::uint64_t> active_;

@@ -29,7 +29,7 @@ TEST(AdaptiveAdversary, KillsStoredItemsObliviousCannot) {
     sys.run_rounds(sys.warmup_rounds());
     for (int i = 0; i < 20 && !sys.store_item(0, 1); ++i) sys.run_round();
     sys.run_rounds(4 * sys.committees().refresh_period());
-    EXPECT_TRUE(sys.store().is_recoverable(1))
+    EXPECT_TRUE(sys.searches().is_recoverable(1))
         << "oblivious churn should be survivable at this volume";
   }
 
@@ -40,7 +40,7 @@ TEST(AdaptiveAdversary, KillsStoredItemsObliviousCannot) {
     sys.run_rounds(sys.warmup_rounds());
     for (int i = 0; i < 20 && !sys.store_item(0, 1); ++i) sys.run_round();
     sys.run_rounds(4 * sys.committees().refresh_period());
-    EXPECT_FALSE(sys.store().is_recoverable(1))
+    EXPECT_FALSE(sys.searches().is_recoverable(1))
         << "an adaptive adversary must be able to kill the item";
   }
 }
@@ -52,7 +52,7 @@ TEST(AdaptiveAdversary, WithoutTargeterFallsBackToUniform) {
   sys.run_rounds(sys.warmup_rounds());
   for (int i = 0; i < 20 && !sys.store_item(0, 1); ++i) sys.run_round();
   sys.run_rounds(3 * sys.committees().refresh_period());
-  EXPECT_TRUE(sys.store().is_recoverable(1));
+  EXPECT_TRUE(sys.searches().is_recoverable(1));
 }
 
 TEST(AdaptiveAdversary, TargeterReceivesQuotaAndDistinctVictims) {

@@ -66,7 +66,7 @@ TEST(ErasureStorage, SurvivesRefreshCycles) {
   sys.run_rounds(sys.warmup_rounds());
   for (int i = 0; i < 20 && !sys.store_item(0, 5); ++i) sys.run_round();
   sys.run_rounds(4 * sys.committees().refresh_period());
-  EXPECT_TRUE(sys.store().is_recoverable(5));
+  EXPECT_TRUE(sys.searches().is_recoverable(5));
   const auto* inf = sys.committees().info(5);
   ASSERT_NE(inf, nullptr);
   EXPECT_GE(inf->generations, 3u);
@@ -92,7 +92,7 @@ TEST(ErasureStorage, SurvivesModerateChurn) {
   sys.run_rounds(sys.warmup_rounds());
   for (int i = 0; i < 20 && !sys.store_item(3, 5); ++i) sys.run_round();
   sys.run_rounds(3 * sys.committees().refresh_period());
-  EXPECT_TRUE(sys.store().is_recoverable(5));
+  EXPECT_TRUE(sys.searches().is_recoverable(5));
   const auto sid = sys.search(200, 5);
   sys.run_rounds(sys.search_timeout() + 4);
   const SearchStatus* st = sys.search_status(sid);

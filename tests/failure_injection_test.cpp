@@ -93,7 +93,7 @@ TEST(FailureInjection, TotalCommitteeWipeLosesTheItem) {
   // the god view must say so (no phantom availability).
   EXPECT_EQ(sys.committees().alive_members(1), 0u);
   sys.run_rounds(2 * sys.committees().refresh_period());
-  EXPECT_FALSE(sys.store().is_recoverable(1));
+  EXPECT_FALSE(sys.searches().is_recoverable(1));
   EXPECT_EQ(member_vertices(sys, 1).size(), 0u);
 }
 
@@ -181,7 +181,7 @@ TEST(FailureInjection, ErasureBelowKPiecesIsUnrecoverable) {
   churn.kill_next_round(members);
   sys.run_round();
   sys.run_rounds(2 * sys.committees().refresh_period());
-  EXPECT_FALSE(sys.store().is_recoverable(5));
+  EXPECT_FALSE(sys.searches().is_recoverable(5));
 }
 
 }  // namespace

@@ -491,10 +491,12 @@ TEST(ObsExport, TracedStoreSearchTrialWritesOneParsableJsonlFile) {
   const std::vector<std::string> keys = {"n=128",     "trials=1",
                                          "items=1",   "searches=3",
                                          "batches=1", "age-taus=0.5"};
-  const auto traced_spec = [&keys](const std::filesystem::path& out) {
+  const auto traced_spec = [&keys](const std::filesystem::path& out,
+                                   const std::string& extra_key = "") {
     std::vector<std::string> traced = keys;
     traced.insert(traced.end(), {"obs=jsonl", "obs-file=" + out.string(),
                                  "trace-sample=1"});
+    if (!extra_key.empty()) traced.push_back(extra_key);
     return ScenarioSpec::from_cli(Cli(traced));
   };
 
@@ -521,6 +523,25 @@ TEST(ObsExport, TracedStoreSearchTrialWritesOneParsableJsonlFile) {
   const auto files = jsonl_files(dir / "two");
   ASSERT_EQ(files.size(), 2u) << "each trial seed labels its own file";
   for (const auto& path : files) expect_well_formed_jsonl(path);
+
+  // What a trial simulates names its file: two trials at one seed that
+  // differ in a protocol constant alone write two files (the ablation
+  // sweeps), and a key that no trial reads leaves the name unchanged.
+  std::filesystem::create_directories(dir / "refresh");
+  for (const double taus : {0.5, 2.0}) {
+    ScenarioSpec cell = traced_spec(dir / "refresh" / "trial.jsonl");
+    cell.protocol_config.refresh_taus = taus;
+    (void)run_store_search_trial(cell);
+  }
+  EXPECT_EQ(jsonl_files(dir / "refresh").size(), 2u)
+      << "trials differing in refresh_taus share one file";
+  std::filesystem::create_directories(dir / "unread");
+  (void)run_store_search_trial(
+      traced_spec(dir / "unread" / "trial.jsonl", "measure-rounds=8"));
+  const auto unread = jsonl_files(dir / "unread");
+  ASSERT_EQ(unread.size(), 1u);
+  EXPECT_EQ(unread[0].filename(), one[0].filename())
+      << "measure-rounds=8 renamed the trial's file";
   std::filesystem::remove_all(dir);
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "baseline/flooding.h"
 #include "core/experiment.h"
@@ -207,6 +209,18 @@ TEST(Protocol, FindProtocolByTypeAndName) {
   EXPECT_EQ(sys.find_protocol<TokenSoup>()->name(), "token-soup");
   EXPECT_NE(sys.find_protocol<CommitteeManager>(), nullptr);
   EXPECT_EQ(sys.find_protocol<FloodingStore>(), nullptr);
+}
+
+TEST(Protocol, PaperStackIsSoupCommitteeLandmarkSearch) {
+  // Stores are a request of the search layer, not a protocol of their own:
+  // the committee and landmark layers do all of a stored item's round work.
+  SystemConfig cfg;
+  cfg.sim.n = 64;
+  const P2PSystem sys(cfg);
+  std::vector<std::string_view> names;
+  for (const auto& p : sys.protocols()) names.push_back(p->name());
+  EXPECT_EQ(names, (std::vector<std::string_view>{"token-soup", "committee",
+                                                  "landmark", "search"}));
 }
 
 }  // namespace

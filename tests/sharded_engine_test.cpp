@@ -406,8 +406,8 @@ StackRun run_full_stack(std::uint32_t n, std::uint32_t shards,
     run.searches.emplace_back(st->located, st->fetched, st->fetch_ok);
   }
   for (const ItemId item : items) {
-    run.copies.push_back(sys.store().copies_alive(item));
-    run.available.push_back(sys.store().is_available(item));
+    run.copies.push_back(sys.searches().copies_alive(item));
+    run.available.push_back(sys.searches().is_available(item));
   }
   return run;
 }
@@ -766,12 +766,10 @@ TEST(TracedExport, EventStreamIsBitIdenticalAcrossShardCountsAndPools) {
   EXPECT_EQ(s1, s16);
 }
 
-TEST(ScenarioSpec, ShardsAndWorkloadRoundTrip) {
-  ScenarioSpec spec;
-  spec.shards = 16;
-  const ScenarioSpec back = ScenarioSpec::from_cli(Cli(spec.to_key_values()));
-  EXPECT_EQ(back.shards, 16u);
-  EXPECT_EQ(back.system_config().sim.shards, 16u);
+TEST(ScenarioSpec, ShardsKeyReachesTheSystemConfig) {
+  const ScenarioSpec spec = ScenarioSpec::from_cli(Cli({"shards=16"}));
+  EXPECT_EQ(spec.shards, 16u);
+  EXPECT_EQ(spec.system_config().sim.shards, 16u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "storage/item.h"
 
 namespace churnstore {
 namespace {
@@ -32,10 +33,11 @@ TEST(Storage, StoreCreatesCommitteeAndRecord) {
   sys.run_rounds(sys.warmup_rounds());
   store_with_retry(sys, 77);
   sys.run_round();
-  const ItemRecord* rec = sys.store().record(77);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->id, 77u);
-  EXPECT_GT(sys.store().copies_alive(77), 0u);
+  const CommitteeManager::Info* info = sys.committees().info(77);
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->item, 77u);
+  EXPECT_EQ(info->hash, content_hash(make_payload(77, 1024)));
+  EXPECT_GT(sys.searches().copies_alive(77), 0u);
 }
 
 TEST(Storage, CopiesStayThetaLogN) {
@@ -43,7 +45,7 @@ TEST(Storage, CopiesStayThetaLogN) {
   sys.run_rounds(sys.warmup_rounds());
   store_with_retry(sys, 77);
   sys.run_rounds(4 * sys.committees().refresh_period());
-  const std::size_t copies = sys.store().copies_alive(77);
+  const std::size_t copies = sys.searches().copies_alive(77);
   EXPECT_GE(copies, 3u);
   EXPECT_LE(copies, 3u * sys.committees().target_size());
 }
@@ -53,8 +55,8 @@ TEST(Storage, BecomesAvailableAfterLandmarkWave) {
   sys.run_rounds(sys.warmup_rounds());
   store_with_retry(sys, 5);
   sys.run_rounds(sys.landmarks().tree_depth() + 4);
-  EXPECT_TRUE(sys.store().is_recoverable(5));
-  EXPECT_TRUE(sys.store().is_available(5));
+  EXPECT_TRUE(sys.searches().is_recoverable(5));
+  EXPECT_TRUE(sys.searches().is_available(5));
 }
 
 TEST(Search, LocatesAndFetchesStoredItem) {
